@@ -148,7 +148,7 @@ class TrajectoryResult {
     for (std::size_t i = 0; i < weights.size(); ++i) {
       weights[i] = std::max(0.0, static_cast<double>(meanMarginal_[i]));
     }
-    return rng.multinomial(shots, weights);
+    return rng.multinomial(shots, std::move(weights));
   }
 
   /// sampleCounts() with a fresh generator seeded by `seed`.

@@ -6,21 +6,55 @@
 /// QCLAB is positioned as a prototyping platform for quantum algorithm
 /// research (paper §1); measuring expectation values of Pauli observables
 /// is the core primitive of that workflow (VQE-style energy evaluation,
-/// tomography generalizations).  PauliString applies the operators with
-/// the in-place kernels — no operator matrix is ever materialized, so
-/// expectation values scale as O(terms * 2^n).
+/// tomography generalizations).  No operator matrix is ever materialized:
+/// PauliString::apply runs the in-place kernels on a copy, and
+/// expectation values only read the state — one pass per term that flips
+/// qubits (X/Y factors), plus one Walsh–Hadamard transform of |psi|^2
+/// shared by every I/Z-only term.
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cctype>
 #include <complex>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "qclab/dense/ops.hpp"
 #include "qclab/sim/kernels.hpp"
-#include "qclab/sim/state_buffer.hpp"
+#include "qclab/util/bits.hpp"
 #include "qclab/util/errors.hpp"
 
 namespace qclab {
+
+template <typename T>
+class Observable;
+
+namespace detail {
+
+/// Unnormalized Walsh–Hadamard transform of |psi|^2: entry z is
+/// sum_i |psi_i|^2 (-1)^|i&z|, the expectation of the Z string with index
+/// mask z.  n 2^n in-place butterflies.
+template <typename T>
+std::vector<T> walshHadamardOfProbabilities(
+    std::span<const std::complex<T>> state) {
+  std::vector<T> p(state.size());
+  for (std::size_t i = 0; i < p.size(); ++i) p[i] = std::norm(state[i]);
+  for (std::size_t h = 1; h < p.size(); h <<= 1) {
+    for (std::size_t i = 0; i < p.size(); i += 2 * h) {
+      for (std::size_t j = i; j < i + h; ++j) {
+        const T a = p[j];
+        const T b = p[j + h];
+        p[j] = a + b;
+        p[j + h] = a - b;
+      }
+    }
+  }
+  return p;
+}
+
+}  // namespace detail
 
 /// A weighted Pauli string, e.g. 1.5 * "XIZY": character k acts on
 /// qubit k ('I', 'X', 'Y', 'Z'; case-insensitive).
@@ -88,15 +122,45 @@ class PauliString {
   }
 
   /// Expectation value <psi| coefficient * P |psi> (real for normalized
-  /// states and real coefficients).
-  T expectation(const std::vector<std::complex<T>>& state) const {
-    return std::real(dense::inner(state, apply(state)));
-  }
-
-  /// Expectation on a tiered state buffer (any tier; reads through a
-  /// plain-vector copy).
-  T expectation(const sim::StateBuffer<T>& state) const {
-    return expectation(state.toVector());
+  /// states and real coefficients) of a std::vector or a sim::StateBuffer
+  /// of any tier, in one read-only pass: with x and z the index masks of
+  /// the X/Y and Z/Y factors, P|i> = i^#Y (-1)^|i&z| |i^x>, so
+  ///   <psi|P|psi> = sum_i conj(psi[i^x]) psi[i] (-1)^|i&z| i^#Y.
+  T expectation(std::span<const std::complex<T>> state) const {
+    util::require(state.size() == (std::size_t{1} << paulis_.size()),
+                  "state dimension does not match Pauli string length");
+    const Masks m = masks();
+    // Re(i^#Y w) is Re w, -Im w, -Re w, Im w for #Y mod 4 = 0, 1, 2, 3.
+    const bool imaginary = (m.nbY & 1) != 0;
+    const T phase = ((m.nbY + (imaginary ? 1 : 0)) & 2) != 0 ? T(-1) : T(1);
+    // (-1)^|i&z| is the sign of the block of 64 amplitudes holding i
+    // times a table entry for the low six bits of i, which keeps the
+    // popcount out of the inner loop.
+    const std::size_t dim = state.size();
+    const std::size_t block = std::min<std::size_t>(dim, 64);
+    std::array<T, 64> lowSign{};
+    lowSign[0] = T(1);
+    for (std::size_t width = 1; width < block; width <<= 1) {
+      const T flip = (m.z & width) != 0 ? T(-1) : T(1);
+      for (std::size_t j = 0; j < width; ++j) {
+        lowSign[width + j] = flip * lowSign[j];
+      }
+    }
+    const std::complex<T>* psi = state.data();
+    T sum(0);
+    for (util::index_t base = 0; base < dim; base += block) {
+      T partial(0);
+      for (std::size_t j = 0; j < block; ++j) {
+        const std::complex<T> a = psi[(base | j) ^ m.x];
+        const std::complex<T> b = psi[base | j];
+        // Re or Im of conj(a) * b.
+        partial += lowSign[j] *
+                   (imaginary ? a.real() * b.imag() - a.imag() * b.real()
+                              : a.real() * b.real() + a.imag() * b.imag());
+      }
+      sum += (std::popcount(base & m.z) & 1) != 0 ? -partial : partial;
+    }
+    return coefficient_ * phase * sum;
   }
 
   /// Dense matrix of `coefficient * P` (tests / small registers).
@@ -115,6 +179,31 @@ class PauliString {
   }
 
  private:
+  friend class Observable<T>;
+
+  /// Index masks of the string: x flips the X/Y qubits, z signs the Z/Y
+  /// qubits, nbY counts the Y factors.
+  struct Masks {
+    util::index_t x = 0;
+    util::index_t z = 0;
+    int nbY = 0;
+  };
+
+  Masks masks() const noexcept {
+    Masks m;
+    const int n = nbQubits();
+    for (int q = 0; q < n; ++q) {
+      const util::index_t bit = util::index_t{1} << util::bitPosition(q, n);
+      switch (paulis_[static_cast<std::size_t>(q)]) {
+        case 'X': m.x |= bit; break;
+        case 'Y': m.x |= bit; m.z |= bit; ++m.nbY; break;
+        case 'Z': m.z |= bit; break;
+        default: break;
+      }
+    }
+    return m;
+  }
+
   std::string paulis_;
   T coefficient_;
 };
@@ -167,14 +256,28 @@ class Observable {
     return result;
   }
 
-  /// <psi| H |psi>.
-  T expectation(const std::vector<std::complex<T>>& state) const {
-    return std::real(dense::inner(state, apply(state)));
-  }
-
-  /// <psi| H |psi> on a tiered state buffer.
-  T expectation(const sim::StateBuffer<T>& state) const {
-    return expectation(state.toVector());
+  /// <psi| H |psi> of a std::vector or a sim::StateBuffer of any tier,
+  /// read in place.  Every I/Z-only term is one entry of a single
+  /// Walsh–Hadamard transform of |psi|^2, so all of them together cost
+  /// O(n 2^n); every other term is one read-only pass
+  /// (PauliString::expectation).
+  T expectation(std::span<const std::complex<T>> state) const {
+    util::require(state.size() == (std::size_t{1} << nbQubits_),
+                  "state dimension does not match Pauli string length");
+    std::vector<T> spectrum;  // transform of |psi|^2, built on first use
+    T sum(0);
+    for (const auto& term : terms_) {
+      const auto termMasks = term.masks();
+      if (termMasks.x != 0) {
+        sum += term.expectation(state);
+        continue;
+      }
+      if (spectrum.empty()) {
+        spectrum = detail::walshHadamardOfProbabilities(state);
+      }
+      sum += term.coefficient() * spectrum[termMasks.z];
+    }
+    return sum;
   }
 
   /// Var(H) = <H^2> - <H>^2 for the given state.

@@ -97,26 +97,46 @@ std::uint64_t Rng::binomial(std::uint64_t trials, double p) noexcept {
 }
 
 std::vector<std::uint64_t> Rng::multinomial(std::uint64_t trials,
-                                            const std::vector<double>& weights) {
+                                            std::vector<double> weights) {
   util::require(!weights.empty(), "multinomial requires at least one category");
-  double remainingWeight = 0.0;
-  for (double w : weights) {
+  // Running sum in place; `last` is the last positive-weight category.
+  std::size_t positive = 0;
+  std::size_t last = 0;
+  double total = 0.0;
+  for (std::size_t k = 0; k < weights.size(); ++k) {
+    const double w = weights[k];
     util::require(w >= 0.0, "multinomial weights must be nonnegative");
-    remainingWeight += w;
+    if (w > 0.0) {
+      ++positive;
+      last = k;
+    }
+    total += w;
+    weights[k] = total;
   }
-  util::require(remainingWeight > 0.0, "multinomial weights sum to zero");
+  util::require(total > 0.0, "multinomial weights sum to zero");
 
   std::vector<std::uint64_t> counts(weights.size(), 0);
-  std::uint64_t remainingTrials = trials;
-  for (std::size_t k = 0; k + 1 < weights.size() && remainingTrials > 0; ++k) {
-    const double p = weights[k] / remainingWeight;
-    const std::uint64_t draw = binomial(remainingTrials, p);
-    counts[k] = draw;
-    remainingTrials -= draw;
-    remainingWeight -= weights[k];
-    if (remainingWeight <= 0.0) break;
+  if (positive == 1) {
+    counts[last] = trials;
+    return counts;
   }
-  counts.back() += remainingTrials;
+  const double* cumulative = weights.data();
+  for (std::uint64_t t = 0; t < trials; ++t) {
+    // The category is the number of boundaries cumulative[0..last) at or
+    // below r.  A zero-weight category repeats its predecessor's boundary
+    // and so is never chosen, and an r that rounds up to total (subnormal
+    // totals) lands on `last`.  The search keeps the answer in
+    // [base, base + n] and compiles to conditional moves.
+    const double r = uniform() * total;
+    const double* base = cumulative;
+    std::size_t n = last;
+    while (n > 1) {
+      const std::size_t half = n / 2;
+      base = base[half] <= r ? base + half : base;
+      n -= half;
+    }
+    ++counts[static_cast<std::size_t>(base - cumulative) + (*base <= r ? 1 : 0)];
+  }
   return counts;
 }
 

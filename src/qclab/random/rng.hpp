@@ -56,10 +56,14 @@ class Rng {
   std::uint64_t binomial(std::uint64_t trials, double p) noexcept;
 
   /// Distributes `trials` draws over categories with the given unnormalized
-  /// weights; returns per-category counts.  Uses the conditional-binomial
-  /// decomposition, O(categories + trials).
+  /// weights; returns per-category counts.  Exact inverse-CDF sampling:
+  /// `weights` becomes its own running sum (move a temporary in to avoid
+  /// the copy), then each trial costs one uniform and one branchless
+  /// binary search, O(categories + trials * log categories).  A
+  /// zero-weight category is never drawn, and no uniform is consumed when
+  /// a single category holds all the weight.
   std::vector<std::uint64_t> multinomial(std::uint64_t trials,
-                                         const std::vector<double>& weights);
+                                         std::vector<double> weights);
 
   /// Advances the state by 2^128 steps; use to split independent parallel
   /// streams from one seed.

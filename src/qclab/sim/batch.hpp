@@ -201,9 +201,9 @@ class BatchedSimulation {
 #ifdef QCLAB_HAS_OPENMP
     const int threads = options_.nbThreads > 0 ? options_.nbThreads
                                                : omp_get_max_threads();
-    // Release/acquire edge mirroring the implicit end-of-region barrier
-    // for TSan, which cannot see into libgomp (same pattern as the
-    // trajectory engine).
+    // Release/acquire edges mirroring the barriers below for TSan, which
+    // cannot see into libgomp (same pattern as the trajectory engine).
+    std::atomic<int> clonesDone{0};
     std::atomic<int> workersDone{0};
 #pragma omp parallel num_threads(threads) if (count > 1 && !omp_in_parallel())
 #endif
@@ -216,7 +216,14 @@ class BatchedSimulation {
       if (omp_get_thread_num() != 0) {
         local = std::make_unique<Worker>(prototype_, options_, master_.get());
         worker = local.get();
+        clonesDone.fetch_add(1, std::memory_order_release);
       }
+      // Every clone finishes copying the master's plans before any member
+      // runs: thread 0 rebinds those plans in place, and rebindFusionPlan
+      // moves each block's recipe out and back in, so a copy taken in that
+      // window would have no recipe to rebind.
+#pragma omp barrier
+      (void)clonesDone.load(std::memory_order_acquire);
 #endif
       std::vector<std::complex<T>> buffer;  // per-thread pooled state
 #ifdef QCLAB_HAS_OPENMP

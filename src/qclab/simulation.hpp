@@ -103,8 +103,8 @@ std::vector<std::complex<T>> reducedStatevector(
 /// directly from the amplitudes of `state` (MSB-first outcome ordering,
 /// zero-probability outcomes included with count 0).  This is the fast
 /// path for *terminal* measurements: no collapse, no branch explosion —
-/// sampling 20 measured qubits costs O(2^n + shots) instead of the up-to
-/// 2^20 branches the Measurement-object route would track.
+/// sampling m measured qubits costs O(2^n + 2^m + shots * m) instead of
+/// the up-to 2^m branches the Measurement-object route would track.
 template <typename State>
 std::vector<std::uint64_t> sampleStateCounts(
     const State& state, const std::vector<int>& qubits,
@@ -114,24 +114,34 @@ std::vector<std::uint64_t> sampleStateCounts(
   const int m = static_cast<int>(qubits.size());
   util::require(m >= 1, "sampleStateCounts needs at least one qubit");
   util::require(m <= 26, "counts vector would exceed 2^26 entries");
-  std::vector<int> positions(static_cast<std::size_t>(m));
+  // outcomeBits[256 * byte + v]: the outcome bits that byte `byte` of a
+  // state index contributes when its value is v, so the marginal costs
+  // one table lookup per index byte instead of one step per listed qubit.
+  const int nbBytes = (nbQubits + 7) / 8;
+  std::vector<util::index_t> outcomeBits(
+      static_cast<std::size_t>(nbBytes) * 256, 0);
   for (int b = 0; b < m; ++b) {
     util::checkQubit(qubits[static_cast<std::size_t>(b)], nbQubits);
-    positions[static_cast<std::size_t>(b)] =
+    const int pos =
         util::bitPosition(qubits[static_cast<std::size_t>(b)], nbQubits);
+    const util::index_t bit = util::index_t{1} << (m - 1 - b);
+    util::index_t* row = &outcomeBits[static_cast<std::size_t>(pos / 8) * 256];
+    for (unsigned v = 0; v < 256; ++v) {
+      if (util::getBit(v, pos % 8)) row[v] |= bit;
+    }
   }
   obs::metrics().countShots(shots);
   // Marginal outcome distribution.
   std::vector<double> weights(std::size_t{1} << m, 0.0);
   for (std::size_t i = 0; i < state.size(); ++i) {
     util::index_t outcome = 0;
-    for (int b = 0; b < m; ++b) {
-      outcome = (outcome << 1) |
-                util::getBit(i, positions[static_cast<std::size_t>(b)]);
+    for (int byte = 0; byte < nbBytes; ++byte) {
+      outcome |= outcomeBits[static_cast<std::size_t>(byte) * 256 +
+                             ((i >> (8 * byte)) & 0xFF)];
     }
     weights[outcome] += static_cast<double>(std::norm(state[i]));
   }
-  return rng.multinomial(shots, weights);
+  return rng.multinomial(shots, std::move(weights));
 }
 
 /// sampleStateCounts over the full register.
@@ -311,7 +321,7 @@ class Simulation {
     for (const auto& b : branches_) {
       weights[util::bitstringToIndex(b.result)] += b.probability;
     }
-    return rng.multinomial(shots, weights);
+    return rng.multinomial(shots, std::move(weights));
   }
 
   /// counts() with a fresh generator seeded by `seed` (mirrors MATLAB's
@@ -332,7 +342,7 @@ class Simulation {
     std::vector<double> weights;
     weights.reserve(branches_.size());
     for (const auto& b : branches_) weights.push_back(b.probability);
-    const auto perBranch = rng.multinomial(shots, weights);
+    const auto perBranch = rng.multinomial(shots, std::move(weights));
     std::map<std::string, std::uint64_t> result;
     for (std::size_t i = 0; i < branches_.size(); ++i) {
       result[branches_[i].result] += perBranch[i];

@@ -6,19 +6,17 @@ QasmParseError::QasmParseError(const std::string& message, int line)
     : Error("QASM parse error (line " + std::to_string(line) + "): " + message),
       line_(line) {}
 
-namespace util {
+namespace util::detail {
 
-void checkQubit(int qubit, int nbQubits) {
-  if (qubit < 0 || qubit >= nbQubits) {
-    throw QubitRangeError("qubit index " + std::to_string(qubit) +
-                          " out of range [0, " + std::to_string(nbQubits) +
-                          ")");
-  }
+void throwQubitRange(int qubit, int nbQubits) {
+  throw QubitRangeError("qubit index " + std::to_string(qubit) +
+                        " out of range [0, " + std::to_string(nbQubits) +
+                        ")");
 }
 
-void require(bool condition, const std::string& message) {
-  if (!condition) throw InvalidArgumentError(message);
+void throwInvalidArgument(const char* message) {
+  throw InvalidArgumentError(message);
 }
 
-}  // namespace util
+}  // namespace util::detail
 }  // namespace qclab

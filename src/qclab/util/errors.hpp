@@ -51,11 +51,33 @@ class QasmParseError : public Error {
 
 namespace util {
 
+namespace detail {
+
+/// Out-of-line throw paths of the checks below, so a passing check costs
+/// one compare and never builds the message.
+[[noreturn]] void throwQubitRange(int qubit, int nbQubits);
+[[noreturn]] void throwInvalidArgument(const char* message);
+
+}  // namespace detail
+
 /// Throws QubitRangeError unless `0 <= qubit < nbQubits`.
-void checkQubit(int qubit, int nbQubits);
+inline void checkQubit(int qubit, int nbQubits) {
+  if (qubit < 0 || qubit >= nbQubits) [[unlikely]] {
+    detail::throwQubitRange(qubit, nbQubits);
+  }
+}
 
 /// Throws InvalidArgumentError with `message` unless `condition` holds.
-void require(bool condition, const std::string& message);
+/// A string literal binds here, so no std::string is built when the
+/// check passes.
+inline void require(bool condition, const char* message) {
+  if (!condition) [[unlikely]] detail::throwInvalidArgument(message);
+}
+
+/// require() for a message that is already a std::string.
+inline void require(bool condition, const std::string& message) {
+  if (!condition) [[unlikely]] detail::throwInvalidArgument(message.c_str());
+}
 
 }  // namespace util
 }  // namespace qclab

@@ -174,6 +174,124 @@ TEST(Observable, AverageOfUnityIsOne) {
               1.0, 1e-10);
 }
 
+/// Random observable on `n` qubits: the all-identity term plus `nbTerms`
+/// strings drawn uniformly from I/X/Y/Z.
+template <typename T>
+Observable<T> randomObservable(int n, int nbTerms, random::Rng& rng) {
+  Observable<T> observable(n);
+  observable.add(std::string(static_cast<std::size_t>(n), 'I'),
+                 static_cast<T>(rng.uniform(-1.0, 1.0)));
+  const char alphabet[4] = {'I', 'X', 'Y', 'Z'};
+  for (int t = 0; t < nbTerms; ++t) {
+    std::string paulis;
+    for (int q = 0; q < n; ++q) paulis += alphabet[rng.uniformInt(4)];
+    observable.add(paulis, static_cast<T>(rng.uniform(-1.0, 1.0)));
+  }
+  return observable;
+}
+
+/// <psi|M|psi> through the dense matrix.
+template <typename T>
+T denseExpectation(const dense::Matrix<T>& matrix,
+                   const std::vector<std::complex<T>>& state) {
+  return std::real(dense::inner(state, matrix.apply(state)));
+}
+
+template <typename T>
+void expectMatchesDenseMatrices(T tolerance) {
+  random::Rng rng(31);
+  for (int n = 1; n <= 10; ++n) {
+    const auto observable = randomObservable<T>(n, 6, rng);
+    const auto state = qclab::test::randomState<T>(n, rng);
+    EXPECT_NEAR(observable.expectation(state),
+                denseExpectation(observable.matrix(), state), tolerance)
+        << "n = " << n;
+    for (const auto& term : observable.terms()) {
+      EXPECT_NEAR(term.expectation(state),
+                  denseExpectation(term.matrix(), state), tolerance)
+          << term.paulis();
+    }
+  }
+}
+
+TEST(Observable, ExpectationMatchesDenseMatrixDouble) {
+  expectMatchesDenseMatrices<double>(1e-11);
+}
+
+TEST(Observable, ExpectationMatchesDenseMatrixFloat) {
+  expectMatchesDenseMatrices<float>(2e-4f);
+}
+
+TEST(PauliString, EveryThreeQubitStringMatchesMatrix) {
+  // All 64 strings: every count of Y factors, so every power of i.
+  random::Rng rng(34);
+  const auto state = qclab::test::randomState<double>(3, rng);
+  const char alphabet[4] = {'I', 'X', 'Y', 'Z'};
+  for (int code = 0; code < 64; ++code) {
+    const std::string paulis = {alphabet[code / 16], alphabet[code / 4 % 4],
+                                alphabet[code % 4]};
+    const PauliString<double> term(paulis, -0.75);
+    EXPECT_NEAR(term.expectation(state), denseExpectation(term.matrix(), state),
+                1e-13)
+        << paulis;
+  }
+}
+
+TEST(Observable, StateBufferMatchesVectorOnEveryTier) {
+  // The buffer overloads read the amplitudes in place on every tier and
+  // give the vector result bit for bit.
+  random::Rng rng(32);
+  const int n = 9;
+  const auto observable = randomObservable<double>(n, 8, rng);
+  const auto state = qclab::test::randomState<double>(n, rng);
+  for (const auto tier :
+       {sim::StateTier::kHeap, sim::StateTier::kNuma, sim::StateTier::kMmap}) {
+    sim::StateTierOptions options;
+    options.tier = tier;
+    auto buffer = sim::StateBuffer<double>::zeros(state.size(), options);
+    std::copy(state.begin(), state.end(), buffer.data());
+    EXPECT_EQ(observable.expectation(buffer), observable.expectation(state));
+    for (const auto& term : observable.terms()) {
+      EXPECT_EQ(term.expectation(buffer), term.expectation(state))
+          << term.paulis();
+    }
+  }
+}
+
+TEST(Observable, MaxCutExpectationMatchesBruteForceCut) {
+  // <C> = sum_i |psi_i|^2 cut(i), with vertex v at bit position n-1-v of
+  // the basis index: on K_n and on a random sparse graph, where the bit
+  // order matters.
+  random::Rng rng(33);
+  for (int n = 2; n <= 10; ++n) {
+    algorithms::Graph complete{n, {}};
+    algorithms::Graph sparse{n, {}};
+    for (int i = 0; i < n; ++i) {
+      for (int j = i + 1; j < n; ++j) {
+        complete.edges.push_back({i, j});
+        if (rng.uniform() < 0.3) sparse.edges.push_back({i, j});
+      }
+    }
+    if (sparse.edges.empty()) sparse.edges.push_back({0, n - 1});
+    const auto state = qclab::test::randomState<double>(n, rng);
+    for (const auto* graph : {&complete, &sparse}) {
+      double reference = 0.0;
+      for (util::index_t i = 0; i < state.size(); ++i) {
+        int cut = 0;
+        for (const auto& [a, b] : graph->edges) {
+          cut += util::getBit(i, util::bitPosition(a, n)) !=
+                 util::getBit(i, util::bitPosition(b, n));
+        }
+        reference += std::norm(state[i]) * cut;
+      }
+      EXPECT_NEAR(
+          algorithms::maxCutHamiltonian<double>(*graph).expectation(state),
+          reference, 1e-11)
+          << "n = " << n << ", " << graph->edges.size() << " edges";
+    }
+  }
+}
+
 class PauliApplySweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(PauliApplySweep, RandomStringsMatchMatrices) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
 
 #include "qclab/random/rng.hpp"
@@ -222,6 +223,145 @@ TEST(Rng, JumpStreamsDriveTableauMeasurementSampler) {
   EXPECT_NE(collect(streams[0]), collect(streams[1]));
   EXPECT_NE(collect(streams[1]), collect(streams[2]));
 }
+
+TEST(Rng, MultinomialSinglePositiveCategoryDrawsNothing) {
+  // All the weight in one category: every trial lands there and the
+  // generator state is left untouched.
+  Rng rng(14);
+  Rng untouched = rng;
+  const auto counts = rng.multinomial(1000, {0.0, 0.0, 2.5, 0.0});
+  EXPECT_EQ(counts, (std::vector<std::uint64_t>{0, 0, 1000, 0}));
+  for (int i = 0; i < 8; ++i) EXPECT_EQ(rng(), untouched());
+}
+
+TEST(Rng, MultinomialZeroAndOneTrial) {
+  Rng rng(15);
+  const std::vector<double> weights = {0.0, 0.3, 0.0, 0.7, 0.0};
+  EXPECT_EQ(rng.multinomial(0, weights),
+            (std::vector<std::uint64_t>(weights.size(), 0)));
+  for (int rep = 0; rep < 50; ++rep) {
+    const auto counts = rng.multinomial(1, weights);
+    EXPECT_EQ(counts[0] + counts[2] + counts[4], 0u);
+    EXPECT_EQ(counts[1] + counts[3], 1u);
+  }
+}
+
+/// Category of one inverse-CDF draw by linear scan over the running sum:
+/// the first k with cumulative[k] > r, or the last positive category when
+/// r reached the total.
+std::size_t linearScan(const std::vector<double>& weights, double r) {
+  double cumulative = 0.0;
+  std::size_t lastPositive = 0;
+  for (std::size_t k = 0; k < weights.size(); ++k) {
+    cumulative += weights[k];
+    if (weights[k] > 0.0) lastPositive = k;
+    if (weights[k] > 0.0 && r < cumulative) return k;
+  }
+  return lastPositive;
+}
+
+/// Counts a replay of multinomial's stream: one uniform per trial, mapped
+/// through linearScan.
+std::vector<std::uint64_t> replay(Rng rng, std::uint64_t trials,
+                                  const std::vector<double>& weights) {
+  double total = 0.0;
+  for (double w : weights) total += w;
+  std::vector<std::uint64_t> counts(weights.size(), 0);
+  for (std::uint64_t t = 0; t < trials; ++t) {
+    ++counts[linearScan(weights, rng.uniform() * total)];
+  }
+  return counts;
+}
+
+TEST(Rng, MultinomialIsExactInverseCdf) {
+  // The binary search picks exactly the category a linear scan of the
+  // cumulative weights picks for the same uniform, zero runs included.
+  Rng weightsRng(16);
+  for (const std::size_t categories : {2u, 3u, 5u, 64u, 1000u}) {
+    std::vector<double> weights(categories);
+    for (auto& w : weights) {
+      w = weightsRng.uniform() < 0.3 ? 0.0 : weightsRng.uniform(0.0, 2.0);
+    }
+    weights.front() = 0.0;
+    weights[categories / 2] = 1.0;
+    Rng rng(17 + categories);
+    const auto expected = replay(rng, 5000, weights);
+    EXPECT_EQ(rng.multinomial(5000, weights), expected)
+        << categories << " categories";
+  }
+}
+
+TEST(Rng, MultinomialDrawThatRoundsToTotalGoesToLastPositive) {
+  // With a subnormal total, uniform() * total rounds up to total for
+  // about a quarter of the draws; those belong to the last positive
+  // category, never to the zero-weight one after it.
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const std::vector<double> weights = {0.0, tiny, tiny, 0.0};
+  const double total = 2 * tiny;
+  Rng probe(18);
+  int roundedUp = 0;
+  for (int t = 0; t < 1000; ++t) {
+    if (probe.uniform() * total == total) ++roundedUp;
+  }
+  ASSERT_GT(roundedUp, 0);
+
+  Rng rng(18);
+  const auto counts = rng.multinomial(1000, weights);
+  EXPECT_EQ(counts, replay(Rng(18), 1000, weights));
+  EXPECT_EQ(counts[0], 0u);
+  EXPECT_EQ(counts[3], 0u);
+  EXPECT_GE(counts[2], static_cast<std::uint64_t>(roundedUp));
+  EXPECT_EQ(counts[1] + counts[2], 1000u);
+}
+
+/// Upper tail of the chi-square distribution with `df` degrees of freedom
+/// at p = 1e-4 (Wilson–Hilferty; slightly conservative at small df).
+double chiSquareCritical(double df) {
+  const double z = 3.719;  // standard normal quantile at 1 - 1e-4
+  const double a = 2.0 / (9.0 * df);
+  return df * std::pow(1.0 - a + z * std::sqrt(a), 3);
+}
+
+class MultinomialGoodnessOfFit : public ::testing::TestWithParam<int> {};
+
+TEST_P(MultinomialGoodnessOfFit, ChiSquareWithZeroCategoriesAtEdges) {
+  // K positive categories plus zero-weight categories at the front, in
+  // the middle and at the end: the zeros are never drawn and the counts
+  // of the positive ones fit their weights.
+  const int positive = GetParam();
+  Rng weightsRng(static_cast<std::uint64_t>(positive));
+  std::vector<double> weights = {0.0};
+  for (int k = 0; k < positive; ++k) {
+    weights.push_back(weightsRng.uniform(0.2, 1.0));
+    if (k == positive / 2 - 1) weights.push_back(0.0);
+  }
+  weights.push_back(0.0);
+  double total = 0.0;
+  for (double w : weights) total += w;
+
+  const std::uint64_t trials = 200 * static_cast<std::uint64_t>(positive);
+  Rng rng(1000 + static_cast<std::uint64_t>(positive));
+  const auto counts = rng.multinomial(trials, weights);
+  ASSERT_EQ(counts.size(), weights.size());
+  double chiSquare = 0.0;
+  std::uint64_t sum = 0;
+  for (std::size_t k = 0; k < weights.size(); ++k) {
+    sum += counts[k];
+    if (weights[k] == 0.0) {
+      EXPECT_EQ(counts[k], 0u) << "zero-weight category " << k;
+      continue;
+    }
+    const double expected = static_cast<double>(trials) * weights[k] / total;
+    const double diff = static_cast<double>(counts[k]) - expected;
+    chiSquare += diff * diff / expected;
+  }
+  EXPECT_EQ(sum, trials);
+  EXPECT_LT(chiSquare, chiSquareCritical(positive - 1.0))
+      << positive << " positive categories";
+}
+
+INSTANTIATE_TEST_SUITE_P(Categories, MultinomialGoodnessOfFit,
+                         ::testing::Values(2, 3, 17, 4096));
 
 class MultinomialSweep
     : public ::testing::TestWithParam<std::tuple<int, std::uint64_t>> {};

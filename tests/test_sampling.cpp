@@ -66,6 +66,35 @@ TEST(SampleStateCounts, QubitOrderControlsBitOrder) {
   EXPECT_EQ(counts[util::bitstringToIndex("10")], 10u);
 }
 
+TEST(SampleStateCounts, BasisStatesLandOnTheirOutcome) {
+  // Out-of-order qubit subsets whose bit positions fall in different bytes
+  // of the state index: every shot of a basis state must land on the
+  // outcome read off its bits in the listed order.
+  random::Rng rng(6);
+  for (const int n : {1, 3, 8, 9, 12, 16, 17, 20}) {
+    for (int trial = 0; trial < 3; ++trial) {
+      std::string bits;
+      for (int q = 0; q < n; ++q) bits += rng.uniformInt(2) ? '1' : '0';
+      // Every other qubit, then the rest, read from the last qubit down.
+      std::vector<int> qubits;
+      for (int q = n - 1 - trial % 2; q >= 0; q -= 2) qubits.push_back(q);
+      for (int q = n - 2 + trial % 2; q >= 0; q -= 2) qubits.push_back(q);
+      if (trial == 2 && qubits.size() > 3) qubits.resize(3 + n / 4);
+      std::string expected;
+      for (int q : qubits) expected += bits[static_cast<std::size_t>(q)];
+
+      const auto state = basisState<double>(bits);
+      const auto counts = sampleStateCounts(state, qubits, 64, rng);
+      ASSERT_EQ(counts.size(), std::size_t{1} << qubits.size());
+      const auto outcome = util::bitstringToIndex(expected);
+      EXPECT_EQ(counts[outcome], 64u) << "n = " << n << ", bits " << bits;
+      std::uint64_t total = 0;
+      for (auto c : counts) total += c;
+      EXPECT_EQ(total, 64u);
+    }
+  }
+}
+
 TEST(SampleStateCounts, Validation) {
   const auto state = basisState<double>("00");
   random::Rng rng(5);
