@@ -60,27 +60,27 @@ struct NoiseModel {
 };
 
 /// Simulates `circuit` on the density matrix `state`, injecting noise per
-/// `model`.  `offset` accumulates sub-circuit offsets (internal).
+/// `model`.
 template <typename T>
 void simulateDensity(const QCircuit<T>& circuit, DensityMatrix<T>& state,
-                     const NoiseModel<T>& model = {}, int offset = 0) {
-  const int total = offset + circuit.offset();
-  for (const auto& object : circuit) {
-    switch (object->objectType()) {
+                     const NoiseModel<T>& model = {}) {
+  for (const sim::FlatOp<T>& op : circuit.flatten()) {
+    switch (op.object->objectType()) {
       case ObjectType::kGate: {
-        const auto& gate = static_cast<const qgates::QGate<T>&>(*object);
-        state.applyGate(gate, total);
+        const auto& gate = static_cast<const qgates::QGate<T>&>(*op.object);
+        state.applyGate(gate, op.offset);
         if (model.gateNoise) {
           for (int qubit : gate.qubits()) {
-            state.applyChannel(*model.gateNoise, {qubit + total});
+            state.applyChannel(*model.gateNoise, {qubit + op.offset});
             obs::metrics().countNoiseChannel();
           }
         }
         break;
       }
       case ObjectType::kMeasurement: {
-        const auto& measurement = static_cast<const Measurement<T>&>(*object);
-        const int qubit = measurement.qubit() + total;
+        const auto& measurement =
+            static_cast<const Measurement<T>&>(*op.object);
+        const int qubit = measurement.qubit() + op.offset;
         // Basis change, readout noise, dephase, change back (paper §3.3
         // recipe applied at the density-matrix level).  The readout
         // channel must act on the rotated qubit: before the V† it would
@@ -90,7 +90,7 @@ void simulateDensity(const QCircuit<T>& circuit, DensityMatrix<T>& state,
         if (measurement.basis() != Basis::kZ) {
           const qgates::MatrixGate1<T> change(
               measurement.qubit(), measurement.basisChangeMatrix());
-          state.applyGate(change, total);
+          state.applyGate(change, op.offset);
         }
         if (model.measurementNoise) {
           state.applyChannel(*model.measurementNoise, {qubit});
@@ -100,18 +100,15 @@ void simulateDensity(const QCircuit<T>& circuit, DensityMatrix<T>& state,
         if (measurement.basis() != Basis::kZ) {
           const qgates::MatrixGate1<T> revert(measurement.qubit(),
                                               measurement.basisVectors());
-          state.applyGate(revert, total);
+          state.applyGate(revert, op.offset);
         }
         break;
       }
       case ObjectType::kReset:
-        state.reset(static_cast<const Reset<T>&>(*object).qubit() + total);
+        state.reset(static_cast<const Reset<T>&>(*op.object).qubit() +
+                    op.offset);
         break;
-      case ObjectType::kBarrier:
-        break;
-      case ObjectType::kCircuit:
-        simulateDensity(static_cast<const QCircuit<T>&>(*object), state,
-                        model, total);
+      default:
         break;
     }
   }

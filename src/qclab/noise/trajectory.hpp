@@ -25,8 +25,9 @@
 /// OMP_SCHEDULE applies); the gate kernels themselves only parallelize
 /// when the trajectory loop leaves them a thread to use.
 ///
-/// Gate fusion: with TrajectoryOptions::fusion set, runs of gates with no
-/// intervening noise, measurement, or reset are scheduled once through
+/// Gate fusion: with TrajectoryOptions::fusion set, the gate runs of the
+/// circuit — cut by sim::segmentOps at measurements, resets, and barriers,
+/// exactly as QCircuit::simulate cuts them — are scheduled once through
 /// sim::fuseGates and every trajectory replays the shared plan.  A
 /// NoiseModel with gateNoise samples a channel after every gate, which
 /// leaves no run longer than one gate to merge — the engine then applies
@@ -59,6 +60,7 @@
 #include "qclab/random/rng.hpp"
 #include "qclab/reset.hpp"
 #include "qclab/sim/backend.hpp"
+#include "qclab/sim/execute.hpp"
 #include "qclab/sim/fusion.hpp"
 #include "qclab/sim/kernel_path.hpp"
 #include "qclab/sim/kernels.hpp"
@@ -205,9 +207,9 @@ class ScopedTrajectoryBytes {
 }  // namespace detail
 
 /// Monte Carlo trajectory engine over a circuit + noise model.  The
-/// circuit is deep-copied and compiled once into a flat program (gate
-/// runs, shared fusion plans, measurements, resets); run() replays the
-/// program N times with independent random streams.
+/// circuit is deep-copied and compiled once from its flat op list into a
+/// program (gate runs, shared fusion plans, measurements, resets); run()
+/// replays the program N times with independent random streams.
 template <typename T>
 class TrajectorySimulator {
   using C = std::complex<T>;
@@ -241,8 +243,11 @@ class TrajectorySimulator {
       util::checkQubit(qubit, nbQubits_);
       marginalPositions_.push_back(util::bitPosition(qubit, nbQubits_));
     }
-    compile(circuit_, 0);
-    finishGateRun();
+    const std::vector<sim::FlatOp<T>> ops = circuit_.flatten();
+    sim::checkOps(ops, nbQubits_);  // trajectories run in an OpenMP region
+    for (sim::OpSegment<T>& segment : sim::segmentOps(ops)) {
+      program_.push_back(compile(std::move(segment)));
+    }
   }
 
   int nbQubits() const noexcept { return nbQubits_; }
@@ -357,16 +362,10 @@ class TrajectorySimulator {
     std::vector<C> entries;      ///< cached 2x2 entries per Kraus operator
   };
 
-  struct GateStep {
-    const qgates::QGate<T>* gate = nullptr;
-    int offset = 0;
-    std::vector<int> qubits;  ///< absolute qubits, for noise injection
-  };
-
   struct Instruction {
     enum class Kind { kGates, kFused, kMeasure, kReset };
     Kind kind = Kind::kGates;
-    std::vector<GateStep> gates;   ///< kGates
+    std::vector<sim::GateRef<T>> gates;  ///< kGates
     sim::FusionPlan<T> plan;       ///< kFused (shared by all trajectories)
     int qubit = 0;                 ///< kMeasure / kReset (absolute)
     bool computational = true;     ///< kMeasure: Z basis?
@@ -374,73 +373,37 @@ class TrajectorySimulator {
     dense::Matrix<T> basisRevert;  ///< V  (kMeasure, non-computational)
   };
 
-  void compile(const QCircuit<T>& circuit, int offset) {
-    const int total = offset + circuit.offset();
-    for (const auto& object : circuit) {
-      switch (object->objectType()) {
-        case ObjectType::kGate: {
-          const auto& gate = static_cast<const qgates::QGate<T>&>(*object);
-          GateStep step;
-          step.gate = &gate;
-          step.offset = total;
-          step.qubits = gate.qubits();
-          for (int& qubit : step.qubits) qubit += total;
-          openRun_.push_back(std::move(step));
-          break;
-        }
-        case ObjectType::kMeasurement: {
-          finishGateRun();
-          const auto& measurement =
-              static_cast<const Measurement<T>&>(*object);
-          Instruction instr;
-          instr.kind = Instruction::Kind::kMeasure;
-          instr.qubit = measurement.qubit() + total;
-          instr.computational = measurement.basis() == Basis::kZ;
-          if (!instr.computational) {
-            instr.basisChange = measurement.basisChangeMatrix();
-            instr.basisRevert = measurement.basisVectors();
-          }
-          program_.push_back(std::move(instr));
-          ++nbMeasurements_;
-          break;
-        }
-        case ObjectType::kReset: {
-          finishGateRun();
-          Instruction instr;
-          instr.kind = Instruction::Kind::kReset;
-          instr.qubit = static_cast<const Reset<T>&>(*object).qubit() + total;
-          program_.push_back(std::move(instr));
-          break;
-        }
-        case ObjectType::kBarrier:
-          break;
-        case ObjectType::kCircuit:
-          compile(static_cast<const QCircuit<T>&>(*object), total);
-          break;
-      }
-    }
-  }
-
-  /// Closes the open gate run: fused into one shared plan when fusion is
-  /// on and no per-gate noise interleaves, otherwise kept as per-gate
-  /// kernel applications.
-  void finishGateRun() {
-    if (openRun_.empty()) return;
+  /// Compiles one segment of the flat op list: a gate run is fused into
+  /// one shared plan when fusion is on and no per-gate noise interleaves,
+  /// otherwise kept as per-gate kernel applications.
+  Instruction compile(sim::OpSegment<T> segment) {
     Instruction instr;
-    if (options_.fusion && !model_.gateNoise && openRun_.size() >= 2) {
-      instr.kind = Instruction::Kind::kFused;
-      std::vector<sim::GateRef<T>> refs;
-      refs.reserve(openRun_.size());
-      for (const GateStep& step : openRun_) {
-        refs.push_back({step.gate, step.offset});
+    if (!segment.gates.empty()) {
+      if (options_.fusion && !model_.gateNoise && segment.gates.size() >= 2) {
+        instr.kind = Instruction::Kind::kFused;
+        instr.plan = sim::fuseGates(segment.gates, nbQubits_,
+                                    options_.fusionOptions);
+      } else {
+        instr.kind = Instruction::Kind::kGates;
+        instr.gates = std::move(segment.gates);
       }
-      instr.plan = sim::fuseGates(refs, nbQubits_, options_.fusionOptions);
-    } else {
-      instr.kind = Instruction::Kind::kGates;
-      instr.gates = std::move(openRun_);
+      return instr;
     }
-    program_.push_back(std::move(instr));
-    openRun_.clear();
+    instr.qubit = segment.op.object->minQubit() + segment.op.offset;
+    if (segment.op.object->objectType() == ObjectType::kReset) {
+      instr.kind = Instruction::Kind::kReset;
+      return instr;
+    }
+    const auto& measurement =
+        static_cast<const Measurement<T>&>(*segment.op.object);
+    instr.kind = Instruction::Kind::kMeasure;
+    instr.computational = measurement.basis() == Basis::kZ;
+    if (!instr.computational) {
+      instr.basisChange = measurement.basisChangeMatrix();
+      instr.basisRevert = measurement.basisVectors();
+    }
+    ++nbMeasurements_;
+    return instr;
   }
 
   void initState(std::vector<C>& state, const std::string& bits) const {
@@ -458,11 +421,12 @@ class TrajectorySimulator {
           sim::applyFusionPlan(state, nbQubits_, instr.plan);
           break;
         case Instruction::Kind::kGates:
-          for (const GateStep& step : instr.gates) {
-            backend_.applyGate(state, nbQubits_, *step.gate, step.offset);
+          for (const sim::GateRef<T>& ref : instr.gates) {
+            backend_.applyGate(state, nbQubits_, *ref.gate, ref.offset);
             if (model_.gateNoise) {
-              for (int qubit : step.qubits) {
-                sampleChannel(state, *model_.gateNoise, qubit, rng, scratch);
+              for (int qubit : ref.gate->qubits()) {
+                sampleChannel(state, *model_.gateNoise, qubit + ref.offset,
+                              rng, scratch);
               }
             }
           }
@@ -602,7 +566,6 @@ class TrajectorySimulator {
   int nbQubits_;
   const sim::Backend<T>& backend_;
   std::vector<Instruction> program_;
-  std::vector<GateStep> openRun_;  ///< compile-time accumulator
   std::size_t nbMeasurements_ = 0;
   std::vector<int> marginalPositions_;
 };

@@ -9,9 +9,9 @@
 #include <cmath>
 #include <complex>
 #include <cstdint>
-#include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <type_traits>
@@ -29,6 +29,7 @@
 #include "qclab/reset.hpp"
 #include "qclab/sim/backend.hpp"
 #include "qclab/sim/dispatch_mode.hpp"
+#include "qclab/sim/execute.hpp"
 #include "qclab/simulation.hpp"
 
 namespace qclab {
@@ -36,7 +37,7 @@ namespace qclab {
 namespace sim {
 struct BatchOptions;  // sim/batch.hpp — knobs of QCircuit::simulateBatch
 template <typename U>
-class DispatchRunner;  // sim/dispatch.hpp — executes routed simulate calls
+class DispatchRunner;  // sim/dispatch.hpp — the tableau route of simulate
 }
 
 /// Simulation-time options of QCircuit::simulate.
@@ -138,16 +139,18 @@ class QCircuit final : public QObject<T> {
   std::size_t nbObjects() const noexcept { return objects_.size(); }
 
   /// Total number of elementary objects, descending into sub-circuits.
-  std::size_t nbObjectsRecursive() const {
-    std::size_t count = 0;
-    for (const auto& object : objects_) {
-      if (object->objectType() == ObjectType::kCircuit) {
-        count += static_cast<const QCircuit<T>&>(*object).nbObjectsRecursive();
-      } else {
-        ++count;
-      }
-    }
-    return count;
+  std::size_t nbObjectsRecursive() const { return flatten().size(); }
+
+  /// The elementary objects (gates, measurements, resets, barriers) in
+  /// execution order, sub-circuits expanded, each with the qubit offset
+  /// accumulated over its nesting chain (this circuit's own offset
+  /// included).  The compile step every simulation driver runs from
+  /// (sim/execute.hpp); the ops point into this circuit.
+  std::vector<sim::FlatOp<T>> flatten() const {
+    std::vector<sim::FlatOp<T>> ops;
+    ops.reserve(objects_.size());  // exact for circuits without nesting
+    flattenInto(ops, 0);
+    return ops;
   }
 
   /// Histogram of elementary objects by kind, descending into
@@ -155,7 +158,7 @@ class QCircuit final : public QObject<T> {
   /// ("measure", "reset", "barrier" for non-gates).
   std::map<std::string, std::size_t> gateCounts() const {
     std::map<std::string, std::size_t> counts;
-    collectGateCounts(counts);
+    for (const auto& op : flatten()) ++counts[sim::opKindLabel(*op.object)];
     return counts;
   }
 
@@ -167,7 +170,18 @@ class QCircuit final : public QObject<T> {
     std::vector<int> nextFree(static_cast<std::size_t>(nbQubits_ + offset_),
                               0);
     int layers = 0;
-    collectDepth(nextFree, layers, 0);
+    for (const auto& op : flatten()) {
+      const int top = op.object->minQubit() + op.offset;
+      const int bottom = op.object->maxQubit() + op.offset;
+      int layer = 0;
+      for (int row = top; row <= bottom; ++row) {
+        layer = std::max(layer, nextFree[static_cast<std::size_t>(row)]);
+      }
+      for (int row = top; row <= bottom; ++row) {
+        nextFree[static_cast<std::size_t>(row)] = layer + 1;
+      }
+      layers = std::max(layers, layer + 1);
+    }
     return layers;
   }
 
@@ -250,13 +264,26 @@ class QCircuit final : public QObject<T> {
   /// measurements or resets).  Computed column-by-column with the kernel
   /// backend.
   dense::Matrix<T> matrix() const {
+    const std::vector<sim::FlatOp<T>> ops = flatten();
+    for (const auto& op : ops) {
+      const ObjectType type = op.object->objectType();
+      if (type == ObjectType::kMeasurement || type == ObjectType::kReset) {
+        throw InvalidArgumentError(
+            "circuit with measurements or resets has no unitary matrix");
+      }
+    }
     const std::size_t dim = std::size_t{1} << nbQubits_;
     dense::Matrix<T> u(dim, dim);
     const sim::KernelBackend<T> backend;
     for (std::size_t j = 0; j < dim; ++j) {
       std::vector<std::complex<T>> state(dim);
       state[j] = std::complex<T>(1);
-      applyUnitaryOnly(state, 0, backend);
+      for (const auto& op : ops) {
+        if (op.object->objectType() != ObjectType::kGate) continue;
+        backend.applyGate(state, nbQubits_,
+                          static_cast<const qgates::QGate<T>&>(*op.object),
+                          op.offset);
+      }
       for (std::size_t i = 0; i < dim; ++i) u(i, j) = state[i];
     }
     return u;
@@ -309,7 +336,8 @@ class QCircuit final : public QObject<T> {
   /// Simulates from the basis state given by `bits` with explicit options.
   /// When the resolved dispatch mode (options.dispatch, overridden by the
   /// QCLAB_DISPATCH environment variable) is not kStatevector, the run is
-  /// routed through sim::DispatchRunner (sim/dispatch.hpp).
+  /// offered to sim::DispatchRunner (sim/dispatch.hpp); a circuit the
+  /// router declines runs on the statevector pipeline below.
   Simulation<T> simulate(
       const std::string& bits, const SimulateOptions& options,
       const sim::Backend<T>& backend = sim::defaultBackend<T>()) const {
@@ -317,8 +345,10 @@ class QCircuit final : public QObject<T> {
                   "initial bitstring length must equal nbQubits");
     const sim::DispatchMode mode = sim::resolveDispatchMode(options.dispatch);
     if (mode != sim::DispatchMode::kStatevector) {
-      return sim::DispatchRunner<T>::simulate(*this, bits, options, backend,
-                                              mode);
+      std::optional<Simulation<T>> routed =
+          sim::DispatchRunner<T>::simulate(*this, bits, options, backend,
+                                           mode);
+      if (routed) return std::move(*routed);
     }
     obs::metrics().countDispatchRoute(sim::DispatchRoute::kStatevector);
     sim::StateBuffer<T> state;
@@ -336,9 +366,10 @@ class QCircuit final : public QObject<T> {
   }
 
   /// Simulates from an arbitrary initial state with explicit options.
-  /// With options.fusion the unitary gate runs between measurement / reset
-  /// / barrier boundaries are fused into blocks (plan built once, applied
-  /// to every branch); non-gate objects still go through `backend`.
+  /// With options.fusion each gate run between measurement / reset /
+  /// barrier boundaries (sim::segmentOps) is fused into blocks, one plan
+  /// per run applied to every branch; otherwise gates go through `backend`
+  /// one at a time.
   /// Takes a StateBuffer so both legacy vectors (implicit heap adoption)
   /// and tiered allocations flow through one pipeline.
   Simulation<T> simulate(
@@ -358,27 +389,9 @@ class QCircuit final : public QObject<T> {
         "simulate(n=" + std::to_string(nbQubits_) + ")", "circuit",
         "simulate");
     Simulation<T> simulation(nbQubits_, std::move(state));
-    {
-      const obs::ScopedSpan executeSpan("execute", "stage");
-      if (options.fusion) {
-        std::vector<sim::GateRef<T>> run;
-        applyToFused(simulation, 0, options, backend, run);
-        flushFusedRun(simulation, options.fusionOptions, run);
-      } else {
-        applyTo(simulation, 0, backend);
-      }
-    }
-    // Throttled numerical-health check on the finished state (sentinel.hpp;
-    // covers the scalar, SIMD, fused, and blocked execution paths alike).
-    // Branch weights are factored out of branch states, so each branch
-    // should be unit-norm on its own.
-    if (obs::sentinel().shouldCheck()) {
-      for (const auto& branch : simulation.branches()) {
-        obs::sentinelCheckState(branch.state.data(), branch.state.size(),
-                                "simulate");
-      }
-    }
-    obs::sentinel().throwIfPending();
+    const obs::ScopedSpan executeSpan("execute", "stage");
+    sim::runOps(simulation, flatten(), 0,
+                options.fusion ? &options.fusionOptions : nullptr, backend);
     return simulation;
   }
 
@@ -396,17 +409,6 @@ class QCircuit final : public QObject<T> {
   /// simulateBatch with default BatchOptions.
   std::vector<Simulation<T>> simulateBatch(
       const std::vector<std::vector<T>>& parameterSets) const;
-
-  /// Applies this circuit to an existing simulation (used recursively for
-  /// sub-circuits; `offset` accumulates parent offsets, this circuit's own
-  /// offset is added on top).
-  void applyTo(Simulation<T>& simulation, int offset,
-               const sim::Backend<T>& backend) const {
-    const int total = offset + offset_;
-    for (const auto& object : objects_) {
-      applyObject(simulation, *object, total, backend);
-    }
-  }
 
   // ---- I/O (paper §4) -----------------------------------------------------
 
@@ -463,14 +465,18 @@ class QCircuit final : public QObject<T> {
   }
 
  private:
-  /// The dispatch router hands the post-conversion suffix back to the
-  /// statevector pipeline through applyObject / flushFusedRun.
-  friend class sim::DispatchRunner<T>;
-
-  /// Probability below which a measurement outcome is treated as impossible
-  /// (suppresses branches created purely by rounding, e.g. Grover's "wrong"
-  /// outcomes at probability ~1e-32).
-  static constexpr T kDropTol = T(100) * std::numeric_limits<T>::epsilon();
+  /// Appends this circuit's elementary objects to `ops` (see flatten);
+  /// `offset` accumulates parent offsets.
+  void flattenInto(std::vector<sim::FlatOp<T>>& ops, int offset) const {
+    const int total = offset + offset_;
+    for (const auto& object : objects_) {
+      if (object->objectType() == ObjectType::kCircuit) {
+        static_cast<const QCircuit<T>&>(*object).flattenInto(ops, total);
+      } else {
+        ops.push_back({object.get(), total});
+      }
+    }
+  }
 
   // ---- shape hashing (see shapeHash) ------------------------------------
 
@@ -525,53 +531,6 @@ class QCircuit final : public QObject<T> {
     }
   }
 
-  void collectGateCounts(std::map<std::string, std::size_t>& counts) const {
-    for (const auto& object : objects_) {
-      switch (object->objectType()) {
-        case ObjectType::kCircuit:
-          static_cast<const QCircuit<T>&>(*object).collectGateCounts(counts);
-          break;
-        case ObjectType::kMeasurement:
-          ++counts["measure"];
-          break;
-        case ObjectType::kReset:
-          ++counts["reset"];
-          break;
-        case ObjectType::kBarrier:
-          ++counts["barrier"];
-          break;
-        case ObjectType::kGate:
-          // Key by the shared label scheme (gate mnemonic incl. controls),
-          // so these static counts match obs-metered application counts.
-          ++counts[qgates::gateKindLabel(
-              static_cast<const qgates::QGate<T>&>(*object))];
-          break;
-      }
-    }
-  }
-
-  void collectDepth(std::vector<int>& nextFree, int& layers,
-                    int offset) const {
-    const int total = offset + offset_;
-    for (const auto& object : objects_) {
-      if (object->objectType() == ObjectType::kCircuit) {
-        static_cast<const QCircuit<T>&>(*object).collectDepth(nextFree,
-                                                              layers, total);
-        continue;
-      }
-      const int top = object->minQubit() + total;
-      const int bottom = object->maxQubit() + total;
-      int layer = 0;
-      for (int row = top; row <= bottom; ++row) {
-        layer = std::max(layer, nextFree[static_cast<std::size_t>(row)]);
-      }
-      for (int row = top; row <= bottom; ++row) {
-        nextFree[static_cast<std::size_t>(row)] = layer + 1;
-      }
-      layers = std::max(layers, layer + 1);
-    }
-  }
-
   void checkFits(const QObject<T>& object) const {
     const auto qs = object.qubits();
     util::require(!qs.empty(), "object acts on no qubits");
@@ -579,197 +538,6 @@ class QCircuit final : public QObject<T> {
                   "object qubit " + std::to_string(qs.back()) +
                       " does not fit in a " + std::to_string(nbQubits_) +
                       "-qubit circuit");
-  }
-
-  /// Applies the gates of this circuit to a bare state; throws on
-  /// non-unitary objects.  Used by matrix().
-  void applyUnitaryOnly(std::vector<std::complex<T>>& state, int offset,
-                        const sim::Backend<T>& backend) const {
-    const int total = offset + offset_;
-    const int nbStateQubits = util::log2PowerOfTwo(state.size());
-    for (const auto& object : objects_) {
-      switch (object->objectType()) {
-        case ObjectType::kGate:
-          backend.applyGate(state, nbStateQubits,
-                            static_cast<const qgates::QGate<T>&>(*object),
-                            total);
-          break;
-        case ObjectType::kCircuit:
-          static_cast<const QCircuit<T>&>(*object).applyUnitaryOnly(
-              state, total, backend);
-          break;
-        case ObjectType::kBarrier:
-          break;
-        default:
-          throw InvalidArgumentError(
-              "circuit with measurements or resets has no unitary matrix");
-      }
-    }
-  }
-
-  /// Fusion-mode walk: gates accumulate into `run` (with their absolute
-  /// offsets), sub-circuits recurse, and anything that is not a unitary
-  /// gate flushes the run first.  Barriers are semantically neutral but
-  /// double as explicit fusion boundaries.
-  void applyToFused(Simulation<T>& simulation, int offset,
-                    const SimulateOptions& options,
-                    const sim::Backend<T>& backend,
-                    std::vector<sim::GateRef<T>>& run) const {
-    const int total = offset + offset_;
-    for (const auto& object : objects_) {
-      switch (object->objectType()) {
-        case ObjectType::kGate:
-          run.push_back(
-              {static_cast<const qgates::QGate<T>*>(object.get()), total});
-          break;
-        case ObjectType::kCircuit:
-          static_cast<const QCircuit<T>&>(*object).applyToFused(
-              simulation, total, options, backend, run);
-          break;
-        case ObjectType::kBarrier:
-          flushFusedRun(simulation, options.fusionOptions, run);
-          break;
-        default:
-          flushFusedRun(simulation, options.fusionOptions, run);
-          applyObject(simulation, *object, total, backend);
-          break;
-      }
-    }
-  }
-
-  /// Fuses the accumulated gate run (plan built once) and applies it to
-  /// every simulation branch, then clears the run.
-  static void flushFusedRun(Simulation<T>& simulation,
-                            const sim::FusionOptions& options,
-                            std::vector<sim::GateRef<T>>& run) {
-    if (run.empty()) return;
-    const sim::FusionPlan<T> plan =
-        sim::fuseGates(run, simulation.nbQubits(), options);
-    for (auto& branch : simulation.branches()) {
-      sim::applyFusionPlan(branch.state, simulation.nbQubits(), plan);
-    }
-    run.clear();
-  }
-
-  static void applyObject(Simulation<T>& simulation, const QObject<T>& object,
-                          int offset, const sim::Backend<T>& backend) {
-    switch (object.objectType()) {
-      case ObjectType::kGate: {
-        const auto& gate = static_cast<const qgates::QGate<T>&>(object);
-        for (auto& branch : simulation.branches()) {
-          backend.applyGate(branch.state, simulation.nbQubits(), gate, offset);
-        }
-        break;
-      }
-      case ObjectType::kMeasurement:
-        applyMeasurement(simulation,
-                         static_cast<const Measurement<T>&>(object), offset);
-        break;
-      case ObjectType::kReset:
-        applyReset(simulation, static_cast<const Reset<T>&>(object), offset);
-        break;
-      case ObjectType::kBarrier:
-        break;
-      case ObjectType::kCircuit:
-        static_cast<const QCircuit<T>&>(object).applyTo(simulation, offset,
-                                                        backend);
-        break;
-    }
-  }
-
-  static void applyMeasurement(Simulation<T>& simulation,
-                               const Measurement<T>& measurement, int offset) {
-    const obs::ScopedSpan span("measure", "stage");
-    const int nbQubits = simulation.nbQubits();
-    const int qubit = measurement.qubit() + offset;
-    util::checkQubit(qubit, nbQubits);
-    const bool computational = measurement.basis() == Basis::kZ;
-    const dense::Matrix<T> v = measurement.basisVectors();
-    const dense::Matrix<T> vDagger = v.dagger();
-
-    std::vector<Branch<T>> next;
-    next.reserve(simulation.branches().size());
-    for (auto& branch : simulation.branches()) {
-      if (!computational) {
-        sim::apply1(branch.state, nbQubits, qubit, vDagger);
-      }
-      T p0 = sim::measureProbability0(branch.state, nbQubits, qubit);
-      p0 = std::min(std::max(p0, T(0)), T(1));
-      const T p1 = T(1) - p0;
-      const T probabilities[2] = {p0, p1};
-      const bool both = p0 > kDropTol && p1 > kDropTol;
-      if (both) {
-        obs::metrics().countBranchSpawn();
-      } else {
-        obs::metrics().countBranchPrune();
-      }
-      for (int outcome = 0; outcome < 2; ++outcome) {
-        const T p = probabilities[outcome];
-        if (p <= kDropTol) continue;
-        Branch<T> child;
-        // The state of the last surviving outcome can be moved.
-        if (both && outcome == 0) {
-          child.state = branch.state;
-        } else {
-          child.state = std::move(branch.state);
-        }
-        sim::collapse(child.state, nbQubits, qubit, outcome, p);
-        if (!computational) {
-          sim::apply1(child.state, nbQubits, qubit, v);
-        }
-        child.probability = branch.probability * static_cast<double>(p);
-        child.result = branch.result + static_cast<char>('0' + outcome);
-        child.measurements = branch.measurements;
-        child.measurements.emplace_back(qubit, outcome);
-        next.push_back(std::move(child));
-      }
-    }
-    simulation.branches() = std::move(next);
-    simulation.retrackStateBytes();
-  }
-
-  static void applyReset(Simulation<T>& simulation, const Reset<T>& reset,
-                         int offset) {
-    const obs::ScopedSpan span("reset", "stage");
-    const int nbQubits = simulation.nbQubits();
-    const int qubit = reset.qubit() + offset;
-    util::checkQubit(qubit, nbQubits);
-    const auto x = dense::pauliX<T>();
-
-    std::vector<Branch<T>> next;
-    next.reserve(simulation.branches().size());
-    for (auto& branch : simulation.branches()) {
-      T p0 = sim::measureProbability0(branch.state, nbQubits, qubit);
-      p0 = std::min(std::max(p0, T(0)), T(1));
-      const T p1 = T(1) - p0;
-      const T probabilities[2] = {p0, p1};
-      const bool both = p0 > kDropTol && p1 > kDropTol;
-      if (both) {
-        obs::metrics().countBranchSpawn();
-      } else {
-        obs::metrics().countBranchPrune();
-      }
-      for (int outcome = 0; outcome < 2; ++outcome) {
-        const T p = probabilities[outcome];
-        if (p <= kDropTol) continue;
-        Branch<T> child;
-        if (both && outcome == 0) {
-          child.state = branch.state;
-        } else {
-          child.state = std::move(branch.state);
-        }
-        sim::collapse(child.state, nbQubits, qubit, outcome, p);
-        if (outcome == 1) {
-          sim::apply1(child.state, nbQubits, qubit, x);
-        }
-        child.probability = branch.probability * static_cast<double>(p);
-        child.result = branch.result;  // resets record no classical outcome
-        child.measurements = branch.measurements;
-        next.push_back(std::move(child));
-      }
-    }
-    simulation.branches() = std::move(next);
-    simulation.retrackStateBytes();
   }
 
   int nbQubits_;

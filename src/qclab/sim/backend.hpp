@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "qclab/qgates/qgates.hpp"
-#include "qclab/sim/fusion.hpp"
 #include "qclab/sim/kernel_path.hpp"
 #include "qclab/sim/kernels.hpp"
 #include "qclab/sim/state_buffer.hpp"
@@ -144,45 +143,6 @@ class KernelBackend final : public Backend<T> {
   }
 
   const char* name() const noexcept override { return "kernel"; }
-};
-
-/// Gate-fusion strategy: fuses maximal runs of adjacent gates whose
-/// combined support fits a <= maxQubits window into one dense (or
-/// diagonal) block and applies each block with a single state sweep
-/// (sim/fusion.hpp).  Fusion needs lookahead over a gate run, so the
-/// per-gate applyGate falls back to the plain kernels; the run-level
-/// entry points (fusePlan/applyFused) are driven by QCircuit::simulate
-/// behind SimulateOptions::fusion.
-template <typename T>
-class FusionBackend final : public Backend<T> {
- public:
-  explicit FusionBackend(FusionOptions options = {}) : options_(options) {}
-
-  /// Single-gate call: no lookahead is possible, apply via the kernels.
-  void applyGate(StateSpan<T> state, int nbQubits,
-                 const qgates::QGate<T>& gate, int offset = 0) const override {
-    kernel_.applyGate(state, nbQubits, gate, offset);
-  }
-
-  /// Schedules `gates` into fused blocks (build once, apply per branch).
-  FusionPlan<T> fusePlan(const std::vector<GateRef<T>>& gates,
-                         int nbQubits) const {
-    return fuseGates(gates, nbQubits, options_);
-  }
-
-  /// Fuses `gates` and applies the resulting plan in one go.
-  void applyFused(std::vector<std::complex<T>>& state, int nbQubits,
-                  const std::vector<GateRef<T>>& gates) const {
-    applyFusionPlan(state, nbQubits, fusePlan(gates, nbQubits));
-  }
-
-  const FusionOptions& options() const noexcept { return options_; }
-
-  const char* name() const noexcept override { return "fusion"; }
-
- private:
-  FusionOptions options_;
-  KernelBackend<T> kernel_;
 };
 
 /// Builds the sparse extended unitary I_l (x) U_range (x) I_r of `gate`

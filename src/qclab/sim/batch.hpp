@@ -12,10 +12,11 @@
 /// scheduling pass, the block schedule, and the state allocation.
 /// BatchedSimulation splits the two:
 ///
-///   - SHAPE (once): clone the prototype circuit, collect its gate runs,
-///     fuse them into plans (fuseGates) and build the cache-blocking
-///     schedule.  The shape is fingerprinted by QCircuit::shapeHash(),
-///     which covers everything the plan depends on and no angle values.
+///   - SHAPE (once): clone the prototype circuit, cut its flat op list
+///     into gate runs (sim::segmentOps, the cut every driver shares), fuse
+///     them into plans (fuseGates) and build the cache-blocking schedule.
+///     The shape is fingerprinted by QCircuit::shapeHash(), which covers
+///     everything the plan depends on and no angle values.
 ///   - INSTANCE (per member): write the member's parameter vector through
 ///     ParameterBinding (gate setTheta), refresh the fused matrices with
 ///     rebindFusionPlan (recipe replay — bit-identical to re-fusing), and
@@ -103,9 +104,10 @@ struct BatchOptions {
 template <typename T>
 class BatchedSimulation {
  public:
-  /// Compiles `prototype`'s shape: clones it, collects the gate runs,
+  /// Compiles `prototype`'s shape: clones it, cuts the gate runs,
   /// builds the fusion plans + block schedules (under the "batch/plan"
-  /// stage span).  Throws on measurements or resets.
+  /// stage span).  Throws on measurements or resets, and QubitRangeError
+  /// on an op outside the register.
   explicit BatchedSimulation(const QCircuit<T>& prototype,
                              BatchOptions options = {})
       : options_(std::move(options)),
@@ -273,17 +275,24 @@ class BatchedSimulation {
   struct Worker {
     QCircuit<T> circuit;
     ParameterBinding<T> binding;
-    /// Barrier-delimited gate runs (barriers bound fusion in the
-    /// standalone fused path too, so plans match it run for run).
+    /// The clone's gate runs, cut by segmentOps exactly as the fused
+    /// simulate path cuts them, so plans match it run for run.
     std::vector<std::vector<GateRef<T>>> runs;
     std::vector<FusionPlan<T>> plans;
 
     Worker(const QCircuit<T>& prototype, const BatchOptions& options,
            const Worker* master)
         : circuit(prototype), binding(circuit) {
-      std::vector<GateRef<T>> open;
-      collectRuns(circuit, 0, open);
-      if (!open.empty()) runs.push_back(std::move(open));
+      const std::vector<FlatOp<T>> ops = circuit.flatten();
+      checkOps(ops, circuit.nbQubits());
+      for (OpSegment<T>& segment : segmentOps(ops)) {
+        if (segment.gates.empty()) {
+          throw InvalidArgumentError(
+              "batched simulation supports unitary circuits only "
+              "(no measurements or resets)");
+        }
+        runs.push_back(std::move(segment.gates));
+      }
       if (!options.fusion) return;
       if (master != nullptr) {
         // Copy the master's plans (matrices are values; recipes are gate
@@ -296,35 +305,6 @@ class BatchedSimulation {
       for (const auto& run : runs) {
         plans.push_back(fuseGates(run, circuit.nbQubits(),
                                   options.fusionOptions));
-      }
-    }
-
-    /// Collects the unitary gate sequence of `circuit` into
-    /// barrier-delimited runs, recursing through sub-circuits with
-    /// accumulated offsets — the same walk the fused simulate path does.
-    void collectRuns(const QCircuit<T>& node, int offset,
-                     std::vector<GateRef<T>>& open) {
-      const int total = offset + node.offset();
-      for (std::size_t i = 0; i < node.nbObjects(); ++i) {
-        const QObject<T>& object = node.objectAt(i);
-        switch (object.objectType()) {
-          case ObjectType::kGate:
-            open.push_back(
-                {static_cast<const qgates::QGate<T>*>(&object), total});
-            break;
-          case ObjectType::kCircuit:
-            collectRuns(static_cast<const QCircuit<T>&>(object), total,
-                        open);
-            break;
-          case ObjectType::kBarrier:
-            if (!open.empty()) runs.push_back(std::move(open));
-            open.clear();
-            break;
-          default:
-            throw InvalidArgumentError(
-                "batched simulation supports unitary circuits only "
-                "(no measurements or resets)");
-        }
       }
     }
   };
@@ -377,30 +357,9 @@ class BatchedSimulation {
     for (std::size_t r = 0; r < prefixPlans_; ++r) {
       applyFusionPlan(prefixState_, nbQubits, w.plans[r]);
     }
-    if (prefixBlocks_ == 0) return;
-    const FusionPlan<T>& plan = w.plans[prefixPlans_];
-    const std::uint64_t bytes = 2 * static_cast<std::uint64_t>(dim) *
-                                sizeof(std::complex<T>);
-    if (plan.schedule.items.empty()) {
-      for (std::size_t i = 0; i < prefixBlocks_; ++i) {
-        detail::applyFusedBlock(prefixState_, nbQubits, plan.blocks[i],
-                                bytes);
-      }
-    } else {
-      for (const auto& item : plan.schedule.items) {
-        if (item.first >= prefixBlocks_) break;
-        if (item.blocked) {
-          applyBlockedRun(prefixState_, nbQubits, plan.blocks, item.first,
-                          item.count, plan.schedule.blockQubits);
-        } else {
-          const std::size_t last =
-              std::min(item.first + item.count, prefixBlocks_);
-          for (std::size_t i = item.first; i < last; ++i) {
-            detail::applyFusedBlock(prefixState_, nbQubits, plan.blocks[i],
-                                    bytes);
-          }
-        }
-      }
+    if (prefixBlocks_ > 0) {
+      applyFusionPlan(prefixState_, nbQubits, w.plans[prefixPlans_], 0,
+                      prefixBlocks_);
     }
   }
 

@@ -6,22 +6,23 @@
 ///
 /// Three pieces (ROADMAP "adaptive dispatch layer"):
 ///
-///  1. analyzeCircuit — one pass over a QCircuit producing a flat op list
-///     with accumulated offsets, a gate census, the Clifford fraction, and
-///     the length of the leading run of tableau-executable ops (the
+///  1. analyzeCircuit — one pass over a circuit's flat op list
+///     (QCircuit::flatten) producing a gate census, the Clifford fraction,
+///     and the length of the leading run of tableau-executable ops (the
 ///     "Clifford prefix").  Gate classification probes the exact code path
 ///     the executor uses (stabilizer::isCliffordGate), so analyzer and
 ///     executor cannot disagree.
 ///
-///  2. DispatchRunner — the router behind SimulateOptions::dispatch.  The
-///     Clifford prefix runs on the tableau in O(n^2) per op, forking
+///  2. DispatchRunner — the tableau route of SimulateOptions::dispatch.
+///     The Clifford prefix runs on the tableau in O(n^2) per op, forking
 ///     branches at random (exactly 50/50) measurements to reproduce the
 ///     statevector branch tree bit for bit; at the first non-Clifford op
 ///     every branch tableau expands into a statevector (the CHP-style
 ///     conversion point, O(2^rank) amplitudes) and the remaining suffix
-///     runs on the existing fusion/blocking/SIMD pipeline.  A typed
-///     UnsupportedGateError anywhere in the tableau phase falls back to
-///     the pure statevector path.
+///     runs through sim::runOps, the executor of QCircuit::simulate.  When
+///     the tableau does not pay off, or a typed UnsupportedGateError
+///     surfaces in the tableau phase, the router declines and simulate
+///     runs the circuit on its own statevector pipeline.
 ///
 ///  3. dispatchSampleCounts — the at-scale API: counts-level sampling of
 ///     fully Clifford circuits (QEC rounds at hundreds of qubits) that
@@ -40,6 +41,7 @@
 #include <complex>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -59,14 +61,6 @@
 namespace qclab::sim {
 
 // ---- circuit analysis ----------------------------------------------------
-
-/// One elementary object of the flattened circuit walk, with the absolute
-/// qubit offset accumulated over its nesting chain.
-template <typename T>
-struct FlatOp {
-  const QObject<T>* object;
-  int offset;
-};
 
 /// What one analyzer pass learned about a circuit.
 template <typename T>
@@ -91,58 +85,36 @@ struct CircuitAnalysis {
   std::map<std::string, std::size_t> census;
 };
 
-namespace detail {
-
-template <typename T>
-void flattenCircuit(const QCircuit<T>& circuit, int offset,
-                    std::vector<FlatOp<T>>& ops) {
-  const int total = offset + circuit.offset();
-  for (const auto& object : circuit) {
-    if (object->objectType() == ObjectType::kCircuit) {
-      flattenCircuit(static_cast<const QCircuit<T>&>(*object), total, ops);
-    } else {
-      ops.push_back({object.get(), total});
-    }
-  }
-}
-
-}  // namespace detail
-
 /// Analyzes `circuit` in a single pass: flat op list, gate census,
 /// Clifford fraction, and the tableau-executable prefix length.
 template <typename T>
 CircuitAnalysis<T> analyzeCircuit(const QCircuit<T>& circuit) {
   CircuitAnalysis<T> analysis;
   analysis.nbQubits = circuit.nbQubits();
-  detail::flattenCircuit(circuit, 0, analysis.ops);
+  analysis.ops = circuit.flatten();
   bool cliffordSoFar = true;
   for (std::size_t index = 0; index < analysis.ops.size(); ++index) {
     const QObject<T>& object = *analysis.ops[index].object;
+    ++analysis.census[opKindLabel(object)];
     bool supported = true;
     switch (object.objectType()) {
       case ObjectType::kGate: {
         const auto& gate = static_cast<const qgates::QGate<T>&>(object);
         ++analysis.nbGates;
-        ++analysis.census[qgates::gateKindLabel(gate)];
         supported = stabilizer::isCliffordGate(gate);
         if (supported) ++analysis.nbCliffordGates;
         break;
       }
       case ObjectType::kMeasurement:
         ++analysis.nbMeasurements;
-        ++analysis.census["measure"];
         supported = static_cast<const Measurement<T>&>(object).basis() !=
                     Basis::kCustom;
         break;
       case ObjectType::kReset:
         ++analysis.nbResets;
-        ++analysis.census["reset"];
         break;
-      case ObjectType::kBarrier:
-        ++analysis.census["barrier"];
+      default:
         break;
-      case ObjectType::kCircuit:
-        break;  // flattened away
     }
     if (cliffordSoFar && supported) {
       analysis.cliffordPrefixOps = index + 1;
@@ -316,20 +288,22 @@ std::vector<std::complex<T>> tableauToStatevector(
 
 // ---- the router ----------------------------------------------------------
 
-/// Executes routed QCircuit::simulate calls.  Granted friendship by
-/// QCircuit for the suffix hand-off (applyObject / flushFusedRun).
+/// The tableau route of QCircuit::simulate (bits overload) when the
+/// resolved dispatch mode is kAuto or kStabilizer.
 template <typename T>
 class DispatchRunner {
  public:
-  /// Entry point of the bits-overload of QCircuit::simulate when the
-  /// resolved dispatch mode is kAuto or kStabilizer.
-  static Simulation<T> simulate(const QCircuit<T>& circuit,
-                                const std::string& bits,
-                                const SimulateOptions& options,
-                                const Backend<T>& backend,
-                                DispatchMode mode) {
-    util::require(static_cast<int>(bits.size()) == circuit.nbQubits(),
-                  "initial bitstring length must equal nbQubits");
+  /// Runs `circuit` from |bits> with a tableau prefix, or returns
+  /// std::nullopt when it belongs on the plain statevector pipeline: a
+  /// Clifford prefix too short to amortize a tableau under kAuto, or the
+  /// UnsupportedGateError fallback.  QCircuit::simulate then carries on
+  /// with its own statevector run, so a declined circuit gets exactly the
+  /// state tier, fusion, and metering of a kStatevector request.
+  static std::optional<Simulation<T>> simulate(const QCircuit<T>& circuit,
+                                               const std::string& bits,
+                                               const SimulateOptions& options,
+                                               const Backend<T>& backend,
+                                               DispatchMode mode) {
     CircuitAnalysis<T> analysis;
     {
       const obs::ScopedSpan span("dispatch/analyze", "stage");
@@ -339,19 +313,16 @@ class DispatchRunner {
         analysis.cliffordPrefixOps <
             static_cast<std::size_t>(
                 options.dispatchOptions.minCliffordPrefixOps)) {
-      // Prefix too short to amortize a tableau: plain statevector run.
-      obs::metrics().countDispatchRoute(DispatchRoute::kStatevector);
-      return statevectorRun(circuit, bits, options, backend);
+      return std::nullopt;  // too short to amortize a tableau
     }
     try {
-      return tableauRun(circuit, bits, options, backend, analysis);
+      return tableauRun(bits, options, backend, analysis);
     } catch (const UnsupportedGateError&) {
       // The analyzer probes the executor's own code path, so this only
       // fires if the two ever drift — the typed error is the contract
       // that dispatch never fails where the statevector path would not.
       obs::metrics().countDispatchFallback();
-      obs::metrics().countDispatchRoute(DispatchRoute::kStatevector);
-      return statevectorRun(circuit, bits, options, backend);
+      return std::nullopt;
     }
   }
 
@@ -364,34 +335,16 @@ class DispatchRunner {
     std::vector<std::pair<int, int>> measurements;
   };
 
-  static Simulation<T> statevectorRun(const QCircuit<T>& circuit,
-                                      const std::string& bits,
-                                      const SimulateOptions& options,
-                                      const Backend<T>& backend) {
-    std::vector<std::complex<T>> state;
-    {
-      const obs::ScopedSpan span("state/alloc", "stage");
-      state = basisState<T>(bits);
-    }
-    // The state overload never re-routes, so a QCLAB_DISPATCH override
-    // cannot recurse back into the dispatcher.
-    return circuit.simulate(std::move(state), options, backend);
-  }
-
-  static Simulation<T> tableauRun(const QCircuit<T>& circuit,
-                                  const std::string& bits,
+  static Simulation<T> tableauRun(const std::string& bits,
                                   const SimulateOptions& options,
                                   const Backend<T>& backend,
                                   const CircuitAnalysis<T>& analysis) {
-    const int n = circuit.nbQubits();
+    const int n = analysis.nbQubits;
     obs::metrics().countCircuitSimulation();
     const obs::ScopedSpan span("simulate(n=" + std::to_string(n) + ")",
                                "circuit", "simulate");
     const obs::PathTimer timer(KernelPath::kDispatch);
     const obs::ScopedSpan executeSpan("execute", "stage");
-    // Tableau gates touch ~3 byte-columns across all 2n+1 rows.
-    const std::uint64_t gateBytes =
-        static_cast<std::uint64_t>(2 * n + 1) * 3;
 
     std::vector<TableauBranch> branches;
     branches.push_back({stabilizer::Tableau(n), 1.0, {}, {}});
@@ -409,89 +362,17 @@ class DispatchRunner {
         case ObjectType::kGate: {
           const auto& gate = static_cast<const qgates::QGate<T>&>(*op.object);
           for (auto& branch : branches) {
-            stabilizer::detail::applyGate(branch.tableau, gate, op.offset);
-            obs::metrics().countGate(KernelPath::kStabilizer, nullptr,
-                                     gateBytes);
+            stabilizer::detail::applyMeteredGate(branch.tableau, gate,
+                                                 op.offset);
           }
           break;
         }
-        case ObjectType::kMeasurement: {
-          const auto& measurement =
-              static_cast<const Measurement<T>&>(*op.object);
-          const int qubit = measurement.qubit() + op.offset;
-          util::checkQubit(qubit, n);
-          std::vector<TableauBranch> next;
-          next.reserve(branches.size());
-          for (auto& branch : branches) {
-            stabilizer::detail::applyMeasurementBasisChange(
-                branch.tableau, measurement, qubit, false);
-            if (branch.tableau.isDeterministic(qubit)) {
-              // One outcome is impossible — the statevector path prunes.
-              obs::metrics().countBranchPrune();
-              const int outcome = branch.tableau.measureForced(qubit, 0);
-              stabilizer::detail::applyMeasurementBasisChange(
-                  branch.tableau, measurement, qubit, true);
-              branch.result += static_cast<char>('0' + outcome);
-              branch.measurements.emplace_back(qubit, outcome);
-              next.push_back(std::move(branch));
-            } else {
-              // Exactly 50/50: fork, outcome 0 first (statevector order).
-              obs::metrics().countBranchSpawn();
-              TableauBranch zero = branch;
-              zero.tableau.measureForced(qubit, 0);
-              stabilizer::detail::applyMeasurementBasisChange(
-                  zero.tableau, measurement, qubit, true);
-              zero.probability *= 0.5;
-              zero.result += '0';
-              zero.measurements.emplace_back(qubit, 0);
-              next.push_back(std::move(zero));
-              TableauBranch one = std::move(branch);
-              one.tableau.measureForced(qubit, 1);
-              stabilizer::detail::applyMeasurementBasisChange(
-                  one.tableau, measurement, qubit, true);
-              one.probability *= 0.5;
-              one.result += '1';
-              one.measurements.emplace_back(qubit, 1);
-              next.push_back(std::move(one));
-            }
-          }
-          branches = std::move(next);
+        case ObjectType::kMeasurement:
+        case ObjectType::kReset:
+          branches = splitBranches(branches, op, n);
           break;
-        }
-        case ObjectType::kReset: {
-          const int qubit =
-              static_cast<const Reset<T>&>(*op.object).qubit() + op.offset;
-          util::checkQubit(qubit, n);
-          std::vector<TableauBranch> next;
-          next.reserve(branches.size());
-          for (auto& branch : branches) {
-            if (branch.tableau.isDeterministic(qubit)) {
-              obs::metrics().countBranchPrune();
-              if (branch.tableau.measureForced(qubit, 0) == 1) {
-                branch.tableau.x(qubit);
-              }
-              next.push_back(std::move(branch));
-            } else {
-              // Resets fork like measurements but record no outcome.
-              obs::metrics().countBranchSpawn();
-              TableauBranch zero = branch;
-              zero.tableau.measureForced(qubit, 0);
-              zero.probability *= 0.5;
-              next.push_back(std::move(zero));
-              TableauBranch one = std::move(branch);
-              one.tableau.measureForced(qubit, 1);
-              one.tableau.x(qubit);
-              one.probability *= 0.5;
-              next.push_back(std::move(one));
-            }
-          }
-          branches = std::move(next);
+        default:
           break;
-        }
-        case ObjectType::kBarrier:
-          break;
-        case ObjectType::kCircuit:
-          break;  // flattened away by the analyzer
       }
     }
 
@@ -515,50 +396,62 @@ class DispatchRunner {
     simulation.retrackStateBytes();
 
     // ---- non-Clifford suffix on the statevector pipeline --------------
-    const bool hasSuffix = analysis.cliffordPrefixOps < analysis.ops.size();
-    if (hasSuffix) {
-      std::vector<GateRef<T>> run;
-      for (std::size_t index = analysis.cliffordPrefixOps;
-           index < analysis.ops.size(); ++index) {
-        const FlatOp<T>& op = analysis.ops[index];
-        if (options.fusion) {
-          switch (op.object->objectType()) {
-            case ObjectType::kGate:
-              run.push_back(
-                  {static_cast<const qgates::QGate<T>*>(op.object),
-                   op.offset});
-              break;
-            case ObjectType::kBarrier:
-              QCircuit<T>::flushFusedRun(simulation, options.fusionOptions,
-                                         run);
-              break;
-            default:
-              QCircuit<T>::flushFusedRun(simulation, options.fusionOptions,
-                                         run);
-              QCircuit<T>::applyObject(simulation, *op.object, op.offset,
-                                       backend);
-              break;
-          }
-        } else {
-          QCircuit<T>::applyObject(simulation, *op.object, op.offset,
-                                   backend);
-        }
-      }
-      if (options.fusion) {
-        QCircuit<T>::flushFusedRun(simulation, options.fusionOptions, run);
-      }
-    }
-    obs::metrics().countDispatchRoute(hasSuffix ? DispatchRoute::kHybrid
-                                                : DispatchRoute::kStabilizer);
-
-    if (obs::sentinel().shouldCheck()) {
-      for (const auto& branch : simulation.branches()) {
-        obs::sentinelCheckState(branch.state.data(), branch.state.size(),
-                                "simulate");
-      }
-    }
-    obs::sentinel().throwIfPending();
+    runOps(simulation, analysis.ops, analysis.cliffordPrefixOps,
+           options.fusion ? &options.fusionOptions : nullptr, backend);
+    obs::metrics().countDispatchRoute(
+        analysis.fullyClifford ? DispatchRoute::kStabilizer
+                               : DispatchRoute::kHybrid);
     return simulation;
+  }
+
+  /// The tableau twin of sim::splitBranches: measures or resets one qubit
+  /// on every branch.  A determined outcome is forced (the statevector
+  /// path prunes the impossible one); a random outcome is exactly 50/50
+  /// and forks, outcome 0 first (statevector order).  A measurement
+  /// records its outcome; a reset records nothing and flips outcome 1
+  /// back to |0>.
+  static std::vector<TableauBranch> splitBranches(
+      std::vector<TableauBranch>& branches, const FlatOp<T>& op, int n) {
+    const auto* measurement =
+        op.object->objectType() == ObjectType::kMeasurement
+            ? static_cast<const Measurement<T>*>(op.object)
+            : nullptr;
+    const int qubit = op.object->minQubit() + op.offset;
+    util::checkQubit(qubit, n);
+    std::vector<TableauBranch> next;
+    next.reserve(branches.size());
+    const auto settle = [&](TableauBranch branch, int outcome) {
+      if (measurement != nullptr) {
+        stabilizer::detail::applyMeasurementBasisChange(
+            branch.tableau, *measurement, qubit, true);
+        branch.result += static_cast<char>('0' + outcome);
+        branch.measurements.emplace_back(qubit, outcome);
+      } else if (outcome == 1) {
+        branch.tableau.x(qubit);
+      }
+      next.push_back(std::move(branch));
+    };
+    const auto fork = [&](TableauBranch branch, int outcome) {
+      branch.tableau.measureForced(qubit, outcome);
+      branch.probability *= 0.5;
+      settle(std::move(branch), outcome);
+    };
+    for (auto& branch : branches) {
+      if (measurement != nullptr) {
+        stabilizer::detail::applyMeasurementBasisChange(
+            branch.tableau, *measurement, qubit, false);
+      }
+      if (branch.tableau.isDeterministic(qubit)) {
+        obs::metrics().countBranchPrune();
+        const int outcome = branch.tableau.measureForced(qubit, 0);
+        settle(std::move(branch), outcome);
+      } else {
+        obs::metrics().countBranchSpawn();
+        fork(branch, 0);
+        fork(std::move(branch), 1);
+      }
+    }
+    return next;
   }
 };
 
@@ -584,62 +477,24 @@ std::map<std::string, std::uint64_t> dispatchSampleCounts(
     const obs::ScopedSpan span("dispatch/analyze", "stage");
     analysis = analyzeCircuit(circuit);
   }
+  const int n = circuit.nbQubits();
+  checkOps(analysis.ops, n);  // shots run inside the OpenMP region below
   if (!analysis.fullyClifford) {
     throw UnsupportedGateError(
         "dispatchSampleCounts requires a fully Clifford circuit (use "
         "QCircuit::simulate + Simulation::counts otherwise)");
   }
-  const int n = circuit.nbQubits();
   obs::metrics().countDispatchRoute(DispatchRoute::kStabilizer);
   obs::metrics().countShots(shots);
   const obs::ScopedSpan span(
       "dispatch/sample(n=" + std::to_string(n) +
           ",shots=" + std::to_string(shots) + ")",
       "circuit", "dispatch");
-  const std::uint64_t gateBytes = static_cast<std::uint64_t>(2 * n + 1) * 3;
-
   const std::size_t nbChunks = static_cast<std::size_t>(
       (shots + kDispatchShotChunk - 1) / kDispatchShotChunk);
   std::vector<random::Rng> streams =
       random::Rng::jumpStreams(seed, nbChunks);
   std::vector<std::map<std::string, std::uint64_t>> partial(nbChunks);
-
-  const auto runShot = [&](random::Rng& rng) {
-    stabilizer::Tableau tableau(n);
-    std::string outcomes;
-    for (const FlatOp<T>& op : analysis.ops) {
-      switch (op.object->objectType()) {
-        case ObjectType::kGate: {
-          stabilizer::detail::applyGate(
-              tableau, static_cast<const qgates::QGate<T>&>(*op.object),
-              op.offset);
-          obs::metrics().countGate(KernelPath::kStabilizer, nullptr,
-                                   gateBytes);
-          break;
-        }
-        case ObjectType::kMeasurement: {
-          const auto& measurement =
-              static_cast<const Measurement<T>&>(*op.object);
-          const int qubit = measurement.qubit() + op.offset;
-          stabilizer::detail::applyMeasurementBasisChange(
-              tableau, measurement, qubit, false);
-          const int outcome = tableau.measure(qubit, rng);
-          stabilizer::detail::applyMeasurementBasisChange(
-              tableau, measurement, qubit, true);
-          outcomes += static_cast<char>('0' + outcome);
-          break;
-        }
-        case ObjectType::kReset:
-          tableau.reset(
-              static_cast<const Reset<T>&>(*op.object).qubit() + op.offset,
-              rng);
-          break;
-        default:
-          break;
-      }
-    }
-    return outcomes;
-  };
 
   const std::int64_t count = static_cast<std::int64_t>(nbChunks);
 #ifdef QCLAB_HAS_OPENMP
@@ -662,7 +517,8 @@ std::map<std::string, std::uint64_t> dispatchSampleCounts(
                                              : shots;
       auto& histogram = partial[chunk];
       for (std::uint64_t shot = begin; shot < end; ++shot) {
-        ++histogram[runShot(rng)];
+        stabilizer::Tableau tableau(n);
+        ++histogram[stabilizer::detail::runShot(analysis.ops, tableau, rng)];
       }
     }
 #ifdef QCLAB_HAS_OPENMP

@@ -23,8 +23,10 @@
 /// instead of a 4^k dense matrix.
 ///
 /// The scheduler is a pure function over gate sequences (fuseGates), so a
-/// plan is built once per circuit run and applied to every simulation
-/// branch; QCircuit::simulate drives it behind SimulateOptions::fusion.
+/// plan is built once per gate run and applied to every simulation
+/// branch.  The runs themselves come from sim::segmentOps (execute.hpp),
+/// so simulate, the dispatch suffix, the batch engine, and the trajectory
+/// engine fuse the same runs.
 /// Each block additionally records its *recipe* — which gate went in at
 /// which step, over which window — so rebindFusionPlan can replay the
 /// exact accumulation arithmetic after gate parameters changed (setTheta)
@@ -44,6 +46,7 @@
 #include <complex>
 #include <cstdint>
 #include <iterator>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -677,26 +680,32 @@ void applyFusedBlock(State& state, int nbQubits,
 /// Re-entrant: `plan` is read-only and all scratch is local, so many
 /// threads may apply the same plan to their own states concurrently.
 ///
-/// `firstBlock` starts the application mid-plan: leading blocks are
-/// skipped (the batched engine applies its cached parameter-free prefix
-/// as one state copy instead).  A blocked run straddling `firstBlock`
-/// degrades to per-block full sweeps for its tail — bit-identical to the
-/// chunked sweep because kernel path choice never depends on the chunk
-/// length, only on qubit positions.  Fusion counters cover only the
+/// `[firstBlock, lastBlock)` restricts the application to a block range
+/// (the batched engine applies its parameter-free prefix once, then each
+/// member applies the rest).  A blocked run straddling either end
+/// degrades to per-block full sweeps for its part in range — bit-identical
+/// to the chunked sweep because kernel path choice never depends on the
+/// chunk length, only on qubit positions.  Fusion counters cover only the
 /// blocks actually applied.
 template <typename State, typename T>
-void applyFusionPlan(State& state, int nbQubits,
-                     const FusionPlan<T>& plan, std::size_t firstBlock = 0) {
+void applyFusionPlan(
+    State& state, int nbQubits, const FusionPlan<T>& plan,
+    std::size_t firstBlock = 0,
+    std::size_t lastBlock = std::numeric_limits<std::size_t>::max()) {
+  lastBlock = std::min(lastBlock, plan.blocks.size());
   const std::uint64_t bytes =
       2 * static_cast<std::uint64_t>(state.size()) * sizeof(std::complex<T>);
   if (plan.schedule.items.empty()) {
-    for (std::size_t i = firstBlock; i < plan.blocks.size(); ++i) {
+    for (std::size_t i = firstBlock; i < lastBlock; ++i) {
       detail::applyFusedBlock(state, nbQubits, plan.blocks[i], bytes);
     }
   } else {
     for (const auto& item : plan.schedule.items) {
-      if (item.first + item.count <= firstBlock) continue;
-      if (item.blocked && item.first >= firstBlock) {
+      const std::size_t begin = std::max(item.first, firstBlock);
+      const std::size_t end = std::min(item.first + item.count, lastBlock);
+      if (begin >= end) continue;
+      if (item.blocked && begin == item.first &&
+          end == item.first + item.count) {
         const obs::PathTimer timer(KernelPath::kBlocked);
         applyBlockedRun(state, nbQubits, plan.blocks, item.first, item.count,
                         plan.schedule.blockQubits);
@@ -706,15 +715,14 @@ void applyFusionPlan(State& state, int nbQubits,
             static_cast<std::uint16_t>(KernelPath::kBlocked),
             /*qubitMask=*/0, static_cast<std::uint32_t>(item.count));
       } else {
-        const std::size_t start = std::max(item.first, firstBlock);
-        for (std::size_t i = start; i < item.first + item.count; ++i) {
+        for (std::size_t i = begin; i < end; ++i) {
           detail::applyFusedBlock(state, nbQubits, plan.blocks[i], bytes);
         }
       }
     }
   }
   FusionStats stats;
-  for (std::size_t i = firstBlock; i < plan.blocks.size(); ++i) {
+  for (std::size_t i = firstBlock; i < lastBlock; ++i) {
     stats.gatesIn += plan.blocks[i].gatesIn;
     ++stats.blocksOut;
   }

@@ -19,10 +19,18 @@
 /// can use it without an include cycle.
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "qclab/measurement.hpp"
+#include "qclab/obs/metrics.hpp"
 #include "qclab/qgates/qgates.hpp"
+#include "qclab/random/rng.hpp"
+#include "qclab/reset.hpp"
+#include "qclab/sim/execute.hpp"
+#include "qclab/sim/kernel_path.hpp"
 #include "qclab/stabilizer/tableau.hpp"
 
 namespace qclab::stabilizer {
@@ -368,6 +376,53 @@ void applyMeasurementBasisChange(Tableau& tableau,
           "custom-basis measurement is not supported by the stabilizer "
           "simulator");
   }
+}
+
+/// applyGate, metered under KernelPath::kStabilizer like every tableau
+/// path (a tableau gate touches ~3 byte-columns across all 2n+1 rows).
+template <typename T>
+void applyMeteredGate(Tableau& tableau, const qgates::QGate<T>& gate,
+                      int offset) {
+  applyGate(tableau, gate, offset);
+  obs::metrics().countGate(
+      sim::KernelPath::kStabilizer, nullptr,
+      static_cast<std::uint64_t>(2 * tableau.nbQubits() + 1) * 3);
+}
+
+/// One shot of a flat op list (QCircuit::flatten) on `tableau`:
+/// measurement randomness draws from `rng`, and the outcomes come back
+/// concatenated in circuit order.  The single shot loop behind
+/// simulateShot, sampleCounts and sim::dispatchSampleCounts.
+template <typename T>
+std::string runShot(const std::vector<sim::FlatOp<T>>& ops, Tableau& tableau,
+                    random::Rng& rng) {
+  std::string outcomes;
+  for (const sim::FlatOp<T>& op : ops) {
+    switch (op.object->objectType()) {
+      case ObjectType::kGate:
+        applyMeteredGate(tableau,
+                         static_cast<const qgates::QGate<T>&>(*op.object),
+                         op.offset);
+        break;
+      case ObjectType::kMeasurement: {
+        const auto& measurement =
+            static_cast<const Measurement<T>&>(*op.object);
+        const int qubit = measurement.qubit() + op.offset;
+        applyMeasurementBasisChange(tableau, measurement, qubit, false);
+        const int outcome = tableau.measure(qubit, rng);
+        applyMeasurementBasisChange(tableau, measurement, qubit, true);
+        outcomes += static_cast<char>('0' + outcome);
+        break;
+      }
+      case ObjectType::kReset:
+        tableau.reset(
+            static_cast<const Reset<T>&>(*op.object).qubit() + op.offset, rng);
+        break;
+      default:
+        break;
+    }
+  }
+  return outcomes;
 }
 
 }  // namespace detail

@@ -11,48 +11,12 @@
 /// shot; measurement randomness draws from the provided generator.
 
 #include <map>
+#include <string>
 
 #include "qclab/qcircuit.hpp"
 #include "qclab/stabilizer/apply.hpp"
 
 namespace qclab::stabilizer {
-
-namespace detail {
-
-template <typename T>
-void run(const QCircuit<T>& circuit, Tableau& tableau, random::Rng& rng,
-         std::string& outcomes, int offset) {
-  const int total = offset + circuit.offset();
-  for (const auto& object : circuit) {
-    switch (object->objectType()) {
-      case ObjectType::kGate:
-        applyGate(tableau, static_cast<const qgates::QGate<T>&>(*object),
-                  total);
-        break;
-      case ObjectType::kMeasurement: {
-        const auto& measurement = static_cast<const Measurement<T>&>(*object);
-        const int qubit = measurement.qubit() + total;
-        applyMeasurementBasisChange(tableau, measurement, qubit, false);
-        const int outcome = tableau.measure(qubit, rng);
-        applyMeasurementBasisChange(tableau, measurement, qubit, true);
-        outcomes += static_cast<char>('0' + outcome);
-        break;
-      }
-      case ObjectType::kReset:
-        tableau.reset(static_cast<const Reset<T>&>(*object).qubit() + total,
-                      rng);
-        break;
-      case ObjectType::kBarrier:
-        break;
-      case ObjectType::kCircuit:
-        run(static_cast<const QCircuit<T>&>(*object), tableau, rng, outcomes,
-            total);
-        break;
-    }
-  }
-}
-
-}  // namespace detail
 
 /// One stabilizer-simulation shot of `circuit` from |0...0>: returns the
 /// concatenated measurement outcomes and leaves the collapsed tableau in
@@ -62,9 +26,7 @@ std::string simulateShot(const QCircuit<T>& circuit, Tableau& tableau,
                          random::Rng& rng) {
   util::require(tableau.nbQubits() >= circuit.nbQubits() + circuit.offset(),
                 "tableau too small for the circuit");
-  std::string outcomes;
-  detail::run(circuit, tableau, rng, outcomes, 0);
-  return outcomes;
+  return detail::runShot(circuit.flatten(), tableau, rng);
 }
 
 /// Runs `shots` stabilizer shots from |0...0> and returns the outcome
@@ -73,10 +35,11 @@ template <typename T>
 std::map<std::string, std::uint64_t> sampleCounts(const QCircuit<T>& circuit,
                                                   std::uint64_t shots,
                                                   random::Rng& rng) {
+  const auto ops = circuit.flatten();
   std::map<std::string, std::uint64_t> histogram;
   for (std::uint64_t shot = 0; shot < shots; ++shot) {
     Tableau tableau(circuit.nbQubits() + circuit.offset());
-    ++histogram[simulateShot(circuit, tableau, rng)];
+    ++histogram[detail::runShot(ops, tableau, rng)];
   }
   return histogram;
 }

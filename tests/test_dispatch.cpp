@@ -344,6 +344,31 @@ TEST(Dispatch, AutoShortPrefixFallsBackToStatevector) {
   }
 }
 
+TEST(Dispatch, DeclinedAutoRouteHonoursTheStateTier) {
+  // A kAuto request the router declines runs on the same statevector
+  // pipeline as a kStatevector request, state tier included.  Compared
+  // route against route, so this also holds where mmap falls back to heap.
+  QCircuit<double> circuit(3);
+  circuit.push_back(TGate<double>(0));  // non-Clifford from op 0
+  circuit.push_back(Hadamard<double>(1));
+  SimulateOptions direct;
+  direct.stateTier.tier = StateTier::kMmap;
+  SimulateOptions routed = direct;
+  routed.dispatch = DispatchMode::kAuto;
+
+  const auto reference = circuit.simulate("010", direct);
+  const auto declined = circuit.simulate("010", routed);
+  EXPECT_EQ(declined.stateBuffer(0).tier(), reference.stateBuffer(0).tier());
+  expectSimulationsMatch(reference, declined);
+
+  ::setenv("QCLAB_DISPATCH", "auto", 1);
+  const auto overridden = circuit.simulate("010", direct);
+  ::unsetenv("QCLAB_DISPATCH");
+  EXPECT_EQ(overridden.stateBuffer(0).tier(),
+            reference.stateBuffer(0).tier());
+  expectSimulationsMatch(reference, overridden);
+}
+
 TEST(Dispatch, ForcedStabilizerOnNonCliffordStartStillMatches) {
   // kStabilizer with an immediately non-Clifford circuit: the prefix is
   // empty, so the tableau converts |bits> straight away and the whole

@@ -265,28 +265,5 @@ TEST(FusionSimulate, ResetFlushesRun) {
   }
 }
 
-TEST(FusionBackendClass, FallsBackPerGateAndReportsName) {
-  const FusionBackend<double> backend;
-  EXPECT_STREQ(backend.name(), "fusion");
-  EXPECT_EQ(backend.options().maxQubits, 4);
-
-  // Per-gate application equals the plain kernels.
-  const Hadamard<double> h(0);
-  std::vector<std::complex<double>> state = {1.0, 0.0};
-  std::vector<std::complex<double>> expected = state;
-  backend.applyGate(state, 1, h);
-  KernelBackend<double>().applyGate(expected, 1, h);
-  qclab::test::expectStateNear(state, expected, 1e-15);
-
-  // Run-level entry point fuses and applies in one call.
-  QCircuit<double> circuit(2);
-  circuit.push_back(Hadamard<double>(0));
-  circuit.push_back(CX<double>(0, 1));
-  std::vector<std::complex<double>> bell = {1.0, 0.0, 0.0, 0.0};
-  backend.applyFused(bell, 2, gateRefs(circuit));
-  const auto reference = circuit.simulate("00");
-  qclab::test::expectStateNear(bell, reference.state(0), 1e-14);
-}
-
 }  // namespace
 }  // namespace qclab::sim
