@@ -72,7 +72,7 @@ void simulateDensity(const QCircuit<T>& circuit, DensityMatrix<T>& state,
         if (model.gateNoise) {
           for (int qubit : gate.qubits()) {
             state.applyChannel(*model.gateNoise, {qubit + op.offset});
-            obs::metrics().countNoiseChannel();
+            obs::metrics().add(obs::Counter::kNoiseChannels);
           }
         }
         break;
@@ -94,7 +94,7 @@ void simulateDensity(const QCircuit<T>& circuit, DensityMatrix<T>& state,
         }
         if (model.measurementNoise) {
           state.applyChannel(*model.measurementNoise, {qubit});
-          obs::metrics().countNoiseChannel();
+          obs::metrics().add(obs::Counter::kNoiseChannels);
         }
         state.dephase(qubit);
         if (measurement.basis() != Basis::kZ) {

@@ -145,7 +145,7 @@ class TrajectoryResult {
                                           random::Rng& rng) const {
     util::require(!meanMarginal_.empty(),
                   "sampleCounts requires TrajectoryOptions::marginalQubits");
-    obs::metrics().countShots(shots);
+    obs::metrics().add(obs::Counter::kShotsSampled, shots);
     std::vector<double> weights(meanMarginal_.size());
     for (std::size_t i = 0; i < weights.size(); ++i) {
       weights[i] = std::max(0.0, static_cast<double>(meanMarginal_[i]));
@@ -285,7 +285,8 @@ class TrajectorySimulator {
         "simulateTrajectories(n=" + std::to_string(nbQubits_) +
             ",N=" + std::to_string(total) + ")",
         "noise");
-    obs::metrics().countTrajectoryRun(total);
+    obs::metrics().add(obs::Counter::kTrajectoryRuns);
+    obs::metrics().add(obs::Counter::kTrajectories, total);
 
     // One disjoint stream per trajectory, regardless of threading.
     const std::vector<random::Rng> streams =
@@ -466,7 +467,7 @@ class TrajectorySimulator {
   /// count.
   void sampleChannel(std::vector<C>& state, const KrausChannel<T>& channel,
                      int qubit, random::Rng& rng, Scratch& scratch) const {
-    obs::metrics().countNoiseChannel();
+    obs::metrics().add(obs::Counter::kNoiseChannels);
     const auto& ops = channel.operators();
     if (ops.size() == 1) {
       // Completeness makes a lone Kraus operator unitary: apply directly.

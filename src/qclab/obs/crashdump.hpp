@@ -12,9 +12,11 @@
 ///  - the signal and a pre-formatted build line,
 ///  - the crashing thread's active stage-span stack (the signal-safe
 ///    SpanFrameStack mirror maintained by ScopedSpan, trace.hpp),
-///  - the plain atomic counters of obs::metrics() and obs::sentinel()
-///    (the string-sharded per-kind counters are deliberately skipped:
-///    their snapshot takes mutexes and walks deques — not signal-safe),
+///  - every plain counter of the QCLAB_OBS_COUNTERS table (metrics.hpp),
+///    the per-path gate counts, the state-memory gauges, and the sentinel
+///    counters (the string-sharded per-kind counters are deliberately
+///    skipped: their snapshot takes mutexes and walks deques — not
+///    signal-safe),
 ///  - the flight-recorder rings of every thread (flightrecorder.hpp),
 ///    newest kCrashDumpMaxEventsPerRing events each,
 /// then restores the default disposition and re-raises, so the process
@@ -202,12 +204,11 @@ inline void writeCrashDump(int fd, int sig, const char* reason) noexcept {
   }
   w.str("]");
 
-  // Plain atomic counters (relaxed loads are signal-safe).  The sharded
-  // per-kind map is skipped: snapshotting it locks mutexes.
+  // Plain atomic counters (relaxed loads are signal-safe), every row of
+  // the counter table.  The sharded per-kind map is skipped: snapshotting
+  // it locks mutexes.
   const Metrics& m = metrics();
-  w.str(",\"counters\":{\"gate_applications\":");
-  w.u64(m.gateApplications());
-  w.str(",\"gate_applications_by_path\":{");
+  w.str(",\"counters\":{\"gate_applications_by_path\":{");
   first = true;
   for (int p = 0; p < sim::kKernelPathCount; ++p) {
     const auto path = static_cast<sim::KernelPath>(p);
@@ -220,22 +221,16 @@ inline void writeCrashDump(int fd, int sig, const char* reason) noexcept {
     w.str("\":");
     w.u64(count);
   }
-  w.str("},\"bytes_touched\":");
-  w.u64(m.bytesTouched());
-  w.str(",\"current_state_bytes\":");
+  w.str("},\"current_state_bytes\":");
   w.u64(m.currentStateBytes());
   w.str(",\"peak_state_bytes\":");
   w.u64(m.peakStateBytes());
-  w.str(",\"circuit_simulations\":");
-  w.u64(m.circuitSimulations());
-  w.str(",\"shots_sampled\":");
-  w.u64(m.shotsSampled());
-  w.str(",\"trajectory_runs\":");
-  w.u64(m.trajectoryRuns());
-  w.str(",\"batch_runs\":");
-  w.u64(m.batchRuns());
-  w.str(",\"batch_members_simulated\":");
-  w.u64(m.batchMembersSimulated());
+  for (const CounterRow& row : kCounterRows) {
+    w.str(",\"");
+    w.str(row.name);
+    w.str("\":");
+    w.u64(m.value(row.counter));
+  }
   w.str("}");
 
   // Numerical-health sentinels at the moment of death.
@@ -397,7 +392,7 @@ inline bool installCrashHandlers(bool handleSigusr1 = false) {
   std::snprintf(state.build, sizeof(state.build), "%s", buildInfo());
 
   // Force-construct the singletons the dump path reads.
-  (void)metrics().gateApplications();
+  (void)metrics();
   (void)flightRecorder().enabled();
   (void)sentinel().checks();
   (void)tracer().enabled();

@@ -29,18 +29,17 @@
 /// QCLAB_OBS_FLIGHT=off (or 0) disables it at process start, and
 /// enable()/disable() toggle it at runtime (the overhead bench uses this
 /// to measure the plain side honestly).  Under QCLAB_OBS_DISABLED the
-/// whole class is an API-identical no-op and no ring memory is allocated.
+/// recorder stays off, its recording body is discarded, and no ring
+/// memory is allocated.
 
-#include <cstdint>
-#include <vector>
-
-#include "qclab/obs/trace.hpp"
-
-#ifndef QCLAB_OBS_DISABLED
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
-#endif
+#include <vector>
+
+#include "qclab/obs/enabled.hpp"
+#include "qclab/obs/trace.hpp"
 
 namespace qclab::obs {
 
@@ -95,8 +94,6 @@ struct FlightThreadSnapshot {
   std::vector<FlightEvent> events;  ///< retained events, oldest first
 };
 
-#ifndef QCLAB_OBS_DISABLED
-
 /// One thread's ring.  Heap-allocated on the owning thread's first record,
 /// pushed onto an atomic intrusive list, and intentionally never freed so
 /// crash handlers can walk rings of exited threads.  ~1.5 MB per thread
@@ -112,10 +109,12 @@ struct FlightRing {
 class FlightRecorder {
  public:
   FlightRecorder() {
-    const char* env = std::getenv("QCLAB_OBS_FLIGHT");
-    if (env != nullptr &&
-        (std::strcmp(env, "off") == 0 || std::strcmp(env, "0") == 0)) {
-      enabled_.store(false, std::memory_order_relaxed);
+    if constexpr (kEnabled) {
+      const char* env = std::getenv("QCLAB_OBS_FLIGHT");
+      if (env != nullptr &&
+          (std::strcmp(env, "off") == 0 || std::strcmp(env, "0") == 0)) {
+        enabled_.store(false, std::memory_order_relaxed);
+      }
     }
   }
 
@@ -124,23 +123,25 @@ class FlightRecorder {
     enabled_.store(false, std::memory_order_relaxed);
   }
   bool enabled() const noexcept {
-    return enabled_.load(std::memory_order_relaxed);
+    return kEnabled && enabled_.load(std::memory_order_relaxed);
   }
 
   /// Records one event into this thread's ring (lock-free; the ring is
   /// created on the thread's first record).
   void record(FlightEventKind kind, std::uint16_t path,
               std::uint64_t qubitMask, std::uint32_t aux = 0) noexcept {
-    if (!enabled()) return;
-    FlightRing* ring = localRing();
-    const std::uint64_t head = ring->head.load(std::memory_order_relaxed);
-    FlightEvent& slot = ring->events[head & (kFlightRingCapacity - 1)];
-    slot.timeNs = tracer().nowNs();
-    slot.qubitMask = qubitMask;
-    slot.aux = aux;
-    slot.kind = static_cast<std::uint16_t>(kind);
-    slot.path = path;
-    ring->head.store(head + 1, std::memory_order_release);
+    if constexpr (kEnabled) {
+      if (!enabled()) return;
+      FlightRing* ring = localRing();
+      const std::uint64_t head = ring->head.load(std::memory_order_relaxed);
+      FlightEvent& slot = ring->events[head & (kFlightRingCapacity - 1)];
+      slot.timeNs = tracer().nowNs();
+      slot.qubitMask = qubitMask;
+      slot.aux = aux;
+      slot.kind = static_cast<std::uint16_t>(kind);
+      slot.path = path;
+      ring->head.store(head + 1, std::memory_order_release);
+    }
   }
 
   /// Head of the ring list for lock-free walks (crash handler).  Each
@@ -232,28 +233,5 @@ inline FlightRecorder& flightRecorder() {
   static FlightRecorder instance;
   return instance;
 }
-
-#else  // QCLAB_OBS_DISABLED
-
-/// No-op recorder: same API, records nothing, allocates nothing.
-class FlightRecorder {
- public:
-  void enable() noexcept {}
-  void disable() noexcept {}
-  bool enabled() const noexcept { return false; }
-  void record(FlightEventKind, std::uint16_t, std::uint64_t,
-              std::uint32_t = 0) noexcept {}
-  std::size_t threadCount() const noexcept { return 0; }
-  std::uint64_t totalRecorded() const noexcept { return 0; }
-  std::vector<FlightThreadSnapshot> snapshot() const { return {}; }
-  void reset() noexcept {}
-};
-
-inline FlightRecorder& flightRecorder() {
-  static FlightRecorder instance;
-  return instance;
-}
-
-#endif  // QCLAB_OBS_DISABLED
 
 }  // namespace qclab::obs

@@ -13,20 +13,18 @@
 /// PathHistograms holds one histogram per sim::KernelPath; the process-wide
 /// instance (latencyHistograms()) is fed by the RAII PathTimer from
 /// InstrumentedBackend and the fusion sweep paths, and rendered into
-/// reports next to the per-path counters.  Compiling with
-/// QCLAB_OBS_DISABLED replaces everything with API-identical no-ops.
+/// reports next to the per-path counters.  Under QCLAB_OBS_DISABLED the
+/// recording bodies are discarded and every histogram stays empty.
 
-#include <cstdint>
-#include <vector>
-
-#include "qclab/obs/perfcounters.hpp"
-#include "qclab/sim/kernel_path.hpp"
-
-#ifndef QCLAB_OBS_DISABLED
 #include <atomic>
 #include <bit>
 #include <chrono>
-#endif
+#include <cstdint>
+#include <vector>
+
+#include "qclab/obs/enabled.hpp"
+#include "qclab/obs/perfcounters.hpp"
+#include "qclab/sim/kernel_path.hpp"
 
 namespace qclab::obs {
 
@@ -86,8 +84,6 @@ struct HistogramSnapshot {
   }
 };
 
-#ifndef QCLAB_OBS_DISABLED
-
 /// Index of the bucket holding a `ns` sample: 0 for zero, otherwise the
 /// bit width of the value (1 -> 1, 2..3 -> 2, 4..7 -> 3, ...).
 inline int latencyBucketOf(std::uint64_t ns) noexcept {
@@ -99,10 +95,12 @@ class LatencyHistogram {
  public:
   /// Records one sample.  Three relaxed atomic adds; safe from any thread.
   void record(std::uint64_t ns) noexcept {
-    buckets_[static_cast<std::size_t>(latencyBucketOf(ns))].fetch_add(
-        1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
-    sumNs_.fetch_add(ns, std::memory_order_relaxed);
+    if constexpr (kEnabled) {
+      buckets_[static_cast<std::size_t>(latencyBucketOf(ns))].fetch_add(
+          1, std::memory_order_relaxed);
+      count_.fetch_add(1, std::memory_order_relaxed);
+      sumNs_.fetch_add(ns, std::memory_order_relaxed);
+    }
   }
 
   /// Total recorded samples.
@@ -192,24 +190,29 @@ inline std::atomic<int>& currentTimedPath() noexcept {
 class PathTimer {
  public:
   explicit PathTimer(sim::KernelPath path) noexcept
-      : perf_(path), path_(path), start_(std::chrono::steady_clock::now()) {
-    auto& current = detail::currentTimedPath();
-    previousPath_ = current.load(std::memory_order_relaxed);
-    current.store(static_cast<int>(path), std::memory_order_relaxed);
+      : perf_(path), path_(path) {
+    if constexpr (kEnabled) {
+      auto& current = detail::currentTimedPath();
+      previousPath_ = current.load(std::memory_order_relaxed);
+      current.store(static_cast<int>(path), std::memory_order_relaxed);
+      start_ = std::chrono::steady_clock::now();
+    }
   }
 
   PathTimer(const PathTimer&) = delete;
   PathTimer& operator=(const PathTimer&) = delete;
 
   ~PathTimer() {
-    detail::currentTimedPath().store(previousPath_,
-                                     std::memory_order_relaxed);
-    const auto elapsed = std::chrono::steady_clock::now() - start_;
-    latencyHistograms().record(
-        path_,
-        static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-                .count()));
+    if constexpr (kEnabled) {
+      detail::currentTimedPath().store(previousPath_,
+                                       std::memory_order_relaxed);
+      const auto elapsed = std::chrono::steady_clock::now() - start_;
+      latencyHistograms().record(
+          path_,
+          static_cast<std::uint64_t>(
+              std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
+                  .count()));
+    }
   }
 
  private:
@@ -219,49 +222,5 @@ class PathTimer {
   int previousPath_ = -1;
   std::chrono::steady_clock::time_point start_;
 };
-
-#else  // QCLAB_OBS_DISABLED
-
-inline int latencyBucketOf(std::uint64_t) noexcept { return 0; }
-
-/// No-op histogram: records nothing, snapshots as empty.
-class LatencyHistogram {
- public:
-  void record(std::uint64_t) noexcept {}
-  std::uint64_t count() const noexcept { return 0; }
-  std::uint64_t sumNs() const noexcept { return 0; }
-  void reset() noexcept {}
-  HistogramSnapshot snapshot() const {
-    HistogramSnapshot snap;
-    snap.buckets.resize(kLatencyBuckets);
-    return snap;
-  }
-};
-
-/// No-op per-path registry.
-class PathHistograms {
- public:
-  void record(sim::KernelPath, std::uint64_t) noexcept {}
-  const LatencyHistogram& histogram(sim::KernelPath) const noexcept {
-    static const LatencyHistogram empty;
-    return empty;
-  }
-  void reset() noexcept {}
-};
-
-inline PathHistograms& latencyHistograms() {
-  static PathHistograms instance;
-  return instance;
-}
-
-/// No-op timer.
-class PathTimer {
- public:
-  explicit PathTimer(sim::KernelPath) noexcept {}
-  PathTimer(const PathTimer&) = delete;
-  PathTimer& operator=(const PathTimer&) = delete;
-};
-
-#endif  // QCLAB_OBS_DISABLED
 
 }  // namespace qclab::obs

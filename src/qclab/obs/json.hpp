@@ -7,7 +7,7 @@
 /// bench trajectories) quotes strings through this one function, so a
 /// gate-kind key, result name, or build-info string containing quotes,
 /// backslashes, or control characters can never corrupt an export.
-/// Available in QCLAB_OBS_DISABLED builds too: the no-op Report still
+/// Available in QCLAB_OBS_DISABLED builds too: the all-zero Report still
 /// writes well-formed JSON.
 
 #include <string>

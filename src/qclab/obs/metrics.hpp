@@ -4,14 +4,21 @@
 /// \brief Low-overhead global counters for the simulation engine.
 ///
 /// A single process-wide Metrics registry accumulates
-///  - gate applications, split by kernel path and by gate kind,
-///  - an estimate of state-vector bytes touched, total and per path,
+///  - the plain counters of the QCLAB_OBS_COUNTERS table below (gate
+///    applications, bytes touched, branch spawns and prunes, shots,
+///    simulations, noise channels, trajectories, batches, fusion,
+///    dispatch conversions and fallbacks, prefetch, tier fallbacks),
+///  - label-indexed families: gate applications and bytes touched per
+///    kernel path, dispatch routes, and live bytes per memory tier,
+///  - gate applications per gate kind, and
 ///  - live and high-water state-vector memory (Simulation branch states
-///    and density matrices attribute their allocations here),
-///  - simulation branch spawns (mid-circuit measurement forks) and prunes
-///    (outcomes dropped as numerically impossible),
-///  - shots sampled and circuit simulations started,
-///  - noise-channel applications of the density-matrix simulator.
+///    and density matrices attribute their allocations here).
+///
+/// QCLAB_OBS_COUNTERS is the only list of plain counters.  Metrics
+/// storage, readers and reset, the ObsSnapshot fields, and the
+/// OpenMetrics, JSON, text and crash-dump exporters all expand it, so a
+/// new counter is one table row plus its `metrics().add(Counter::k...)`
+/// call site.
 ///
 /// Hot-path hooks are relaxed atomic increments.  The per-kind gate
 /// counters (string keyed, fed only by InstrumentedBackend) are sharded
@@ -19,14 +26,13 @@
 /// cells through a thread-local index, so steady-state recording takes no
 /// mutex on any thread; shard mutexes are touched only when a thread sees
 /// a gate kind for the first time and when snapshots/resets merge the
-/// shards.  Compiling with QCLAB_OBS_DISABLED replaces the whole registry
-/// with an API-identical no-op so that instrumented call sites vanish and
-/// no obs state is linked into the binary.
+/// shards.  Under QCLAB_OBS_DISABLED every mutator body is discarded, so
+/// readers return zero and instrumented call sites compile away.
 
-#ifndef QCLAB_OBS_DISABLED
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -35,14 +41,72 @@
 #include <utility>
 #include <vector>
 
+#include "qclab/obs/enabled.hpp"
 #include "qclab/sim/dispatch_mode.hpp"
 #include "qclab/sim/kernel_path.hpp"
 #include "qclab/sim/memory_advisor.hpp"
 
+/// The plain counters: X(enumerator, reader, exported name, help).  The
+/// exported name is the JSON and crash-dump key and the OpenMetrics
+/// family `qclab_<name>` (sample `qclab_<name>_total`); help is the
+/// OpenMetrics HELP text, nullptr for none.
+#define QCLAB_OBS_COUNTERS(X)                                                  \
+  X(kGateApplications, gateApplications, "gate_applications",                  \
+    "Gate applications counted by the instrumented backends.")                 \
+  X(kBytesTouched, bytesTouched, "bytes_touched",                              \
+    "Estimated state-vector bytes read and written.")                          \
+  X(kBranchSpawns, branchSpawns, "branch_spawns", nullptr)                     \
+  X(kBranchPrunes, branchPrunes, "branch_prunes", nullptr)                     \
+  X(kShotsSampled, shotsSampled, "shots_sampled", nullptr)                     \
+  X(kCircuitSimulations, circuitSimulations, "circuit_simulations", nullptr)   \
+  X(kNoiseChannels, noiseChannelApplications, "noise_channel_applications",    \
+    nullptr)                                                                   \
+  X(kTrajectoryRuns, trajectoryRuns, "trajectory_runs", nullptr)               \
+  X(kTrajectories, trajectoriesSimulated, "trajectories_simulated", nullptr)   \
+  X(kBatchRuns, batchRuns, "batch_runs",                                       \
+    "Batched multi-circuit executions (BatchedSimulation runs).")              \
+  X(kBatchMembers, batchMembersSimulated, "batch_members_simulated",           \
+    "Parameter-set members executed across all batch runs.")                   \
+  X(kFusionGatesIn, fusionGatesIn, "fusion_gates_in", nullptr)                 \
+  X(kFusionBlocks, fusionBlocks, "fusion_blocks_out", nullptr)                 \
+  X(kFusionSweepsSaved, fusionSweepsSaved, "fusion_sweeps_saved", nullptr)     \
+  X(kDispatchFallbacks, dispatchFallbacks, "dispatch_fallbacks",               \
+    "Tableau-phase refusals that fell back to the statevector path.")          \
+  X(kDispatchConversions, dispatchConversions, "dispatch_conversions",         \
+    "Tableau branches expanded into statevectors at the conversion point.")    \
+  X(kPrefetchIssued, prefetchIssued, "prefetch_issued",                        \
+    "madvise(WILLNEED) granules issued by the out-of-core walk.")              \
+  X(kPrefetchHits, prefetchHits, "prefetch_hits",                              \
+    "Prefetch requests that found the granule already resident.")              \
+  X(kPrefetchRetired, prefetchRetired, "prefetch_retired",                     \
+    "madvise(DONTNEED) granules dropped behind the walk.")                     \
+  X(kStateTierFallbacks, stateTierFallbacks, "state_tier_fallbacks",           \
+    "NUMA or mmap state allocations that fell back to the heap tier.")
+
 namespace qclab::obs {
 
-/// True when the library was compiled with observability enabled.
-inline constexpr bool kEnabled = true;
+/// One enumerator per QCLAB_OBS_COUNTERS row.
+enum class Counter : int {
+#define QCLAB_OBS_ENUMERATOR(e, reader, name, help) e,
+  QCLAB_OBS_COUNTERS(QCLAB_OBS_ENUMERATOR)
+#undef QCLAB_OBS_ENUMERATOR
+};
+
+/// One table row as the exporters iterate it.
+struct CounterRow {
+  Counter counter;
+  const char* name;  ///< exported name (static storage: signal-safe)
+  const char* help;  ///< OpenMetrics HELP text, nullptr for none
+};
+
+/// Every plain counter, in table order.
+inline constexpr CounterRow kCounterRows[] = {
+#define QCLAB_OBS_ROW(e, reader, name, help) {Counter::e, name, help},
+    QCLAB_OBS_COUNTERS(QCLAB_OBS_ROW)
+#undef QCLAB_OBS_ROW
+};
+
+inline constexpr int kCounterCount = static_cast<int>(std::size(kCounterRows));
 
 /// String-keyed counters sharded per thread.  Incrementing is mutex-free
 /// once a (thread, key) pair is warm: the owner thread resolves the key
@@ -132,11 +196,59 @@ class ShardedCounters {
   std::vector<std::shared_ptr<Shard>> shards_;
 };
 
+/// Relaxed atomic counters indexed by an enum label: the one cell type
+/// behind the per-path, per-route and per-tier families.
+template <typename Label, int N>
+class LabeledCounters {
+ public:
+  void add(Label label, std::uint64_t n) noexcept {
+    cells_[static_cast<int>(label)].fetch_add(n, std::memory_order_relaxed);
+  }
+
+  void sub(Label label, std::uint64_t n) noexcept {
+    cells_[static_cast<int>(label)].fetch_sub(n, std::memory_order_relaxed);
+  }
+
+  std::uint64_t operator[](Label label) const noexcept {
+    return cells_[static_cast<int>(label)].load(std::memory_order_relaxed);
+  }
+
+  /// Copy of every cell, indexed by label.
+  std::vector<std::uint64_t> values() const {
+    std::vector<std::uint64_t> out(N);
+    for (int i = 0; i < N; ++i) {
+      out[static_cast<std::size_t>(i)] =
+          cells_[i].load(std::memory_order_relaxed);
+    }
+    return out;
+  }
+
+  void reset() noexcept {
+    for (auto& cell : cells_) cell.store(0, std::memory_order_relaxed);
+  }
+
+ private:
+  std::atomic<std::uint64_t> cells_[N] = {};
+};
+
+using PathCounters = LabeledCounters<sim::KernelPath, sim::kKernelPathCount>;
+using RouteCounters =
+    LabeledCounters<sim::DispatchRoute, sim::kDispatchRouteCount>;
+using TierCounters = LabeledCounters<sim::StateTier, sim::kStateTierCount>;
+
 /// Process-wide counter registry.  All mutators are thread-safe; reads are
 /// snapshots (relaxed, no cross-counter consistency guarantee).
 class Metrics {
  public:
   // ---- mutators -------------------------------------------------------
+
+  /// Adds `n` to the plain counter `counter`.
+  void add(Counter counter, std::uint64_t n = 1) {
+    if constexpr (kEnabled) {
+      counters_[static_cast<int>(counter)].fetch_add(
+          n, std::memory_order_relaxed);
+    }
+  }
 
   /// Records one gate application dispatched to `path`, touching an
   /// estimated `bytes` of state-vector memory.  `kind` is the gate
@@ -144,99 +256,40 @@ class Metrics {
   /// skip the per-kind counters (bare counter-only call sites).
   void countGate(sim::KernelPath path, const char* kind,
                  std::uint64_t bytes) {
-    gateTotal_.fetch_add(1, std::memory_order_relaxed);
-    gateByPath_[static_cast<int>(path)].fetch_add(1,
-                                                  std::memory_order_relaxed);
-    bytesTouched_.fetch_add(bytes, std::memory_order_relaxed);
-    bytesByPath_[static_cast<int>(path)].fetch_add(
-        bytes, std::memory_order_relaxed);
-    if (kind != nullptr) {
-      gateByKind_.add(kind, 1);
+    if constexpr (kEnabled) {
+      add(Counter::kGateApplications);
+      add(Counter::kBytesTouched, bytes);
+      gateByPath_.add(path, 1);
+      bytesByPath_.add(path, bytes);
+      if (kind != nullptr) gateByKind_.add(kind, 1);
     }
-  }
-
-  /// Records a measurement/reset forking one branch into two.
-  void countBranchSpawn() {
-    branchSpawns_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  /// Records a measurement/reset outcome dropped as numerically impossible.
-  void countBranchPrune() {
-    branchPrunes_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  /// Records `shots` sampled outcomes (counts / countsMap / state sampling).
-  void countShots(std::uint64_t shots) {
-    shotsSampled_.fetch_add(shots, std::memory_order_relaxed);
-  }
-
-  /// Records one QCircuit::simulate run.
-  void countCircuitSimulation() {
-    circuitSimulations_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  /// Records one Kraus-channel application in the noisy simulator.
-  void countNoiseChannel() {
-    noiseChannels_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  /// Records one TrajectorySimulator::run call covering `trajectories`
-  /// Monte Carlo unravellings.
-  void countTrajectoryRun(std::uint64_t trajectories) {
-    trajectoryRuns_.fetch_add(1, std::memory_order_relaxed);
-    trajectoriesSimulated_.fetch_add(trajectories,
-                                     std::memory_order_relaxed);
-  }
-
-  /// Records one BatchedSimulation run covering `members` parameter
-  /// instances executed against a shared circuit-shape plan.
-  void countBatchRun(std::uint64_t members) {
-    batchRuns_.fetch_add(1, std::memory_order_relaxed);
-    batchMembersSimulated_.fetch_add(members, std::memory_order_relaxed);
   }
 
   /// Records one dispatched circuit execution routed as `route`
   /// (statevector / stabilizer / hybrid).
   void countDispatchRoute(sim::DispatchRoute route) {
-    dispatchRoutes_[static_cast<int>(route)].fetch_add(
-        1, std::memory_order_relaxed);
-  }
-
-  /// Records one auto-dispatch fallback: the tableau refused a gate with
-  /// UnsupportedGateError and the run continued on the statevector path.
-  void countDispatchFallback() {
-    dispatchFallbacks_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  /// Records one tableau -> statevector conversion (per expanded branch).
-  void countDispatchConversion() {
-    dispatchConversions_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  /// Records one fusion-plan application: `gatesIn` gates were merged into
-  /// `blocks` fused blocks, avoiding `sweepsSaved` full-state sweeps.
-  void countFusion(std::uint64_t gatesIn, std::uint64_t blocks,
-                   std::uint64_t sweepsSaved) {
-    fusionGatesIn_.fetch_add(gatesIn, std::memory_order_relaxed);
-    fusionBlocks_.fetch_add(blocks, std::memory_order_relaxed);
-    fusionSweepsSaved_.fetch_add(sweepsSaved, std::memory_order_relaxed);
+    if constexpr (kEnabled) dispatchRoutes_.add(route, 1);
   }
 
   /// Attributes `bytes` of newly live simulation state (branch state
   /// vectors, density matrices) and raises the high-water mark.
   void addStateBytes(std::uint64_t bytes) {
-    const std::uint64_t now =
-        stateBytes_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
-    std::uint64_t peak = peakStateBytes_.load(std::memory_order_relaxed);
-    while (now > peak &&
-           !peakStateBytes_.compare_exchange_weak(
-               peak, now, std::memory_order_relaxed)) {
+    if constexpr (kEnabled) {
+      const std::uint64_t now =
+          stateBytes_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
+      std::uint64_t peak = peakStateBytes_.load(std::memory_order_relaxed);
+      while (now > peak &&
+             !peakStateBytes_.compare_exchange_weak(
+                 peak, now, std::memory_order_relaxed)) {
+      }
     }
   }
 
   /// Releases `bytes` of simulation state (branch pruned / owner freed).
   void releaseStateBytes(std::uint64_t bytes) {
-    stateBytes_.fetch_sub(bytes, std::memory_order_relaxed);
+    if constexpr (kEnabled) {
+      stateBytes_.fetch_sub(bytes, std::memory_order_relaxed);
+    }
   }
 
   /// Attributes bytes to a resolved memory tier (sim::StateBuffer).
@@ -246,103 +299,85 @@ class Metrics {
   /// bytes only as its prefetch advisor faults granules in.
   void addTierBytes(sim::StateTier tier, std::uint64_t resident,
                     std::uint64_t mapped) {
-    tierResident_[static_cast<int>(tier)].fetch_add(
-        resident, std::memory_order_relaxed);
-    tierMapped_[static_cast<int>(tier)].fetch_add(
-        mapped, std::memory_order_relaxed);
+    if constexpr (kEnabled) {
+      tierResident_.add(tier, resident);
+      tierMapped_.add(tier, mapped);
+    }
   }
 
   /// Releases tier-attributed bytes (buffer freed / granules retired).
   void releaseTierBytes(sim::StateTier tier, std::uint64_t resident,
                         std::uint64_t mapped) {
-    tierResident_[static_cast<int>(tier)].fetch_sub(
-        resident, std::memory_order_relaxed);
-    tierMapped_[static_cast<int>(tier)].fetch_sub(
-        mapped, std::memory_order_relaxed);
-  }
-
-  /// Records prefetch-advisor activity of the out-of-core tier:
-  /// `issued` WILLNEED granule advices, `hits` granules that were
-  /// already resident when re-requested, `retired` DONTNEED drops.
-  void countPrefetch(std::uint64_t issued, std::uint64_t hits,
-                     std::uint64_t retired) {
-    if (issued != 0) {
-      prefetchIssued_.fetch_add(issued, std::memory_order_relaxed);
-    }
-    if (hits != 0) {
-      prefetchHits_.fetch_add(hits, std::memory_order_relaxed);
-    }
-    if (retired != 0) {
-      prefetchRetired_.fetch_add(retired, std::memory_order_relaxed);
+    if constexpr (kEnabled) {
+      tierResident_.sub(tier, resident);
+      tierMapped_.sub(tier, mapped);
     }
   }
 
   /// Zeroes every counter (start of a measured region / test).  The
   /// high-water mark restarts from the currently live state bytes, so
-  /// long-lived simulations stay attributed.
+  /// long-lived simulations stay attributed; the tier byte gauges track
+  /// live allocations too and are kept.
   void reset() {
-    gateTotal_.store(0, std::memory_order_relaxed);
-    for (auto& counter : gateByPath_) {
+    for (auto& counter : counters_) {
       counter.store(0, std::memory_order_relaxed);
     }
-    bytesTouched_.store(0, std::memory_order_relaxed);
-    for (auto& counter : bytesByPath_) {
-      counter.store(0, std::memory_order_relaxed);
-    }
-    branchSpawns_.store(0, std::memory_order_relaxed);
-    branchPrunes_.store(0, std::memory_order_relaxed);
-    shotsSampled_.store(0, std::memory_order_relaxed);
-    circuitSimulations_.store(0, std::memory_order_relaxed);
-    noiseChannels_.store(0, std::memory_order_relaxed);
-    trajectoryRuns_.store(0, std::memory_order_relaxed);
-    trajectoriesSimulated_.store(0, std::memory_order_relaxed);
-    batchRuns_.store(0, std::memory_order_relaxed);
-    batchMembersSimulated_.store(0, std::memory_order_relaxed);
-    for (auto& counter : dispatchRoutes_) {
-      counter.store(0, std::memory_order_relaxed);
-    }
-    dispatchFallbacks_.store(0, std::memory_order_relaxed);
-    dispatchConversions_.store(0, std::memory_order_relaxed);
-    fusionGatesIn_.store(0, std::memory_order_relaxed);
-    fusionBlocks_.store(0, std::memory_order_relaxed);
-    fusionSweepsSaved_.store(0, std::memory_order_relaxed);
+    gateByPath_.reset();
+    bytesByPath_.reset();
+    dispatchRoutes_.reset();
     peakStateBytes_.store(stateBytes_.load(std::memory_order_relaxed),
                           std::memory_order_relaxed);
-    // Tier byte gauges track LIVE allocations (like stateBytes_), so a
-    // reset must not zero them; only the prefetch flow counters restart.
-    prefetchIssued_.store(0, std::memory_order_relaxed);
-    prefetchHits_.store(0, std::memory_order_relaxed);
-    prefetchRetired_.store(0, std::memory_order_relaxed);
     gateByKind_.reset();
   }
 
   // ---- readers --------------------------------------------------------
 
-  /// Total gate applications since the last reset.
-  std::uint64_t gateApplications() const {
-    return gateTotal_.load(std::memory_order_relaxed);
-  }
-
-  /// Gate applications dispatched to `path`.
-  std::uint64_t gateApplications(sim::KernelPath path) const {
-    return gateByPath_[static_cast<int>(path)].load(
+  /// Value of the plain counter `counter` since the last reset.
+  std::uint64_t value(Counter counter) const {
+    return counters_[static_cast<int>(counter)].load(
         std::memory_order_relaxed);
   }
 
-  /// Snapshot of the per-kind counters (InstrumentedBackend runs only).
-  std::map<std::string, std::uint64_t> gateKinds() const {
-    return gateByKind_.snapshot();
-  }
+#define QCLAB_OBS_READER(e, reader, name, help) \
+  std::uint64_t reader() const { return value(Counter::e); }
+  QCLAB_OBS_COUNTERS(QCLAB_OBS_READER)
+#undef QCLAB_OBS_READER
 
-  /// Estimated state-vector bytes read + written by counted applications.
-  std::uint64_t bytesTouched() const {
-    return bytesTouched_.load(std::memory_order_relaxed);
+  /// Gate applications dispatched to `path`.
+  std::uint64_t gateApplications(sim::KernelPath path) const {
+    return gateByPath_[path];
   }
 
   /// Estimated bytes touched by applications dispatched to `path`.
   std::uint64_t bytesTouched(sim::KernelPath path) const {
-    return bytesByPath_[static_cast<int>(path)].load(
-        std::memory_order_relaxed);
+    return bytesByPath_[path];
+  }
+
+  /// Dispatched circuit executions routed as `route`.
+  std::uint64_t dispatchRoutes(sim::DispatchRoute route) const {
+    return dispatchRoutes_[route];
+  }
+
+  /// RAM-resident bytes currently attributed to `tier`.
+  std::uint64_t tierResidentBytes(sim::StateTier tier) const {
+    return tierResident_[tier];
+  }
+
+  /// Mapped (address-space) bytes currently attributed to `tier`.
+  std::uint64_t tierMappedBytes(sim::StateTier tier) const {
+    return tierMapped_[tier];
+  }
+
+  /// The label-indexed families, for snapshots.
+  const PathCounters& gatesByPath() const { return gateByPath_; }
+  const PathCounters& bytesByPath() const { return bytesByPath_; }
+  const RouteCounters& routes() const { return dispatchRoutes_; }
+  const TierCounters& tierResident() const { return tierResident_; }
+  const TierCounters& tierMapped() const { return tierMapped_; }
+
+  /// Snapshot of the per-kind counters (InstrumentedBackend runs only).
+  std::map<std::string, std::uint64_t> gateKinds() const {
+    return gateByKind_.snapshot();
   }
 
   /// Currently live simulation-state bytes (branch states + density
@@ -356,140 +391,15 @@ class Metrics {
     return peakStateBytes_.load(std::memory_order_relaxed);
   }
 
-  /// RAM-resident bytes currently attributed to `tier`.
-  std::uint64_t tierResidentBytes(sim::StateTier tier) const {
-    return tierResident_[static_cast<int>(tier)].load(
-        std::memory_order_relaxed);
-  }
-
-  /// Mapped (address-space) bytes currently attributed to `tier`.
-  std::uint64_t tierMappedBytes(sim::StateTier tier) const {
-    return tierMapped_[static_cast<int>(tier)].load(
-        std::memory_order_relaxed);
-  }
-
-  /// WILLNEED granule advices issued by the out-of-core advisor.
-  std::uint64_t prefetchIssued() const {
-    return prefetchIssued_.load(std::memory_order_relaxed);
-  }
-
-  /// Granules that were already resident when the executor asked.
-  std::uint64_t prefetchHits() const {
-    return prefetchHits_.load(std::memory_order_relaxed);
-  }
-
-  /// Granules dropped with DONTNEED after their sweep retired them.
-  std::uint64_t prefetchRetired() const {
-    return prefetchRetired_.load(std::memory_order_relaxed);
-  }
-
-  std::uint64_t branchSpawns() const {
-    return branchSpawns_.load(std::memory_order_relaxed);
-  }
-
-  std::uint64_t branchPrunes() const {
-    return branchPrunes_.load(std::memory_order_relaxed);
-  }
-
-  std::uint64_t shotsSampled() const {
-    return shotsSampled_.load(std::memory_order_relaxed);
-  }
-
-  std::uint64_t circuitSimulations() const {
-    return circuitSimulations_.load(std::memory_order_relaxed);
-  }
-
-  std::uint64_t noiseChannelApplications() const {
-    return noiseChannels_.load(std::memory_order_relaxed);
-  }
-
-  /// TrajectorySimulator::run calls.
-  std::uint64_t trajectoryRuns() const {
-    return trajectoryRuns_.load(std::memory_order_relaxed);
-  }
-
-  /// Monte Carlo trajectories simulated across all runs.
-  std::uint64_t trajectoriesSimulated() const {
-    return trajectoriesSimulated_.load(std::memory_order_relaxed);
-  }
-
-  /// BatchedSimulation runs.
-  std::uint64_t batchRuns() const {
-    return batchRuns_.load(std::memory_order_relaxed);
-  }
-
-  /// Batch members simulated across all batched runs.
-  std::uint64_t batchMembersSimulated() const {
-    return batchMembersSimulated_.load(std::memory_order_relaxed);
-  }
-
-  /// Dispatched circuit executions routed as `route`.
-  std::uint64_t dispatchRoutes(sim::DispatchRoute route) const {
-    return dispatchRoutes_[static_cast<int>(route)].load(
-        std::memory_order_relaxed);
-  }
-
-  /// All dispatched circuit executions (any route).
-  std::uint64_t dispatchRoutesTotal() const {
-    std::uint64_t total = 0;
-    for (const auto& counter : dispatchRoutes_) {
-      total += counter.load(std::memory_order_relaxed);
-    }
-    return total;
-  }
-
-  /// Auto-dispatch fallbacks to the statevector path.
-  std::uint64_t dispatchFallbacks() const {
-    return dispatchFallbacks_.load(std::memory_order_relaxed);
-  }
-
-  /// Tableau -> statevector conversions (per expanded branch).
-  std::uint64_t dispatchConversions() const {
-    return dispatchConversions_.load(std::memory_order_relaxed);
-  }
-
-  /// Gates consumed by fusion scheduling (per plan application).
-  std::uint64_t fusionGatesIn() const {
-    return fusionGatesIn_.load(std::memory_order_relaxed);
-  }
-
-  /// Fused blocks applied.
-  std::uint64_t fusionBlocks() const {
-    return fusionBlocks_.load(std::memory_order_relaxed);
-  }
-
-  /// Full-state sweeps avoided by fusion (gates in - blocks out).
-  std::uint64_t fusionSweepsSaved() const {
-    return fusionSweepsSaved_.load(std::memory_order_relaxed);
-  }
-
  private:
-  std::atomic<std::uint64_t> gateTotal_{0};
-  std::atomic<std::uint64_t> gateByPath_[sim::kKernelPathCount] = {};
-  std::atomic<std::uint64_t> bytesTouched_{0};
-  std::atomic<std::uint64_t> bytesByPath_[sim::kKernelPathCount] = {};
+  std::atomic<std::uint64_t> counters_[kCounterCount] = {};
+  PathCounters gateByPath_;
+  PathCounters bytesByPath_;
+  RouteCounters dispatchRoutes_;
+  TierCounters tierResident_;
+  TierCounters tierMapped_;
   std::atomic<std::uint64_t> stateBytes_{0};
   std::atomic<std::uint64_t> peakStateBytes_{0};
-  std::atomic<std::uint64_t> tierResident_[sim::kStateTierCount] = {};
-  std::atomic<std::uint64_t> tierMapped_[sim::kStateTierCount] = {};
-  std::atomic<std::uint64_t> prefetchIssued_{0};
-  std::atomic<std::uint64_t> prefetchHits_{0};
-  std::atomic<std::uint64_t> prefetchRetired_{0};
-  std::atomic<std::uint64_t> branchSpawns_{0};
-  std::atomic<std::uint64_t> branchPrunes_{0};
-  std::atomic<std::uint64_t> shotsSampled_{0};
-  std::atomic<std::uint64_t> circuitSimulations_{0};
-  std::atomic<std::uint64_t> noiseChannels_{0};
-  std::atomic<std::uint64_t> trajectoryRuns_{0};
-  std::atomic<std::uint64_t> trajectoriesSimulated_{0};
-  std::atomic<std::uint64_t> batchRuns_{0};
-  std::atomic<std::uint64_t> batchMembersSimulated_{0};
-  std::atomic<std::uint64_t> dispatchRoutes_[sim::kDispatchRouteCount] = {};
-  std::atomic<std::uint64_t> dispatchFallbacks_{0};
-  std::atomic<std::uint64_t> dispatchConversions_{0};
-  std::atomic<std::uint64_t> fusionGatesIn_{0};
-  std::atomic<std::uint64_t> fusionBlocks_{0};
-  std::atomic<std::uint64_t> fusionSweepsSaved_{0};
   ShardedCounters gateByKind_;
 };
 
@@ -500,79 +410,3 @@ inline Metrics& metrics() {
 }
 
 }  // namespace qclab::obs
-
-#else  // QCLAB_OBS_DISABLED
-
-#include <cstdint>
-#include <map>
-#include <string>
-
-#include "qclab/sim/dispatch_mode.hpp"
-#include "qclab/sim/kernel_path.hpp"
-#include "qclab/sim/memory_advisor.hpp"
-
-namespace qclab::obs {
-
-inline constexpr bool kEnabled = false;
-
-/// API-identical no-op registry: every mutator is empty, every reader
-/// returns zero, so instrumented call sites compile away entirely.
-class Metrics {
- public:
-  void countGate(sim::KernelPath, const char*, std::uint64_t) {}
-  void countBranchSpawn() {}
-  void countBranchPrune() {}
-  void countShots(std::uint64_t) {}
-  void countCircuitSimulation() {}
-  void countNoiseChannel() {}
-  void countTrajectoryRun(std::uint64_t) {}
-  void countBatchRun(std::uint64_t) {}
-  void countDispatchRoute(sim::DispatchRoute) {}
-  void countDispatchFallback() {}
-  void countDispatchConversion() {}
-  void countFusion(std::uint64_t, std::uint64_t, std::uint64_t) {}
-  void addStateBytes(std::uint64_t) {}
-  void releaseStateBytes(std::uint64_t) {}
-  void addTierBytes(sim::StateTier, std::uint64_t, std::uint64_t) {}
-  void releaseTierBytes(sim::StateTier, std::uint64_t, std::uint64_t) {}
-  void countPrefetch(std::uint64_t, std::uint64_t, std::uint64_t) {}
-  void reset() {}
-
-  std::uint64_t gateApplications() const { return 0; }
-  std::uint64_t gateApplications(sim::KernelPath) const { return 0; }
-  std::map<std::string, std::uint64_t> gateKinds() const { return {}; }
-  std::uint64_t bytesTouched() const { return 0; }
-  std::uint64_t bytesTouched(sim::KernelPath) const { return 0; }
-  std::uint64_t currentStateBytes() const { return 0; }
-  std::uint64_t peakStateBytes() const { return 0; }
-  std::uint64_t tierResidentBytes(sim::StateTier) const { return 0; }
-  std::uint64_t tierMappedBytes(sim::StateTier) const { return 0; }
-  std::uint64_t prefetchIssued() const { return 0; }
-  std::uint64_t prefetchHits() const { return 0; }
-  std::uint64_t prefetchRetired() const { return 0; }
-  std::uint64_t branchSpawns() const { return 0; }
-  std::uint64_t branchPrunes() const { return 0; }
-  std::uint64_t shotsSampled() const { return 0; }
-  std::uint64_t circuitSimulations() const { return 0; }
-  std::uint64_t noiseChannelApplications() const { return 0; }
-  std::uint64_t trajectoryRuns() const { return 0; }
-  std::uint64_t trajectoriesSimulated() const { return 0; }
-  std::uint64_t batchRuns() const { return 0; }
-  std::uint64_t batchMembersSimulated() const { return 0; }
-  std::uint64_t dispatchRoutes(sim::DispatchRoute) const { return 0; }
-  std::uint64_t dispatchRoutesTotal() const { return 0; }
-  std::uint64_t dispatchFallbacks() const { return 0; }
-  std::uint64_t dispatchConversions() const { return 0; }
-  std::uint64_t fusionGatesIn() const { return 0; }
-  std::uint64_t fusionBlocks() const { return 0; }
-  std::uint64_t fusionSweepsSaved() const { return 0; }
-};
-
-inline Metrics& metrics() {
-  static Metrics instance;
-  return instance;
-}
-
-}  // namespace qclab::obs
-
-#endif  // QCLAB_OBS_DISABLED

@@ -14,9 +14,11 @@
 /// sampling profiler (profiler.hpp).
 ///
 /// Compile with QCLAB_OBS_DISABLED (CMake: -DQCLAB_OBS_DISABLED=ON) to
-/// turn the whole layer into API-identical no-ops.
+/// discard every recording body (enabled.hpp): the API stays the same,
+/// readers return zero, and exporters render valid all-zero output.
 
 #include "qclab/obs/crashdump.hpp"
+#include "qclab/obs/enabled.hpp"
 #include "qclab/obs/flightrecorder.hpp"
 #include "qclab/obs/histogram.hpp"
 #include "qclab/obs/instrumented.hpp"

@@ -13,9 +13,10 @@
 /// `le` histogram buckets ending at `+Inf`, and the mandatory terminating
 /// `# EOF` line.  `tools/qclab_metrics_dump` wraps this as a CLI.
 ///
-/// Built entirely on the registry reader APIs, so the same code serves
-/// QCLAB_OBS_DISABLED builds: every sample renders as zero and the
-/// exposition stays valid.
+/// The plain counters render by iterating the QCLAB_OBS_COUNTERS table
+/// (metrics.hpp), so a new table row is exported with no edit here.  The
+/// same code serves QCLAB_OBS_DISABLED builds: every sample renders as
+/// zero and the exposition stays valid.
 
 #include <cstdint>
 #include <cstdio>
@@ -37,100 +38,69 @@
 namespace qclab::obs {
 
 /// Point-in-time copy of every obs registry (counters are lifetime totals;
-/// currentStateBytes/peakStateBytes are gauges).
+/// currentStateBytes/peakStateBytes and the tier bytes are gauges).
 struct ObsSnapshot {
-  std::uint64_t gateApplications = 0;
+#define QCLAB_OBS_FIELD(e, reader, name, help) std::uint64_t reader = 0;
+  QCLAB_OBS_COUNTERS(QCLAB_OBS_FIELD)
+#undef QCLAB_OBS_FIELD
   std::vector<std::uint64_t> gateByPath;   ///< kKernelPathCount entries
-  std::map<std::string, std::uint64_t> gateByKind;
-  std::uint64_t bytesTouched = 0;
   std::vector<std::uint64_t> bytesByPath;  ///< kKernelPathCount entries
-  std::uint64_t branchSpawns = 0;
-  std::uint64_t branchPrunes = 0;
-  std::uint64_t shotsSampled = 0;
-  std::uint64_t circuitSimulations = 0;
-  std::uint64_t noiseChannelApplications = 0;
-  std::uint64_t trajectoryRuns = 0;
-  std::uint64_t trajectoriesSimulated = 0;
-  std::uint64_t batchRuns = 0;
-  std::uint64_t batchMembersSimulated = 0;
+  std::vector<std::uint64_t> dispatchRoutes;  ///< kDispatchRouteCount
+  std::map<std::string, std::uint64_t> gateByKind;
   std::uint64_t sentinelChecks = 0;
   std::uint64_t sentinelNanDetected = 0;
   std::uint64_t sentinelNormAlerts = 0;
   std::uint64_t flightEventsRecorded = 0;
-  std::uint64_t fusionGatesIn = 0;
-  std::uint64_t fusionBlocks = 0;
-  std::uint64_t fusionSweepsSaved = 0;
-  std::vector<std::uint64_t> dispatchRoutes;  ///< kDispatchRouteCount entries
-  std::uint64_t dispatchFallbacks = 0;
-  std::uint64_t dispatchConversions = 0;
   std::uint64_t currentStateBytes = 0;  ///< gauge
   std::uint64_t peakStateBytes = 0;     ///< gauge
   std::vector<std::uint64_t> tierResidentBytes;  ///< gauge, kStateTierCount
   std::vector<std::uint64_t> tierMappedBytes;    ///< gauge, kStateTierCount
-  std::uint64_t prefetchIssued = 0;
-  std::uint64_t prefetchHits = 0;
-  std::uint64_t prefetchRetired = 0;
   std::vector<HistogramSnapshot> histograms;  ///< per kernel path
   std::map<std::string, StageAgg> stages;
   std::vector<PerfCounts> perf;               ///< per kernel path
+
+  /// The field of the plain counter `counter`.
+  std::uint64_t& operator[](Counter counter) noexcept {
+    return this->*field(counter);
+  }
+  std::uint64_t operator[](Counter counter) const noexcept {
+    return this->*field(counter);
+  }
+
+  static std::uint64_t ObsSnapshot::*field(Counter counter) noexcept {
+    static constexpr std::uint64_t ObsSnapshot::*kFields[] = {
+#define QCLAB_OBS_MEMBER(e, reader, name, help) &ObsSnapshot::reader,
+        QCLAB_OBS_COUNTERS(QCLAB_OBS_MEMBER)
+#undef QCLAB_OBS_MEMBER
+    };
+    return kFields[static_cast<int>(counter)];
+  }
 };
 
 /// Captures the current state of every registry.
 inline ObsSnapshot captureSnapshot() {
   const Metrics& m = metrics();
   ObsSnapshot snap;
-  snap.gateApplications = m.gateApplications();
-  snap.bytesTouched = m.bytesTouched();
-  snap.gateByPath.resize(sim::kKernelPathCount);
-  snap.bytesByPath.resize(sim::kKernelPathCount);
-  snap.histograms.resize(sim::kKernelPathCount);
-  snap.perf.resize(sim::kKernelPathCount);
-  for (int p = 0; p < sim::kKernelPathCount; ++p) {
-    const auto path = static_cast<sim::KernelPath>(p);
-    const auto i = static_cast<std::size_t>(p);
-    snap.gateByPath[i] = m.gateApplications(path);
-    snap.bytesByPath[i] = m.bytesTouched(path);
-    snap.histograms[i] = latencyHistograms().histogram(path).snapshot();
-    snap.perf[i] = perfRegistry().counts(path);
+  for (const CounterRow& row : kCounterRows) {
+    snap[row.counter] = m.value(row.counter);
   }
+  snap.gateByPath = m.gatesByPath().values();
+  snap.bytesByPath = m.bytesByPath().values();
+  snap.dispatchRoutes = m.routes().values();
   snap.gateByKind = m.gateKinds();
-  snap.branchSpawns = m.branchSpawns();
-  snap.branchPrunes = m.branchPrunes();
-  snap.shotsSampled = m.shotsSampled();
-  snap.circuitSimulations = m.circuitSimulations();
-  snap.noiseChannelApplications = m.noiseChannelApplications();
-  snap.trajectoryRuns = m.trajectoryRuns();
-  snap.trajectoriesSimulated = m.trajectoriesSimulated();
-  snap.batchRuns = m.batchRuns();
-  snap.batchMembersSimulated = m.batchMembersSimulated();
   snap.sentinelChecks = sentinel().checks();
   snap.sentinelNanDetected = sentinel().nanDetected();
   snap.sentinelNormAlerts = sentinel().normAlerts();
   snap.flightEventsRecorded = flightRecorder().totalRecorded();
-  snap.fusionGatesIn = m.fusionGatesIn();
-  snap.fusionBlocks = m.fusionBlocks();
-  snap.fusionSweepsSaved = m.fusionSweepsSaved();
-  snap.dispatchRoutes.resize(sim::kDispatchRouteCount);
-  for (int r = 0; r < sim::kDispatchRouteCount; ++r) {
-    snap.dispatchRoutes[static_cast<std::size_t>(r)] =
-        m.dispatchRoutes(static_cast<sim::DispatchRoute>(r));
-  }
-  snap.dispatchFallbacks = m.dispatchFallbacks();
-  snap.dispatchConversions = m.dispatchConversions();
   snap.currentStateBytes = m.currentStateBytes();
   snap.peakStateBytes = m.peakStateBytes();
-  snap.tierResidentBytes.resize(sim::kStateTierCount);
-  snap.tierMappedBytes.resize(sim::kStateTierCount);
-  for (int t = 0; t < sim::kStateTierCount; ++t) {
-    const auto tier = static_cast<sim::StateTier>(t);
-    snap.tierResidentBytes[static_cast<std::size_t>(t)] =
-        m.tierResidentBytes(tier);
-    snap.tierMappedBytes[static_cast<std::size_t>(t)] =
-        m.tierMappedBytes(tier);
+  snap.tierResidentBytes = m.tierResident().values();
+  snap.tierMappedBytes = m.tierMapped().values();
+  for (int p = 0; p < sim::kKernelPathCount; ++p) {
+    const auto path = static_cast<sim::KernelPath>(p);
+    snap.histograms.push_back(latencyHistograms().histogram(path).snapshot());
+    snap.perf.push_back(perfRegistry().counts(path));
   }
-  snap.prefetchIssued = m.prefetchIssued();
-  snap.prefetchHits = m.prefetchHits();
-  snap.prefetchRetired = m.prefetchRetired();
   snap.stages = stageStats().snapshot();
   return snap;
 }
@@ -140,6 +110,14 @@ namespace detail {
 inline std::uint64_t saturatingSub(std::uint64_t a,
                                    std::uint64_t b) noexcept {
   return a >= b ? a - b : 0;
+}
+
+/// Elementwise saturatingSub of two label-indexed families.
+inline void subtractEach(std::vector<std::uint64_t>& now,
+                         const std::vector<std::uint64_t>& before) {
+  for (std::size_t i = 0; i < now.size() && i < before.size(); ++i) {
+    now[i] = saturatingSub(now[i], before[i]);
+  }
 }
 
 }  // namespace detail
@@ -155,49 +133,41 @@ inline std::uint64_t saturatingSub(std::uint64_t a,
 inline ObsSnapshot snapshotDelta(const ObsSnapshot& previous) {
   using detail::saturatingSub;
   ObsSnapshot delta = captureSnapshot();
-  delta.gateApplications =
-      saturatingSub(delta.gateApplications, previous.gateApplications);
-  delta.bytesTouched =
-      saturatingSub(delta.bytesTouched, previous.bytesTouched);
-  for (std::size_t i = 0; i < delta.gateByPath.size(); ++i) {
-    if (i < previous.gateByPath.size()) {
-      delta.gateByPath[i] =
-          saturatingSub(delta.gateByPath[i], previous.gateByPath[i]);
-      delta.bytesByPath[i] =
-          saturatingSub(delta.bytesByPath[i], previous.bytesByPath[i]);
-    }
-    const HistogramSnapshot* prior =
-        i < previous.histograms.size() ? &previous.histograms[i] : nullptr;
-    if (prior != nullptr) {
-      HistogramSnapshot& h = delta.histograms[i];
-      h.count = saturatingSub(h.count, prior->count);
-      h.sumNs = saturatingSub(h.sumNs, prior->sumNs);
-      for (std::size_t b = 0;
-           b < h.buckets.size() && b < prior->buckets.size(); ++b) {
-        h.buckets[b] = saturatingSub(h.buckets[b], prior->buckets[b]);
-      }
-    }
-    const PerfCounts* priorPerf =
-        i < previous.perf.size() ? &previous.perf[i] : nullptr;
-    if (priorPerf != nullptr) {
-      PerfCounts& c = delta.perf[i];
-      c.samples = saturatingSub(c.samples, priorPerf->samples);
-      c.cycles = saturatingSub(c.cycles, priorPerf->cycles);
-      c.instructions =
-          saturatingSub(c.instructions, priorPerf->instructions);
-      c.llcReferences =
-          saturatingSub(c.llcReferences, priorPerf->llcReferences);
-      c.llcMisses = saturatingSub(c.llcMisses, priorPerf->llcMisses);
-      c.stalledCycles =
-          saturatingSub(c.stalledCycles, priorPerf->stalledCycles);
-      c.taskClockNs = saturatingSub(c.taskClockNs, priorPerf->taskClockNs);
-      c.pageFaults = saturatingSub(c.pageFaults, priorPerf->pageFaults);
-    }
+  for (const CounterRow& row : kCounterRows) {
+    delta[row.counter] =
+        saturatingSub(delta[row.counter], previous[row.counter]);
   }
+  detail::subtractEach(delta.gateByPath, previous.gateByPath);
+  detail::subtractEach(delta.bytesByPath, previous.bytesByPath);
+  detail::subtractEach(delta.dispatchRoutes, previous.dispatchRoutes);
   for (auto& [kind, count] : delta.gateByKind) {
     const auto prior = previous.gateByKind.find(kind);
     if (prior != previous.gateByKind.end()) {
       count = saturatingSub(count, prior->second);
+    }
+  }
+  delta.sentinelChecks =
+      saturatingSub(delta.sentinelChecks, previous.sentinelChecks);
+  delta.sentinelNanDetected = saturatingSub(delta.sentinelNanDetected,
+                                            previous.sentinelNanDetected);
+  delta.sentinelNormAlerts = saturatingSub(delta.sentinelNormAlerts,
+                                           previous.sentinelNormAlerts);
+  delta.flightEventsRecorded = saturatingSub(
+      delta.flightEventsRecorded, previous.flightEventsRecorded);
+  for (std::size_t i = 0; i < delta.histograms.size() &&
+                          i < previous.histograms.size();
+       ++i) {
+    HistogramSnapshot& h = delta.histograms[i];
+    const HistogramSnapshot& prior = previous.histograms[i];
+    h.count = saturatingSub(h.count, prior.count);
+    h.sumNs = saturatingSub(h.sumNs, prior.sumNs);
+    detail::subtractEach(h.buckets, prior.buckets);
+  }
+  for (std::size_t i = 0;
+       i < delta.perf.size() && i < previous.perf.size(); ++i) {
+    for (const auto field : kPerfFields) {
+      delta.perf[i].*field =
+          saturatingSub(delta.perf[i].*field, previous.perf[i].*field);
     }
   }
   for (auto& [stage, agg] : delta.stages) {
@@ -207,54 +177,6 @@ inline ObsSnapshot snapshotDelta(const ObsSnapshot& previous) {
       agg.sumNs = saturatingSub(agg.sumNs, prior->second.sumNs);
     }
   }
-  delta.branchSpawns =
-      saturatingSub(delta.branchSpawns, previous.branchSpawns);
-  delta.branchPrunes =
-      saturatingSub(delta.branchPrunes, previous.branchPrunes);
-  delta.shotsSampled =
-      saturatingSub(delta.shotsSampled, previous.shotsSampled);
-  delta.circuitSimulations =
-      saturatingSub(delta.circuitSimulations, previous.circuitSimulations);
-  delta.noiseChannelApplications = saturatingSub(
-      delta.noiseChannelApplications, previous.noiseChannelApplications);
-  delta.trajectoryRuns =
-      saturatingSub(delta.trajectoryRuns, previous.trajectoryRuns);
-  delta.trajectoriesSimulated = saturatingSub(
-      delta.trajectoriesSimulated, previous.trajectoriesSimulated);
-  delta.batchRuns = saturatingSub(delta.batchRuns, previous.batchRuns);
-  delta.batchMembersSimulated = saturatingSub(
-      delta.batchMembersSimulated, previous.batchMembersSimulated);
-  delta.sentinelChecks =
-      saturatingSub(delta.sentinelChecks, previous.sentinelChecks);
-  delta.sentinelNanDetected = saturatingSub(delta.sentinelNanDetected,
-                                            previous.sentinelNanDetected);
-  delta.sentinelNormAlerts = saturatingSub(delta.sentinelNormAlerts,
-                                           previous.sentinelNormAlerts);
-  delta.flightEventsRecorded = saturatingSub(
-      delta.flightEventsRecorded, previous.flightEventsRecorded);
-  delta.fusionGatesIn =
-      saturatingSub(delta.fusionGatesIn, previous.fusionGatesIn);
-  delta.fusionBlocks =
-      saturatingSub(delta.fusionBlocks, previous.fusionBlocks);
-  delta.fusionSweepsSaved =
-      saturatingSub(delta.fusionSweepsSaved, previous.fusionSweepsSaved);
-  for (std::size_t r = 0; r < delta.dispatchRoutes.size() &&
-                          r < previous.dispatchRoutes.size();
-       ++r) {
-    delta.dispatchRoutes[r] =
-        saturatingSub(delta.dispatchRoutes[r], previous.dispatchRoutes[r]);
-  }
-  delta.dispatchFallbacks =
-      saturatingSub(delta.dispatchFallbacks, previous.dispatchFallbacks);
-  delta.dispatchConversions =
-      saturatingSub(delta.dispatchConversions, previous.dispatchConversions);
-  // Tier bytes are gauges (kept current, like state bytes); the prefetch
-  // walk counters are counters and delta like the rest.
-  delta.prefetchIssued =
-      saturatingSub(delta.prefetchIssued, previous.prefetchIssued);
-  delta.prefetchHits = saturatingSub(delta.prefetchHits, previous.prefetchHits);
-  delta.prefetchRetired =
-      saturatingSub(delta.prefetchRetired, previous.prefetchRetired);
   return delta;
 }
 
@@ -299,33 +221,15 @@ inline std::string renderOpenMetrics(const ObsSnapshot& snap) {
       << openMetricsLabel(sim::simdLevelName(sim::activeSimdLevel()))
       << "\",obs=\"" << (builtWithObs() ? "true" : "false") << "\"} 1\n";
 
-  const auto counter = [&out](const char* name, const char* help,
+  const auto counter = [&out](const std::string& name, const char* help,
                               std::uint64_t value) {
     out << "# TYPE " << name << " counter\n";
     if (help != nullptr) out << "# HELP " << name << " " << help << "\n";
     out << name << "_total " << value << "\n";
   };
-  counter("qclab_gate_applications",
-          "Gate applications counted by the instrumented backends.",
-          snap.gateApplications);
-  counter("qclab_bytes_touched",
-          "Estimated state-vector bytes read and written.",
-          snap.bytesTouched);
-  counter("qclab_branch_spawns", nullptr, snap.branchSpawns);
-  counter("qclab_branch_prunes", nullptr, snap.branchPrunes);
-  counter("qclab_shots_sampled", nullptr, snap.shotsSampled);
-  counter("qclab_circuit_simulations", nullptr, snap.circuitSimulations);
-  counter("qclab_noise_channel_applications", nullptr,
-          snap.noiseChannelApplications);
-  counter("qclab_trajectory_runs", nullptr, snap.trajectoryRuns);
-  counter("qclab_trajectories_simulated", nullptr,
-          snap.trajectoriesSimulated);
-  counter("qclab_batch_runs",
-          "Batched multi-circuit executions (BatchedSimulation runs).",
-          snap.batchRuns);
-  counter("qclab_batch_members_simulated",
-          "Parameter-set members executed across all batch runs.",
-          snap.batchMembersSimulated);
+  for (const CounterRow& row : kCounterRows) {
+    counter(std::string("qclab_") + row.name, row.help, snap[row.counter]);
+  }
   counter("qclab_sentinel_checks",
           "Numerical-health checks performed by the sentinels.",
           snap.sentinelChecks);
@@ -338,16 +242,6 @@ inline std::string renderOpenMetrics(const ObsSnapshot& snap) {
   counter("qclab_flight_events_recorded",
           "Events recorded by the always-on flight recorder.",
           snap.flightEventsRecorded);
-  counter("qclab_fusion_gates_in", nullptr, snap.fusionGatesIn);
-  counter("qclab_fusion_blocks", nullptr, snap.fusionBlocks);
-  counter("qclab_fusion_sweeps_saved", nullptr, snap.fusionSweepsSaved);
-  counter("qclab_dispatch_fallbacks",
-          "Tableau-phase refusals that fell back to the statevector path.",
-          snap.dispatchFallbacks);
-  counter("qclab_dispatch_conversions",
-          "Tableau branches expanded into statevectors at the conversion "
-          "point.",
-          snap.dispatchConversions);
 
   out << "# TYPE qclab_state_bytes gauge\n"
       << "# HELP qclab_state_bytes Live simulation-state bytes.\n"
@@ -355,61 +249,42 @@ inline std::string renderOpenMetrics(const ObsSnapshot& snap) {
   out << "# TYPE qclab_state_bytes_peak gauge\n"
       << "qclab_state_bytes_peak " << snap.peakStateBytes << "\n";
 
+  // Label-indexed families: counters list their non-zero cells, gauges
+  // every cell.
+  const auto family = [&out](const char* name, bool gauge, const char* help,
+                             const char* label,
+                             const std::vector<std::uint64_t>& values,
+                             auto labelName) {
+    bool headed = false;
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      if (!gauge && values[i] == 0) continue;
+      if (!headed) {
+        out << "# TYPE " << name << (gauge ? " gauge\n" : " counter\n");
+        if (help != nullptr) out << "# HELP " << name << " " << help << "\n";
+        headed = true;
+      }
+      out << name << (gauge ? "{" : "_total{") << label << "=\""
+          << openMetricsLabel(labelName(static_cast<int>(i))) << "\"} "
+          << values[i] << "\n";
+    }
+  };
+  const auto pathName = [](int i) {
+    return sim::kernelPathName(static_cast<sim::KernelPath>(i));
+  };
+  const auto tierName = [](int i) {
+    return sim::stateTierName(static_cast<sim::StateTier>(i));
+  };
   // Per-tier memory gauges (state_buffer.hpp tier ladder): resident is
   // what the tier believes is backed by RAM, mapped is address space.
-  out << "# TYPE qclab_state_tier_resident_bytes gauge\n"
-      << "# HELP qclab_state_tier_resident_bytes Live state bytes "
-         "resident in RAM per memory tier.\n";
-  for (std::size_t t = 0; t < snap.tierResidentBytes.size(); ++t) {
-    out << "qclab_state_tier_resident_bytes{tier=\""
-        << openMetricsLabel(sim::stateTierName(
-               static_cast<sim::StateTier>(static_cast<int>(t))))
-        << "\"} " << snap.tierResidentBytes[t] << "\n";
-  }
-  out << "# TYPE qclab_state_tier_mapped_bytes gauge\n";
-  for (std::size_t t = 0; t < snap.tierMappedBytes.size(); ++t) {
-    out << "qclab_state_tier_mapped_bytes{tier=\""
-        << openMetricsLabel(sim::stateTierName(
-               static_cast<sim::StateTier>(static_cast<int>(t))))
-        << "\"} " << snap.tierMappedBytes[t] << "\n";
-  }
-  counter("qclab_prefetch_issued",
-          "madvise(WILLNEED) granules issued by the out-of-core walk.",
-          snap.prefetchIssued);
-  counter("qclab_prefetch_hits",
-          "Prefetch requests that found the granule already resident.",
-          snap.prefetchHits);
-  counter("qclab_prefetch_retired",
-          "madvise(DONTNEED) granules dropped behind the walk.",
-          snap.prefetchRetired);
-
-  const auto pathName = [](std::size_t i) {
-    return sim::kernelPathName(
-        static_cast<sim::KernelPath>(static_cast<int>(i)));
-  };
-
-  bool any = false;
-  for (std::size_t i = 0; i < snap.gateByPath.size(); ++i) {
-    if (snap.gateByPath[i] == 0) continue;
-    if (!any) {
-      out << "# TYPE qclab_path_gate_applications counter\n";
-      any = true;
-    }
-    out << "qclab_path_gate_applications_total{path=\""
-        << openMetricsLabel(pathName(i)) << "\"} " << snap.gateByPath[i]
-        << "\n";
-  }
-  any = false;
-  for (std::size_t i = 0; i < snap.bytesByPath.size(); ++i) {
-    if (snap.bytesByPath[i] == 0) continue;
-    if (!any) {
-      out << "# TYPE qclab_path_bytes_touched counter\n";
-      any = true;
-    }
-    out << "qclab_path_bytes_touched_total{path=\""
-        << openMetricsLabel(pathName(i)) << "\"} " << snap.bytesByPath[i]
-        << "\n";
-  }
+  family("qclab_state_tier_resident_bytes", true,
+         "Live state bytes resident in RAM per memory tier.", "tier",
+         snap.tierResidentBytes, tierName);
+  family("qclab_state_tier_mapped_bytes", true, nullptr, "tier",
+         snap.tierMappedBytes, tierName);
+  family("qclab_path_gate_applications", false, nullptr, "path",
+         snap.gateByPath, pathName);
+  family("qclab_path_bytes_touched", false, nullptr, "path", snap.bytesByPath,
+         pathName);
   if (!snap.gateByKind.empty()) {
     out << "# TYPE qclab_kind_gate_applications counter\n";
     for (const auto& [kind, count] : snap.gateByKind) {
@@ -417,20 +292,11 @@ inline std::string renderOpenMetrics(const ObsSnapshot& snap) {
           << openMetricsLabel(kind) << "\"} " << count << "\n";
     }
   }
-  any = false;
-  for (std::size_t r = 0; r < snap.dispatchRoutes.size(); ++r) {
-    if (snap.dispatchRoutes[r] == 0) continue;
-    if (!any) {
-      out << "# TYPE qclab_dispatch_routes counter\n"
-          << "# HELP qclab_dispatch_routes Route decisions of the "
-             "adaptive dispatcher.\n";
-      any = true;
-    }
-    out << "qclab_dispatch_routes_total{route=\""
-        << openMetricsLabel(sim::dispatchRouteName(
-               static_cast<sim::DispatchRoute>(static_cast<int>(r))))
-        << "\"} " << snap.dispatchRoutes[r] << "\n";
-  }
+  family("qclab_dispatch_routes", false,
+         "Route decisions of the adaptive dispatcher.", "route",
+         snap.dispatchRoutes, [](int i) {
+           return sim::dispatchRouteName(static_cast<sim::DispatchRoute>(i));
+         });
 
   if (!snap.stages.empty()) {
     out << "# TYPE qclab_stage_runs counter\n";
@@ -451,7 +317,7 @@ inline std::string renderOpenMetrics(const ObsSnapshot& snap) {
 
   // Per-path latency histograms: log2 ns buckets exported as cumulative
   // seconds-bounded `le` buckets, trailing empties folded into +Inf.
-  any = false;
+  bool any = false;
   for (std::size_t i = 0; i < snap.histograms.size(); ++i) {
     const HistogramSnapshot& h = snap.histograms[i];
     if (h.empty()) continue;
@@ -461,7 +327,8 @@ inline std::string renderOpenMetrics(const ObsSnapshot& snap) {
              "dispatch path.\n";
       any = true;
     }
-    const std::string label = openMetricsLabel(pathName(i));
+    const std::string label =
+        openMetricsLabel(pathName(static_cast<int>(i)));
     int last = static_cast<int>(h.buckets.size()) - 1;
     while (last > 0 && h.buckets[static_cast<std::size_t>(last)] == 0) {
       --last;
@@ -509,7 +376,7 @@ inline std::string renderOpenMetrics(const ObsSnapshot& snap) {
         headed = true;
       }
       out << field.family << "_total{path=\""
-          << openMetricsLabel(pathName(i)) << "\"} ";
+          << openMetricsLabel(pathName(static_cast<int>(i))) << "\"} ";
       if (field.scale == 1.0) {
         out << raw;
       } else {

@@ -21,22 +21,19 @@
 ///
 /// Sampling is additionally gated behind PerfRegistry::enable() (off by
 /// default) so unit tests and library users pay only one branch per scope.
-/// Non-Linux builds and QCLAB_OBS_DISABLED compile to API-identical no-ops.
+/// Non-Linux hosts report an explicit unavailable marker, and under
+/// QCLAB_OBS_DISABLED the sampling bodies are discarded.
 
+#include <atomic>
 #include <cstdint>
+#include <iterator>
 #include <string>
 
+#include "qclab/obs/enabled.hpp"
 #include "qclab/sim/kernel_path.hpp"
 
-#if !defined(QCLAB_OBS_DISABLED) && defined(__linux__)
+#ifdef __linux__
 #define QCLAB_OBS_PERF_LINUX 1
-#endif
-
-#ifndef QCLAB_OBS_DISABLED
-#include <atomic>
-#endif
-
-#ifdef QCLAB_OBS_PERF_LINUX
 #include <linux/perf_event.h>
 #include <sys/syscall.h>
 #include <unistd.h>
@@ -83,6 +80,13 @@ struct PerfCounts {
   }
 };
 
+/// Every PerfCounts field, in declaration order (registry cells, deltas).
+inline constexpr std::uint64_t PerfCounts::*kPerfFields[] = {
+    &PerfCounts::samples,      &PerfCounts::cycles,
+    &PerfCounts::instructions, &PerfCounts::llcReferences,
+    &PerfCounts::llcMisses,    &PerfCounts::stalledCycles,
+    &PerfCounts::taskClockNs,  &PerfCounts::pageFaults};
+
 /// What the host's PMU actually delivers, probed once per process.
 struct PerfCapability {
   bool hardware = false;  ///< cycles + instructions opened
@@ -94,8 +98,6 @@ struct PerfCapability {
   /// True when at least one counter group is live.
   bool any() const noexcept { return hardware || software; }
 };
-
-#ifndef QCLAB_OBS_DISABLED
 
 #ifdef QCLAB_OBS_PERF_LINUX
 
@@ -157,46 +159,58 @@ class PerfEventGroup {
 
 }  // namespace detail
 
+#endif  // QCLAB_OBS_PERF_LINUX
+
 /// Probes perf_event_open once and caches what this host can deliver.
 inline const PerfCapability& perfCapability() {
   static const PerfCapability capability = [] {
     PerfCapability cap;
-    const auto failure = [](const char* event) {
-      return std::string("perf_event_open(") + event +
-             ") failed: " + std::strerror(errno);
-    };
-    {
-      detail::PerfEventGroup hw;
-      const int cycles =
-          hw.add(PERF_TYPE_HARDWARE, PERF_COUNT_HW_CPU_CYCLES);
-      if (cycles < 0) {
-        cap.reason = failure("cycles");
-      } else if (hw.add(PERF_TYPE_HARDWARE, PERF_COUNT_HW_INSTRUCTIONS) <
-                 0) {
-        cap.reason = failure("instructions");
-      } else {
-        cap.hardware = true;
-        cap.llc =
-            hw.add(PERF_TYPE_HARDWARE, PERF_COUNT_HW_CACHE_REFERENCES) >=
-                0 &&
-            hw.add(PERF_TYPE_HARDWARE, PERF_COUNT_HW_CACHE_MISSES) >= 0;
-        cap.stalled = hw.add(PERF_TYPE_HARDWARE,
-                             PERF_COUNT_HW_STALLED_CYCLES_BACKEND) >= 0;
+    if constexpr (!kEnabled) {
+      cap.reason = "observability disabled (QCLAB_OBS_DISABLED)";
+    } else {
+#ifdef QCLAB_OBS_PERF_LINUX
+      const auto failure = [](const char* event) {
+        return std::string("perf_event_open(") + event +
+               ") failed: " + std::strerror(errno);
+      };
+      {
+        detail::PerfEventGroup hw;
+        const int cycles =
+            hw.add(PERF_TYPE_HARDWARE, PERF_COUNT_HW_CPU_CYCLES);
+        if (cycles < 0) {
+          cap.reason = failure("cycles");
+        } else if (hw.add(PERF_TYPE_HARDWARE,
+                          PERF_COUNT_HW_INSTRUCTIONS) < 0) {
+          cap.reason = failure("instructions");
+        } else {
+          cap.hardware = true;
+          cap.llc =
+              hw.add(PERF_TYPE_HARDWARE, PERF_COUNT_HW_CACHE_REFERENCES) >=
+                  0 &&
+              hw.add(PERF_TYPE_HARDWARE, PERF_COUNT_HW_CACHE_MISSES) >= 0;
+          cap.stalled = hw.add(PERF_TYPE_HARDWARE,
+                               PERF_COUNT_HW_STALLED_CYCLES_BACKEND) >= 0;
+        }
       }
-    }
-    {
-      detail::PerfEventGroup sw;
-      cap.software =
-          sw.add(PERF_TYPE_SOFTWARE, PERF_COUNT_SW_TASK_CLOCK) >= 0 &&
-          sw.add(PERF_TYPE_SOFTWARE, PERF_COUNT_SW_PAGE_FAULTS) >= 0;
-      if (!cap.software && cap.reason.empty()) {
-        cap.reason = failure("task-clock");
+      {
+        detail::PerfEventGroup sw;
+        cap.software =
+            sw.add(PERF_TYPE_SOFTWARE, PERF_COUNT_SW_TASK_CLOCK) >= 0 &&
+            sw.add(PERF_TYPE_SOFTWARE, PERF_COUNT_SW_PAGE_FAULTS) >= 0;
+        if (!cap.software && cap.reason.empty()) {
+          cap.reason = failure("task-clock");
+        }
       }
+#else
+      cap.reason = "perf_event_open is only available on Linux";
+#endif
     }
     return cap;
   }();
   return capability;
 }
+
+#ifdef QCLAB_OBS_PERF_LINUX
 
 namespace detail {
 
@@ -276,18 +290,6 @@ inline ThreadPerfEvents& threadPerfEvents() {
 
 }  // namespace detail
 
-#else  // !QCLAB_OBS_PERF_LINUX (obs enabled, non-Linux host)
-
-/// Non-Linux hosts have no perf_event_open: report an explicit marker.
-inline const PerfCapability& perfCapability() {
-  static const PerfCapability capability = [] {
-    PerfCapability cap;
-    cap.reason = "perf_event_open is only available on Linux";
-    return cap;
-  }();
-  return capability;
-}
-
 #endif  // QCLAB_OBS_PERF_LINUX
 
 /// Process-wide per-path accumulation of PerfScope deltas.  Recording is
@@ -300,38 +302,27 @@ class PerfRegistry {
     enabled_.store(false, std::memory_order_relaxed);
   }
   bool enabled() const noexcept {
-    return enabled_.load(std::memory_order_relaxed);
+    return kEnabled && enabled_.load(std::memory_order_relaxed);
   }
 
-  /// Adds one scope's counter deltas to `path`.
-  void record(sim::KernelPath path, const PerfCounts& delta) noexcept {
-    Cell& cell = cells_[static_cast<std::size_t>(path)];
-    cell.samples.fetch_add(1, std::memory_order_relaxed);
-    cell.cycles.fetch_add(delta.cycles, std::memory_order_relaxed);
-    cell.instructions.fetch_add(delta.instructions,
-                                std::memory_order_relaxed);
-    cell.llcReferences.fetch_add(delta.llcReferences,
-                                 std::memory_order_relaxed);
-    cell.llcMisses.fetch_add(delta.llcMisses, std::memory_order_relaxed);
-    cell.stalledCycles.fetch_add(delta.stalledCycles,
-                                 std::memory_order_relaxed);
-    cell.taskClockNs.fetch_add(delta.taskClockNs,
-                               std::memory_order_relaxed);
-    cell.pageFaults.fetch_add(delta.pageFaults, std::memory_order_relaxed);
+  /// Adds one scope's counter deltas to `path` (`samples` counts one).
+  void record(sim::KernelPath path, PerfCounts delta) noexcept {
+    if constexpr (kEnabled) {
+      delta.samples = 1;
+      auto& cells = cells_[static_cast<std::size_t>(path)];
+      for (std::size_t f = 0; f < std::size(kPerfFields); ++f) {
+        cells[f].fetch_add(delta.*kPerfFields[f], std::memory_order_relaxed);
+      }
+    }
   }
 
   /// Accumulated totals of `path`.
   PerfCounts counts(sim::KernelPath path) const noexcept {
-    const Cell& cell = cells_[static_cast<std::size_t>(path)];
+    const auto& cells = cells_[static_cast<std::size_t>(path)];
     PerfCounts out;
-    out.samples = cell.samples.load(std::memory_order_relaxed);
-    out.cycles = cell.cycles.load(std::memory_order_relaxed);
-    out.instructions = cell.instructions.load(std::memory_order_relaxed);
-    out.llcReferences = cell.llcReferences.load(std::memory_order_relaxed);
-    out.llcMisses = cell.llcMisses.load(std::memory_order_relaxed);
-    out.stalledCycles = cell.stalledCycles.load(std::memory_order_relaxed);
-    out.taskClockNs = cell.taskClockNs.load(std::memory_order_relaxed);
-    out.pageFaults = cell.pageFaults.load(std::memory_order_relaxed);
+    for (std::size_t f = 0; f < std::size(kPerfFields); ++f) {
+      out.*kPerfFields[f] = cells[f].load(std::memory_order_relaxed);
+    }
     return out;
   }
 
@@ -340,46 +331,22 @@ class PerfRegistry {
     PerfCounts sum;
     for (int p = 0; p < sim::kKernelPathCount; ++p) {
       const PerfCounts c = counts(static_cast<sim::KernelPath>(p));
-      sum.samples += c.samples;
-      sum.cycles += c.cycles;
-      sum.instructions += c.instructions;
-      sum.llcReferences += c.llcReferences;
-      sum.llcMisses += c.llcMisses;
-      sum.stalledCycles += c.stalledCycles;
-      sum.taskClockNs += c.taskClockNs;
-      sum.pageFaults += c.pageFaults;
+      for (const auto field : kPerfFields) sum.*field += c.*field;
     }
     return sum;
   }
 
   /// Zeroes every accumulator (the enable gate is left as-is).
   void reset() noexcept {
-    for (auto& cell : cells_) {
-      cell.samples.store(0, std::memory_order_relaxed);
-      cell.cycles.store(0, std::memory_order_relaxed);
-      cell.instructions.store(0, std::memory_order_relaxed);
-      cell.llcReferences.store(0, std::memory_order_relaxed);
-      cell.llcMisses.store(0, std::memory_order_relaxed);
-      cell.stalledCycles.store(0, std::memory_order_relaxed);
-      cell.taskClockNs.store(0, std::memory_order_relaxed);
-      cell.pageFaults.store(0, std::memory_order_relaxed);
+    for (auto& cells : cells_) {
+      for (auto& cell : cells) cell.store(0, std::memory_order_relaxed);
     }
   }
 
  private:
-  struct Cell {
-    std::atomic<std::uint64_t> samples{0};
-    std::atomic<std::uint64_t> cycles{0};
-    std::atomic<std::uint64_t> instructions{0};
-    std::atomic<std::uint64_t> llcReferences{0};
-    std::atomic<std::uint64_t> llcMisses{0};
-    std::atomic<std::uint64_t> stalledCycles{0};
-    std::atomic<std::uint64_t> taskClockNs{0};
-    std::atomic<std::uint64_t> pageFaults{0};
-  };
-
   std::atomic<bool> enabled_{false};
-  Cell cells_[sim::kKernelPathCount];
+  std::atomic<std::uint64_t> cells_[sim::kKernelPathCount]
+                                   [std::size(kPerfFields)] = {};
 };
 
 /// The process-wide perf registry.
@@ -396,8 +363,10 @@ class PerfScope {
  public:
   explicit PerfScope(sim::KernelPath path) noexcept : path_(path) {
 #ifdef QCLAB_OBS_PERF_LINUX
-    active_ = perfRegistry().enabled() &&
-              detail::threadPerfEvents().sample(start_);
+    if constexpr (kEnabled) {
+      active_ = perfRegistry().enabled() &&
+                detail::threadPerfEvents().sample(start_);
+    }
 #endif
   }
 
@@ -406,66 +375,19 @@ class PerfScope {
 
   ~PerfScope() {
 #ifdef QCLAB_OBS_PERF_LINUX
-    if (!active_) return;
-    PerfCounts end;
-    if (!detail::threadPerfEvents().sample(end)) return;
-    PerfCounts delta;
-    delta.cycles = end.cycles - start_.cycles;
-    delta.instructions = end.instructions - start_.instructions;
-    delta.llcReferences = end.llcReferences - start_.llcReferences;
-    delta.llcMisses = end.llcMisses - start_.llcMisses;
-    delta.stalledCycles = end.stalledCycles - start_.stalledCycles;
-    delta.taskClockNs = end.taskClockNs - start_.taskClockNs;
-    delta.pageFaults = end.pageFaults - start_.pageFaults;
-    perfRegistry().record(path_, delta);
+    if constexpr (kEnabled) {
+      PerfCounts end;
+      if (!active_ || !detail::threadPerfEvents().sample(end)) return;
+      for (const auto field : kPerfFields) end.*field -= start_.*field;
+      perfRegistry().record(path_, end);
+    }
 #endif
   }
 
  private:
   sim::KernelPath path_;
-#ifdef QCLAB_OBS_PERF_LINUX
   PerfCounts start_;
   bool active_ = false;
-#endif
 };
-
-#else  // QCLAB_OBS_DISABLED
-
-/// Disabled builds have no perf surface at all.
-inline const PerfCapability& perfCapability() {
-  static const PerfCapability capability = [] {
-    PerfCapability cap;
-    cap.reason = "observability disabled (QCLAB_OBS_DISABLED)";
-    return cap;
-  }();
-  return capability;
-}
-
-/// No-op registry: records nothing, reads all-zero.
-class PerfRegistry {
- public:
-  void enable() noexcept {}
-  void disable() noexcept {}
-  bool enabled() const noexcept { return false; }
-  void record(sim::KernelPath, const PerfCounts&) noexcept {}
-  PerfCounts counts(sim::KernelPath) const noexcept { return {}; }
-  PerfCounts total() const noexcept { return {}; }
-  void reset() noexcept {}
-};
-
-inline PerfRegistry& perfRegistry() {
-  static PerfRegistry instance;
-  return instance;
-}
-
-/// No-op scope.
-class PerfScope {
- public:
-  explicit PerfScope(sim::KernelPath) noexcept {}
-  PerfScope(const PerfScope&) = delete;
-  PerfScope& operator=(const PerfScope&) = delete;
-};
-
-#endif  // QCLAB_OBS_DISABLED
 
 }  // namespace qclab::obs

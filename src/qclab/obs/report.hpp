@@ -3,9 +3,10 @@
 /// \file report.hpp
 /// \brief Aggregate export of the observability state.
 ///
-/// A Report snapshots the global Metrics registry, latency histograms, and
-/// Tracer, stamps the compile-time build configuration (qclab::buildInfo),
-/// and optionally carries named measurement results (benchmark timings).
+/// A Report renders one captureSnapshot() of every registry (so each
+/// section agrees with the others, e.g. bandwidth with bytes and timings),
+/// stamps the compile-time build configuration (qclab::buildInfo), and
+/// optionally carries named measurement results (benchmark timings).
 /// It renders as
 ///  - a pretty text block for terminals, and
 ///  - one JSON object in the repo's canonical BENCH_*.json shape
@@ -36,9 +37,12 @@
 ///    sampling profiler ran (profiler.hpp).
 /// Every quoted string goes through jsonEscape().
 ///
-/// The same implementation serves QCLAB_OBS_DISABLED builds: the no-op
-/// registries snapshot as all-zeros, and "obs": false marks the file.
+/// The counters section iterates the QCLAB_OBS_COUNTERS table, so a new
+/// table row appears with no edit here.  The same implementation serves
+/// QCLAB_OBS_DISABLED builds: the registries snapshot as all-zeros, and
+/// "obs": false marks the file.
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <iomanip>
@@ -51,6 +55,7 @@
 #include "qclab/obs/histogram.hpp"
 #include "qclab/obs/json.hpp"
 #include "qclab/obs/metrics.hpp"
+#include "qclab/obs/openmetrics.hpp"
 #include "qclab/obs/perfcounters.hpp"
 #include "qclab/obs/profiler.hpp"
 #include "qclab/obs/roofline.hpp"
@@ -89,90 +94,57 @@ class Report {
   /// Pretty text block: build line, counter table, latency percentiles,
   /// memory line, results table.
   std::string text() const {
-    const Metrics& m = metrics();
+    const ObsSnapshot snap = captureSnapshot();
     std::ostringstream out;
     out << "== qclab::obs report — " << name_ << " ==\n";
     out << "build: " << buildInfo() << "\n";
     out << "simd level: " << sim::simdLevelName(sim::activeSimdLevel())
         << " (detected " << sim::simdLevelName(sim::detectedSimdLevel())
         << ")\n";
-    out << "gate applications: " << m.gateApplications() << "\n";
-    for (int p = 0; p < sim::kKernelPathCount; ++p) {
-      const auto path = static_cast<sim::KernelPath>(p);
-      const std::uint64_t count = m.gateApplications(path);
-      if (count == 0) continue;
-      out << "  path " << std::left << std::setw(12)
-          << sim::kernelPathName(path) << " " << count << "\n";
+    for (const CounterRow& row : kCounterRows) {
+      std::string label = row.name;
+      std::replace(label.begin(), label.end(), '_', ' ');
+      out << label << ": " << snap[row.counter] << "\n";
     }
-    for (const auto& [kind, count] : m.gateKinds()) {
+    for (int p = 0; p < sim::kKernelPathCount; ++p) {
+      const std::uint64_t count = snap.gateByPath[p];
+      if (count == 0) continue;
+      out << "  path " << std::left << std::setw(12) << pathName(p) << " "
+          << count << "\n";
+    }
+    for (const auto& [kind, count] : snap.gateByKind) {
       out << "  kind " << std::left << std::setw(12) << kind << " " << count
           << "\n";
     }
     for (int p = 0; p < sim::kKernelPathCount; ++p) {
-      const auto path = static_cast<sim::KernelPath>(p);
-      const HistogramSnapshot snap =
-          latencyHistograms().histogram(path).snapshot();
-      if (snap.empty()) continue;
-      out << "  latency " << std::left << std::setw(20)
-          << sim::kernelPathName(path) << " p50 " << std::fixed
-          << std::setprecision(0) << snap.percentileNs(0.50) << "ns  p90 "
-          << snap.percentileNs(0.90) << "ns  p99 " << snap.percentileNs(0.99)
-          << "ns  (" << snap.count << " samples)\n";
-      const std::uint64_t pathBytes = m.bytesTouched(path);
-      if (snap.sumNs > 0 && pathBytes > 0) {
-        out << "  bandwidth " << std::left << std::setw(18)
-            << sim::kernelPathName(path) << " " << std::setprecision(2)
-            << static_cast<double>(pathBytes) /
-                   static_cast<double>(snap.sumNs)
+      const HistogramSnapshot& h = snap.histograms[p];
+      if (h.empty()) continue;
+      out << "  latency " << std::left << std::setw(20) << pathName(p)
+          << " p50 " << std::fixed << std::setprecision(0)
+          << h.percentileNs(0.50) << "ns  p90 " << h.percentileNs(0.90)
+          << "ns  p99 " << h.percentileNs(0.99) << "ns  (" << h.count
+          << " samples)\n";
+      if (h.sumNs > 0 && snap.bytesByPath[p] > 0) {
+        out << "  bandwidth " << std::left << std::setw(18) << pathName(p)
+            << " " << std::setprecision(2) << bandwidthGBps(snap, p)
             << " GB/s (est.)\n";
       }
     }
-    out << "bytes touched (est.): " << m.bytesTouched() << "\n";
-    out << "state memory: " << m.currentStateBytes() << " live, "
-        << m.peakStateBytes() << " peak\n";
+    out << "state memory: " << snap.currentStateBytes << " live, "
+        << snap.peakStateBytes << " peak\n";
     for (int t = 0; t < sim::kStateTierCount; ++t) {
-      const auto tier = static_cast<sim::StateTier>(t);
-      const std::uint64_t resident = m.tierResidentBytes(tier);
-      const std::uint64_t mapped = m.tierMappedBytes(tier);
+      const std::uint64_t resident = snap.tierResidentBytes[t];
+      const std::uint64_t mapped = snap.tierMappedBytes[t];
       if (resident == 0 && mapped == 0) continue;
-      out << "  tier " << sim::stateTierName(tier) << ": " << resident
-          << " resident, " << mapped << " mapped\n";
+      out << "  tier " << sim::stateTierName(static_cast<sim::StateTier>(t))
+          << ": " << resident << " resident, " << mapped << " mapped\n";
     }
-    if (m.prefetchIssued() != 0 || m.prefetchHits() != 0 ||
-        m.prefetchRetired() != 0) {
-      out << "prefetch: " << m.prefetchIssued() << " issued, "
-          << m.prefetchHits() << " hits, " << m.prefetchRetired()
-          << " retired\n";
+    out << "dispatch routes:";
+    for (int r = 0; r < sim::kDispatchRouteCount; ++r) {
+      out << " " << sim::dispatchRouteName(static_cast<sim::DispatchRoute>(r))
+          << " " << snap.dispatchRoutes[r];
     }
-    out << "branches: " << m.branchSpawns() << " spawned, "
-        << m.branchPrunes() << " pruned\n";
-    out << "shots sampled: " << m.shotsSampled() << "\n";
-    out << "circuit simulations: " << m.circuitSimulations() << "\n";
-    out << "noise channel applications: " << m.noiseChannelApplications()
-        << "\n";
-    if (m.trajectoryRuns() != 0) {
-      out << "trajectories: " << m.trajectoriesSimulated() << " over "
-          << m.trajectoryRuns() << " runs\n";
-    }
-    if (m.batchRuns() != 0) {
-      out << "batch: " << m.batchMembersSimulated() << " members over "
-          << m.batchRuns() << " runs\n";
-    }
-    if (m.fusionGatesIn() != 0) {
-      out << "fusion: " << m.fusionGatesIn() << " gates -> "
-          << m.fusionBlocks() << " blocks (" << m.fusionSweepsSaved()
-          << " sweeps saved)\n";
-    }
-    if (m.dispatchRoutesTotal() != 0) {
-      out << "dispatch:";
-      for (int r = 0; r < sim::kDispatchRouteCount; ++r) {
-        const auto route = static_cast<sim::DispatchRoute>(r);
-        out << " " << sim::dispatchRouteName(route) << " "
-            << m.dispatchRoutes(route);
-      }
-      out << " (" << m.dispatchConversions() << " conversions, "
-          << m.dispatchFallbacks() << " fallbacks)\n";
-    }
+    out << "\n";
     const PerfCapability& perfCap = perfCapability();
     if (!perfCap.any()) {
       out << "perf counters: unavailable (" << perfCap.reason << ")\n";
@@ -181,12 +153,10 @@ class Report {
           << (perfCap.hardware && perfCap.software ? "+" : "")
           << (perfCap.software ? "software" : "") << "\n";
       for (int p = 0; p < sim::kKernelPathCount; ++p) {
-        const auto path = static_cast<sim::KernelPath>(p);
-        const PerfCounts counts = perfRegistry().counts(path);
+        const PerfCounts& counts = snap.perf[p];
         if (counts.empty()) continue;
-        out << "  perf " << std::left << std::setw(20)
-            << sim::kernelPathName(path) << " " << counts.samples
-            << " samples";
+        out << "  perf " << std::left << std::setw(20) << pathName(p) << " "
+            << counts.samples << " samples";
         if (counts.cycles != 0) {
           out << ", ipc " << std::fixed << std::setprecision(2)
               << counts.ipc();
@@ -203,43 +173,37 @@ class Report {
       out << "roofline peak: " << std::fixed << std::setprecision(2)
           << cal.peakGBps << " GB/s (" << cal.source << ")\n";
       for (int p = 0; p < sim::kKernelPathCount; ++p) {
-        const auto path = static_cast<sim::KernelPath>(p);
-        const HistogramSnapshot snap =
-            latencyHistograms().histogram(path).snapshot();
-        const std::uint64_t pathBytes = m.bytesTouched(path);
-        if (snap.sumNs == 0 || pathBytes == 0) continue;
-        const RooflinePoint point = rooflinePoint(
-            path, pathBytes, snap.sumNs, perfRegistry().counts(path));
-        out << "  roofline " << std::left << std::setw(18)
-            << sim::kernelPathName(path) << " " << std::setprecision(2)
-            << point.achievedGBps << " GB/s ("
-            << std::setprecision(0) << point.fractionOfPeak * 100.0
-            << "% of peak, " << point.classification << ")\n";
+        if (snap.histograms[p].sumNs == 0 || snap.bytesByPath[p] == 0) {
+          continue;
+        }
+        const RooflinePoint point = roofline(snap, p);
+        out << "  roofline " << std::left << std::setw(18) << pathName(p)
+            << " " << std::setprecision(2) << point.achievedGBps
+            << " GB/s (" << std::setprecision(0)
+            << point.fractionOfPeak * 100.0 << "% of peak, "
+            << point.classification << ")\n";
       }
     } else {
       out << "roofline: unavailable (" << cal.source << ")\n";
     }
-    for (const auto& [stage, agg] : stageStats().snapshot()) {
+    for (const auto& [stage, agg] : snap.stages) {
       out << "  stage " << std::left << std::setw(20) << stage << " "
           << agg.count << " x " << std::fixed << std::setprecision(0)
-          << (agg.count == 0 ? 0.0
-                             : static_cast<double>(agg.sumNs) /
-                                   static_cast<double>(agg.count))
-          << "ns\n";
+          << meanNs(agg) << "ns\n";
     }
     const Sentinel& sentinelRef = sentinel();
     out << "sentinel: policy " << sentinelPolicyName(sentinelRef.policy())
-        << ", " << sentinelRef.checks() << " checks, "
-        << sentinelRef.nanDetected() << " nan, "
-        << sentinelRef.normAlerts() << " norm alerts";
-    if (sentinelRef.checks() != 0) {
+        << ", " << snap.sentinelChecks << " checks, "
+        << snap.sentinelNanDetected << " nan, " << snap.sentinelNormAlerts
+        << " norm alerts";
+    if (snap.sentinelChecks != 0) {
       out << " (last |psi|^2 " << std::fixed << std::setprecision(6)
           << sentinelRef.lastNormSq() << ")";
     }
     out << "\n";
     out << "flight recorder: "
         << (flightRecorder().enabled() ? "on" : "off") << ", "
-        << flightRecorder().totalRecorded() << " events over "
+        << snap.flightEventsRecorded << " events over "
         << flightRecorder().threadCount() << " threads\n";
     if (profiler().samples() != 0) {
       out << "profiler: " << profiler().samples() << " samples, "
@@ -262,8 +226,22 @@ class Report {
 
   /// The canonical BENCH_*.json object (schema "qclab-obs-v4").
   std::string json() const {
-    const Metrics& m = metrics();
+    const ObsSnapshot snap = captureSnapshot();
     std::ostringstream out;
+    // `{"label": value, ...}` over the non-zero cells of a family.
+    const auto labelMap = [&out](const std::vector<std::uint64_t>& values,
+                                 auto labelName) {
+      out << "{";
+      bool first = true;
+      for (std::size_t i = 0; i < values.size(); ++i) {
+        if (values[i] == 0) continue;
+        if (!first) out << ", ";
+        first = false;
+        out << "\"" << jsonEscape(labelName(static_cast<int>(i)))
+            << "\": " << values[i];
+      }
+      out << "}";
+    };
     out << "{\n";
     out << "  \"schema\": \"qclab-obs-v4\",\n";
     out << "  \"name\": \"" << jsonEscape(name_) << "\",\n";
@@ -282,113 +260,60 @@ class Report {
     out << "    \"info\": \"" << jsonEscape(buildInfo()) << "\"\n";
     out << "  },\n";
     out << "  \"counters\": {\n";
-    out << "    \"gate_applications\": " << m.gateApplications() << ",\n";
-    out << "    \"gate_applications_by_path\": {";
-    bool first = true;
-    for (int p = 0; p < sim::kKernelPathCount; ++p) {
-      const auto path = static_cast<sim::KernelPath>(p);
-      const std::uint64_t count = m.gateApplications(path);
-      if (count == 0) continue;
-      if (!first) out << ", ";
-      first = false;
-      out << "\"" << jsonEscape(sim::kernelPathName(path))
-          << "\": " << count;
+    for (const CounterRow& row : kCounterRows) {
+      out << "    \"" << row.name << "\": " << snap[row.counter] << ",\n";
     }
-    out << "},\n";
-    out << "    \"gate_applications_by_kind\": {";
-    first = true;
-    for (const auto& [kind, count] : m.gateKinds()) {
+    out << "    \"gate_applications_by_path\": ";
+    labelMap(snap.gateByPath, pathName);
+    out << ",\n    \"gate_applications_by_kind\": {";
+    bool first = true;
+    for (const auto& [kind, count] : snap.gateByKind) {
       if (!first) out << ", ";
       first = false;
       out << "\"" << jsonEscape(kind) << "\": " << count;
     }
-    out << "},\n";
-    out << "    \"bytes_touched\": " << m.bytesTouched() << ",\n";
-    out << "    \"bytes_touched_by_path\": {";
-    first = true;
-    for (int p = 0; p < sim::kKernelPathCount; ++p) {
-      const auto path = static_cast<sim::KernelPath>(p);
-      const std::uint64_t bytes = m.bytesTouched(path);
-      if (bytes == 0) continue;
-      if (!first) out << ", ";
-      first = false;
-      out << "\"" << jsonEscape(sim::kernelPathName(path))
-          << "\": " << bytes;
-    }
-    out << "},\n";
-    out << "    \"branch_spawns\": " << m.branchSpawns() << ",\n";
-    out << "    \"branch_prunes\": " << m.branchPrunes() << ",\n";
-    out << "    \"shots_sampled\": " << m.shotsSampled() << ",\n";
-    out << "    \"circuit_simulations\": " << m.circuitSimulations()
-        << ",\n";
-    out << "    \"noise_channel_applications\": "
-        << m.noiseChannelApplications() << ",\n";
-    out << "    \"trajectory_runs\": " << m.trajectoryRuns() << ",\n";
-    out << "    \"trajectories_simulated\": " << m.trajectoriesSimulated()
-        << ",\n";
-    out << "    \"batch_runs\": " << m.batchRuns() << ",\n";
-    out << "    \"batch_members_simulated\": " << m.batchMembersSimulated()
-        << ",\n";
-    out << "    \"fusion_gates_in\": " << m.fusionGatesIn() << ",\n";
-    out << "    \"fusion_blocks_out\": " << m.fusionBlocks() << ",\n";
-    out << "    \"fusion_sweeps_saved\": " << m.fusionSweepsSaved() << ",\n";
-    // v4 (additive): adaptive-dispatch route decisions.
-    out << "    \"dispatch_routes\": {";
-    first = true;
-    for (int r = 0; r < sim::kDispatchRouteCount; ++r) {
-      const auto route = static_cast<sim::DispatchRoute>(r);
-      const std::uint64_t count = m.dispatchRoutes(route);
-      if (count == 0) continue;
-      if (!first) out << ", ";
-      first = false;
-      out << "\"" << jsonEscape(sim::dispatchRouteName(route))
-          << "\": " << count;
-    }
-    out << "},\n";
-    out << "    \"dispatch_conversions\": " << m.dispatchConversions()
-        << ",\n";
-    out << "    \"dispatch_fallbacks\": " << m.dispatchFallbacks() << "\n";
-    out << "  },\n";
+    out << "},\n    \"bytes_touched_by_path\": ";
+    labelMap(snap.bytesByPath, pathName);
+    out << ",\n    \"dispatch_routes\": ";
+    labelMap(snap.dispatchRoutes, [](int r) {
+      return sim::dispatchRouteName(static_cast<sim::DispatchRoute>(r));
+    });
+    out << "\n  },\n";
     out << "  \"memory\": {\n";
-    out << "    \"current_state_bytes\": " << m.currentStateBytes() << ",\n";
-    out << "    \"peak_state_bytes\": " << m.peakStateBytes() << ",\n";
+    out << "    \"current_state_bytes\": " << snap.currentStateBytes << ",\n";
+    out << "    \"peak_state_bytes\": " << snap.peakStateBytes << ",\n";
     out << "    \"tiers\": {";
     for (int t = 0; t < sim::kStateTierCount; ++t) {
-      const auto tier = static_cast<sim::StateTier>(t);
       if (t != 0) out << ",";
-      out << "\n      \"" << sim::stateTierName(tier) << "\": {"
-          << "\"resident_bytes\": " << m.tierResidentBytes(tier)
-          << ", \"mapped_bytes\": " << m.tierMappedBytes(tier) << "}";
+      out << "\n      \""
+          << sim::stateTierName(static_cast<sim::StateTier>(t)) << "\": {"
+          << "\"resident_bytes\": " << snap.tierResidentBytes[t]
+          << ", \"mapped_bytes\": " << snap.tierMappedBytes[t] << "}";
     }
-    out << "\n    },\n";
-    out << "    \"prefetch\": {\"issued\": " << m.prefetchIssued()
-        << ", \"hits\": " << m.prefetchHits()
-        << ", \"retired\": " << m.prefetchRetired() << "}\n";
+    out << "\n    }\n";
     out << "  },\n";
     out << "  \"histograms\": {";
     first = true;
     for (int p = 0; p < sim::kKernelPathCount; ++p) {
-      const auto path = static_cast<sim::KernelPath>(p);
-      const HistogramSnapshot snap =
-          latencyHistograms().histogram(path).snapshot();
-      if (snap.empty()) continue;
+      const HistogramSnapshot& h = snap.histograms[p];
+      if (h.empty()) continue;
       if (!first) out << ",";
       first = false;
-      out << "\n    \"" << jsonEscape(sim::kernelPathName(path)) << "\": {"
-          << "\"count\": " << snap.count << ", \"sum_ns\": " << snap.sumNs
-          << ", \"mean_ns\": " << std::setprecision(17) << snap.meanNs()
-          << ", \"p50_ns\": " << snap.percentileNs(0.50)
-          << ", \"p90_ns\": " << snap.percentileNs(0.90)
-          << ", \"p99_ns\": " << snap.percentileNs(0.99)
+      out << "\n    \"" << jsonEscape(pathName(p)) << "\": {"
+          << "\"count\": " << h.count << ", \"sum_ns\": " << h.sumNs
+          << ", \"mean_ns\": " << std::setprecision(17) << h.meanNs()
+          << ", \"p50_ns\": " << h.percentileNs(0.50)
+          << ", \"p90_ns\": " << h.percentileNs(0.90)
+          << ", \"p99_ns\": " << h.percentileNs(0.99)
           << ", \"buckets_log2_ns\": [";
       // Trailing zero buckets are trimmed to keep the file compact.
-      int last = static_cast<int>(snap.buckets.size()) - 1;
-      while (last > 0 && snap.buckets[static_cast<std::size_t>(last)] == 0) {
+      int last = static_cast<int>(h.buckets.size()) - 1;
+      while (last > 0 && h.buckets[static_cast<std::size_t>(last)] == 0) {
         --last;
       }
       for (int b = 0; b <= last; ++b) {
         if (b != 0) out << ", ";
-        out << snap.buckets[static_cast<std::size_t>(b)];
+        out << h.buckets[static_cast<std::size_t>(b)];
       }
       out << "]}";
     }
@@ -397,18 +322,13 @@ class Report {
     out << "  \"bandwidth_gbps_by_path\": {";
     first = true;
     for (int p = 0; p < sim::kKernelPathCount; ++p) {
-      const auto path = static_cast<sim::KernelPath>(p);
-      const HistogramSnapshot snap =
-          latencyHistograms().histogram(path).snapshot();
-      const std::uint64_t pathBytes = m.bytesTouched(path);
-      if (snap.sumNs == 0 || pathBytes == 0) continue;
+      if (snap.histograms[p].sumNs == 0 || snap.bytesByPath[p] == 0) {
+        continue;
+      }
       if (!first) out << ", ";
       first = false;
-      // bytes/ns == GB/s (decimal), the QCLAB++ effective-bandwidth metric.
-      out << "\"" << jsonEscape(sim::kernelPathName(path))
-          << "\": " << std::setprecision(17)
-          << static_cast<double>(pathBytes) /
-                 static_cast<double>(snap.sumNs);
+      out << "\"" << jsonEscape(pathName(p)) << "\": "
+          << std::setprecision(17) << bandwidthGBps(snap, p);
     }
     out << "},\n";
     // v3: hardware counters per path, or the explicit unavailable marker.
@@ -426,12 +346,11 @@ class Report {
     out << "    \"by_path\": {";
     first = true;
     for (int p = 0; p < sim::kKernelPathCount; ++p) {
-      const auto path = static_cast<sim::KernelPath>(p);
-      const PerfCounts counts = perfRegistry().counts(path);
+      const PerfCounts& counts = snap.perf[p];
       if (counts.empty()) continue;
       if (!first) out << ",";
       first = false;
-      out << "\n      \"" << jsonEscape(sim::kernelPathName(path))
+      out << "\n      \"" << jsonEscape(pathName(p))
           << "\": {\"samples\": " << counts.samples
           << ", \"cycles\": " << counts.cycles
           << ", \"instructions\": " << counts.instructions
@@ -462,20 +381,16 @@ class Report {
     out << "    \"by_path\": {";
     first = true;
     for (int p = 0; p < sim::kKernelPathCount; ++p) {
-      const auto path = static_cast<sim::KernelPath>(p);
-      const HistogramSnapshot snap =
-          latencyHistograms().histogram(path).snapshot();
-      const std::uint64_t pathBytes = m.bytesTouched(path);
-      if (snap.sumNs == 0 || pathBytes == 0) continue;
-      const RooflinePoint point = rooflinePoint(
-          path, pathBytes, snap.sumNs, perfRegistry().counts(path));
+      const std::uint64_t pathBytes = snap.bytesByPath[p];
+      if (snap.histograms[p].sumNs == 0 || pathBytes == 0) continue;
+      const RooflinePoint point = roofline(snap, p);
       if (pathBytes > dominantBytes) {
         dominantBytes = pathBytes;
         dominant = point.classification;
       }
       if (!first) out << ",";
       first = false;
-      out << "\n      \"" << jsonEscape(sim::kernelPathName(path))
+      out << "\n      \"" << jsonEscape(pathName(p))
           << "\": {\"achieved_gbps\": " << std::setprecision(17)
           << point.achievedGBps
           << ", \"fraction_of_peak\": " << point.fractionOfPeak
@@ -491,16 +406,13 @@ class Report {
     // v3: pipeline-stage wall time from the always-on StageStats registry.
     out << "  \"stages\": {";
     first = true;
-    for (const auto& [stage, agg] : stageStats().snapshot()) {
+    for (const auto& [stage, agg] : snap.stages) {
       if (!first) out << ",";
       first = false;
       out << "\n    \"" << jsonEscape(stage)
           << "\": {\"count\": " << agg.count
           << ", \"sum_ns\": " << agg.sumNs
-          << ", \"mean_ns\": " << std::setprecision(17)
-          << (agg.count == 0 ? 0.0
-                             : static_cast<double>(agg.sumNs) /
-                                   static_cast<double>(agg.count))
+          << ", \"mean_ns\": " << std::setprecision(17) << meanNs(agg)
           << "}";
     }
     if (!first) out << "\n  ";
@@ -512,10 +424,11 @@ class Report {
     out << "  \"sentinel\": {\n";
     out << "    \"policy\": \""
         << jsonEscape(sentinelPolicyName(sentinelRef.policy())) << "\",\n";
-    out << "    \"checks\": " << sentinelRef.checks() << ",\n";
-    out << "    \"nan_detected\": " << sentinelRef.nanDetected() << ",\n";
-    out << "    \"norm_alerts\": " << sentinelRef.normAlerts() << ",\n";
-    out << "    \"violations\": " << sentinelRef.violations() << ",\n";
+    out << "    \"checks\": " << snap.sentinelChecks << ",\n";
+    out << "    \"nan_detected\": " << snap.sentinelNanDetected << ",\n";
+    out << "    \"norm_alerts\": " << snap.sentinelNormAlerts << ",\n";
+    out << "    \"violations\": "
+        << snap.sentinelNanDetected + snap.sentinelNormAlerts << ",\n";
     out << "    \"last_norm_sq\": " << std::setprecision(17)
         << sentinelRef.lastNormSq() << ",\n";
     out << "    \"max_amp_sq\": " << sentinelRef.maxAmpSq() << ",\n";
@@ -530,8 +443,7 @@ class Report {
     out << "    \"enabled\": "
         << (flightRecorder().enabled() ? "true" : "false") << ",\n";
     out << "    \"threads\": " << flightRecorder().threadCount() << ",\n";
-    out << "    \"recorded_total\": " << flightRecorder().totalRecorded()
-        << ",\n";
+    out << "    \"recorded_total\": " << snap.flightEventsRecorded << ",\n";
     out << "    \"ring_capacity\": " << kFlightRingCapacity << "\n";
     out << "  },\n";
     // v4: SIGPROF sampling-profiler totals (zeros unless start() ran).
@@ -567,6 +479,28 @@ class Report {
   }
 
  private:
+  static const char* pathName(int p) {
+    return sim::kernelPathName(static_cast<sim::KernelPath>(p));
+  }
+
+  static double meanNs(const StageAgg& agg) {
+    return agg.count == 0 ? 0.0
+                          : static_cast<double>(agg.sumNs) /
+                                static_cast<double>(agg.count);
+  }
+
+  /// Effective GB/s of path `p` (bytes/ns == GB/s decimal, the QCLAB++
+  /// effective-bandwidth metric), from one snapshot's bytes and timings.
+  static double bandwidthGBps(const ObsSnapshot& snap, int p) {
+    return static_cast<double>(snap.bytesByPath[p]) /
+           static_cast<double>(snap.histograms[p].sumNs);
+  }
+
+  static RooflinePoint roofline(const ObsSnapshot& snap, int p) {
+    return rooflinePoint(static_cast<sim::KernelPath>(p), snap.bytesByPath[p],
+                         snap.histograms[p].sumNs, snap.perf[p]);
+  }
+
   std::string name_;
   std::vector<ReportResult> results_;
 };

@@ -18,17 +18,15 @@
 /// QCLAB_OBS_NO_ROOFLINE skips calibration entirely.  QCLAB_OBS_DISABLED
 /// builds never measure and render an explicit unavailable marker.
 
+#include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <string>
+#include <vector>
 
+#include "qclab/obs/enabled.hpp"
 #include "qclab/obs/perfcounters.hpp"
 #include "qclab/sim/kernel_path.hpp"
-
-#ifndef QCLAB_OBS_DISABLED
-#include <chrono>
-#include <cstdlib>
-#include <vector>
-#endif
 
 namespace qclab::obs {
 
@@ -87,84 +85,73 @@ inline double bytesPerAmp(sim::KernelPath path) noexcept {
   }
 }
 
-#ifndef QCLAB_OBS_DISABLED
-
 /// Measures (once per process) the peak streaming bandwidth with a
 /// STREAM-style triad, or adopts the QCLAB_OBS_PEAK_GBPS override.
 inline const RooflineCalibration& rooflineCalibration() {
   static const RooflineCalibration calibration = [] {
     RooflineCalibration cal;
-    if (const char* pinned = std::getenv("QCLAB_OBS_PEAK_GBPS")) {
-      const double value = std::atof(pinned);
-      if (value > 0.0) {
-        cal.measured = true;
-        cal.peakGBps = value;
-        cal.source = "env:QCLAB_OBS_PEAK_GBPS";
+    if constexpr (!kEnabled) {
+      cal.source = "observability disabled (QCLAB_OBS_DISABLED)";
+      return cal;
+    } else {
+      if (const char* pinned = std::getenv("QCLAB_OBS_PEAK_GBPS")) {
+        const double value = std::atof(pinned);
+        if (value > 0.0) {
+          cal.measured = true;
+          cal.peakGBps = value;
+          cal.source = "env:QCLAB_OBS_PEAK_GBPS";
+          return cal;
+        }
+      }
+      if (std::getenv("QCLAB_OBS_NO_ROOFLINE") != nullptr) {
+        cal.source = "skipped (QCLAB_OBS_NO_ROOFLINE)";
         return cal;
       }
-    }
-    if (std::getenv("QCLAB_OBS_NO_ROOFLINE") != nullptr) {
-      cal.source = "skipped (QCLAB_OBS_NO_ROOFLINE)";
-      return cal;
-    }
-    // 3 x 16 MiB of doubles: comfortably past any LLC so the triad
-    // streams from DRAM, small enough to calibrate in tens of ms.
-    constexpr std::int64_t n = std::int64_t{1} << 21;
-    std::vector<double> a(static_cast<std::size_t>(n), 1.0);
-    std::vector<double> b(static_cast<std::size_t>(n), 2.0);
-    std::vector<double> c(static_cast<std::size_t>(n), 0.5);
-    const double scalar = 3.0;
-    const auto wallStart = std::chrono::steady_clock::now();
-    double best = 0.0;
-    for (int iter = 0; iter < 4; ++iter) {  // iter 0 warms pages + caches
-      const auto sweepStart = std::chrono::steady_clock::now();
+      // 3 x 16 MiB of doubles: comfortably past any LLC so the triad
+      // streams from DRAM, small enough to calibrate in tens of ms.
+      constexpr std::int64_t n = std::int64_t{1} << 21;
+      std::vector<double> a(static_cast<std::size_t>(n), 1.0);
+      std::vector<double> b(static_cast<std::size_t>(n), 2.0);
+      std::vector<double> c(static_cast<std::size_t>(n), 0.5);
+      const double scalar = 3.0;
+      const auto wallStart = std::chrono::steady_clock::now();
+      double best = 0.0;
+      for (int iter = 0; iter < 4; ++iter) {  // iter 0 warms pages + caches
+        const auto sweepStart = std::chrono::steady_clock::now();
 #ifdef _OPENMP
 #pragma omp parallel for schedule(static)
 #endif
-      for (std::int64_t i = 0; i < n; ++i) {
-        a[static_cast<std::size_t>(i)] =
-            b[static_cast<std::size_t>(i)] +
-            scalar * c[static_cast<std::size_t>(i)];
+        for (std::int64_t i = 0; i < n; ++i) {
+          a[static_cast<std::size_t>(i)] =
+              b[static_cast<std::size_t>(i)] +
+              scalar * c[static_cast<std::size_t>(i)];
+        }
+        const double sweepNs = static_cast<double>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - sweepStart)
+                .count());
+        if (iter == 0 || sweepNs <= 0.0) continue;
+        // Triad traffic: read b, read c, write a = 24 bytes per element.
+        const double gbps = 24.0 * static_cast<double>(n) / sweepNs;
+        if (gbps > best) best = gbps;
       }
-      const double sweepNs = static_cast<double>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - sweepStart)
-              .count());
-      if (iter == 0 || sweepNs <= 0.0) continue;
-      // Triad traffic: read b, read c, write a = 24 bytes per element.
-      const double gbps = 24.0 * static_cast<double>(n) / sweepNs;
-      if (gbps > best) best = gbps;
+      volatile double sink = a[0];  // keep the triad observable
+      (void)sink;
+      cal.measured = best > 0.0;
+      cal.peakGBps = best;
+      cal.bufferBytes = 3 * static_cast<std::uint64_t>(n) * sizeof(double);
+      cal.calibrationMs =
+          static_cast<double>(
+              std::chrono::duration_cast<std::chrono::microseconds>(
+                  std::chrono::steady_clock::now() - wallStart)
+                  .count()) /
+          1e3;
+      cal.source = "stream-triad";
+      return cal;
     }
-    volatile double sink = a[0];  // keep the triad observable
-    (void)sink;
-    cal.measured = best > 0.0;
-    cal.peakGBps = best;
-    cal.bufferBytes = 3 * static_cast<std::uint64_t>(n) * sizeof(double);
-    cal.calibrationMs =
-        static_cast<double>(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - wallStart)
-                .count()) /
-        1e3;
-    cal.source = "stream-triad";
-    return cal;
   }();
   return calibration;
 }
-
-#else  // QCLAB_OBS_DISABLED
-
-/// Disabled builds never calibrate: explicit unavailable marker.
-inline const RooflineCalibration& rooflineCalibration() {
-  static const RooflineCalibration calibration = [] {
-    RooflineCalibration cal;
-    cal.source = "observability disabled (QCLAB_OBS_DISABLED)";
-    return cal;
-  }();
-  return calibration;
-}
-
-#endif  // QCLAB_OBS_DISABLED
 
 /// One kernel path placed on the roofline plane.
 struct RooflinePoint {

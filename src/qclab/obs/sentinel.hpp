@@ -31,25 +31,24 @@
 /// section and the OpenMetrics exporter as qclab_sentinel_* families.
 /// Violations also drop a kSentinelAlert event into the flight recorder so
 /// crash dumps show *when* the state went bad relative to the event
-/// stream.  Under QCLAB_OBS_DISABLED everything is an API-identical no-op.
+/// stream.  Under QCLAB_OBS_DISABLED the policy is pinned off and every
+/// check body is discarded.
 
-#include <complex>
-#include <cstdint>
-#include <stdexcept>
-#include <string>
-
-#include "qclab/obs/flightrecorder.hpp"
-#include "qclab/obs/histogram.hpp"
-
-#ifndef QCLAB_OBS_DISABLED
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <complex>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
-#endif
+#include <stdexcept>
+#include <string>
+
+#include "qclab/obs/enabled.hpp"
+#include "qclab/obs/flightrecorder.hpp"
+#include "qclab/obs/histogram.hpp"
 
 #ifdef QCLAB_HAS_OPENMP
 #include <omp.h>
@@ -88,23 +87,23 @@ struct SentinelConfig {
   double normTolerance = 1e-4;
 };
 
-#ifndef QCLAB_OBS_DISABLED
-
 /// The process-wide sentinel registry: configuration, counters, and the
 /// sticky deferred violation.
 class Sentinel {
  public:
   Sentinel() {
-    if (const char* env = std::getenv("QCLAB_OBS_SENTINEL")) {
-      if (std::strcmp(env, "off") == 0 || std::strcmp(env, "0") == 0) {
-        policy_.store(static_cast<int>(SentinelPolicy::kOff),
-                      std::memory_order_relaxed);
-      } else if (std::strcmp(env, "log") == 0) {
-        policy_.store(static_cast<int>(SentinelPolicy::kLog),
-                      std::memory_order_relaxed);
-      } else if (std::strcmp(env, "throw") == 0) {
-        policy_.store(static_cast<int>(SentinelPolicy::kThrow),
-                      std::memory_order_relaxed);
+    if constexpr (kEnabled) {
+      if (const char* env = std::getenv("QCLAB_OBS_SENTINEL")) {
+        if (std::strcmp(env, "off") == 0 || std::strcmp(env, "0") == 0) {
+          policy_.store(static_cast<int>(SentinelPolicy::kOff),
+                        std::memory_order_relaxed);
+        } else if (std::strcmp(env, "log") == 0) {
+          policy_.store(static_cast<int>(SentinelPolicy::kLog),
+                        std::memory_order_relaxed);
+        } else if (std::strcmp(env, "throw") == 0) {
+          policy_.store(static_cast<int>(SentinelPolicy::kThrow),
+                        std::memory_order_relaxed);
+        }
       }
     }
   }
@@ -124,19 +123,24 @@ class Sentinel {
 
   /// Replaces the configuration (tests, benches, service knobs).
   void configure(const SentinelConfig& cfg) noexcept {
-    policy_.store(static_cast<int>(cfg.policy), std::memory_order_relaxed);
-    interval_.store(cfg.interval == 0 ? 1 : cfg.interval,
-                    std::memory_order_relaxed);
-    storeDouble(normToleranceBits_, cfg.normTolerance);
+    if constexpr (kEnabled) {
+      policy_.store(static_cast<int>(cfg.policy), std::memory_order_relaxed);
+      interval_.store(cfg.interval == 0 ? 1 : cfg.interval,
+                      std::memory_order_relaxed);
+      storeDouble(normToleranceBits_, cfg.normTolerance);
+    }
   }
 
   /// Throttle gate of every check site: true on every `interval`-th call
   /// per thread (and never under kOff).  Cost: one TLS increment.
   bool shouldCheck() noexcept {
-    if (policy() == SentinelPolicy::kOff) return false;
-    thread_local std::uint64_t opportunities = 0;
-    return (opportunities++ %
-            interval_.load(std::memory_order_relaxed)) == 0;
+    if constexpr (kEnabled) {
+      if (policy() == SentinelPolicy::kOff) return false;
+      thread_local std::uint64_t opportunities = 0;
+      return (opportunities++ %
+              interval_.load(std::memory_order_relaxed)) == 0;
+    }
+    return false;
   }
 
   /// Feeds one completed check: `normSq` = sum|amp|^2 (double), `maxAmpSq`
@@ -145,40 +149,42 @@ class Sentinel {
   /// cost of the pass.  Applies the policy; never throws (kThrow defers).
   void report(double normSq, double maxAmpSq, bool nanSeen, const char* site,
               std::uint64_t checkNs) noexcept {
-    checks_.fetch_add(1, std::memory_order_relaxed);
-    checkHistogram_.record(checkNs);
-    storeDouble(lastNormSqBits_, normSq);
-    storeDoubleMax(maxAmpSqBits_, maxAmpSq);
-    const bool nanBad = nanSeen || !std::isfinite(normSq);
-    const bool normBad =
-        !nanBad && std::abs(normSq - 1.0) > loadDouble(normToleranceBits_);
-    if (!nanBad && !normBad) return;
-    if (nanBad) nanDetected_.fetch_add(1, std::memory_order_relaxed);
-    if (normBad) normAlerts_.fetch_add(1, std::memory_order_relaxed);
-    flightRecorder().record(FlightEventKind::kSentinelAlert, 0, 0,
-                            nanBad ? 1u : 2u);
-    switch (policy()) {
-      case SentinelPolicy::kOff:
-        break;
-      case SentinelPolicy::kLog:
-        std::fprintf(stderr,
-                     "qclab-sentinel: %s at %s: normSq=%.17g maxAmpSq=%.17g"
-                     " (check #%llu)\n",
-                     nanBad ? "non-finite amplitude" : "norm drift", site,
-                     normSq, maxAmpSq,
-                     static_cast<unsigned long long>(
-                         checks_.load(std::memory_order_relaxed)));
-        break;
-      case SentinelPolicy::kThrow: {
-        const std::lock_guard<std::mutex> lock(violationMutex_);
-        if (!violationPending_.load(std::memory_order_relaxed)) {
-          violationMessage_ =
-              std::string("qclab-sentinel: ") +
-              (nanBad ? "non-finite amplitude" : "norm drift") + " at " +
-              site + ": normSq=" + std::to_string(normSq);
-          violationPending_.store(true, std::memory_order_release);
+    if constexpr (kEnabled) {
+      checks_.fetch_add(1, std::memory_order_relaxed);
+      checkHistogram_.record(checkNs);
+      storeDouble(lastNormSqBits_, normSq);
+      storeDoubleMax(maxAmpSqBits_, maxAmpSq);
+      const bool nanBad = nanSeen || !std::isfinite(normSq);
+      const bool normBad =
+          !nanBad && std::abs(normSq - 1.0) > loadDouble(normToleranceBits_);
+      if (!nanBad && !normBad) return;
+      if (nanBad) nanDetected_.fetch_add(1, std::memory_order_relaxed);
+      if (normBad) normAlerts_.fetch_add(1, std::memory_order_relaxed);
+      flightRecorder().record(FlightEventKind::kSentinelAlert, 0, 0,
+                              nanBad ? 1u : 2u);
+      switch (policy()) {
+        case SentinelPolicy::kOff:
+          break;
+        case SentinelPolicy::kLog:
+          std::fprintf(stderr,
+                       "qclab-sentinel: %s at %s: normSq=%.17g maxAmpSq=%.17g"
+                       " (check #%llu)\n",
+                       nanBad ? "non-finite amplitude" : "norm drift", site,
+                       normSq, maxAmpSq,
+                       static_cast<unsigned long long>(
+                           checks_.load(std::memory_order_relaxed)));
+          break;
+        case SentinelPolicy::kThrow: {
+          const std::lock_guard<std::mutex> lock(violationMutex_);
+          if (!violationPending_.load(std::memory_order_relaxed)) {
+            violationMessage_ =
+                std::string("qclab-sentinel: ") +
+                (nanBad ? "non-finite amplitude" : "norm drift") + " at " +
+                site + ": normSq=" + std::to_string(normSq);
+            violationPending_.store(true, std::memory_order_release);
+          }
+          break;
         }
-        break;
       }
     }
   }
@@ -200,17 +206,19 @@ class Sentinel {
   /// callers stay silent and the orchestrating thread throws).  Clears
   /// the pending flag on throw.
   void throwIfPending() {
-    if (!violationPending()) return;
+    if constexpr (kEnabled) {
+      if (!violationPending()) return;
 #ifdef QCLAB_HAS_OPENMP
-    if (omp_in_parallel()) return;
+      if (omp_in_parallel()) return;
 #endif
-    std::string message;
-    {
-      const std::lock_guard<std::mutex> lock(violationMutex_);
-      message = violationMessage_;
-      violationPending_.store(false, std::memory_order_release);
+      std::string message;
+      {
+        const std::lock_guard<std::mutex> lock(violationMutex_);
+        message = violationMessage_;
+        violationPending_.store(false, std::memory_order_release);
+      }
+      throw NumericalHealthError(message);
     }
-    throw NumericalHealthError(message);
   }
 
   // ---- readers --------------------------------------------------------
@@ -289,7 +297,8 @@ class Sentinel {
     return raw;
   }
 
-  std::atomic<int> policy_{static_cast<int>(SentinelPolicy::kLog)};
+  std::atomic<int> policy_{
+      static_cast<int>(kEnabled ? SentinelPolicy::kLog : SentinelPolicy::kOff)};
   std::atomic<std::uint32_t> interval_{8};
   std::atomic<std::uint64_t> normToleranceBits_{doubleBits(1e-4)};
   std::atomic<std::uint64_t> checks_{0};
@@ -309,6 +318,25 @@ inline Sentinel& sentinel() {
   return instance;
 }
 
+/// Partial accumulation over one cache-hot chunk (the blocked executor
+/// merges these per run before reporting).
+template <typename T>
+void sentinelAccumulateChunk(const std::complex<T>* chunk, std::size_t dim,
+                             double& normSq, double& maxAmpSq,
+                             bool& nanSeen) noexcept {
+  if constexpr (kEnabled) {
+    for (std::size_t i = 0; i < dim; ++i) {
+      const double re = static_cast<double>(chunk[i].real());
+      const double im = static_cast<double>(chunk[i].imag());
+      const double ampSq = re * re + im * im;
+      normSq += ampSq;
+      if (ampSq > maxAmpSq) maxAmpSq = ampSq;
+      // NaN fails every comparison, so track it explicitly.
+      if (!std::isfinite(ampSq)) nanSeen = true;
+    }
+  }
+}
+
 /// One full read-only health pass over `dim` amplitudes: accumulates
 /// sum|amp|^2 and max|amp|^2 in double, flags non-finite components, and
 /// reports the result (policy applied by Sentinel::report — never throws
@@ -316,84 +344,18 @@ inline Sentinel& sentinel() {
 template <typename T>
 void sentinelCheckState(const std::complex<T>* data, std::size_t dim,
                         const char* site) {
-  const auto begin = std::chrono::steady_clock::now();
-  double normSq = 0.0;
-  double maxAmpSq = 0.0;
-  bool nanSeen = false;
-  for (std::size_t i = 0; i < dim; ++i) {
-    const double re = static_cast<double>(data[i].real());
-    const double im = static_cast<double>(data[i].imag());
-    const double ampSq = re * re + im * im;
-    normSq += ampSq;
-    if (ampSq > maxAmpSq) maxAmpSq = ampSq;
-    // NaN fails every comparison, so track it explicitly.
-    if (!std::isfinite(ampSq)) nanSeen = true;
-  }
-  const std::uint64_t checkNs = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - begin)
-          .count());
-  sentinel().report(normSq, maxAmpSq, nanSeen, site, checkNs);
-}
-
-/// Partial accumulation over one cache-hot chunk (the blocked executor
-/// merges these per run before reporting).
-template <typename T>
-void sentinelAccumulateChunk(const std::complex<T>* chunk, std::size_t dim,
-                             double& normSq, double& maxAmpSq,
-                             bool& nanSeen) noexcept {
-  for (std::size_t i = 0; i < dim; ++i) {
-    const double re = static_cast<double>(chunk[i].real());
-    const double im = static_cast<double>(chunk[i].imag());
-    const double ampSq = re * re + im * im;
-    normSq += ampSq;
-    if (ampSq > maxAmpSq) maxAmpSq = ampSq;
-    if (!std::isfinite(ampSq)) nanSeen = true;
+  if constexpr (kEnabled) {
+    const auto begin = std::chrono::steady_clock::now();
+    double normSq = 0.0;
+    double maxAmpSq = 0.0;
+    bool nanSeen = false;
+    sentinelAccumulateChunk(data, dim, normSq, maxAmpSq, nanSeen);
+    const std::uint64_t checkNs = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - begin)
+            .count());
+    sentinel().report(normSq, maxAmpSq, nanSeen, site, checkNs);
   }
 }
-
-#else  // QCLAB_OBS_DISABLED
-
-/// No-op sentinel: policy pinned off, every check site compiles away.
-class Sentinel {
- public:
-  SentinelPolicy policy() const noexcept { return SentinelPolicy::kOff; }
-  SentinelConfig config() const noexcept {
-    SentinelConfig cfg;
-    cfg.policy = SentinelPolicy::kOff;
-    return cfg;
-  }
-  void configure(const SentinelConfig&) noexcept {}
-  bool shouldCheck() noexcept { return false; }
-  void report(double, double, bool, const char*, std::uint64_t) noexcept {}
-  bool violationPending() const noexcept { return false; }
-  std::string violationMessage() const { return {}; }
-  void throwIfPending() {}
-  std::uint64_t checks() const noexcept { return 0; }
-  std::uint64_t nanDetected() const noexcept { return 0; }
-  std::uint64_t normAlerts() const noexcept { return 0; }
-  std::uint64_t violations() const noexcept { return 0; }
-  double lastNormSq() const noexcept { return 0.0; }
-  double maxAmpSq() const noexcept { return 0.0; }
-  const LatencyHistogram& checkHistogram() const noexcept {
-    static const LatencyHistogram empty;
-    return empty;
-  }
-  void reset() noexcept {}
-};
-
-inline Sentinel& sentinel() {
-  static Sentinel instance;
-  return instance;
-}
-
-template <typename T>
-void sentinelCheckState(const std::complex<T>*, std::size_t, const char*) {}
-
-template <typename T>
-void sentinelAccumulateChunk(const std::complex<T>*, std::size_t, double&,
-                             double&, bool&) noexcept {}
-
-#endif  // QCLAB_OBS_DISABLED
 
 }  // namespace qclab::obs

@@ -19,25 +19,24 @@
 /// name and depth export into the Chrome trace "args", and every span
 /// additionally accumulates (count, summed ns) into the always-on
 /// StageStats registry — so reports carry a "stages" breakdown even when
-/// the tracer itself is off.  Compiling with QCLAB_OBS_DISABLED replaces
-/// Tracer, Span, ScopedSpan, and StageStats with API-identical no-ops.
+/// the tracer itself is off.  Under QCLAB_OBS_DISABLED the recording
+/// bodies are discarded: the tracer stays off, spans record nothing, and
+/// the Chrome trace export is an empty, valid trace.
 
-#include <cstdint>
-#include <map>
-#include <string>
-#include <vector>
-
-#include "qclab/obs/json.hpp"
-
-#ifndef QCLAB_OBS_DISABLED
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <fstream>
+#include <map>
 #include <mutex>
 #include <set>
 #include <sstream>
+#include <string>
 #include <utility>
-#endif
+#include <vector>
+
+#include "qclab/obs/enabled.hpp"
+#include "qclab/obs/json.hpp"
 
 namespace qclab::obs {
 
@@ -57,8 +56,6 @@ struct StageAgg {
   std::uint64_t sumNs = 0;  ///< summed span durations in ns
 };
 
-#ifndef QCLAB_OBS_DISABLED
-
 /// Ring-buffered span recorder.
 class Tracer {
  public:
@@ -67,9 +64,9 @@ class Tracer {
       : capacity_(capacity), epoch_(std::chrono::steady_clock::now()) {}
 
   /// Turns recording on/off.  Off (the default) makes spans ~free.
-  void enable() noexcept { enabled_ = true; }
+  void enable() noexcept { enabled_ = kEnabled; }
   void disable() noexcept { enabled_ = false; }
-  bool enabled() const noexcept { return enabled_; }
+  bool enabled() const noexcept { return kEnabled && enabled_; }
 
   /// Discards all recorded events and the dropped count.
   void clear() {
@@ -92,16 +89,18 @@ class Tracer {
   void record(std::string name, const char* category, std::uint64_t startNs,
               std::uint64_t durationNs, std::string parent = "",
               int depth = 0) {
-    if (!enabled_ || capacity_ == 0) return;
-    const std::lock_guard<std::mutex> lock(mutex_);
-    TraceEvent event{std::move(name), category,          startNs,
-                     durationNs,      std::move(parent), depth};
-    if (events_.size() < capacity_) {
-      events_.push_back(std::move(event));
-    } else {
-      events_[head_] = std::move(event);
-      head_ = (head_ + 1) % capacity_;
-      ++dropped_;
+    if constexpr (kEnabled) {
+      if (!enabled_ || capacity_ == 0) return;
+      const std::lock_guard<std::mutex> lock(mutex_);
+      TraceEvent event{std::move(name), category,          startNs,
+                       durationNs,      std::move(parent), depth};
+      if (events_.size() < capacity_) {
+        events_.push_back(std::move(event));
+      } else {
+        events_[head_] = std::move(event);
+        head_ = (head_ + 1) % capacity_;
+        ++dropped_;
+      }
     }
   }
 
@@ -217,10 +216,12 @@ class StageStats {
  public:
   /// Adds one completed `ns` span to `stage`.
   void record(const std::string& stage, std::uint64_t ns) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    StageAgg& agg = stages_[stage];
-    ++agg.count;
-    agg.sumNs += ns;
+    if constexpr (kEnabled) {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      StageAgg& agg = stages_[stage];
+      ++agg.count;
+      agg.sumNs += ns;
+    }
   }
 
   /// Copy of every stage's totals.
@@ -287,38 +288,42 @@ class ScopedSpan {
  public:
   explicit ScopedSpan(std::string name, const char* category = "stage",
                       std::string stageKey = std::string())
-      : name_(std::move(name)),
-        stageKey_(stageKey.empty() ? name_ : std::move(stageKey)),
-        category_(category),
-        startNs_(tracer().nowNs()) {
-    auto& stack = spanStack();
-    if (!stack.empty()) parent_ = *stack.back();
-    depth_ = static_cast<int>(stack.size());
-    stack.push_back(&name_);
-    // Mirror onto the signal-safe frame stack (interned pointer: stable
-    // for the process lifetime, readable from crash/profiler handlers).
-    SpanFrameStack& frames = spanFrames();
-    const int d = frames.depth.load(std::memory_order_relaxed);
-    if (d >= 0 && d < SpanFrameStack::kMaxDepth) {
-      frames.frames[d] = internStageKey(stageKey_);
+      : category_(category) {
+    if constexpr (kEnabled) {
+      name_ = std::move(name);
+      stageKey_ = stageKey.empty() ? name_ : std::move(stageKey);
+      startNs_ = tracer().nowNs();
+      auto& stack = spanStack();
+      if (!stack.empty()) parent_ = *stack.back();
+      depth_ = static_cast<int>(stack.size());
+      stack.push_back(&name_);
+      // Mirror onto the signal-safe frame stack (interned pointer: stable
+      // for the process lifetime, readable from crash/profiler handlers).
+      SpanFrameStack& frames = spanFrames();
+      const int d = frames.depth.load(std::memory_order_relaxed);
+      if (d >= 0 && d < SpanFrameStack::kMaxDepth) {
+        frames.frames[d] = internStageKey(stageKey_);
+      }
+      frames.depth.store(d + 1, std::memory_order_release);
     }
-    frames.depth.store(d + 1, std::memory_order_release);
   }
 
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
   ~ScopedSpan() {
-    auto& stack = spanStack();
-    if (!stack.empty() && stack.back() == &name_) stack.pop_back();
-    SpanFrameStack& frames = spanFrames();
-    const int d = frames.depth.load(std::memory_order_relaxed);
-    if (d > 0) frames.depth.store(d - 1, std::memory_order_release);
-    const std::uint64_t durationNs = tracer().nowNs() - startNs_;
-    stageStats().record(stageKey_, durationNs);
-    if (tracer().enabled()) {
-      tracer().record(std::move(name_), category_, startNs_, durationNs,
-                      std::move(parent_), depth_);
+    if constexpr (kEnabled) {
+      auto& stack = spanStack();
+      if (!stack.empty() && stack.back() == &name_) stack.pop_back();
+      SpanFrameStack& frames = spanFrames();
+      const int d = frames.depth.load(std::memory_order_relaxed);
+      if (d > 0) frames.depth.store(d - 1, std::memory_order_release);
+      const std::uint64_t durationNs = tracer().nowNs() - startNs_;
+      stageStats().record(stageKey_, durationNs);
+      if (tracer().enabled()) {
+        tracer().record(std::move(name_), category_, startNs_, durationNs,
+                        std::move(parent_), depth_);
+      }
     }
   }
 
@@ -332,68 +337,8 @@ class ScopedSpan {
   std::string stageKey_;
   std::string parent_;
   const char* category_;
-  std::uint64_t startNs_;
+  std::uint64_t startNs_ = 0;
   int depth_ = 0;
 };
-
-#else  // QCLAB_OBS_DISABLED
-
-/// No-op tracer: same API, records nothing, exports an empty trace.
-class Tracer {
- public:
-  explicit Tracer(std::size_t = 0) {}
-  void enable() noexcept {}
-  void disable() noexcept {}
-  bool enabled() const noexcept { return false; }
-  void clear() {}
-  std::uint64_t nowNs() const { return 0; }
-  void record(std::string, const char*, std::uint64_t, std::uint64_t,
-              std::string = "", int = 0) {}
-  std::vector<TraceEvent> events() const { return {}; }
-  std::size_t nbEvents() const { return 0; }
-  std::uint64_t dropped() const { return 0; }
-  std::string chromeTraceJson() const {
-    return "{\"displayTimeUnit\":\"ns\",\"droppedEvents\":0,"
-           "\"retainedEvents\":0,\"traceEvents\":[]}";
-  }
-  bool writeChromeTrace(const std::string&) const { return false; }
-};
-
-inline Tracer& tracer() {
-  static Tracer instance;
-  return instance;
-}
-
-/// No-op span.
-class Span {
- public:
-  Span(Tracer&, std::string, const char*) noexcept {}
-  Span(const Span&) = delete;
-  Span& operator=(const Span&) = delete;
-};
-
-/// No-op stage accumulator.
-class StageStats {
- public:
-  void record(const std::string&, std::uint64_t) {}
-  std::map<std::string, StageAgg> snapshot() const { return {}; }
-  void reset() {}
-};
-
-inline StageStats& stageStats() {
-  static StageStats instance;
-  return instance;
-}
-
-/// No-op hierarchical span.
-class ScopedSpan {
- public:
-  explicit ScopedSpan(std::string, const char* = "stage",
-                      std::string = std::string()) noexcept {}
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-};
-
-#endif  // QCLAB_OBS_DISABLED
 
 }  // namespace qclab::obs

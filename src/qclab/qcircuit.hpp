@@ -384,7 +384,7 @@ class QCircuit final : public QObject<T> {
       const T scale = T(1) / norm;
       for (auto& amplitude : state) amplitude *= scale;
     }
-    obs::metrics().countCircuitSimulation();
+    obs::metrics().add(obs::Counter::kCircuitSimulations);
     const obs::ScopedSpan span(
         "simulate(n=" + std::to_string(nbQubits_) + ")", "circuit",
         "simulate");

@@ -193,7 +193,8 @@ class BatchedSimulation {
                         std::to_string(parameterSets[m].size()) +
                         " parameters, shape has " + std::to_string(expected));
     }
-    obs::metrics().countBatchRun(members);
+    obs::metrics().add(obs::Counter::kBatchRuns);
+    obs::metrics().add(obs::Counter::kBatchMembers, members);
     const obs::ScopedSpan span(
         "batch(n=" + std::to_string(prototype_.nbQubits()) +
             ",M=" + std::to_string(members) + ")",

@@ -321,7 +321,7 @@ class DispatchRunner {
       // The analyzer probes the executor's own code path, so this only
       // fires if the two ever drift — the typed error is the contract
       // that dispatch never fails where the statevector path would not.
-      obs::metrics().countDispatchFallback();
+      obs::metrics().add(obs::Counter::kDispatchFallbacks);
       return std::nullopt;
     }
   }
@@ -340,7 +340,7 @@ class DispatchRunner {
                                   const Backend<T>& backend,
                                   const CircuitAnalysis<T>& analysis) {
     const int n = analysis.nbQubits;
-    obs::metrics().countCircuitSimulation();
+    obs::metrics().add(obs::Counter::kCircuitSimulations);
     const obs::ScopedSpan span("simulate(n=" + std::to_string(n) + ")",
                                "circuit", "simulate");
     const obs::PathTimer timer(KernelPath::kDispatch);
@@ -387,7 +387,7 @@ class DispatchRunner {
         out.probability = branch.probability;
         out.result = std::move(branch.result);
         out.measurements = std::move(branch.measurements);
-        obs::metrics().countDispatchConversion();
+        obs::metrics().add(obs::Counter::kDispatchConversions);
         converted.push_back(std::move(out));
       }
     }
@@ -442,11 +442,11 @@ class DispatchRunner {
             branch.tableau, *measurement, qubit, false);
       }
       if (branch.tableau.isDeterministic(qubit)) {
-        obs::metrics().countBranchPrune();
+        obs::metrics().add(obs::Counter::kBranchPrunes);
         const int outcome = branch.tableau.measureForced(qubit, 0);
         settle(std::move(branch), outcome);
       } else {
-        obs::metrics().countBranchSpawn();
+        obs::metrics().add(obs::Counter::kBranchSpawns);
         fork(branch, 0);
         fork(std::move(branch), 1);
       }
@@ -485,7 +485,7 @@ std::map<std::string, std::uint64_t> dispatchSampleCounts(
         "QCircuit::simulate + Simulation::counts otherwise)");
   }
   obs::metrics().countDispatchRoute(DispatchRoute::kStabilizer);
-  obs::metrics().countShots(shots);
+  obs::metrics().add(obs::Counter::kShotsSampled, shots);
   const obs::ScopedSpan span(
       "dispatch/sample(n=" + std::to_string(n) +
           ",shots=" + std::to_string(shots) + ")",

@@ -156,9 +156,9 @@ void splitBranches(Simulation<T>& simulation, const FlatOp<T>& op) {
     const bool both =
         probabilities[0] > kDropTol<T> && probabilities[1] > kDropTol<T>;
     if (both) {
-      obs::metrics().countBranchSpawn();
+      obs::metrics().add(obs::Counter::kBranchSpawns);
     } else {
-      obs::metrics().countBranchPrune();
+      obs::metrics().add(obs::Counter::kBranchPrunes);
     }
     for (int outcome = 0; outcome < 2; ++outcome) {
       const T p = probabilities[outcome];

@@ -727,8 +727,9 @@ void applyFusionPlan(
     ++stats.blocksOut;
   }
   stats.sweepsSaved = stats.gatesIn - stats.blocksOut;
-  obs::metrics().countFusion(stats.gatesIn, stats.blocksOut,
-                             stats.sweepsSaved);
+  obs::metrics().add(obs::Counter::kFusionGatesIn, stats.gatesIn);
+  obs::metrics().add(obs::Counter::kFusionBlocks, stats.blocksOut);
+  obs::metrics().add(obs::Counter::kFusionSweepsSaved, stats.sweepsSaved);
 }
 
 }  // namespace qclab::sim

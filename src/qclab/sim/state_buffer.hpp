@@ -242,9 +242,10 @@ class MmapAdvisor final : public MemoryAdvisor {
       issuedBytes += len;
     }
     if constexpr (obs::kEnabled) {
-      if (issued != 0 || hits != 0) {
-        obs::metrics().countPrefetch(issued, hits, 0);
+      if (issued != 0) {
+        obs::metrics().add(obs::Counter::kPrefetchIssued, issued);
       }
+      if (hits != 0) obs::metrics().add(obs::Counter::kPrefetchHits, hits);
       if (issuedBytes != 0) {
         residentBytes_.fetch_add(issuedBytes, std::memory_order_relaxed);
         obs::metrics().addTierBytes(StateTier::kMmap, issuedBytes, 0);
@@ -271,7 +272,7 @@ class MmapAdvisor final : public MemoryAdvisor {
     }
     if constexpr (obs::kEnabled) {
       if (retired != 0) {
-        obs::metrics().countPrefetch(0, 0, retired);
+        obs::metrics().add(obs::Counter::kPrefetchRetired, retired);
         residentBytes_.fetch_sub(retiredBytes, std::memory_order_relaxed);
         obs::metrics().releaseTierBytes(StateTier::kMmap, retiredBytes, 0);
       }
@@ -315,21 +316,19 @@ class StateBuffer {
 
   /// Allocates a zeroed `dim`-amplitude state on the tier
   /// `chooseStateTier(dim * sizeof(value_type), options)` resolves,
-  /// degrading to the heap tier when the choice is unavailable.
+  /// degrading to the heap tier (and counting `state_tier_fallbacks`)
+  /// when the choice is unavailable.
   static StateBuffer zeros(std::size_t dim,
                            const StateTierOptions& options = {}) {
     StateBuffer buffer;
     buffer.options_ = options;
-    const std::size_t bytes = dim * sizeof(value_type);
-    switch (chooseStateTier(bytes, options)) {
-      case StateTier::kMmap:
-        if (buffer.allocateMmap(dim)) return buffer;
-        break;
-      case StateTier::kNuma:
-        if (buffer.allocateNuma(dim)) return buffer;
-        break;
-      default:
-        break;
+    const StateTier tier = chooseStateTier(dim * sizeof(value_type), options);
+    if ((tier == StateTier::kMmap && buffer.allocateMmap(dim)) ||
+        (tier == StateTier::kNuma && buffer.allocateNuma(dim))) {
+      return buffer;
+    }
+    if (tier != StateTier::kHeap) {
+      obs::metrics().add(obs::Counter::kStateTierFallbacks);
     }
     buffer.allocateHeap(dim);
     return buffer;
@@ -496,6 +495,9 @@ class StateBuffer {
       return;
     }
     // Heap source, or a tier that could not be re-allocated: heap copy.
+    if (other.tier_ != StateTier::kHeap) {
+      obs::metrics().add(obs::Counter::kStateTierFallbacks);
+    }
     tier_ = StateTier::kHeap;
     vec_.assign(other.data(), other.data() + other.size());
     trackAlloc(byteSize(), byteSize());

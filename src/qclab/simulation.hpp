@@ -130,7 +130,7 @@ std::vector<std::uint64_t> sampleStateCounts(
       if (util::getBit(v, pos % 8)) row[v] |= bit;
     }
   }
-  obs::metrics().countShots(shots);
+  obs::metrics().add(obs::Counter::kShotsSampled, shots);
   // Marginal outcome distribution.
   std::vector<double> weights(std::size_t{1} << m, 0.0);
   for (std::size_t i = 0; i < state.size(); ++i) {
@@ -312,7 +312,7 @@ class Simulation {
       util::require(b.result.size() == m,
                     "branches disagree on measurement count");
     }
-    obs::metrics().countShots(shots);
+    obs::metrics().add(obs::Counter::kShotsSampled, shots);
     if (m == 0) {
       // No measurements: every shot yields the trivial outcome.
       return {shots};
@@ -338,7 +338,7 @@ class Simulation {
   std::map<std::string, std::uint64_t> countsMap(std::uint64_t shots,
                                                  random::Rng& rng) const {
     const obs::ScopedSpan span("sample/counts", "stage");
-    obs::metrics().countShots(shots);
+    obs::metrics().add(obs::Counter::kShotsSampled, shots);
     std::vector<double> weights;
     weights.reserve(branches_.size());
     for (const auto& b : branches_) weights.push_back(b.probability);
