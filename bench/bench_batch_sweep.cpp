@@ -6,8 +6,10 @@
 /// paying circuit construction, planning, and state allocation every
 /// time.  BatchedSimulation compiles the shape once (fusion plan + block
 /// schedule + cached parameter-free prefix) and executes members by
-/// parameter rebinding.  The engine targets >= 10x on this workload; the
-/// report carries the ratio so the regression gate tracks it.
+/// parameter rebinding.  Plain simulate fuses a 16-qubit run with the same
+/// FusionOptions, so the two run the same kernels and the ratio measures
+/// what planning once per shape saves; the report carries it so the
+/// regression gate tracks it.
 ///
 /// Prints the run as one BENCH_*.json-shaped object (obs::Report) on
 /// stdout; `--obs-json <path>` additionally writes it to a file.
@@ -96,8 +98,8 @@ int main(int argc, char** argv) {
   const double batchMs = msSince(batchStart);
 
   // Numerical sanity: members must match the naive reference closely
-  // (different kernel schedules, so equality is up to rounding here; the
-  // bitwise guarantee against same-options simulate lives in the tests).
+  // (checked up to rounding; the bitwise guarantee against same-options
+  // simulate lives in the tests).
   double maxDiff = 0.0;
   for (std::size_t m = 0; m < members; ++m) {
     const auto& state = results[m].branches().front().state;

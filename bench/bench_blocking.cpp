@@ -32,18 +32,17 @@ double timeSimulate(const qclab::QCircuit<T>& circuit,
 /// blocked executor's obs attribution (runs, bytes, effective GB/s).
 void benchWorkload(qclab::obs::Report& report, const std::string& name,
                    const qclab::QCircuit<T>& circuit) {
-  // Small fusion blocks keep the chunk kernels cheap (1-2 qubit dense /
-  // diagonal) so the sweep stays memory-bound -- the regime blocking is
-  // built for.  Large dense-k blocks are compute-bound and would mask the
-  // bandwidth saving.
+  // The default FusionOptions keep dense blocks small (1-2 qubits), so the
+  // chunk kernels stay cheap and the sweep memory-bound -- the regime
+  // blocking is built for.  Large dense-k blocks are compute-bound and
+  // would mask the bandwidth saving.
   qclab::SimulateOptions unfused;
+  unfused.fusion = false;
   qclab::SimulateOptions fusedPlain;
   fusedPlain.fusion = true;
-  fusedPlain.fusionOptions.maxQubits = 2;
   fusedPlain.fusionOptions.blocking = false;
   qclab::SimulateOptions fusedBlocked;
   fusedBlocked.fusion = true;
-  fusedBlocked.fusionOptions.maxQubits = 2;
 
   const double plainNs = timeSimulate(circuit, unfused);
   const double fusedNs = timeSimulate(circuit, fusedPlain);

@@ -3,7 +3,10 @@
 /// and a Trotterized Ising evolution.  Fusion merges runs of adjacent
 /// gates into <= k-qubit blocks, so the full-state sweep count drops by
 /// the gates-per-block factor; the timings show how much of that survives
-/// as wall-clock speedup once the per-block dense arithmetic is paid.
+/// as wall-clock speedup once the per-block arithmetic is paid.  The
+/// `default/` rows time a bare SimulateOptions{}, which fuses from
+/// sim::kDefaultFusionMinQubits qubits up, so they should match
+/// `unfused/` below that size and `fused/` from it on.
 ///
 /// Prints the whole run as one BENCH_*.json-shaped object (obs::Report)
 /// on stdout; `--obs-json <path>` additionally writes it to a file.
@@ -19,7 +22,7 @@ namespace {
 
 using T = double;
 
-/// ns/op of simulating `circuit` from |0...0>, fused or not.
+/// ns/op of simulating `circuit` from |0...0> under `options`.
 double timeSimulate(const qclab::QCircuit<T>& circuit,
                     const qclab::SimulateOptions& options) {
   const auto initial = qclab::basisState<T>(
@@ -28,16 +31,20 @@ double timeSimulate(const qclab::QCircuit<T>& circuit,
       [&] { auto simulation = circuit.simulate(initial, options); });
 }
 
-/// Benchmarks one workload fused vs unfused and records the scheduler's
-/// sweep statistics (one extra fused run feeds the fusion counters).
+/// Benchmarks one workload unfused, fused, and with the default options,
+/// and records the scheduler's sweep statistics (one extra fused run feeds
+/// the fusion counters).
 void benchWorkload(qclab::obs::Report& report, const std::string& name,
                    const qclab::QCircuit<T>& circuit) {
   qclab::SimulateOptions unfused;
+  unfused.fusion = false;
   qclab::SimulateOptions fused;
   fused.fusion = true;
 
   report.add("unfused/" + name, timeSimulate(circuit, unfused), "ns/op");
   report.add("fused/" + name, timeSimulate(circuit, fused), "ns/op");
+  report.add("default/" + name,
+             timeSimulate(circuit, qclab::SimulateOptions{}), "ns/op");
 
   // One clean fused run to read the scheduler stats for this workload.
   auto& metrics = qclab::obs::metrics();

@@ -41,8 +41,6 @@ int benchQubits() {
 qclab::SimulateOptions tierOptions(StateTier tier) {
   qclab::SimulateOptions options;
   options.fusion = true;
-  options.fusionOptions.maxQubits = 2;  // memory-bound sweeps (see
-                                        // bench_blocking.cpp)
   options.stateTier.tier = tier;
   return options;
 }

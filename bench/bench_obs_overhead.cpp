@@ -19,6 +19,10 @@
 /// process with exit 1, which qclab_bench_trajectory propagates into the
 /// bench-regression gate.
 ///
+/// Both sides run with fusion off: the bench measures per-gate metering,
+/// and an instrumented backend is never fused, so a default-options plain
+/// side would time fused sweeps against per-gate ones.
+///
 /// Under QCLAB_OBS_DISABLED both sides compile to the same plain run, so
 /// the ratio sits at ~1.0 and the binary doubles as a no-op check in the
 /// obs-disabled CI leg.
@@ -52,12 +56,14 @@ qclab::QCircuit<T> ghz(int n) {
   return circuit;
 }
 
-/// Wall ns of one simulate from |0...0> through `backend`.
+/// Wall ns of one unfused simulate from |0...0> through `backend`.
 double timeOnce(const qclab::QCircuit<T>& circuit,
                 const std::vector<std::complex<T>>& initial,
                 const qclab::sim::Backend<T>& backend) {
+  qclab::SimulateOptions options;
+  options.fusion = false;
   const auto begin = std::chrono::steady_clock::now();
-  auto simulation = circuit.simulate(initial, backend);
+  auto simulation = circuit.simulate(initial, options, backend);
   return static_cast<double>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - begin)

@@ -67,14 +67,13 @@ int main() {
   std::printf("  best member %zu: <cut> = %.4f\n", best, bestValue);
 
   // The guarantee: every member is BIT-identical to binding the same
-  // parameters on a clone and simulating standalone with the engine's
-  // fusion options.
+  // parameters on a clone and simulating standalone with fusion on (both
+  // use the default FusionOptions).
   QCircuit<T> check(prototype);
   ParameterBinding<T> binding(check);
   binding.bind(parameterSets[best]);
   SimulateOptions options;
   options.fusion = true;
-  options.fusionOptions = sim::BatchOptions{}.fusionOptions;
   const auto standalone = check.simulate(std::string(8, '0'), options);
   const auto& a = results[best].branches().front().state;
   const auto& b = standalone.branches().front().state;

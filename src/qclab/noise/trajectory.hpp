@@ -77,7 +77,8 @@ struct TrajectoryOptions {
   std::size_t nbTrajectories = 256;
   /// Fuse noise-free gate runs through sim::fuseGates (see file comment).
   bool fusion = false;
-  /// Fusion window configuration when `fusion` is set.
+  /// Fusion window configuration when `fusion` is set; defaults to the
+  /// FusionOptions every driver shares.
   sim::FusionOptions fusionOptions{};
   /// OpenMP threads over trajectories; 0 = the OpenMP default.  Any value
   /// yields bit-identical results.

@@ -65,13 +65,14 @@ inline const char* flightEventKindName(FlightEventKind kind) noexcept {
   return "unknown";
 }
 
-/// One compact binary event (24 bytes).
+/// One compact binary event (24 bytes).  Trivially default-constructible
+/// on purpose, so a new ring leaves its slots unwritten (see FlightRing).
 struct FlightEvent {
-  std::uint64_t timeNs = 0;     ///< ns since the tracer epoch
-  std::uint64_t qubitMask = 0;  ///< bit q set = qubit q involved (q < 64)
-  std::uint32_t aux = 0;        ///< kind-specific extra (batch member, ...)
-  std::uint16_t kind = 0;       ///< FlightEventKind
-  std::uint16_t path = 0;       ///< sim::KernelPath of the work
+  std::uint64_t timeNs;     ///< ns since the tracer epoch
+  std::uint64_t qubitMask;  ///< bit q set = qubit q involved (q < 64)
+  std::uint32_t aux;        ///< kind-specific extra (batch member, ...)
+  std::uint16_t kind;       ///< FlightEventKind
+  std::uint16_t path;       ///< sim::KernelPath of the work
 };
 
 /// Events retained per recording thread (power of two).
@@ -96,8 +97,10 @@ struct FlightThreadSnapshot {
 
 /// One thread's ring.  Heap-allocated on the owning thread's first record,
 /// pushed onto an atomic intrusive list, and intentionally never freed so
-/// crash handlers can walk rings of exited threads.  ~1.5 MB per thread
-/// that ever recorded.
+/// crash handlers can walk rings of exited threads.  Up to ~1.5 MB per
+/// thread that ever recorded: the events are left uninitialized, so a
+/// page is committed only when a record first writes into it, and
+/// readers touch only the slots below `head`.
 struct FlightRing {
   std::atomic<std::uint64_t> head{0};  ///< events ever recorded (monotonic)
   std::uint32_t threadId = 0;
@@ -210,7 +213,7 @@ class FlightRecorder {
   FlightRing* localRing() {
     thread_local FlightRing* cached = nullptr;
     if (cached == nullptr) {
-      FlightRing* ring = new FlightRing();
+      FlightRing* ring = new FlightRing;  // default-init: events unwritten
       ring->threadId = nextThreadId_.fetch_add(1, std::memory_order_relaxed);
       FlightRing* head = ringsHead_.load(std::memory_order_relaxed);
       do {

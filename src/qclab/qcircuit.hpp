@@ -42,12 +42,16 @@ class DispatchRunner;  // sim/dispatch.hpp — the tableau route of simulate
 
 /// Simulation-time options of QCircuit::simulate.
 struct SimulateOptions {
-  /// Fuse runs of adjacent gates into <= fusionOptions.maxQubits blocks
-  /// applied with one state sweep each (sim/fusion.hpp).  Measurements,
-  /// resets, and barriers flush the open run; results are identical to an
-  /// unfused run up to rounding.
-  bool fusion = false;
-  /// Scheduler knobs used when `fusion` is on.
+  /// Fuse runs of adjacent gates into blocks applied with one state sweep
+  /// each (sim/fusion.hpp).  Measurements, resets, and barriers flush the
+  /// open run; results are identical to an unfused run up to rounding.
+  /// `true` always fuses and `false` never does.  Unset (the default)
+  /// fuses when the kernel backend runs a register of at least
+  /// sim::kDefaultFusionMinQubits qubits; any other backend passed
+  /// explicitly (SparseKronBackend, InstrumentedBackend) then applies
+  /// every gate itself (sim::resolveFusion).
+  std::optional<bool> fusion;
+  /// Scheduler knobs used when the run fuses.
   sim::FusionOptions fusionOptions{};
   /// Which engine runs the circuit (sim/dispatch.hpp).  kAuto analyzes
   /// the circuit and runs its Clifford prefix on a CHP stabilizer tableau
@@ -366,10 +370,10 @@ class QCircuit final : public QObject<T> {
   }
 
   /// Simulates from an arbitrary initial state with explicit options.
-  /// With options.fusion each gate run between measurement / reset /
-  /// barrier boundaries (sim::segmentOps) is fused into blocks, one plan
-  /// per run applied to every branch; otherwise gates go through `backend`
-  /// one at a time.
+  /// When the run fuses (sim::resolveFusion) each gate run between
+  /// measurement / reset / barrier boundaries (sim::segmentOps) is fused
+  /// into blocks, one plan per run applied to every branch; otherwise
+  /// gates go through `backend` one at a time.
   /// Takes a StateBuffer so both legacy vectors (implicit heap adoption)
   /// and tiered allocations flow through one pipeline.
   Simulation<T> simulate(
@@ -391,7 +395,9 @@ class QCircuit final : public QObject<T> {
     Simulation<T> simulation(nbQubits_, std::move(state));
     const obs::ScopedSpan executeSpan("execute", "stage");
     sim::runOps(simulation, flatten(), 0,
-                options.fusion ? &options.fusionOptions : nullptr, backend);
+                sim::resolveFusion(options.fusion, options.fusionOptions,
+                                   backend, nbQubits_),
+                backend);
     return simulation;
   }
 

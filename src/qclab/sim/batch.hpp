@@ -78,18 +78,12 @@ struct BatchOptions {
   /// state allocation, and still bit-identical to standalone simulate
   /// with fusion off.
   bool fusion = true;
-  /// Fusion knobs of the shared shape plan.  The defaults differ from
-  /// FusionOptions' own: parameter sweeps are dominated by diagonal
-  /// layers (RZZ cost layers, RZ mixers), so diagonal gates are fused
-  /// into wide diagonal-only runs (applied as table-driven diagonal
-  /// sweeps) while dense gates stay in narrow blocks with fast span
-  /// kernels.
-  FusionOptions fusionOptions{/*maxQubits=*/2,
-                              /*blocking=*/true,
-                              /*blockQubits=*/0,
-                              /*minBlockRun=*/2,
-                              /*separateDiagonalRuns=*/true,
-                              /*diagonalMaxQubits=*/12};
+  /// Fusion knobs of the shared shape plan: the FusionOptions every driver
+  /// defaults to.  Parameter sweeps are dominated by diagonal layers (RZZ
+  /// cost layers, RZ mixers), which it fuses into wide diagonal-only runs
+  /// (table-driven diagonal sweeps) while dense gates stay in narrow
+  /// blocks with fast span kernels.
+  FusionOptions fusionOptions{};
   /// OpenMP threads across batch members; 0 = omp_get_max_threads().
   int nbThreads = 0;
   /// Initial basis state of every member ("" = |0...0>).

@@ -397,7 +397,8 @@ class DispatchRunner {
 
     // ---- non-Clifford suffix on the statevector pipeline --------------
     runOps(simulation, analysis.ops, analysis.cliffordPrefixOps,
-           options.fusion ? &options.fusionOptions : nullptr, backend);
+           resolveFusion(options.fusion, options.fusionOptions, backend, n),
+           backend);
     obs::metrics().countDispatchRoute(
         analysis.fullyClifford ? DispatchRoute::kStabilizer
                                : DispatchRoute::kHybrid);

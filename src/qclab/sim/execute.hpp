@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <complex>
 #include <limits>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -188,9 +189,33 @@ void splitBranches(Simulation<T>& simulation, const FlatOp<T>& op) {
   simulation.retrackStateBytes();
 }
 
+/// Smallest register an unset SimulateOptions::fusion fuses.  Measured
+/// fused / unfused simulate speed over GHZ, QFT and Trotter-Ising on 2
+/// threads (EXPERIMENTS.md, P12): 0.72-0.89x at n <= 7, 0.88-1.01x at
+/// n = 8 and 0.96-1.26x at n = 9; n = 10 is the first size at which
+/// fusion wins on every circuit (1.12-1.47x, then 1.14-6.4x up to n = 21).
+inline constexpr int kDefaultFusionMinQubits = 10;
+
+/// The fusion decision of QCircuit::simulate and the dispatch suffix:
+/// the windows runOps fuses with, or nullptr for per-gate application
+/// through `backend`.  An explicit `fusion` wins; unset, the run fuses
+/// only when `backend` is the kernel engine and the register has at
+/// least kDefaultFusionMinQubits qubits, so any other backend passed in
+/// (the paper's SparseKronBackend, the metering InstrumentedBackend)
+/// still applies every gate itself.
+template <typename T>
+const FusionOptions* resolveFusion(std::optional<bool> fusion,
+                                   const FusionOptions& options,
+                                   const Backend<T>& backend, int nbQubits) {
+  const bool fuse = fusion.value_or(
+      nbQubits >= kDefaultFusionMinQubits &&
+      dynamic_cast<const KernelBackend<T>*>(&backend) != nullptr);
+  return fuse ? &options : nullptr;
+}
+
 /// Runs the segments of ops[first, end) on every branch of `simulation`:
 /// a gate run is fused into one plan shared by all branches when `fusion`
-/// is set and applied gate by gate through `backend` otherwise;
+/// is non-null and applied gate by gate through `backend` otherwise;
 /// measurements and resets split the branches.  Ends with the throttled
 /// numerical-health check of the finished branches (sentinel.hpp), which
 /// covers the scalar, SIMD, fused, and blocked paths alike.

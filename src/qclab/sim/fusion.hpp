@@ -7,20 +7,20 @@
 /// circuits memory-bandwidth bound: every gate streams the whole state
 /// through the cache hierarchy.  The fusion scheduler greedily merges
 /// maximal runs of adjacent gates whose combined qubit support fits a
-/// <= maxQubits window (default 4) into one dense block, so dozens of
-/// full-state sweeps collapse into a single applyK sweep per block.
-/// Runs in which every merged gate is diagonal keep a diagonal block —
-/// stored as its 2^k diagonal entries, never densified — and go through
-/// the cheaper one-multiply-per-amplitude diagonal sweep instead.
+/// <= maxQubits window into one dense block, so several full-state sweeps
+/// collapse into a single sweep per block.  Runs in which every merged
+/// gate is diagonal keep a diagonal block — stored as its 2^k diagonal
+/// entries, never densified — and go through the cheaper
+/// one-multiply-per-amplitude diagonal sweep instead.
 ///
-/// With FusionOptions::separateDiagonalRuns the scheduler keeps diagonal
-/// gates out of dense blocks entirely and grows diagonal-only blocks up
-/// to the (usually much wider) diagonalMaxQubits window: a layer of RZZ
-/// gates collapses into a couple of table-driven sweeps, while the dense
-/// gates around it keep their cheap dense1/dense2 kernels.  This is the
-/// batched-execution configuration (sim/batch.hpp) — wide diagonal
-/// windows are only affordable because diagonal blocks store 2^k entries
-/// instead of a 4^k dense matrix.
+/// With FusionOptions::separateDiagonalRuns (on by default) the scheduler
+/// keeps diagonal gates out of dense blocks entirely and grows
+/// diagonal-only blocks up to the much wider diagonalMaxQubits window: a
+/// layer of RZZ gates or a CPhase ladder collapses into a couple of
+/// table-driven sweeps, while the dense gates around it keep their cheap
+/// dense1/dense2 kernels.  Wide diagonal windows are only affordable
+/// because diagonal blocks store 2^k entries instead of a 4^k dense
+/// matrix.
 ///
 /// The scheduler is a pure function over gate sequences (fuseGates), so a
 /// plan is built once per gate run and applied to every simulation
@@ -64,12 +64,18 @@
 
 namespace qclab::sim {
 
-/// Tuning knobs of the fusion scheduler.
+/// Tuning knobs of the fusion scheduler.  The defaults are the one
+/// configuration every driver fuses with (QCircuit::simulate, the
+/// dispatch suffix, the batch engine, the trajectory engine): narrow dense
+/// blocks that keep the SIMD dense1/dense2 kernels, wide diagonal-only
+/// blocks, and cache blocking.
 struct FusionOptions {
-  /// Largest fused-block support; blocks hold 2^maxQubits x 2^maxQubits
-  /// dense matrices, so values beyond ~6 trade sweep savings for per-block
-  /// arithmetic.  Gates wider than the window pass through unfused.
-  int maxQubits = 4;
+  /// Largest dense-block support; blocks hold 2^maxQubits x 2^maxQubits
+  /// matrices.  Blocks of 3 or more qubits go through the scalar applyK,
+  /// not the SIMD apply1/apply2 (a 4-step Trotter-Ising at n = 20 took
+  /// 184-331 ms at 3 against 43-77 ms at 2), hence 2.  Gates wider than
+  /// the window pass through unfused.
+  int maxQubits = 2;
   /// Cache-block runs of low-position fused blocks into single streamed
   /// sweeps (see blocking.hpp).
   bool blocking = true;
@@ -80,14 +86,14 @@ struct FusionOptions {
   /// Never merge diagonal gates into dense blocks (and vice versa):
   /// diagonal gates accumulate into diagonal-only blocks governed by
   /// diagonalMaxQubits, dense gates into dense blocks governed by
-  /// maxQubits.  Off (the default) keeps the legacy mixed merging.
-  bool separateDiagonalRuns = false;
+  /// maxQubits.  Off merges both kinds into mixed blocks.
+  bool separateDiagonalRuns = true;
   /// Window for diagonal-only blocks when separateDiagonalRuns is on;
   /// 0 = maxQubits.  A diagonal block stores 2^k entries (not a dense
   /// matrix), so windows of 10-12 qubits are cheap and collapse whole
   /// diagonal layers (QAOA cost layers, CZ/CPhase ladders) into one or
   /// two table-driven sweeps.
-  int diagonalMaxQubits = 0;
+  int diagonalMaxQubits = 12;
 };
 
 /// A gate reference inside a fusion run: the gate plus the accumulated

@@ -436,7 +436,9 @@ void applyDiagonalK(State& state, int nbQubits,
 /// run-structured sweep of simd::applyDiagonalRunsSpan — the fused-path
 /// diagonal kernel (wide diagonal blocks from sim/fusion.hpp land here).
 /// The state splits into independent 2^{maxPos+1}-amplitude groups, which
-/// is also the OpenMP work division.
+/// is also the OpenMP work division.  At one multiply per amplitude the
+/// sweep shares apply2's parallel threshold: below 4 * kOmpThreshold
+/// amplitudes a fork/join costs more than the sweep itself.
 template <typename State, typename T>
 void applyDiagonalBlock(State& state, int nbQubits,
                         const std::vector<int>& qubits,
@@ -463,7 +465,7 @@ void applyDiagonalBlock(State& state, int nbQubits,
   std::complex<T>* const data = state.data();
 #ifdef QCLAB_HAS_OPENMP
 #pragma omp parallel for schedule(static) \
-    if (dim >= kOmpThreshold && groups > 1 && !omp_in_parallel())
+    if (dim >= 4 * kOmpThreshold && groups > 1 && !omp_in_parallel())
 #endif
   for (std::int64_t g = 0; g < groups; ++g) {
     simd::applyDiagonalRunsSpan(data + g * groupDim, groupDim, positions,

@@ -242,7 +242,9 @@ TYPED_TEST(BlockingDifferential, RandomCircuitsMatchUnfusedSimulation) {
       if (blockQubits >= n) continue;
       const auto circuit = qclab::test::randomCircuit<T>(
           n, 35, 900u + static_cast<unsigned>(n + 31 * blockQubits));
-      const auto reference = circuit.simulate(std::string(n, '0'));
+      qclab::SimulateOptions unfused;
+      unfused.fusion = false;
+      const auto reference = circuit.simulate(std::string(n, '0'), unfused);
       const auto blocked =
           circuit.simulate(std::string(n, '0'), blockedOptions(blockQubits));
       ASSERT_EQ(reference.nbBranches(), blocked.nbBranches());

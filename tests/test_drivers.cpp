@@ -207,6 +207,8 @@ TEST(DriverAgreement, BarriersEndFusedRunsInEveryDriver) {
 
   SimulateOptions options;
   options.fusion = true;
+  options.fusionOptions.maxQubits = 4;
+  options.fusionOptions.separateDiagonalRuns = false;
   std::uint64_t before = m.fusionBlocks();
   (void)circuit.simulate("000", options);
   const std::uint64_t simulateBlocks = m.fusionBlocks() - before;
@@ -214,6 +216,7 @@ TEST(DriverAgreement, BarriersEndFusedRunsInEveryDriver) {
   noise::TrajectoryOptions trajectory;
   trajectory.nbTrajectories = 1;
   trajectory.fusion = true;
+  trajectory.fusionOptions = options.fusionOptions;
   before = m.fusionBlocks();
   (void)noise::TrajectorySimulator<double>(circuit, {}, trajectory).run("000");
   const std::uint64_t trajectoryBlocks = m.fusionBlocks() - before;

@@ -38,6 +38,7 @@ TEST(FusionScheduler, MergesRunWithinWindow) {
 
   FusionOptions options;
   options.maxQubits = 3;
+  options.separateDiagonalRuns = false;
   const auto plan = fuseGates(gateRefs(circuit), 3, options);
   ASSERT_EQ(plan.blocks.size(), 1u);
   EXPECT_EQ(plan.blocks[0].qubits, (std::vector<int>{0, 1, 2}));
@@ -73,6 +74,7 @@ TEST(FusionScheduler, DiagonalRunKeepsDiagonalBlock) {
 
   FusionOptions options;
   options.maxQubits = 3;
+  options.separateDiagonalRuns = false;
   const auto plan = fuseGates(gateRefs(circuit), 3, options);
   ASSERT_EQ(plan.blocks.size(), 1u);
   EXPECT_TRUE(plan.blocks[0].diagonal);
@@ -131,7 +133,8 @@ TEST(FusionScheduler, PlanMatrixMatchesCircuitUnitary) {
 
 template <typename T>
 void expectFusedMatchesBackends(int nbQubits, int length, std::uint64_t seed,
-                                T tolerance) {
+                                T tolerance,
+                                const FusionOptions& fusionOptions = {}) {
   const auto circuit = qclab::test::randomCircuit<T>(nbQubits, length, seed);
   random::Rng rng(seed + 1000);
   const auto initial = qclab::test::randomState<T>(nbQubits, rng);
@@ -140,6 +143,7 @@ void expectFusedMatchesBackends(int nbQubits, int length, std::uint64_t seed,
   const SparseKronBackend<T> sparse;
   SimulateOptions options;
   options.fusion = true;
+  options.fusionOptions = fusionOptions;
 
   const auto viaKernel = circuit.simulate(initial, kernel);
   const auto viaSparse = circuit.simulate(initial, sparse);
@@ -173,6 +177,32 @@ TEST_P(FusionFuzzFloat, AgreesWithKernelAndSparseBackends) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FusionFuzzFloat, ::testing::Range(1, 9));
+
+/// The scheduler configurations no driver defaults to: mixed merging
+/// (diagonal blocks densified when a dense gate joins) at a 4-qubit
+/// window, and separated runs whose diagonal window falls back to
+/// maxQubits (diagonalMaxQubits = 0).
+class FusionFuzzNonDefault : public ::testing::TestWithParam<int> {};
+
+TEST_P(FusionFuzzNonDefault, AgreesWithKernelAndSparseBackends) {
+  const int seed = GetParam();
+  const int nbQubits = 6 + seed % 3;
+  FusionOptions mixed;
+  mixed.maxQubits = 4;
+  mixed.separateDiagonalRuns = false;
+  expectFusedMatchesBackends<double>(
+      nbQubits, 60, static_cast<std::uint64_t>(seed), 1e-12, mixed);
+  expectFusedMatchesBackends<float>(
+      nbQubits, 60, static_cast<std::uint64_t>(seed), 1e-5f, mixed);
+  FusionOptions narrowDiagonal;
+  narrowDiagonal.maxQubits = 3;
+  narrowDiagonal.diagonalMaxQubits = 0;
+  expectFusedMatchesBackends<double>(
+      nbQubits, 60, static_cast<std::uint64_t>(seed), 1e-12, narrowDiagonal);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FusionFuzzNonDefault,
+                         ::testing::Range(1, 9));
 
 // ---- fusion window sweep ----------------------------------------------
 

@@ -409,6 +409,7 @@ TEST(ObsMetrics, FusionCountersTrackPlanApplications) {
 
   qclab::SimulateOptions options;
   options.fusion = true;
+  options.fusionOptions.separateDiagonalRuns = false;
   circuit.simulate("00", options);
 
   EXPECT_EQ(metrics.fusionGatesIn(), 4u);

@@ -185,17 +185,19 @@ TYPED_TEST(SimdDifferential, RandomCircuitsAgreeAcrossLevels) {
   using T = TypeParam;
   if (!avx2Available()) GTEST_SKIP() << "no AVX2 on this machine";
   const qclab::sim::KernelBackend<T> backend;
+  qclab::SimulateOptions perGate;
+  perGate.fusion = false;
   for (int n = 2; n <= 16; n += 2) {
     const auto circuit =
         qclab::test::randomCircuit<T>(n, 30, 1000u + static_cast<unsigned>(n));
     std::vector<std::complex<T>> scalar, vector;
     {
       const ScopedSimdLevel level(SimdLevel::kScalar);
-      scalar = circuit.simulate(std::string(n, '0'), backend).state(0);
+      scalar = circuit.simulate(std::string(n, '0'), perGate, backend).state(0);
     }
     {
       const ScopedSimdLevel level(SimdLevel::kAvx2);
-      vector = circuit.simulate(std::string(n, '0'), backend).state(0);
+      vector = circuit.simulate(std::string(n, '0'), perGate, backend).state(0);
     }
     // A 30-gate circuit compounds per-gate rounding differences between
     // the FMA and scalar tiers; allow a modest depth factor.
