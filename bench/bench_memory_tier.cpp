@@ -1,11 +1,9 @@
 /// \file bench_memory_tier.cpp
 /// \brief Tiered state memory experiment: GHZ and QFT simulated with the
-/// state on the heap tier, the NUMA first-touch tier, and the out-of-core
-/// mmap tier (sim/state_buffer.hpp).  On a single-socket box the NUMA
-/// rows are skipped (reported via "numa-nodes"); the mmap rows always
-/// run — backed by an unlinked temporary file, they exercise the
-/// schedule-driven madvise prefetch walk whose counters the report
-/// carries.
+/// state on the heap tier and on the out-of-core mmap tier
+/// (sim/state_buffer.hpp).  The mmap rows are backed by an unlinked
+/// temporary file and exercise the schedule-driven madvise prefetch walk
+/// whose counters the report carries.
 ///
 /// The default register size keeps CI fast; QCLAB_BENCH_TIER_QUBITS
 /// raises it (26-30+) to reproduce the out-of-core regime where the
@@ -53,23 +51,14 @@ double timeSimulate(const qclab::QCircuit<T>& circuit, StateTier tier) {
       [&] { auto simulation = circuit.simulate(bits, options); });
 }
 
-/// Benchmarks one workload across the available tiers.
+/// Benchmarks one workload on both tiers.
 void benchWorkload(qclab::obs::Report& report, const std::string& name,
-                   const qclab::QCircuit<T>& circuit, bool multiSocket) {
+                   const qclab::QCircuit<T>& circuit) {
   const double dim =
       static_cast<double>(std::size_t{1} << circuit.nbQubits());
 
   const double heapNs = timeSimulate(circuit, StateTier::kHeap);
   report.add("heap/" + name, heapNs, "ns/op");
-
-  if (multiSocket) {
-    // First-touch placement only differentiates itself across sockets;
-    // single-node boxes skip the row (reported via "numa-nodes").
-    const double numaNs = timeSimulate(circuit, StateTier::kNuma);
-    report.add("numa/" + name, numaNs, "ns/op");
-    report.add("numa-vs-heap/" + name, numaNs > 0 ? heapNs / numaNs : 0.0,
-               "x");
-  }
 
   const double mmapNs = timeSimulate(circuit, StateTier::kMmap);
   report.add("mmap/" + name, mmapNs, "ns/op");
@@ -103,27 +92,16 @@ int main(int argc, char** argv) {
   qclab::obs::Report report("bench_memory_tier");
 
   const int n = benchQubits();
-  const int nodes = qclab::sim::numaNodeCount();
-  const bool multiSocket = nodes > 1;
-  report.add("numa-nodes", static_cast<double>(nodes), "nodes");
-  if (!multiSocket) {
-    std::fprintf(stderr,
-                 "note: single NUMA node detected — numa tier rows "
-                 "skipped (heap and numa placement coincide)\n");
-  }
-
   benchWorkload(report, "ghz/n=" + std::to_string(n),
-                qclab::algorithms::ghz<T>(n), multiSocket);
+                qclab::algorithms::ghz<T>(n));
   benchWorkload(report, "qft/n=" + std::to_string(n),
-                qclab::algorithms::qft<T>(n), multiSocket);
+                qclab::algorithms::qft<T>(n));
 
   if (qclab::obs::kEnabled) {
     // Lifetime prefetch-walk counters of the mmap runs above.
     const auto& metrics = qclab::obs::metrics();
     report.add("prefetch-issued",
                static_cast<double>(metrics.prefetchIssued()), "granules");
-    report.add("prefetch-hits",
-               static_cast<double>(metrics.prefetchHits()), "granules");
     report.add("prefetch-retired",
                static_cast<double>(metrics.prefetchRetired()), "granules");
   }

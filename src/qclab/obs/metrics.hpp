@@ -76,12 +76,10 @@
     "Tableau branches expanded into statevectors at the conversion point.")    \
   X(kPrefetchIssued, prefetchIssued, "prefetch_issued",                        \
     "madvise(WILLNEED) granules issued by the out-of-core walk.")              \
-  X(kPrefetchHits, prefetchHits, "prefetch_hits",                              \
-    "Prefetch requests that found the granule already resident.")              \
   X(kPrefetchRetired, prefetchRetired, "prefetch_retired",                     \
     "madvise(DONTNEED) granules dropped behind the walk.")                     \
   X(kStateTierFallbacks, stateTierFallbacks, "state_tier_fallbacks",           \
-    "NUMA or mmap state allocations that fell back to the heap tier.")
+    "mmap state allocations that fell back to the heap tier.")
 
 namespace qclab::obs {
 
@@ -294,7 +292,7 @@ class Metrics {
 
   /// Attributes bytes to a resolved memory tier (sim::StateBuffer).
   /// `mapped` is address space reserved by the tier; `resident` is the
-  /// part expected to be RAM-backed.  Heap/NUMA allocations pass equal
+  /// part expected to be RAM-backed.  Heap allocations pass equal
   /// values; the mmap tier maps the whole state but counts resident
   /// bytes only as its prefetch advisor faults granules in.
   void addTierBytes(sim::StateTier tier, std::uint64_t resident,

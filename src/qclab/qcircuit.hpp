@@ -63,11 +63,12 @@ struct SimulateOptions {
   sim::DispatchMode dispatch = sim::DispatchMode::kStatevector;
   /// Tuning knobs of the kAuto router.
   sim::DispatchOptions dispatchOptions{};
-  /// Where the state amplitudes live (sim/state_buffer.hpp): heap, a
-  /// NUMA first-touch mapping, or an out-of-core mmap tier — chosen
-  /// automatically by state size, overridable here and through the
-  /// QCLAB_STATE_TIER / QCLAB_STATE_DIR environment variables.  Only
-  /// the bits-overload of simulate allocates tiered; simulating from an
+  /// Where the state amplitudes live (sim/state_buffer.hpp): the heap
+  /// or an out-of-core mmap tier — chosen automatically by state size,
+  /// overridable here and through the QCLAB_STATE_TIER /
+  /// QCLAB_STATE_DIR environment variables.  The bits-overload of
+  /// simulate allocates tiered on every route, the tableau-converted
+  /// branches of the dispatch routes included; simulating from an
   /// arbitrary state vector adopts it on the heap tier.
   sim::StateTierOptions stateTier{};
 };
@@ -358,9 +359,9 @@ class QCircuit final : public QObject<T> {
     sim::StateBuffer<T> state;
     {
       // Allocating through the tier ladder (instead of basisState's
-      // plain vector) lets 30+ qubit runs land on the NUMA or
-      // out-of-core tier; on the mmap tier the zero-fill is a file
-      // hole, so only the basis amplitude's page faults in here.
+      // plain vector) lets 30+ qubit runs land on the out-of-core tier;
+      // on the mmap tier the zero-fill is a file hole, so only the basis
+      // amplitude's page faults in here.
       const obs::ScopedSpan span("state/alloc", "stage");
       state = sim::StateBuffer<T>::zeros(std::size_t{1} << nbQubits_,
                                          options.stateTier);

@@ -29,7 +29,6 @@
 #include <chrono>
 #include <complex>
 #include <cstdint>
-#include <cstdlib>
 #include <vector>
 
 #include "qclab/dense/matrix.hpp"
@@ -46,18 +45,15 @@
 
 namespace qclab::sim {
 
-/// Tuning knobs of the cache-blocking scheduler.
-struct BlockingOptions {
-  /// Master switch; off leaves every fused block on its own full sweep.
-  bool enabled = true;
-  /// Chunk size in qubits; 0 = size to l2Bytes (autoBlockQubits).
-  int blockQubits = 0;
-  /// Assumed per-core L2 capacity used by the automatic chunk sizing.
-  std::size_t l2Bytes = std::size_t{1} << 20;
-  /// Minimum consecutive blockable fused blocks worth a blocked sweep;
-  /// a single block gains nothing from chunking (same one sweep).
-  std::size_t minRunBlocks = 2;
-};
+/// Assumed per-core L2 capacity behind the automatic chunk size.  1 MiB
+/// is the L2 of common x86 server cores (Skylake-SP, Zen 4); on another
+/// L2 the chunks only use the cache less well, and results stay
+/// bit-identical, since chunking never changes the arithmetic.
+inline constexpr std::size_t kAssumedL2Bytes = std::size_t{1} << 20;
+
+/// Minimum consecutive blockable fused blocks worth a blocked sweep: a
+/// lone block gains nothing from chunking (it is the same one sweep).
+inline constexpr std::size_t kMinBlockedRun = 2;
 
 /// Largest b such that a 2^b-amplitude chunk fills at most half of
 /// l2Bytes (leaving room for gate data and the streaming frontier).
@@ -67,29 +63,6 @@ int autoBlockQubits(std::size_t l2Bytes) noexcept {
   int b = 0;
   while ((std::size_t{2} << b) * perChunk <= l2Bytes) ++b;
   return b;
-}
-
-/// Applies the QCLAB_L2_BYTES / QCLAB_BLOCK_QUBITS environment
-/// overrides to `options` (mirroring QCLAB_DISPATCH /
-/// resolveDispatchMode): chunk sizing becomes tunable without a
-/// rebuild.  Unparsable or out-of-range values are ignored.
-inline BlockingOptions resolveBlockingOptions(
-    BlockingOptions options) noexcept {
-  if (const char* env = std::getenv("QCLAB_L2_BYTES")) {
-    char* end = nullptr;
-    const unsigned long long value = std::strtoull(env, &end, 10);
-    if (end != env && *end == '\0' && value > 0) {
-      options.l2Bytes = static_cast<std::size_t>(value);
-    }
-  }
-  if (const char* env = std::getenv("QCLAB_BLOCK_QUBITS")) {
-    char* end = nullptr;
-    const long value = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && value > 0 && value < 63) {
-      options.blockQubits = static_cast<int>(value);
-    }
-  }
-  return options;
 }
 
 /// One scheduled run of consecutive fused blocks [first, first + count).
@@ -115,25 +88,23 @@ struct BlockSchedule {
 
 /// Partitions `blocks` into maximal runs of consecutive blocks whose
 /// qubits all live in the low-position window of `blockQubits` bits
-/// (i.e. every qubit index >= nbQubits - b).  Runs shorter than
-/// minRunBlocks stay unblocked — a lone block gains nothing from
-/// chunking.  Returns an empty schedule when blocking cannot help
-/// (disabled, or the whole state already fits one chunk).
+/// (i.e. every qubit index >= nbQubits - b); `blockQubits` <= 0 sizes the
+/// chunk to kAssumedL2Bytes.  Runs shorter than kMinBlockedRun stay
+/// unblocked.  Returns an empty schedule when blocking cannot help (the
+/// whole state already fits one chunk, or no run is long enough).
 template <typename T = double, typename Block>
 BlockSchedule buildBlockSchedule(const std::vector<Block>& blocks,
-                                 int nbQubits,
-                                 const BlockingOptions& options = {}) {
+                                 int nbQubits, int blockQubits) {
   const obs::ScopedSpan span("fusion/block-schedule", "stage");
   BlockSchedule schedule;
-  const BlockingOptions resolved = resolveBlockingOptions(options);
-  if (!resolved.enabled || blocks.empty()) return schedule;
+  if (blocks.empty()) return schedule;
 
-  int b = resolved.blockQubits;
+  int b = blockQubits;
   if (b <= 0) {
     // Size the chunk by the ACTUAL amplitude width: a float state fits
-    // twice the amplitudes of a double state in the same l2Bytes, so
-    // sizing for double would leave half the configured cache unused.
-    b = autoBlockQubits<T>(resolved.l2Bytes);
+    // twice the amplitudes of a double state in the same L2, so sizing
+    // for double would leave half of it unused.
+    b = autoBlockQubits<T>(kAssumedL2Bytes);
   }
   b = std::min(b, nbQubits);
   // Whole state fits one chunk: every gate is already "cache-blocked".
@@ -154,7 +125,7 @@ BlockSchedule buildBlockSchedule(const std::vector<Block>& blocks,
     BlockItem item;
     item.first = i;
     item.count = j - i;
-    item.blocked = runBlockable && (j - i) >= resolved.minRunBlocks;
+    item.blocked = runBlockable && (j - i) >= kMinBlockedRun;
     sawBlockedRun = sawBlockedRun || item.blocked;
     schedule.items.push_back(item);
     i = j;
@@ -283,14 +254,13 @@ void applyCompiledChunk(std::complex<T>* chunk, std::int64_t chunkDim,
 /// (enforced by buildBlockSchedule).  Bit-identical to applying the
 /// blocks sequentially with full sweeps.
 ///
-/// Generic over the state container.  When the container exposes a
-/// prefetch advisor (the out-of-core tier of sim::StateBuffer), each
-/// thread walks its OWN contiguous chunk range — the same
-/// staticPartition split the NUMA first-touch pass used — keeping a
-/// WILLNEED window one advisor granule ahead of the chunk being
-/// computed and DONTNEED-retiring granules it has fully streamed past,
-/// so the resident set stays a few granules per thread regardless of
-/// state size.
+/// Generic over the state container.  Each thread walks its OWN
+/// contiguous chunk range (staticPartition).  When the container exposes
+/// a prefetch advisor (the mmap tier of sim::StateBuffer), the thread
+/// keeps a WILLNEED window one advisor granule ahead of the chunk being
+/// computed and DONTNEED-retires granules it has fully streamed past, so
+/// the resident set stays a few granules per thread regardless of state
+/// size.
 template <typename State, typename Block>
 void applyBlockedRun(State& state, int nbQubits,
                      const std::vector<Block>& blocks, std::size_t first,
@@ -312,8 +282,8 @@ void applyBlockedRun(State& state, int nbQubits,
   const std::int64_t chunkDim = std::int64_t{1} << blockQubits;
   const std::int64_t chunks = std::int64_t{1} << (nbQubits - blockQubits);
 
-  // Out-of-core states expose a prefetch advisor; plain vectors (and
-  // the heap/NUMA tiers) do not, and the walk below compiles away.
+  // Out-of-core states expose a prefetch advisor; plain vectors and
+  // heap-tier buffers do not, and the walk below compiles away.
   MemoryAdvisor* advisor = nullptr;
   if constexpr (requires { state.advisor(); }) {
     advisor = state.advisor();
@@ -343,9 +313,7 @@ void applyBlockedRun(State& state, int nbQubits,
     double threadMaxAmpSq = 0.0;
     bool threadNanSeen = false;
     // Manual even static partition instead of `omp for schedule(static)`:
-    // the SAME contiguous per-thread ranges the NUMA tier's first-touch
-    // pass placed pages for (the affinity contract, DESIGN.md), and the
-    // ranges the prefetch walk needs to know explicitly.
+    // the prefetch walk needs to know each thread's range explicitly.
 #ifdef QCLAB_HAS_OPENMP
     const int nThreads = omp_get_num_threads();
     const int tid = omp_get_thread_num();

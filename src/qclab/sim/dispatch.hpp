@@ -133,7 +133,18 @@ CircuitAnalysis<T> analyzeCircuit(const QCircuit<T>& circuit) {
 
 // ---- tableau -> statevector conversion -----------------------------------
 
-/// Expands a stabilizer tableau into the 2^n statevector it represents.
+/// Number of amplitudes an n-qubit tableau expands into; throws past 30
+/// qubits, before anything is allocated.
+inline std::size_t tableauStateDim(int n) {
+  util::require(n <= 30,
+                "tableau -> statevector expansion needs 2^n amplitudes; "
+                "capped at 30 qubits");
+  return std::size_t{1} << n;
+}
+
+/// Expands a stabilizer tableau into the 2^n statevector it represents,
+/// written into `state`, which must hold 2^n zeroed amplitudes (a fresh
+/// StateBuffer<T>::zeros on any tier); only the support is written.
 ///
 /// Gaussian elimination over the stabilizer X-block yields `rank`
 /// X-bearing generators (the state has 2^rank support states of magnitude
@@ -145,12 +156,11 @@ CircuitAnalysis<T> analyzeCircuit(const QCircuit<T>& circuit) {
 /// to reproduce the statevector path's Hadamard-cascade rounding bit for
 /// bit.
 template <typename T>
-std::vector<std::complex<T>> tableauToStatevector(
-    const stabilizer::Tableau& tableau) {
+void tableauToStatevector(const stabilizer::Tableau& tableau,
+                          StateSpan<T> state) {
   const int n = tableau.nbQubits();
-  util::require(n <= 30,
-                "tableau -> statevector expansion needs 2^n amplitudes; "
-                "capped at 30 qubits");
+  util::require(state.size() == tableauStateDim(n),
+                "tableauToStatevector: state must hold 2^n amplitudes");
   using util::index_t;
 
   /// i^phase * product of per-qubit Paulis (Y where both masks set).
@@ -255,7 +265,6 @@ std::vector<std::complex<T>> tableauToStatevector(
   const T invSqrt2 = T(1) / std::sqrt(T(2));
   for (int k = 0; k < rank; ++k) magnitude *= invSqrt2;
 
-  std::vector<std::complex<T>> state(index_t{1} << n, std::complex<T>(0));
   const auto amplitude = [magnitude](int phase) {
     switch (phase & 3) {
       case 0: return std::complex<T>(magnitude, T(0));
@@ -283,6 +292,14 @@ std::vector<std::complex<T>> tableauToStatevector(
     self(self, k + 1, v ^ g.x, (phase + generatorPhase(g, v)) & 3);
   };
   emit(emit, 0, base, 0);
+}
+
+/// The expansion above into a fresh heap vector.
+template <typename T>
+std::vector<std::complex<T>> tableauToStatevector(
+    const stabilizer::Tableau& tableau) {
+  std::vector<std::complex<T>> state(tableauStateDim(tableau.nbQubits()));
+  tableauToStatevector<T>(tableau, state);
   return state;
 }
 
@@ -383,7 +400,9 @@ class DispatchRunner {
       converted.reserve(branches.size());
       for (auto& branch : branches) {
         Branch<T> out;
-        out.state = tableauToStatevector<T>(branch.tableau);
+        out.state = StateBuffer<T>::zeros(tableauStateDim(n),
+                                          options.stateTier);
+        tableauToStatevector<T>(branch.tableau, out.state);
         out.probability = branch.probability;
         out.result = std::move(branch.result);
         out.measurements = std::move(branch.measurements);

@@ -6,21 +6,18 @@
 /// Applying one gate per pass over the 2^n-amplitude state makes deep
 /// circuits memory-bandwidth bound: every gate streams the whole state
 /// through the cache hierarchy.  The fusion scheduler greedily merges
-/// maximal runs of adjacent gates whose combined qubit support fits a
-/// <= maxQubits window into one dense block, so several full-state sweeps
-/// collapse into a single sweep per block.  Runs in which every merged
-/// gate is diagonal keep a diagonal block — stored as its 2^k diagonal
-/// entries, never densified — and go through the cheaper
-/// one-multiply-per-amplitude diagonal sweep instead.
+/// maximal runs of adjacent dense gates whose combined qubit support fits
+/// a <= maxQubits window into one dense block, so several full-state
+/// sweeps collapse into a single sweep per block.
 ///
-/// With FusionOptions::separateDiagonalRuns (on by default) the scheduler
-/// keeps diagonal gates out of dense blocks entirely and grows
-/// diagonal-only blocks up to the much wider diagonalMaxQubits window: a
-/// layer of RZZ gates or a CPhase ladder collapses into a couple of
-/// table-driven sweeps, while the dense gates around it keep their cheap
-/// dense1/dense2 kernels.  Wide diagonal windows are only affordable
-/// because diagonal blocks store 2^k entries instead of a 4^k dense
-/// matrix.
+/// Diagonal gates never join dense blocks: each maximal run of them is
+/// packed into diagonal-only blocks of up to kDiagonalMaxQubits qubits,
+/// stored as their 2^k diagonal entries and applied by the cheaper
+/// one-multiply-per-amplitude diagonal sweep.  A layer of RZZ gates or a
+/// CPhase ladder collapses into a couple of table-driven sweeps, while
+/// the dense gates around it keep their cheap dense1/dense2 kernels.
+/// Wide diagonal windows are only affordable because diagonal blocks
+/// store 2^k entries instead of a 4^k dense matrix.
 ///
 /// The scheduler is a pure function over gate sequences (fuseGates), so a
 /// plan is built once per gate run and applied to every simulation
@@ -64,6 +61,13 @@
 
 namespace qclab::sim {
 
+/// Window of diagonal-only blocks.  A diagonal block stores 2^k entries
+/// (not a dense matrix), so a 12-qubit window costs a 64 KiB table in
+/// double and collapses whole diagonal layers (QAOA cost layers,
+/// CZ/CPhase ladders) into one or two table-driven sweeps.  Diagonal
+/// gates wider than the window pass through as one-gate diagonal blocks.
+inline constexpr int kDiagonalMaxQubits = 12;
+
 /// Tuning knobs of the fusion scheduler.  The defaults are the one
 /// configuration every driver fuses with (QCircuit::simulate, the
 /// dispatch suffix, the batch engine, the trajectory engine): narrow dense
@@ -73,27 +77,14 @@ struct FusionOptions {
   /// Largest dense-block support; blocks hold 2^maxQubits x 2^maxQubits
   /// matrices.  Blocks of 3 or more qubits go through the scalar applyK,
   /// not the SIMD apply1/apply2 (a 4-step Trotter-Ising at n = 20 took
-  /// 184-331 ms at 3 against 43-77 ms at 2), hence 2.  Gates wider than
-  /// the window pass through unfused.
+  /// 184-331 ms at 3 against 43-77 ms at 2), hence 2.  Dense gates wider
+  /// than the window pass through unfused.
   int maxQubits = 2;
   /// Cache-block runs of low-position fused blocks into single streamed
-  /// sweeps (see blocking.hpp).
+  /// sweeps (see blocking.hpp); off leaves the plan without a schedule.
   bool blocking = true;
   /// Chunk size in qubits for blocked sweeps; 0 = size to the L2 cache.
   int blockQubits = 0;
-  /// Minimum consecutive blockable fused blocks worth a blocked sweep.
-  std::size_t minBlockRun = 2;
-  /// Never merge diagonal gates into dense blocks (and vice versa):
-  /// diagonal gates accumulate into diagonal-only blocks governed by
-  /// diagonalMaxQubits, dense gates into dense blocks governed by
-  /// maxQubits.  Off merges both kinds into mixed blocks.
-  bool separateDiagonalRuns = true;
-  /// Window for diagonal-only blocks when separateDiagonalRuns is on;
-  /// 0 = maxQubits.  A diagonal block stores 2^k entries (not a dense
-  /// matrix), so windows of 10-12 qubits are cheap and collapse whole
-  /// diagonal layers (QAOA cost layers, CZ/CPhase ladders) into one or
-  /// two table-driven sweeps.
-  int diagonalMaxQubits = 12;
 };
 
 /// A gate reference inside a fusion run: the gate plus the accumulated
@@ -345,26 +336,15 @@ std::vector<std::complex<T>> materializeDiagonal(
                                window);
 }
 
-/// Dense 2^k x 2^k matrix with `d` on the diagonal (used when a dense
-/// gate joins a so-far-diagonal block under the legacy mixed merging).
-template <typename T>
-dense::Matrix<T> denseFromDiagonal(const std::vector<std::complex<T>>& d) {
-  dense::Matrix<T> m(d.size(), d.size());
-  for (std::size_t i = 0; i < d.size(); ++i) m(i, i) = d[i];
-  return m;
-}
-
-/// Accumulates one block's product from a sequence of (gate, qubits,
-/// window) steps.  fuseGates drives it while scheduling and records the
-/// steps; rebindFusionPlan drives it again from the recorded steps — the
-/// SAME member functions run in the same order, so a rebound block is
-/// bit-identical to a freshly fused one.
+/// Accumulates one dense block's product from a sequence of (gate,
+/// qubits, window) steps.  fuseGates drives it while scheduling and
+/// records the steps; rebindFusionPlan drives it again from the recorded
+/// steps — the SAME member functions run in the same order, so a rebound
+/// block is bit-identical to a freshly fused one.
 template <typename T>
 struct BlockBuilder {
-  std::vector<int> support;            ///< current window (ascending)
-  bool diagonal = true;                ///< all gates so far diagonal
-  dense::Matrix<T> matrix;             ///< dense accumulation
-  std::vector<DiagFactor<T>> factors;  ///< deferred diagonal factors
+  std::vector<int> support;  ///< current window (ascending)
+  dense::Matrix<T> matrix;   ///< product so far over `support`
   std::size_t gatesIn = 0;
 
   bool open() const noexcept { return gatesIn > 0; }
@@ -373,74 +353,64 @@ struct BlockBuilder {
   void start(const qgates::QGate<T>& gate, const std::vector<int>& qubits,
              std::vector<int> window) {
     support = std::move(window);
-    diagonal = gate.isDiagonal();
-    factors.clear();
-    if (diagonal) {
-      factors.push_back({diagonalOf(gate.matrix()), qubits});
-      matrix = dense::Matrix<T>();
-    } else {
-      matrix = embedInWindow(gate.matrix(), qubits, support);
-    }
+    matrix = embedInWindow(gate.matrix(), qubits, support);
     gatesIn = 1;
   }
 
   /// Merges the next gate; `window` is the (possibly grown) support.
-  /// Diagonal-on-diagonal merges only record the factor — the table
-  /// product is deferred to materializeDiagonal at finish time, so a run
-  /// of S diagonal gates costs one tree product instead of S full-table
-  /// multiply passes at the (possibly wide) window.
   void add(const qgates::QGate<T>& gate, const std::vector<int>& qubits,
            const std::vector<int>& window) {
-    if (diagonal && gate.isDiagonal()) {
+    if (window != support) {
+      matrix = embedInWindow(matrix, support, window);
       support = window;
-      factors.push_back({diagonalOf(gate.matrix()), qubits});
-    } else {
-      if (diagonal) {
-        // First dense gate in a so-far-diagonal block (legacy mixed
-        // merging only; separateDiagonalRuns never lets this happen).
-        matrix = denseFromDiagonal(
-            materializeDiagonal(std::move(factors), support));
-        factors.clear();
-        diagonal = false;
-      }
-      if (window != support) {
-        matrix = embedInWindow(matrix, support, window);
-        support = window;
-      }
-      matrix = embedInWindow(gate.matrix(), qubits, support) * matrix;
     }
+    matrix = embedInWindow(gate.matrix(), qubits, support) * matrix;
     ++gatesIn;
   }
 
-  /// Materializes the accumulated product into a block and resets.
+  /// Moves the accumulated product into a block and resets.
   FusedBlock<T> finish(std::vector<FusedStep> steps) {
     FusedBlock<T> block;
     block.qubits = std::move(support);
     block.matrix = std::move(matrix);
-    if (diagonal && !factors.empty()) {
-      block.diag = materializeDiagonal(std::move(factors), block.qubits);
-    }
-    block.diagonal = diagonal;
     block.gatesIn = gatesIn;
     block.steps = std::move(steps);
     support.clear();
     matrix = dense::Matrix<T>();
-    factors.clear();
-    diagonal = true;
     gatesIn = 0;
     return block;
   }
 };
 
+/// The diagonal table of a diagonal block: the per-gate factors of its
+/// recipe multiplied through materializeDiagonal.  fuseGates and
+/// rebindFusionPlan both build diagonal blocks through THIS function, so
+/// a rebound table is bit-identical to a freshly fused one.
+template <typename T>
+std::vector<std::complex<T>> diagonalBlockTable(
+    const std::vector<GateRef<T>>& gates,
+    const std::vector<FusedStep>& steps, const std::vector<int>& window) {
+  std::vector<DiagFactor<T>> factors;
+  factors.reserve(steps.size());
+  for (const auto& step : steps) {
+    util::require(step.gateIndex < gates.size(),
+                  "fusion recipe gate index out of range");
+    const auto& ref = gates[step.gateIndex];
+    util::require(ref.gate != nullptr, "fusion recipe: null gate reference");
+    factors.push_back({diagonalOf(ref.gate->matrix()), step.qubits});
+  }
+  return materializeDiagonal(std::move(factors), window);
+}
+
 }  // namespace detail
 
-/// Greedily schedules `gates` (applied left to right) into fused blocks:
-/// each gate joins the open block while the union of supports still fits
-/// the window; otherwise the block is flushed and a new one starts.  Gates
-/// wider than the window pass through as single-gate blocks.  With
-/// separateDiagonalRuns, diagonal and dense gates never share a block;
+/// Greedily schedules `gates` (applied left to right) into fused blocks.
+/// Dense gates join the open dense block while the union of supports
+/// still fits the maxQubits window; otherwise the block is flushed and a
+/// new one starts, and dense gates wider than the window pass through as
+/// single-gate blocks.  Diagonal and dense gates never share a block:
 /// each maximal run of consecutive diagonal gates is packed first-fit
-/// into as few diagonalMaxQubits windows as the packing finds — a legal
+/// into as few kDiagonalMaxQubits windows as the packing finds — a legal
 /// reorder, since diagonal matrices commute elementwise exactly.
 template <typename T>
 FusionPlan<T> fuseGates(const std::vector<GateRef<T>>& gates, int nbQubits,
@@ -449,12 +419,7 @@ FusionPlan<T> fuseGates(const std::vector<GateRef<T>>& gates, int nbQubits,
   util::require(options.maxQubits >= 1,
                 "fusion window must span at least one qubit");
   const int denseWindow = std::min(options.maxQubits, nbQubits);
-  const int diagWindow =
-      options.separateDiagonalRuns
-          ? std::min(options.diagonalMaxQubits > 0 ? options.diagonalMaxQubits
-                                                   : options.maxQubits,
-                     nbQubits)
-          : denseWindow;
+  const int diagWindow = std::min(kDiagonalMaxQubits, nbQubits);
 
   FusionPlan<T> plan;
   detail::BlockBuilder<T> builder;
@@ -466,25 +431,20 @@ FusionPlan<T> fuseGates(const std::vector<GateRef<T>>& gates, int nbQubits,
     steps.clear();
   };
 
-  // Pending maximal run of consecutive diagonal gates (separated mode).
-  // Diagonal matrices commute elementwise — exactly, even in floating
-  // point — so the run may be PACKED first-fit into few wide windows
-  // instead of split by greedy in-order growth: on a QAOA complete-graph
-  // cost layer this cuts 7 fragmented 12-qubit blocks down to 3.  Fewer
-  // blocks mean fewer full-state sweeps AND a cheaper rebind tree.
+  // Pending maximal run of consecutive diagonal gates.  Diagonal matrices
+  // commute elementwise — exactly, even in floating point — so the run
+  // may be PACKED first-fit into few wide windows instead of split by
+  // greedy in-order growth: on a QAOA complete-graph cost layer this cuts
+  // 7 fragmented 12-qubit blocks down to 3.  Fewer blocks mean fewer
+  // full-state sweeps AND a cheaper rebind tree.
   std::vector<std::size_t> runIndices;
   std::vector<std::vector<int>> runQubits;
   const auto flushDiagonalRun = [&]() {
-    if (runIndices.empty()) return;
     std::vector<bool> used(runIndices.size(), false);
     for (std::size_t i = 0; i < runIndices.size(); ++i) {
       if (used[i]) continue;
       std::vector<int> window = runQubits[i];
-      std::vector<detail::DiagFactor<T>> factors;
       std::vector<FusedStep> blockSteps;
-      factors.push_back(
-          {detail::diagonalOf(gates[runIndices[i]].gate->matrix()),
-           runQubits[i]});
       blockSteps.push_back({runIndices[i], runQubits[i], window});
       used[i] = true;
       for (std::size_t j = i + 1; j < runIndices.size(); ++j) {
@@ -495,15 +455,12 @@ FusionPlan<T> fuseGates(const std::vector<GateRef<T>>& gates, int nbQubits,
                        runQubits[j].end(), std::back_inserter(merged));
         if (static_cast<int>(merged.size()) > diagWindow) continue;
         window = std::move(merged);
-        factors.push_back(
-            {detail::diagonalOf(gates[runIndices[j]].gate->matrix()),
-             runQubits[j]});
         blockSteps.push_back({runIndices[j], runQubits[j], window});
         used[j] = true;
       }
       FusedBlock<T> block;
-      block.qubits = window;
-      block.diag = detail::materializeDiagonal(std::move(factors), window);
+      block.diag = detail::diagonalBlockTable(gates, blockSteps, window);
+      block.qubits = std::move(window);
       block.diagonal = true;
       block.gatesIn = blockSteps.size();
       block.steps = std::move(blockSteps);
@@ -520,56 +477,46 @@ FusionPlan<T> fuseGates(const std::vector<GateRef<T>>& gates, int nbQubits,
     for (int& q : qubits) q += ref.offset;
     util::checkQubit(qubits.front(), nbQubits);
     util::checkQubit(qubits.back(), nbQubits);
+    const int width = static_cast<int>(qubits.size());
 
-    const bool gateDiagonal = ref.gate->isDiagonal();
-    if (options.separateDiagonalRuns && gateDiagonal &&
-        static_cast<int>(qubits.size()) <= diagWindow) {
+    if (ref.gate->isDiagonal()) {
       // Close any open dense block, then let the diagonal run accumulate.
+      // A gate wider than the diagonal window packs with nothing: it ends
+      // the run as a one-gate block.
       flush();
       runIndices.push_back(index);
       runQubits.push_back(std::move(qubits));
+      if (width > diagWindow) flushDiagonalRun();
       continue;
     }
-    // A dense (or window-exceeding diagonal) gate ends the diagonal run.
+    // A dense gate ends the diagonal run.
     flushDiagonalRun();
-    const int window = (options.separateDiagonalRuns && gateDiagonal)
-                           ? diagWindow
-                           : denseWindow;
-
-    if (static_cast<int>(qubits.size()) > window) {
-      // Wider than the window: emit unfused as its own block.
-      flush();
-      builder.start(*ref.gate, qubits, qubits);
-      steps.push_back({index, qubits, qubits});
-      flush();
-      continue;
-    }
 
     std::vector<int> merged;
     merged.reserve(builder.support.size() + qubits.size());
     std::set_union(builder.support.begin(), builder.support.end(),
                    qubits.begin(), qubits.end(), std::back_inserter(merged));
-    if (static_cast<int>(merged.size()) > window) {
+    if (static_cast<int>(merged.size()) > denseWindow) {
       flush();
       merged = qubits;
     }
 
     if (!builder.open()) {
       builder.start(*ref.gate, qubits, merged);
-      steps.push_back({index, std::move(qubits), std::move(merged)});
     } else {
       builder.add(*ref.gate, qubits, merged);
-      steps.push_back({index, std::move(qubits), std::move(merged)});
     }
+    steps.push_back({index, std::move(qubits), std::move(merged)});
+    // Wider than the window: the gate passes through as its own block.
+    if (width > denseWindow) flush();
   }
   flushDiagonalRun();
   flush();
 
-  BlockingOptions blocking;
-  blocking.enabled = options.blocking;
-  blocking.blockQubits = options.blockQubits;
-  blocking.minRunBlocks = options.minBlockRun;
-  plan.schedule = buildBlockSchedule<T>(plan.blocks, nbQubits, blocking);
+  if (options.blocking) {
+    plan.schedule =
+        buildBlockSchedule<T>(plan.blocks, nbQubits, options.blockQubits);
+  }
   return plan;
 }
 
@@ -596,35 +543,21 @@ void rebindFusionPlan(FusionPlan<T>& plan,
     util::require(!block.steps.empty(),
                   "rebindFusionPlan: plan has no recorded recipe");
     if (block.diagonal) {
-      // Diagonal blocks: regather the per-gate factors and rerun the SAME
-      // pairwise-tree product fuseGates materialized through — bit-
-      // identical by sharing the code, and far cheaper than replaying S
-      // full-table passes at the block's (possibly wide) window.
-      std::vector<detail::DiagFactor<T>> factors;
-      factors.reserve(block.steps.size());
-      for (const auto& step : block.steps) {
-        util::require(step.gateIndex < gates.size(),
-                      "rebindFusionPlan: recipe gate index out of range");
-        const auto& ref = gates[step.gateIndex];
-        util::require(ref.gate != nullptr,
-                      "rebindFusionPlan: null gate reference");
-        factors.push_back(
-            {detail::diagonalOf(ref.gate->matrix()), step.qubits});
-      }
-      block.diag =
-          detail::materializeDiagonal(std::move(factors), block.qubits);
+      // Regather the per-gate factors and rerun the pairwise-tree product
+      // — far cheaper than replaying S full-table passes at the block's
+      // (possibly wide) window.
+      block.diag = detail::diagonalBlockTable(gates, block.steps,
+                                              block.qubits);
       continue;
     }
-    bool first = true;
     for (const auto& step : block.steps) {
       util::require(step.gateIndex < gates.size(),
                     "rebindFusionPlan: recipe gate index out of range");
       const auto& ref = gates[step.gateIndex];
       util::require(ref.gate != nullptr,
                     "rebindFusionPlan: null gate reference");
-      if (first) {
+      if (!builder.open()) {
         builder.start(*ref.gate, step.qubits, step.window);
-        first = false;
       } else {
         builder.add(*ref.gate, step.qubits, step.window);
       }

@@ -28,20 +28,18 @@ namespace qclab::sim {
 /// first so they double as 0-based counter indices (obs per-tier byte
 /// gauges); kAuto is a request, never a resolved tier.
 enum class StateTier : int {
-  kHeap = 0,  ///< aligned heap allocation (std::vector), optional THP
-  kNuma,      ///< first-touch-placed anonymous mapping (multi-socket)
+  kHeap = 0,  ///< heap allocation (std::vector), THP-advised when large
   kMmap,      ///< file-backed out-of-core mapping with prefetch advisor
   kAuto,      ///< pick by state size (SimulateOptions / env default)
 };
 
 /// Number of resolved tiers (counter-array size; excludes kAuto).
-inline constexpr int kStateTierCount = 3;
+inline constexpr int kStateTierCount = 2;
 
 /// Stable short name of a tier (reports, env parsing).
 inline const char* stateTierName(StateTier tier) noexcept {
   switch (tier) {
     case StateTier::kHeap: return "heap";
-    case StateTier::kNuma: return "numa";
     case StateTier::kMmap: return "mmap";
     case StateTier::kAuto: return "auto";
   }
@@ -70,10 +68,8 @@ class MemoryAdvisor {
 };
 
 /// The contiguous [lo, hi) share of `total` items owned by thread `tid`
-/// of `threads` under an even static partition — the SAME split the
-/// blocked executor uses for its chunk loop and the NUMA tier uses for
-/// its first-touch pass.  Keeping both on this one helper IS the
-/// first-touch affinity contract (DESIGN.md, memory tiers).
+/// of `threads` under an even static partition: the per-thread chunk
+/// ranges of the blocked executor, which its prefetch walk follows.
 inline std::pair<std::size_t, std::size_t> staticPartition(
     std::size_t total, int threads, int tid) noexcept {
   if (threads <= 1) return {0, total};

@@ -8,17 +8,9 @@
 /// "Tiered state memory"):
 ///
 ///  - **heap**  — a plain `std::vector` (the historical representation;
-///    small states, and the fallback for everything below).  Large heap
-///    states get a transparent-hugepage `madvise` on their page-aligned
-///    interior.
-///  - **numa**  — an anonymous private mapping whose pages are placed by
-///    an OpenMP *first-touch* zero-fill over the SAME even static
-///    partition the blocked executor uses for its chunk loop
-///    (`staticPartition`, memory_advisor.hpp), so on a multi-socket box
-///    each socket's threads keep streaming the chunks whose pages they
-///    faulted in.  No libnuma: nodes are counted via
-///    /sys/devices/system/node and a single-node box simply gets an
-///    ordinary (hugepage-advised) mapping.
+///    every state that fits in RAM, and the fallback of the mmap tier).
+///    Large heap states get a transparent-hugepage `madvise` on their
+///    page-aligned interior.
 ///  - **mmap**  — an out-of-core tier backing the state with an
 ///    unlinked temporary file (`MAP_SHARED`), so states larger than RAM
 ///    spill to disk under kernel paging.  The buffer exposes a
@@ -30,10 +22,10 @@
 ///
 /// Tier selection is automatic by state size (`chooseStateTier`), with
 /// `SimulateOptions::stateTier` and the `QCLAB_STATE_TIER` /
-/// `QCLAB_STATE_DIR` environment knobs overriding it, and EVERY tier
-/// degrades gracefully to the heap when the platform, the filesystem,
-/// or the node topology can't serve it.  All tiers are bit-identical:
-/// the executors see only `data()`/`size()`.
+/// `QCLAB_STATE_DIR` environment knobs overriding it, and the mmap tier
+/// degrades gracefully to the heap when the platform or the filesystem
+/// can't serve it.  Both tiers are bit-identical: the executors see only
+/// `data()`/`size()`.
 
 #include <algorithm>
 #include <atomic>
@@ -61,10 +53,6 @@
 #define QCLAB_STATE_HAS_MMAP 0
 #endif
 
-#ifdef QCLAB_HAS_OPENMP
-#include <omp.h>
-#endif
-
 namespace qclab::sim {
 
 /// Tuning knobs of the tier ladder (SimulateOptions::stateTier).
@@ -72,50 +60,24 @@ struct StateTierOptions {
   /// Requested tier; kAuto picks by state size (and degrades to heap
   /// whenever a higher tier is unavailable).
   StateTier tier = StateTier::kAuto;
-  /// Auto mode considers the NUMA tier only at/above this size (small
-  /// states fit one socket's cache hierarchy anyway).
-  std::size_t numaMinBytes = std::size_t{256} << 20;
   /// Auto mode goes out-of-core at/above this size; 0 = three quarters
   /// of /proc/meminfo MemAvailable (16 GiB when unreadable).
   std::size_t mmapMinBytes = 0;
   /// Backing-file directory for the mmap tier; empty = QCLAB_STATE_DIR,
   /// then TMPDIR, then /tmp.
   std::string directory;
-  /// Advise transparent huge pages on large heap/NUMA allocations.
-  bool hugePages = true;
 };
 
-/// The QCLAB_STATE_TIER environment variable ("auto" / "heap" / "numa" /
-/// "mmap") overrides the requested tier (mirroring QCLAB_DISPATCH);
-/// unknown values are ignored.
+/// The QCLAB_STATE_TIER environment variable ("auto" / "heap" / "mmap")
+/// overrides the requested tier (mirroring QCLAB_DISPATCH); unknown
+/// values are ignored.
 inline StateTier resolveStateTier(StateTier requested) noexcept {
   const char* env = std::getenv("QCLAB_STATE_TIER");
   if (env == nullptr) return requested;
   if (std::strcmp(env, "auto") == 0) return StateTier::kAuto;
   if (std::strcmp(env, "heap") == 0) return StateTier::kHeap;
-  if (std::strcmp(env, "numa") == 0) return StateTier::kNuma;
   if (std::strcmp(env, "mmap") == 0) return StateTier::kMmap;
   return requested;
-}
-
-/// Number of NUMA nodes, detected without libnuma by probing
-/// /sys/devices/system/node/node<i>.  Returns 1 when the sysfs tree is
-/// absent (non-Linux, containers) — i.e. "no placement to do".  Nodes
-/// numbered sparsely after offlining undercount; that only makes the
-/// auto ladder more conservative.
-inline int numaNodeCount() noexcept {
-#if QCLAB_STATE_HAS_MMAP
-  int count = 0;
-  for (int i = 0; i < 1024; ++i) {
-    char path[64];
-    std::snprintf(path, sizeof(path), "/sys/devices/system/node/node%d", i);
-    if (::access(path, F_OK) != 0) break;
-    ++count;
-  }
-  return count > 0 ? count : 1;
-#else
-  return 1;
-#endif
 }
 
 /// MemAvailable from /proc/meminfo, in bytes; 0 when unreadable.
@@ -146,25 +108,28 @@ inline std::string stateDirectory(const StateTierOptions& options) {
   return "/tmp";
 }
 
+/// Auto mode keeps states below this size on the heap without reading
+/// /proc/meminfo.  The default out-of-core threshold (three quarters of
+/// MemAvailable) lies below 1 MiB only when MemAvailable is under
+/// 1.33 MiB, and the read costs more than allocating such a state.
+inline constexpr std::size_t kMeminfoMinBytes = std::size_t{1} << 20;
+
 /// Resolves the tier a `bytes`-sized state should be allocated on:
-/// explicit requests (options or QCLAB_STATE_TIER) win; auto walks the
-/// ladder by size.  The result is still a *request* — allocation
-/// degrades to heap when the tier is unavailable.
+/// explicit requests (options or QCLAB_STATE_TIER) win; auto goes
+/// out-of-core from the mmapMinBytes threshold.  The result is still a
+/// *request* — allocation degrades to heap when the tier is unavailable.
 inline StateTier chooseStateTier(std::size_t bytes,
                                  const StateTierOptions& options) noexcept {
   const StateTier tier = resolveStateTier(options.tier);
   if (tier != StateTier::kAuto) return tier;
   std::size_t outOfCoreMin = options.mmapMinBytes;
   if (outOfCoreMin == 0) {
+    if (bytes < kMeminfoMinBytes) return StateTier::kHeap;
     const std::size_t available = availableMemoryBytes();
     outOfCoreMin =
         available != 0 ? available / 4 * 3 : (std::size_t{16} << 30);
   }
-  if (bytes >= outOfCoreMin) return StateTier::kMmap;
-  if (bytes >= options.numaMinBytes && numaNodeCount() > 1) {
-    return StateTier::kNuma;
-  }
-  return StateTier::kHeap;
+  return bytes >= outOfCoreMin ? StateTier::kMmap : StateTier::kHeap;
 }
 
 namespace detail {
@@ -194,11 +159,11 @@ inline void adviseHugePages(void* data, std::size_t bytes) noexcept {
 /// Prefetch advisor of the out-of-core tier.  Batches madvise calls at
 /// an 8 MiB granule and tracks per-granule residency in atomic flags,
 /// so concurrent per-thread walkers from the blocked executor dedup
-/// their advice without locks: a granule someone already faulted in is
-/// a prefetch HIT (counted, no syscall), a fresh one is ISSUED, a
-/// dropped one RETIRED.  Residency known to the advisor feeds the
-/// per-tier resident-bytes gauge (kernel reclaim can evict more; this
-/// is the upper bound the advisor maintains).
+/// their advice without locks: a granule already advised is skipped (no
+/// syscall), a fresh one is ISSUED, a dropped one RETIRED.  Residency
+/// known to the advisor feeds the per-tier resident-bytes gauge (kernel
+/// reclaim can evict more; this is the upper bound the advisor
+/// maintains).
 class MmapAdvisor final : public MemoryAdvisor {
  public:
   MmapAdvisor(void* base, std::uint64_t bytes) noexcept
@@ -228,12 +193,9 @@ class MmapAdvisor final : public MemoryAdvisor {
                 std::uint64_t bytes) noexcept override {
     if (bytes == 0 || offsetBytes >= bytes_) return;
     const std::uint64_t end = std::min(offsetBytes + bytes, bytes_);
-    std::uint64_t issued = 0, hits = 0, issuedBytes = 0;
+    std::uint64_t issued = 0, issuedBytes = 0;
     for (std::uint64_t g = offsetBytes / kGranule; g * kGranule < end; ++g) {
-      if (resident_[g].exchange(1, std::memory_order_relaxed) != 0) {
-        ++hits;
-        continue;
-      }
+      if (resident_[g].exchange(1, std::memory_order_relaxed) != 0) continue;
       const std::uint64_t len = granuleLength(g);
 #if QCLAB_STATE_HAS_MMAP
       ::madvise(base_ + g * kGranule, len, MADV_WILLNEED);
@@ -245,7 +207,6 @@ class MmapAdvisor final : public MemoryAdvisor {
       if (issued != 0) {
         obs::metrics().add(obs::Counter::kPrefetchIssued, issued);
       }
-      if (hits != 0) obs::metrics().add(obs::Counter::kPrefetchHits, hits);
       if (issuedBytes != 0) {
         residentBytes_.fetch_add(issuedBytes, std::memory_order_relaxed);
         obs::metrics().addTierBytes(StateTier::kMmap, issuedBytes, 0);
@@ -295,7 +256,7 @@ class MmapAdvisor final : public MemoryAdvisor {
 
 }  // namespace detail
 
-/// Owns one branch's amplitudes on one of the three tiers.  Constructed
+/// Owns one branch's amplitudes on one of the two tiers.  Constructed
 /// implicitly from a `std::vector` (heap tier — the historical
 /// representation every call site already produces) or via `zeros`
 /// (tier chosen by size).  The executors only use data()/size(); the
@@ -323,10 +284,7 @@ class StateBuffer {
     StateBuffer buffer;
     buffer.options_ = options;
     const StateTier tier = chooseStateTier(dim * sizeof(value_type), options);
-    if ((tier == StateTier::kMmap && buffer.allocateMmap(dim)) ||
-        (tier == StateTier::kNuma && buffer.allocateNuma(dim))) {
-      return buffer;
-    }
+    if (tier == StateTier::kMmap && buffer.allocateMmap(dim)) return buffer;
     if (tier != StateTier::kHeap) {
       obs::metrics().add(obs::Counter::kStateTierFallbacks);
     }
@@ -486,15 +444,11 @@ class StateBuffer {
 
   void assign(const StateBuffer& other) {
     options_ = other.options_;
-    if (other.tier_ == StateTier::kNuma && allocateNuma(other.size())) {
-      parallelCopy(other.data());
-      return;
-    }
     if (other.tier_ == StateTier::kMmap && allocateMmap(other.size())) {
       std::memcpy(map_, other.data(), mapBytes_);
       return;
     }
-    // Heap source, or a tier that could not be re-allocated: heap copy.
+    // Heap source, or an mmap copy that could not be mapped: heap copy.
     if (other.tier_ != StateTier::kHeap) {
       obs::metrics().add(obs::Counter::kStateTierFallbacks);
     }
@@ -506,34 +460,8 @@ class StateBuffer {
   void allocateHeap(std::size_t dim) {
     tier_ = StateTier::kHeap;
     vec_.assign(dim, value_type(0));
-    if (options_.hugePages) {
-      detail::adviseHugePages(vec_.data(), dim * sizeof(value_type));
-    }
+    detail::adviseHugePages(vec_.data(), dim * sizeof(value_type));
     trackAlloc(byteSize(), byteSize());
-  }
-
-  bool allocateNuma(std::size_t dim) {
-#if QCLAB_STATE_HAS_MMAP
-    const std::size_t bytes = dim * sizeof(value_type);
-    void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
-                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (p == MAP_FAILED) return false;
-#ifdef MADV_HUGEPAGE
-    if (options_.hugePages && bytes >= detail::kHugePageBytes) {
-      ::madvise(p, bytes, MADV_HUGEPAGE);
-    }
-#endif
-    map_ = static_cast<value_type*>(p);
-    mapElems_ = dim;
-    mapBytes_ = bytes;
-    tier_ = StateTier::kNuma;
-    firstTouchZero();
-    trackAlloc(bytes, bytes);
-    return true;
-#else
-    (void)dim;
-    return false;
-#endif
   }
 
   bool allocateMmap(std::size_t dim) {
@@ -569,41 +497,8 @@ class StateBuffer {
 #endif
   }
 
-  /// First-touch zero-fill over the executor's static partition — the
-  /// page-placement half of the affinity contract (DESIGN.md).
-  void firstTouchZero() noexcept {
-#ifdef QCLAB_HAS_OPENMP
-#pragma omp parallel if (!omp_in_parallel())
-    {
-      const auto [lo, hi] = staticPartition(
-          mapElems_, omp_get_num_threads(), omp_get_thread_num());
-      if (hi > lo) {
-        std::memset(static_cast<void*>(map_ + lo), 0,
-                    (hi - lo) * sizeof(value_type));
-      }
-    }
-#else
-    std::memset(static_cast<void*>(map_), 0, mapBytes_);
-#endif
-  }
-
-  void parallelCopy(const value_type* src) noexcept {
-#ifdef QCLAB_HAS_OPENMP
-#pragma omp parallel if (!omp_in_parallel())
-    {
-      const auto [lo, hi] = staticPartition(
-          mapElems_, omp_get_num_threads(), omp_get_thread_num());
-      if (hi > lo) {
-        std::memcpy(map_ + lo, src + lo, (hi - lo) * sizeof(value_type));
-      }
-    }
-#else
-    std::memcpy(map_, src, mapBytes_);
-#endif
-  }
-
   std::vector<value_type> vec_;     ///< heap tier storage
-  value_type* map_ = nullptr;       ///< numa/mmap tier storage
+  value_type* map_ = nullptr;       ///< mmap tier storage
   std::size_t mapElems_ = 0;
   std::size_t mapBytes_ = 0;
   StateTier tier_ = StateTier::kHeap;

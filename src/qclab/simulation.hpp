@@ -282,8 +282,8 @@ class Simulation {
   double probability(std::size_t i) const { return branches_.at(i).probability; }
   /// Final state vector of branch `i` (reference stays valid as long as the
   /// Simulation lives — prefer this over states()[i]).  Heap tier only
-  /// (the default); a state that lives on the NUMA/mmap tier must be
-  /// read through stateBuffer(i) instead.
+  /// (the default); a state that lives on the mmap tier must be read
+  /// through stateBuffer(i) instead.
   const std::vector<std::complex<T>>& state(std::size_t i) const {
     return branches_.at(i).state.vector();
   }

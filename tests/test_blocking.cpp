@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <complex>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -15,7 +14,6 @@
 #include "qclab/qclab.hpp"
 #include "test_helpers.hpp"
 
-using qclab::sim::BlockingOptions;
 using qclab::sim::KernelPath;
 using qclab::sim::SimdLevel;
 
@@ -58,52 +56,15 @@ TEST(Blocking, ScheduleSizesChunksByTheActualScalarType) {
   // Regression: buildBlockSchedule used to size chunks as if every state
   // were double, wasting half the L2 window for float states.  A float
   // amplitude is 8 bytes, so the same L2 budget fits one more qubit.
-  const std::vector<StubBlock> blocks = {{{5}}, {{6, 7}}, {{7}}, {{6}}};
-  BlockingOptions options;
-  options.l2Bytes = std::size_t{1} << 8;  // double: b = 3, float: b = 4
+  const std::vector<StubBlock> blocks = {
+      {{17}}, {{18, 19}}, {{19}}, {{18}}};
   const auto viaDouble =
-      qclab::sim::buildBlockSchedule<double>(blocks, 8, options);
-  const auto viaFloat =
-      qclab::sim::buildBlockSchedule<float>(blocks, 8, options);
-  EXPECT_EQ(viaDouble.blockQubits, 3);
-  EXPECT_EQ(viaFloat.blockQubits, 4);
+      qclab::sim::buildBlockSchedule<double>(blocks, 20, 0);
+  const auto viaFloat = qclab::sim::buildBlockSchedule<float>(blocks, 20, 0);
+  EXPECT_EQ(viaDouble.blockQubits, 15);
+  EXPECT_EQ(viaFloat.blockQubits, 16);
   // The bare (untyped) call keeps its historical double sizing.
-  EXPECT_EQ(qclab::sim::buildBlockSchedule(blocks, 8, options).blockQubits, 3);
-}
-
-// ---- environment overrides (QCLAB_L2_BYTES / QCLAB_BLOCK_QUBITS) ------
-
-TEST(Blocking, EnvironmentOverridesBlockingOptions) {
-  BlockingOptions defaults;
-
-  ::setenv("QCLAB_L2_BYTES", "524288", 1);
-  EXPECT_EQ(qclab::sim::resolveBlockingOptions(defaults).l2Bytes,
-            std::size_t{1} << 19);
-  ::setenv("QCLAB_BLOCK_QUBITS", "7", 1);
-  EXPECT_EQ(qclab::sim::resolveBlockingOptions(defaults).blockQubits, 7);
-
-  // Malformed or out-of-range values are ignored, not fatal.
-  ::setenv("QCLAB_L2_BYTES", "garbage", 1);
-  ::setenv("QCLAB_BLOCK_QUBITS", "-3", 1);
-  const auto resolved = qclab::sim::resolveBlockingOptions(defaults);
-  EXPECT_EQ(resolved.l2Bytes, defaults.l2Bytes);
-  EXPECT_EQ(resolved.blockQubits, defaults.blockQubits);
-
-  ::unsetenv("QCLAB_L2_BYTES");
-  ::unsetenv("QCLAB_BLOCK_QUBITS");
-  const auto untouched = qclab::sim::resolveBlockingOptions(defaults);
-  EXPECT_EQ(untouched.l2Bytes, defaults.l2Bytes);
-  EXPECT_EQ(untouched.blockQubits, defaults.blockQubits);
-}
-
-TEST(Blocking, EnvironmentBlockQubitsReachesTheSchedule) {
-  const std::vector<StubBlock> blocks = {{{5}}, {{6, 7}}, {{7}}, {{6}}};
-  BlockingOptions options;
-  options.blockQubits = 4;
-  ::setenv("QCLAB_BLOCK_QUBITS", "3", 1);
-  const auto schedule = qclab::sim::buildBlockSchedule(blocks, 8, options);
-  ::unsetenv("QCLAB_BLOCK_QUBITS");
-  EXPECT_EQ(schedule.blockQubits, 3);
+  EXPECT_EQ(qclab::sim::buildBlockSchedule(blocks, 20, 0).blockQubits, 15);
 }
 
 // ---- schedule grouping ------------------------------------------------
@@ -115,9 +76,7 @@ TEST(Blocking, ScheduleGroupsConsecutiveLowPositionRuns) {
       {{0}},            // full-sweep block
       {{4}}, {{7}},     // blockable run of 2
   };
-  BlockingOptions options;
-  options.blockQubits = 4;
-  const auto schedule = qclab::sim::buildBlockSchedule(blocks, 8, options);
+  const auto schedule = qclab::sim::buildBlockSchedule(blocks, 8, 4);
 
   EXPECT_EQ(schedule.blockQubits, 4);
   ASSERT_EQ(schedule.items.size(), 3u);
@@ -133,26 +92,18 @@ TEST(Blocking, ScheduleGroupsConsecutiveLowPositionRuns) {
 }
 
 TEST(Blocking, ShortRunsAndEscapingBlocksStayPlain) {
-  BlockingOptions options;
-  options.blockQubits = 4;
-
   // A lone blockable block gains nothing: the schedule stays empty.
   const std::vector<StubBlock> lone = {{{7}}, {{0}}, {{1}}};
-  EXPECT_TRUE(qclab::sim::buildBlockSchedule(lone, 8, options).items.empty());
+  EXPECT_TRUE(qclab::sim::buildBlockSchedule(lone, 8, 4).items.empty());
 
   // A block straddling the window boundary (qubit 3 has position 4)
   // breaks the run.
   const std::vector<StubBlock> straddle = {{{5}}, {{3, 7}}, {{6}}};
-  EXPECT_TRUE(
-      qclab::sim::buildBlockSchedule(straddle, 8, options).items.empty());
+  EXPECT_TRUE(qclab::sim::buildBlockSchedule(straddle, 8, 4).items.empty());
 
-  // Disabled, or whole state inside one chunk: no schedule.
+  // Whole state inside one chunk: no schedule.
   const std::vector<StubBlock> run = {{{6}}, {{7}}};
-  options.enabled = false;
-  EXPECT_TRUE(qclab::sim::buildBlockSchedule(run, 8, options).items.empty());
-  options.enabled = true;
-  options.blockQubits = 8;
-  EXPECT_TRUE(qclab::sim::buildBlockSchedule(run, 8, options).items.empty());
+  EXPECT_TRUE(qclab::sim::buildBlockSchedule(run, 8, 8).items.empty());
 }
 
 TEST(Blocking, FusionPlanCarriesTheSchedule) {

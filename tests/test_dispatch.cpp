@@ -369,6 +369,43 @@ TEST(Dispatch, DeclinedAutoRouteHonoursTheStateTier) {
   expectSimulationsMatch(reference, overridden);
 }
 
+TEST(Dispatch, TableauRoutesHonourTheStateTier) {
+  // The hybrid and full-stabilizer routes allocate their converted
+  // branches on the requested tier, as a kStatevector request does.
+  // Compared route against route, so this also holds where mmap falls
+  // back to heap.
+  QCircuit<double> hybrid(3);  // Clifford prefix, then a T gate
+  hybrid.push_back(Hadamard<double>(0));
+  hybrid.push_back(CX<double>(0, 1));
+  hybrid.push_back(SGate<double>(2));
+  hybrid.push_back(TGate<double>(1));
+  QCircuit<double> clifford(3);  // fully Clifford, forks at the measure
+  clifford.push_back(Hadamard<double>(0));
+  clifford.push_back(CX<double>(0, 1));
+  clifford.push_back(Measurement<double>(1));
+  clifford.push_back(Hadamard<double>(2));
+
+  SimulateOptions direct;
+  direct.stateTier.tier = StateTier::kMmap;
+  SimulateOptions routed = direct;
+  routed.dispatch = DispatchMode::kStabilizer;
+  for (const QCircuit<double>* circuit : {&hybrid, &clifford}) {
+    const std::uint64_t before = obs::metrics().dispatchConversions();
+    const auto reference = circuit->simulate("010", direct);
+    const auto dispatched = circuit->simulate("010", routed);
+    if (obs::kEnabled) {
+      EXPECT_GT(obs::metrics().dispatchConversions(), before);
+    }
+    ASSERT_EQ(reference.nbBranches(), dispatched.nbBranches());
+    for (std::size_t b = 0; b < reference.nbBranches(); ++b) {
+      EXPECT_EQ(dispatched.stateBuffer(b).tier(),
+                reference.stateBuffer(b).tier())
+          << "branch " << b;
+    }
+    expectSimulationsMatch(reference, dispatched);
+  }
+}
+
 TEST(Dispatch, ForcedStabilizerOnNonCliffordStartStillMatches) {
   // kStabilizer with an immediately non-Clifford circuit: the prefix is
   // empty, so the tableau converts |bits> straight away and the whole

@@ -194,21 +194,20 @@ TEST(DriverAgreement, NoiseFreeTrajectoriesMatchSimulate) {
 }
 
 TEST(DriverAgreement, BarriersEndFusedRunsInEveryDriver) {
-  // H(0) CX(0,1) | barrier | CX(1,2) RZ(2): three qubits fit one fused
+  // H(0) CX(0,1) | barrier | CX(1,2) RY(2): three qubits fit one fused
   // block, so only the barrier splits the run into two.
   QCircuit<double> circuit(3);
   circuit.push_back(Hadamard<double>(0));
   circuit.push_back(CX<double>(0, 1));
   circuit.push_back(Barrier<double>(0, 2));
   circuit.push_back(CX<double>(1, 2));
-  circuit.push_back(RotationZ<double>(2, 0.5));
+  circuit.push_back(RotationY<double>(2, 0.5));
   if (!obs::kEnabled) GTEST_SKIP() << "obs disabled at compile time";
   const obs::Metrics& m = obs::metrics();
 
   SimulateOptions options;
   options.fusion = true;
   options.fusionOptions.maxQubits = 4;
-  options.fusionOptions.separateDiagonalRuns = false;
   std::uint64_t before = m.fusionBlocks();
   (void)circuit.simulate("000", options);
   const std::uint64_t simulateBlocks = m.fusionBlocks() - before;

@@ -33,12 +33,11 @@ TEST(FusionScheduler, MergesRunWithinWindow) {
   QCircuit<double> circuit(3);
   circuit.push_back(Hadamard<double>(0));
   circuit.push_back(CX<double>(0, 1));
-  circuit.push_back(RotationZ<double>(1, 0.4));
+  circuit.push_back(RotationY<double>(1, 0.4));
   circuit.push_back(CX<double>(1, 2));
 
   FusionOptions options;
   options.maxQubits = 3;
-  options.separateDiagonalRuns = false;
   const auto plan = fuseGates(gateRefs(circuit), 3, options);
   ASSERT_EQ(plan.blocks.size(), 1u);
   EXPECT_EQ(plan.blocks[0].qubits, (std::vector<int>{0, 1, 2}));
@@ -74,16 +73,17 @@ TEST(FusionScheduler, DiagonalRunKeepsDiagonalBlock) {
 
   FusionOptions options;
   options.maxQubits = 3;
-  options.separateDiagonalRuns = false;
   const auto plan = fuseGates(gateRefs(circuit), 3, options);
   ASSERT_EQ(plan.blocks.size(), 1u);
   EXPECT_TRUE(plan.blocks[0].diagonal);
 
-  // One dense gate poisons the diagonal flag.
+  // A dense gate ends the run.
   circuit.push_back(Hadamard<double>(1));
-  const auto mixed = fuseGates(gateRefs(circuit), 3, options);
-  ASSERT_EQ(mixed.blocks.size(), 1u);
-  EXPECT_FALSE(mixed.blocks[0].diagonal);
+  const auto split = fuseGates(gateRefs(circuit), 3, options);
+  ASSERT_EQ(split.blocks.size(), 2u);
+  EXPECT_TRUE(split.blocks[0].diagonal);
+  EXPECT_EQ(split.blocks[0].gatesIn, 4u);
+  EXPECT_FALSE(split.blocks[1].diagonal);
 }
 
 TEST(FusionScheduler, WiderThanWindowGatePassesThrough) {
@@ -178,27 +178,23 @@ TEST_P(FusionFuzzFloat, AgreesWithKernelAndSparseBackends) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FusionFuzzFloat, ::testing::Range(1, 9));
 
-/// The scheduler configurations no driver defaults to: mixed merging
-/// (diagonal blocks densified when a dense gate joins) at a 4-qubit
-/// window, and separated runs whose diagonal window falls back to
-/// maxQubits (diagonalMaxQubits = 0).
+/// The dense windows no driver defaults to: 4- and 3-qubit blocks, which
+/// run through the scalar applyK instead of the SIMD apply1/apply2.
 class FusionFuzzNonDefault : public ::testing::TestWithParam<int> {};
 
 TEST_P(FusionFuzzNonDefault, AgreesWithKernelAndSparseBackends) {
   const int seed = GetParam();
   const int nbQubits = 6 + seed % 3;
-  FusionOptions mixed;
-  mixed.maxQubits = 4;
-  mixed.separateDiagonalRuns = false;
+  FusionOptions wide;
+  wide.maxQubits = 4;
   expectFusedMatchesBackends<double>(
-      nbQubits, 60, static_cast<std::uint64_t>(seed), 1e-12, mixed);
+      nbQubits, 60, static_cast<std::uint64_t>(seed), 1e-12, wide);
   expectFusedMatchesBackends<float>(
-      nbQubits, 60, static_cast<std::uint64_t>(seed), 1e-5f, mixed);
-  FusionOptions narrowDiagonal;
-  narrowDiagonal.maxQubits = 3;
-  narrowDiagonal.diagonalMaxQubits = 0;
+      nbQubits, 60, static_cast<std::uint64_t>(seed), 1e-5f, wide);
+  FusionOptions three;
+  three.maxQubits = 3;
   expectFusedMatchesBackends<double>(
-      nbQubits, 60, static_cast<std::uint64_t>(seed), 1e-12, narrowDiagonal);
+      nbQubits, 60, static_cast<std::uint64_t>(seed), 1e-12, three);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FusionFuzzNonDefault,

@@ -113,8 +113,6 @@ TEST(FusionRebind, MatchesFreshFuseOnRandomCircuits) {
 
     FusionOptions options;
     options.maxQubits = 2 + static_cast<int>(rng.uniformInt(2));
-    options.separateDiagonalRuns = rng.uniformInt(2) == 1;
-    options.diagonalMaxQubits = n;
     auto plan = fuseGates(refs, n, options);
 
     // Mutate every bindable angle, then rebind.

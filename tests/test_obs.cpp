@@ -404,12 +404,11 @@ TEST(ObsMetrics, FusionCountersTrackPlanApplications) {
   qclab::QCircuit<T> circuit(2);
   circuit.push_back(qclab::qgates::Hadamard<T>(0));
   circuit.push_back(qclab::qgates::Hadamard<T>(1));
-  circuit.push_back(qclab::qgates::TGate<T>(0));
+  circuit.push_back(qclab::qgates::PauliY<T>(0));
   circuit.push_back(qclab::qgates::PauliX<T>(1));
 
   qclab::SimulateOptions options;
   options.fusion = true;
-  options.fusionOptions.separateDiagonalRuns = false;
   circuit.simulate("00", options);
 
   EXPECT_EQ(metrics.fusionGatesIn(), 4u);

@@ -6,7 +6,7 @@
 ///    OpenMetrics exposition, the JSON report and the crash dump,
 ///  - a committed list of every OpenMetrics family and every non-timing
 ///    JSON key path is still exported (a lost series fails here),
-///  - a NUMA/mmap request that falls back to the heap tier is counted,
+///  - an mmap request that falls back to the heap tier is counted,
 ///  - one report's bandwidth agrees with its own bytes and timings while
 ///    another thread keeps recording.
 /// Runs in both builds: a QCLAB_OBS_DISABLED build exports the same
@@ -180,7 +180,6 @@ const char* const kFamilies[] = {
     "qclab_dispatch_fallbacks",
     "qclab_dispatch_conversions",
     "qclab_prefetch_issued",
-    "qclab_prefetch_hits",
     "qclab_prefetch_retired",
     "qclab_state_tier_fallbacks",
     "qclab_sentinel_checks",
@@ -214,14 +213,13 @@ const char* const kKeyPaths[] = {
     "counters.fusion_gates_in", "counters.fusion_blocks_out",
     "counters.fusion_sweeps_saved", "counters.dispatch_fallbacks",
     "counters.dispatch_conversions", "counters.prefetch_issued",
-    "counters.prefetch_hits", "counters.prefetch_retired",
+    "counters.prefetch_retired",
     "counters.state_tier_fallbacks", "counters.gate_applications_by_path",
     "counters.gate_applications_by_kind", "counters.bytes_touched_by_path",
     "counters.dispatch_routes", "memory", "memory.current_state_bytes",
     "memory.peak_state_bytes", "memory.tiers", "memory.tiers.heap",
     "memory.tiers.heap.resident_bytes", "memory.tiers.heap.mapped_bytes",
-    "memory.tiers.numa", "memory.tiers.numa.resident_bytes",
-    "memory.tiers.numa.mapped_bytes", "memory.tiers.mmap",
+    "memory.tiers.mmap",
     "memory.tiers.mmap.resident_bytes", "memory.tiers.mmap.mapped_bytes",
     "histograms", "bandwidth_gbps_by_path", "perf", "perf.available",
     "perf.hardware", "perf.llc", "perf.software", "perf.unavailable",

@@ -244,8 +244,7 @@ TEST(Observable, StateBufferMatchesVectorOnEveryTier) {
   const int n = 9;
   const auto observable = randomObservable<double>(n, 8, rng);
   const auto state = qclab::test::randomState<double>(n, rng);
-  for (const auto tier :
-       {sim::StateTier::kHeap, sim::StateTier::kNuma, sim::StateTier::kMmap}) {
+  for (const auto tier : {sim::StateTier::kHeap, sim::StateTier::kMmap}) {
     sim::StateTierOptions options;
     options.tier = tier;
     auto buffer = sim::StateBuffer<double>::zeros(state.size(), options);

@@ -1,17 +1,23 @@
 /// \file test_state_buffer.cpp
 /// \brief Tiered state memory tests: tier selection (options, env, auto
 /// ladder), graceful heap fallback, value semantics across tiers,
-/// first-touch partition coverage, prefetch advisor accounting, and
-/// bit-identity of every tier against the heap path across the
+/// static partition coverage, prefetch advisor accounting, and
+/// bit-identity of the mmap tier against the heap path across the
 /// fusion/blocking/thread-count matrix.
 
 #include <gtest/gtest.h>
 
 #include <complex>
+#include <csignal>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
+
+#if defined(__unix__) || defined(__APPLE__)
+#include <sys/resource.h>
+#endif
 
 #include "qclab/qclab.hpp"
 #include "test_helpers.hpp"
@@ -54,7 +60,7 @@ bool bitIdentical(const A& a, const B& b) {
 
 }  // namespace
 
-// ---- static partition (the first-touch affinity contract) -------------
+// ---- static partition (the blocked executor's per-thread ranges) -------
 
 TEST(StateBuffer, StaticPartitionCoversTheRangeContiguously) {
   for (const std::size_t total : {0u, 1u, 7u, 64u, 1000u}) {
@@ -94,15 +100,6 @@ TEST(StateBuffer, ExplicitTierRequestsAreHonored) {
   EXPECT_EQ(heap.size(), dim);
   EXPECT_EQ(heap.advisor(), nullptr);
 
-  const auto numa = StateBuffer<double>::zeros(dim, forced(StateTier::kNuma));
-#if defined(__unix__) || defined(__APPLE__)
-  EXPECT_EQ(numa.tier(), StateTier::kNuma);
-#else
-  EXPECT_EQ(numa.tier(), StateTier::kHeap);
-#endif
-  EXPECT_EQ(numa.size(), dim);
-  EXPECT_EQ(numa.advisor(), nullptr);
-
   const auto mmap = StateBuffer<double>::zeros(dim, forced(StateTier::kMmap));
 #if defined(__unix__) || defined(__APPLE__)
   EXPECT_EQ(mmap.tier(), StateTier::kMmap);
@@ -113,7 +110,7 @@ TEST(StateBuffer, ExplicitTierRequestsAreHonored) {
   EXPECT_EQ(mmap.size(), dim);
 
   // Every tier starts zeroed.
-  for (const auto* buffer : {&heap, &numa, &mmap}) {
+  for (const auto* buffer : {&heap, &mmap}) {
     for (std::size_t i = 0; i < dim; i += 97) {
       EXPECT_EQ((*buffer)[i], std::complex<double>(0));
     }
@@ -131,17 +128,9 @@ TEST(StateBuffer, AutoLadderPicksBySize) {
   options.mmapMinBytes = 1 << 16;
   EXPECT_EQ(qclab::sim::chooseStateTier(1 << 20, options), StateTier::kMmap);
 
-  // Between the NUMA floor and the mmap ceiling: numa on multi-socket
-  // boxes, heap on single-node ones (this is the clean single-socket
-  // skip the bench reports too).
+  // Below the mmap ceiling the state stays on the heap.
   options.mmapMinBytes = std::size_t{1} << 40;
-  options.numaMinBytes = 1 << 12;
-  const StateTier middle = qclab::sim::chooseStateTier(1 << 20, options);
-  if (qclab::sim::numaNodeCount() > 1) {
-    EXPECT_EQ(middle, StateTier::kNuma);
-  } else {
-    EXPECT_EQ(middle, StateTier::kHeap);
-  }
+  EXPECT_EQ(qclab::sim::chooseStateTier(1 << 20, options), StateTier::kHeap);
 
   // Explicit choice always wins over the ladder.
   options.tier = StateTier::kHeap;
@@ -156,13 +145,13 @@ TEST(StateBuffer, EnvironmentTierOverride) {
   EXPECT_EQ(qclab::sim::resolveStateTier(StateTier::kAuto), StateTier::kMmap);
   ::setenv("QCLAB_STATE_TIER", "heap", 1);
   EXPECT_EQ(qclab::sim::resolveStateTier(StateTier::kMmap), StateTier::kHeap);
-  ::setenv("QCLAB_STATE_TIER", "numa", 1);
-  EXPECT_EQ(qclab::sim::resolveStateTier(StateTier::kAuto), StateTier::kNuma);
   ::setenv("QCLAB_STATE_TIER", "auto", 1);
   EXPECT_EQ(qclab::sim::resolveStateTier(StateTier::kHeap), StateTier::kAuto);
-  // Unknown values are ignored.
+  // Unknown values are ignored, "numa" included (there is no NUMA tier).
   ::setenv("QCLAB_STATE_TIER", "quantum-foam", 1);
   EXPECT_EQ(qclab::sim::resolveStateTier(StateTier::kHeap), StateTier::kHeap);
+  ::setenv("QCLAB_STATE_TIER", "numa", 1);
+  EXPECT_EQ(qclab::sim::resolveStateTier(StateTier::kAuto), StateTier::kAuto);
   ::unsetenv("QCLAB_STATE_TIER");
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -188,6 +177,63 @@ TEST(StateBuffer, MmapFallsBackToHeapOnBadDirectory) {
   EXPECT_EQ(viaEnv.tier(), StateTier::kHeap);
 }
 
+#if (defined(__unix__) || defined(__APPLE__)) && GTEST_HAS_DEATH_TEST
+TEST(StateBuffer, MmapFallsBackToHeapWhenFtruncateFails) {
+  TierEnvGuard guard;
+  const std::size_t dim = std::size_t{1} << 16;  // 1 MiB of doubles
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  // The child caps its own file size at 4 KiB, so mkstemp succeeds and
+  // ftruncate to 1 MiB fails with EFBIG (SIGXFSZ ignored): the forced
+  // mmap request must degrade to a full, zeroed heap state and count
+  // one fallback.
+  EXPECT_EXIT(
+      {
+        std::signal(SIGXFSZ, SIG_IGN);
+        rlimit limit{};
+        ::getrlimit(RLIMIT_FSIZE, &limit);
+        limit.rlim_cur = 4096;
+        ::setrlimit(RLIMIT_FSIZE, &limit);
+        const std::uint64_t before = qclab::obs::metrics().stateTierFallbacks();
+        const auto buffer =
+            StateBuffer<double>::zeros(dim, forced(StateTier::kMmap));
+        bool zeroed = true;
+        for (std::size_t i = 0; i < buffer.size(); ++i) {
+          zeroed = zeroed && buffer[i] == std::complex<double>(0);
+        }
+        const std::uint64_t fallbacks =
+            qclab::obs::metrics().stateTierFallbacks() - before;
+        std::fprintf(stderr, "tier=%s size=%zu zeroed=%d fallbacks=%llu\n",
+                     qclab::sim::stateTierName(buffer.tier()), buffer.size(),
+                     zeroed ? 1 : 0,
+                     static_cast<unsigned long long>(fallbacks));
+        const bool counted = !qclab::obs::kEnabled || fallbacks == 1;
+        std::exit(buffer.tier() == StateTier::kHeap && buffer.size() == dim &&
+                          zeroed && counted
+                      ? 0
+                      : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+
+  // Without the limit the same request stays on the mmap tier.
+  const auto control = StateBuffer<double>::zeros(dim, forced(StateTier::kMmap));
+  EXPECT_EQ(control.tier(), StateTier::kMmap);
+}
+#endif
+
+TEST(StateBuffer, ExplicitMmapThresholdHoldsBelowTheMeminfoFloor) {
+  // Auto mode skips /proc/meminfo for small states, but an explicit
+  // threshold keeps its exact meaning at any size.
+  TierEnvGuard guard;
+  StateTierOptions options;  // kAuto
+  options.mmapMinBytes = 4096;
+  EXPECT_EQ(qclab::sim::chooseStateTier(8192, options), StateTier::kMmap);
+  EXPECT_EQ(qclab::sim::chooseStateTier(2048, options), StateTier::kHeap);
+#if defined(__unix__) || defined(__APPLE__)
+  const auto buffer = StateBuffer<double>::zeros(512, options);  // 8 KiB
+  EXPECT_EQ(buffer.tier(), StateTier::kMmap);
+#endif
+}
+
 TEST(StateBuffer, StateDirectoryPrecedence) {
   TierEnvGuard guard;
   StateTierOptions options;
@@ -209,8 +255,7 @@ TEST(StateBuffer, CopyMoveAdoptAndTakeAcrossTiers) {
     reference[i] = {static_cast<double>(i), -static_cast<double>(i)};
   }
 
-  for (const StateTier tier :
-       {StateTier::kHeap, StateTier::kNuma, StateTier::kMmap}) {
+  for (const StateTier tier : {StateTier::kHeap, StateTier::kMmap}) {
     StateBuffer<double> buffer = StateBuffer<double>::zeros(dim, forced(tier));
     std::memcpy(buffer.data(), reference.data(),
                 dim * sizeof(std::complex<double>));
@@ -266,7 +311,6 @@ TEST(StateBuffer, AdvisorDedupsAndRetires) {
   EXPECT_EQ(metrics.prefetchIssued(), 1u);  // one granule covers the state
   advisor->willNeed(0, bytes);
   EXPECT_EQ(metrics.prefetchIssued(), 1u);
-  EXPECT_EQ(metrics.prefetchHits(), 1u);  // second walk found it resident
 
   // A partial range never drops a straddling granule...
   advisor->retire(0, advisor->granuleBytes() / 2);
@@ -304,18 +348,15 @@ TEST(StateBuffer, SimulateOnEveryTierIsBitIdenticalToHeap) {
     heapOptions.stateTier = forced(StateTier::kHeap);
     const auto reference =
         circuit.simulate(std::string(n, '0'), heapOptions);
-    for (const StateTier tier : {StateTier::kNuma, StateTier::kMmap}) {
-      qclab::SimulateOptions options = variants[v];
-      options.stateTier = forced(tier);
-      const auto tiered = circuit.simulate(std::string(n, '0'), options);
-      ASSERT_EQ(reference.nbBranches(), tiered.nbBranches());
-      for (std::size_t b = 0; b < reference.nbBranches(); ++b) {
-        EXPECT_EQ(reference.result(b), tiered.result(b));
-        EXPECT_TRUE(bitIdentical(reference.branches()[b].state,
-                                 tiered.branches()[b].state))
-            << "variant " << v << " tier "
-            << qclab::sim::stateTierName(tier) << " branch " << b;
-      }
+    qclab::SimulateOptions options = variants[v];
+    options.stateTier = forced(StateTier::kMmap);
+    const auto tiered = circuit.simulate(std::string(n, '0'), options);
+    ASSERT_EQ(reference.nbBranches(), tiered.nbBranches());
+    for (std::size_t b = 0; b < reference.nbBranches(); ++b) {
+      EXPECT_EQ(reference.result(b), tiered.result(b));
+      EXPECT_TRUE(bitIdentical(reference.branches()[b].state,
+                               tiered.branches()[b].state))
+          << "variant " << v << " branch " << b;
     }
   }
 }
@@ -336,17 +377,15 @@ TEST(StateBuffer, TieredBranchSpawnAndPruneMatchesHeap) {
   qclab::SimulateOptions heapOptions;
   heapOptions.stateTier = forced(StateTier::kHeap);
   const auto reference = circuit.simulate("0000", heapOptions);
-  for (const StateTier tier : {StateTier::kNuma, StateTier::kMmap}) {
-    qclab::SimulateOptions options;
-    options.stateTier = forced(tier);
-    const auto tiered = circuit.simulate("0000", options);
-    ASSERT_EQ(reference.nbBranches(), tiered.nbBranches());
-    for (std::size_t b = 0; b < reference.nbBranches(); ++b) {
-      EXPECT_EQ(reference.result(b), tiered.result(b));
-      EXPECT_EQ(reference.probability(b), tiered.probability(b));
-      EXPECT_TRUE(bitIdentical(reference.branches()[b].state,
-                               tiered.branches()[b].state));
-    }
+  qclab::SimulateOptions options;
+  options.stateTier = forced(StateTier::kMmap);
+  const auto tiered = circuit.simulate("0000", options);
+  ASSERT_EQ(reference.nbBranches(), tiered.nbBranches());
+  for (std::size_t b = 0; b < reference.nbBranches(); ++b) {
+    EXPECT_EQ(reference.result(b), tiered.result(b));
+    EXPECT_EQ(reference.probability(b), tiered.probability(b));
+    EXPECT_TRUE(bitIdentical(reference.branches()[b].state,
+                             tiered.branches()[b].state));
   }
 }
 
@@ -366,8 +405,7 @@ TEST(StateBuffer, TiersStayBitIdenticalAcrossThreadCounts) {
   const auto reference = circuit.simulate(std::string(n, '0'), options);
   for (const int threads : {2, 3}) {
     omp_set_num_threads(threads);
-    for (const StateTier tier :
-         {StateTier::kHeap, StateTier::kNuma, StateTier::kMmap}) {
+    for (const StateTier tier : {StateTier::kHeap, StateTier::kMmap}) {
       options.stateTier = forced(tier);
       const auto run = circuit.simulate(std::string(n, '0'), options);
       EXPECT_TRUE(bitIdentical(reference.branches()[0].state,
