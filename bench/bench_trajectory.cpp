@@ -5,7 +5,8 @@
 /// trajectory engine keeps 2^n per worker and trades memory for sampling
 /// noise.  The timings report ns per trajectory for a 20-qubit GHZ chain
 /// under depolarizing gate noise, plus a measurement-heavy readout
-/// workload at moderate width, fused and unfused.
+/// workload at moderate width, whose noise-free gate runs the engine
+/// fuses.
 ///
 /// Prints the whole run as one BENCH_*.json-shaped object (obs::Report)
 /// on stdout; `--obs-json <path>` additionally writes it to a file.
@@ -33,7 +34,7 @@ qclab::QCircuit<T> ghzCircuit(int n) {
 }
 
 /// Layered rotation circuit measured on every qubit — measurement-noise
-/// heavy, so the fused and unfused paths genuinely differ.
+/// heavy, with noise-free gate runs that genuinely fuse.
 qclab::QCircuit<T> readoutCircuit(int n, int layers) {
   qclab::QCircuit<T> circuit(n);
   for (int layer = 0; layer < layers; ++layer) {
@@ -84,16 +85,14 @@ int main(int argc, char** argv) {
   }
 
   // Measurement-only readout noise at moderate width: gate runs between
-  // measurements are noise-free, so fusion genuinely restructures the
-  // program.
-  for (const bool fusion : {false, true}) {
+  // measurements are noise-free, so the engine replays fused plans.
+  {
     qclab::noise::NoiseModel<T> model;
     model.measurementNoise = qclab::noise::KrausChannel<T>::readout(T(0.02));
     qclab::noise::TrajectoryOptions options;
     options.seed = 2026;
     options.nbTrajectories = 16;
-    options.fusion = fusion;
-    report.add(std::string(fusion ? "fused" : "unfused") + "/readout/n=12",
+    report.add("fused/readout/n=12",
                timeTrajectories(readoutCircuit(12, 3), model, options),
                "ns/trajectory");
   }

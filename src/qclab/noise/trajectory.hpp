@@ -25,15 +25,14 @@
 /// OMP_SCHEDULE applies); the gate kernels themselves only parallelize
 /// when the trajectory loop leaves them a thread to use.
 ///
-/// Gate fusion: with TrajectoryOptions::fusion set, the gate runs of the
-/// circuit — cut by sim::segmentOps at measurements, resets, and barriers,
-/// exactly as QCircuit::simulate cuts them — are scheduled once through
-/// sim::fuseGates and every trajectory replays the shared plan.  A
+/// Gate fusion: the circuit is compiled once by sim::compile, which cuts
+/// its gate runs at measurements, resets, and barriers exactly as
+/// QCircuit::simulate cuts them, and fuses every run with the FusionOptions
+/// every driver shares; each trajectory replays the shared plans.  A
 /// NoiseModel with gateNoise samples a channel after every gate, which
-/// leaves no run longer than one gate to merge — the engine then applies
-/// gates through the kernel backend directly, so fusion on and off are
-/// bit-identical under gate noise (the fuzz tests rely on this).  With
-/// measurement-only noise the fused blocks genuinely engage.
+/// leaves no run longer than one gate to merge: the engine then compiles
+/// without fusion and applies the gates through the kernel backend, one
+/// channel sample after each.
 
 #include <algorithm>
 #include <atomic>
@@ -75,11 +74,6 @@ struct TrajectoryOptions {
   std::uint64_t seed = 0;
   /// Number of Monte Carlo unravellings (statistical error ~ 1/sqrt(N)).
   std::size_t nbTrajectories = 256;
-  /// Fuse noise-free gate runs through sim::fuseGates (see file comment).
-  bool fusion = false;
-  /// Fusion window configuration when `fusion` is set; defaults to the
-  /// FusionOptions every driver shares.
-  sim::FusionOptions fusionOptions{};
   /// OpenMP threads over trajectories; 0 = the OpenMP default.  Any value
   /// yields bit-identical results.
   int nbThreads = 0;
@@ -208,9 +202,10 @@ class ScopedTrajectoryBytes {
 }  // namespace detail
 
 /// Monte Carlo trajectory engine over a circuit + noise model.  The
-/// circuit is deep-copied and compiled once from its flat op list into a
-/// program (gate runs, shared fusion plans, measurements, resets); run()
-/// replays the program N times with independent random streams.
+/// circuit is deep-copied and compiled once into a sim::Program (gate
+/// runs, shared fusion plans, measurements, resets); run() replays the
+/// program N times with independent random streams.  Movable but not
+/// copyable: the program points into the engine's own circuit copy.
 template <typename T>
 class TrajectorySimulator {
   using C = std::complex<T>;
@@ -246,10 +241,15 @@ class TrajectorySimulator {
     }
     const std::vector<sim::FlatOp<T>> ops = circuit_.flatten();
     sim::checkOps(ops, nbQubits_);  // trajectories run in an OpenMP region
-    for (sim::OpSegment<T>& segment : sim::segmentOps(ops)) {
-      program_.push_back(compile(std::move(segment)));
-    }
+    const sim::FusionOptions fusion{};
+    program_ = sim::compile(ops, 0, nbQubits_,
+                            model_.gateNoise ? nullptr : &fusion);
   }
+
+  TrajectorySimulator(const TrajectorySimulator&) = delete;
+  TrajectorySimulator& operator=(const TrajectorySimulator&) = delete;
+  /// A moved QCircuit keeps its gate objects, so the program stays valid.
+  TrajectorySimulator(TrajectorySimulator&&) = default;
 
   int nbQubits() const noexcept { return nbQubits_; }
   const TrajectoryOptions& options() const noexcept { return options_; }
@@ -294,7 +294,7 @@ class TrajectorySimulator {
         random::Rng::jumpStreams(options_.seed, total);
 
     TrajectoryResult<T> result;
-    result.nbMeasurements_ = nbMeasurements_;
+    result.nbMeasurements_ = program_.nbMeasurements;
     result.results_.resize(total);
     if (recordValues) result.values_.resize(total);
     std::vector<std::vector<T>> marginals;
@@ -325,7 +325,7 @@ class TrajectorySimulator {
         random::Rng rng = streams[static_cast<std::size_t>(t)];
         initState(state, bits);
         std::string& outcomes = result.results_[static_cast<std::size_t>(t)];
-        outcomes.reserve(nbMeasurements_);
+        outcomes.reserve(program_.nbMeasurements);
         runOne(state, rng, scratch, outcomes);
         if (!marginalPositions_.empty()) {
           marginals[static_cast<std::size_t>(t)] = marginalOf(state);
@@ -364,50 +364,6 @@ class TrajectorySimulator {
     std::vector<C> entries;      ///< cached 2x2 entries per Kraus operator
   };
 
-  struct Instruction {
-    enum class Kind { kGates, kFused, kMeasure, kReset };
-    Kind kind = Kind::kGates;
-    std::vector<sim::GateRef<T>> gates;  ///< kGates
-    sim::FusionPlan<T> plan;       ///< kFused (shared by all trajectories)
-    int qubit = 0;                 ///< kMeasure / kReset (absolute)
-    bool computational = true;     ///< kMeasure: Z basis?
-    dense::Matrix<T> basisChange;  ///< V† (kMeasure, non-computational)
-    dense::Matrix<T> basisRevert;  ///< V  (kMeasure, non-computational)
-  };
-
-  /// Compiles one segment of the flat op list: a gate run is fused into
-  /// one shared plan when fusion is on and no per-gate noise interleaves,
-  /// otherwise kept as per-gate kernel applications.
-  Instruction compile(sim::OpSegment<T> segment) {
-    Instruction instr;
-    if (!segment.gates.empty()) {
-      if (options_.fusion && !model_.gateNoise && segment.gates.size() >= 2) {
-        instr.kind = Instruction::Kind::kFused;
-        instr.plan = sim::fuseGates(segment.gates, nbQubits_,
-                                    options_.fusionOptions);
-      } else {
-        instr.kind = Instruction::Kind::kGates;
-        instr.gates = std::move(segment.gates);
-      }
-      return instr;
-    }
-    instr.qubit = segment.op.object->minQubit() + segment.op.offset;
-    if (segment.op.object->objectType() == ObjectType::kReset) {
-      instr.kind = Instruction::Kind::kReset;
-      return instr;
-    }
-    const auto& measurement =
-        static_cast<const Measurement<T>&>(*segment.op.object);
-    instr.kind = Instruction::Kind::kMeasure;
-    instr.computational = measurement.basis() == Basis::kZ;
-    if (!instr.computational) {
-      instr.basisChange = measurement.basisChangeMatrix();
-      instr.basisRevert = measurement.basisVectors();
-    }
-    ++nbMeasurements_;
-    return instr;
-  }
-
   void initState(std::vector<C>& state, const std::string& bits) const {
     std::fill(state.begin(), state.end(), C(0));
     std::size_t index = 0;
@@ -417,47 +373,34 @@ class TrajectorySimulator {
 
   void runOne(std::vector<C>& state, random::Rng& rng, Scratch& scratch,
               std::string& outcomes) const {
-    for (const Instruction& instr : program_) {
-      switch (instr.kind) {
-        case Instruction::Kind::kFused:
-          sim::applyFusionPlan(state, nbQubits_, instr.plan);
-          break;
-        case Instruction::Kind::kGates:
-          for (const sim::GateRef<T>& ref : instr.gates) {
-            backend_.applyGate(state, nbQubits_, *ref.gate, ref.offset);
-            if (model_.gateNoise) {
-              for (int qubit : ref.gate->qubits()) {
-                sampleChannel(state, *model_.gateNoise, qubit + ref.offset,
-                              rng, scratch);
-              }
-            }
-          }
-          break;
-        case Instruction::Kind::kMeasure: {
-          if (!instr.computational) {
-            sim::apply1(state, nbQubits_, instr.qubit, instr.basisChange);
-          }
-          // Readout noise acts in the measurement frame — after V†,
-          // before the projective sample (same ordering as the fixed
-          // density-matrix simulator).
-          if (model_.measurementNoise) {
-            sampleChannel(state, *model_.measurementNoise, instr.qubit, rng,
-                          scratch);
-          }
-          const int outcome = sampleAndCollapse(state, instr.qubit, rng);
-          if (!instr.computational) {
-            sim::apply1(state, nbQubits_, instr.qubit, instr.basisRevert);
-          }
-          outcomes.push_back(outcome == 0 ? '0' : '1');
-          break;
+    for (const sim::ProgramStep<T>& step : program_.steps) {
+      if (step.isRun()) {
+        sim::applyRun(state, nbQubits_, step, backend_,
+                      [&](const sim::GateRef<T>& ref) {
+                        if (!model_.gateNoise) return;
+                        for (int qubit : ref.gate->qubits()) {
+                          sampleChannel(state, *model_.gateNoise,
+                                        qubit + ref.offset, rng, scratch);
+                        }
+                      });
+      } else if (step.reset) {
+        if (sampleAndCollapse(state, step.qubit, rng) == 1) {
+          sim::apply1(state, nbQubits_, step.qubit, step.v);
         }
-        case Instruction::Kind::kReset: {
-          const int outcome = sampleAndCollapse(state, instr.qubit, rng);
-          if (outcome == 1) {
-            sim::apply1(state, nbQubits_, instr.qubit, dense::pauliX<T>());
-          }
-          break;
+      } else {
+        if (step.rotates()) {
+          sim::apply1(state, nbQubits_, step.qubit, step.vDagger);
         }
+        // Readout noise acts in the measurement frame — after V†, before
+        // the projective sample (same ordering as the fixed density-matrix
+        // simulator).
+        if (model_.measurementNoise) {
+          sampleChannel(state, *model_.measurementNoise, step.qubit, rng,
+                        scratch);
+        }
+        const int outcome = sampleAndCollapse(state, step.qubit, rng);
+        if (step.rotates()) sim::apply1(state, nbQubits_, step.qubit, step.v);
+        outcomes.push_back(outcome == 0 ? '0' : '1');
       }
     }
   }
@@ -567,8 +510,7 @@ class TrajectorySimulator {
   TrajectoryOptions options_;
   int nbQubits_;
   const sim::Backend<T>& backend_;
-  std::vector<Instruction> program_;
-  std::size_t nbMeasurements_ = 0;
+  sim::Program<T> program_;
   std::vector<int> marginalPositions_;
 };
 

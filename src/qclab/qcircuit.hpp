@@ -372,7 +372,7 @@ class QCircuit final : public QObject<T> {
 
   /// Simulates from an arbitrary initial state with explicit options.
   /// When the run fuses (sim::resolveFusion) each gate run between
-  /// measurement / reset / barrier boundaries (sim::segmentOps) is fused
+  /// measurement / reset / barrier boundaries (sim::compile) is fused
   /// into blocks, one plan per run applied to every branch; otherwise
   /// gates go through `backend` one at a time.
   /// Takes a StateBuffer so both legacy vectors (implicit heap adoption)
@@ -395,10 +395,12 @@ class QCircuit final : public QObject<T> {
         "simulate");
     Simulation<T> simulation(nbQubits_, std::move(state));
     const obs::ScopedSpan executeSpan("execute", "stage");
-    sim::runOps(simulation, flatten(), 0,
-                sim::resolveFusion(options.fusion, options.fusionOptions,
-                                   backend, nbQubits_),
-                backend);
+    sim::execute(simulation,
+                 sim::compile(flatten(), 0, nbQubits_,
+                              sim::resolveFusion(options.fusion,
+                                                 options.fusionOptions,
+                                                 backend, nbQubits_)),
+                 backend);
     return simulation;
   }
 

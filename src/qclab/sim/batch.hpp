@@ -12,9 +12,10 @@
 /// scheduling pass, the block schedule, and the state allocation.
 /// BatchedSimulation splits the two:
 ///
-///   - SHAPE (once): clone the prototype circuit, cut its flat op list
-///     into gate runs (sim::segmentOps, the cut every driver shares), fuse
-///     them into plans (fuseGates) and build the cache-blocking schedule.
+///   - SHAPE (once): clone the prototype circuit and compile it
+///     (sim::compile, the step every driver shares): cut its flat op list
+///     into gate runs, fuse them into plans with the FusionOptions every
+///     driver shares, and build the cache-blocking schedule.
 ///     The shape is fingerprinted by QCircuit::shapeHash(), which covers
 ///     everything the plan depends on and no angle values.
 ///   - INSTANCE (per member): write the member's parameter vector through
@@ -34,17 +35,16 @@
 /// member (kernel path choice never depends on where a sweep starts).
 ///
 /// Execution is OpenMP-parallel across members; each worker thread owns a
-/// private circuit clone + plans (gate pointers must target the clone the
-/// thread mutates) and one reusable state buffer, so nothing is shared
+/// private circuit clone + program (gate pointers must target the clone
+/// the thread mutates) and one reusable state buffer, so nothing is shared
 /// mutably.  Every member's amplitudes are BIT-IDENTICAL to a standalone
-/// `circuit.simulate(bits, options)` with the same fusion options: both
+/// `circuit.simulate(zeros, options)` with `options.fusion = true`: both
 /// paths run the same kernels in the same order on the same values.
 ///
 /// Restriction: unitary circuits only (gates, sub-circuits, barriers).
 /// Measurements and resets branch the state per member, which has no
 /// shared shape to amortize — the constructor throws on them.
 
-#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -60,9 +60,8 @@
 #include "qclab/obs/trace.hpp"
 #include "qclab/parameter_binding.hpp"
 #include "qclab/qcircuit.hpp"
-#include "qclab/sim/backend.hpp"
+#include "qclab/sim/execute.hpp"
 #include "qclab/sim/fusion.hpp"
-#include "qclab/util/bitstring.hpp"
 #include "qclab/util/errors.hpp"
 
 #ifdef QCLAB_HAS_OPENMP
@@ -71,23 +70,12 @@
 
 namespace qclab::sim {
 
-/// Tuning knobs of the batched execution engine.
+/// Tuning knobs of the batched execution engine.  Members always start
+/// from |0...0> and always run fused: the plans are built once per shape
+/// and replayed for every member.
 struct BatchOptions {
-  /// Execute members through fused plans (recommended).  Off runs the
-  /// per-gate kernel backend — still amortizing circuit construction and
-  /// state allocation, and still bit-identical to standalone simulate
-  /// with fusion off.
-  bool fusion = true;
-  /// Fusion knobs of the shared shape plan: the FusionOptions every driver
-  /// defaults to.  Parameter sweeps are dominated by diagonal layers (RZZ
-  /// cost layers, RZ mixers), which it fuses into wide diagonal-only runs
-  /// (table-driven diagonal sweeps) while dense gates stay in narrow
-  /// blocks with fast span kernels.
-  FusionOptions fusionOptions{};
   /// OpenMP threads across batch members; 0 = omp_get_max_threads().
   int nbThreads = 0;
-  /// Initial basis state of every member ("" = |0...0>).
-  std::string initialBits;
 };
 
 /// A circuit shape compiled for repeated execution under parameter
@@ -98,35 +86,29 @@ struct BatchOptions {
 template <typename T>
 class BatchedSimulation {
  public:
-  /// Compiles `prototype`'s shape: clones it, cuts the gate runs,
-  /// builds the fusion plans + block schedules (under the "batch/plan"
-  /// stage span).  Throws on measurements or resets, and QubitRangeError
-  /// on an op outside the register.
+  /// Compiles `prototype`'s shape: clones it, cuts and fuses the gate
+  /// runs, builds the block schedules (under the "batch/plan" stage
+  /// span).  Throws on measurements or resets or a negative thread count,
+  /// and QubitRangeError on an op outside the register.
   explicit BatchedSimulation(const QCircuit<T>& prototype,
                              BatchOptions options = {})
-      : options_(std::move(options)),
+      : options_(options),
         prototype_(prototype),
         shapeHash_(prototype.shapeHash()) {
+    util::require(options_.nbThreads >= 0,
+                  "thread count must be nonnegative");
     const obs::ScopedSpan span("batch/plan", "stage");
-    if (options_.initialBits.empty()) {
-      options_.initialBits.assign(
-          static_cast<std::size_t>(prototype_.nbQubits()), '0');
-    }
-    util::require(static_cast<int>(options_.initialBits.size()) ==
-                      prototype_.nbQubits(),
-                  "initial bitstring length must equal nbQubits");
-    initialIndex_ = util::bitstringToIndex(options_.initialBits);
-    master_ = std::make_unique<Worker>(prototype_, options_, nullptr);
-    if (options_.fusion) computePrefix();
+    master_ = std::make_unique<Worker>(prototype_, nullptr);
+    computePrefix();
   }
 
   /// Structural fingerprint of the compiled shape (QCircuit::shapeHash).
   std::uint64_t shapeHash() const noexcept { return shapeHash_; }
 
-  /// Extent of the cached parameter-free prefix: number of leading plans
-  /// executed entirely from the cache, and number of leading blocks of
-  /// the next plan.  Both zero when nothing is cached (diagnostics and
-  /// tests; members never re-sweep these blocks).
+  /// Extent of the cached parameter-free prefix: number of leading gate
+  /// runs whose plans execute entirely from the cache, and number of
+  /// leading blocks of the next run's plan.  Both zero when nothing is
+  /// cached (diagnostics and tests; members never re-sweep these blocks).
   std::size_t prefixPlanCount() const noexcept { return prefixPlans_; }
   std::size_t prefixBlockCount() const noexcept { return prefixBlocks_; }
 
@@ -150,9 +132,9 @@ class BatchedSimulation {
 
   /// Simulates every parameter vector of `parameterSets` against the
   /// shape plan and returns one Simulation per member, in order.  Member
-  /// m's amplitudes are bit-identical to
-  /// `instance.simulate(bits, {fusion, fusionOptions})` where `instance`
-  /// is the prototype with parameter set m bound.
+  /// m's amplitudes are bit-identical to `instance.simulate(zeros,
+  /// options)` with `options.fusion = true`, where `instance` is the
+  /// prototype with parameter set m bound.
   std::vector<Simulation<T>> run(
       const std::vector<std::vector<T>>& parameterSets) {
     std::vector<Simulation<T>> results(parameterSets.size());
@@ -211,7 +193,7 @@ class BatchedSimulation {
       Worker* worker = master_.get();
 #ifdef QCLAB_HAS_OPENMP
       if (omp_get_thread_num() != 0) {
-        local = std::make_unique<Worker>(prototype_, options_, master_.get());
+        local = std::make_unique<Worker>(prototype_, master_.get());
         worker = local.get();
         clonesDone.fetch_add(1, std::memory_order_release);
       }
@@ -265,60 +247,59 @@ class BatchedSimulation {
 
  private:
   /// Per-thread execution state: a private circuit clone (the instance
-  /// the thread mutates), the binding + gate runs into that clone, and
-  /// the fusion plans whose recipes resolve against those runs.
+  /// the thread mutates), the binding into that clone, and the clone's
+  /// compiled program, whose fusion plans' recipes resolve against the
+  /// clone's gate runs.
   struct Worker {
     QCircuit<T> circuit;
     ParameterBinding<T> binding;
-    /// The clone's gate runs, cut by segmentOps exactly as the fused
-    /// simulate path cuts them, so plans match it run for run.
-    std::vector<std::vector<GateRef<T>>> runs;
-    std::vector<FusionPlan<T>> plans;
+    Program<T> program;
 
-    Worker(const QCircuit<T>& prototype, const BatchOptions& options,
-           const Worker* master)
+    /// The master (`master` null) compiles and fuses; a clone compiles
+    /// without fusion and copies the master's plans (matrices are values,
+    /// recipes are gate indices), so it never re-fuses.  Every member
+    /// rebinds before applying, so the copied matrices never execute
+    /// stale.
+    Worker(const QCircuit<T>& prototype, const Worker* master)
         : circuit(prototype), binding(circuit) {
       const std::vector<FlatOp<T>> ops = circuit.flatten();
-      checkOps(ops, circuit.nbQubits());
-      for (OpSegment<T>& segment : segmentOps(ops)) {
-        if (segment.gates.empty()) {
+      const int nbQubits = circuit.nbQubits();
+      if (master != nullptr) {
+        program = compile(ops, 0, nbQubits, nullptr);
+        for (std::size_t r = 0; r < program.steps.size(); ++r) {
+          program.steps[r].plan = master->program.steps[r].plan;
+        }
+        return;
+      }
+      checkOps(ops, nbQubits);
+      const FusionOptions fusion{};
+      program = compile(ops, 0, nbQubits, &fusion);
+      for (const ProgramStep<T>& step : program.steps) {
+        if (!step.isRun()) {
           throw InvalidArgumentError(
               "batched simulation supports unitary circuits only "
               "(no measurements or resets)");
         }
-        runs.push_back(std::move(segment.gates));
-      }
-      if (!options.fusion) return;
-      if (master != nullptr) {
-        // Copy the master's plans (matrices are values; recipes are gate
-        // indices) — every member rebinds before applying, so the copied
-        // matrices never execute stale.
-        plans = master->plans;
-        return;
-      }
-      plans.reserve(runs.size());
-      for (const auto& run : runs) {
-        plans.push_back(fuseGates(run, circuit.nbQubits(),
-                                  options.fusionOptions));
       }
     }
   };
 
   /// Finds the maximal leading run of fused blocks containing no
   /// ParameterBinding slot gate, clamps it to a schedule-item boundary,
-  /// and caches the state those blocks produce from the initial basis
-  /// state.  Members then start from a copy of that state (one memcpy)
+  /// and caches the state those blocks produce from |0...0>.  Members
+  /// then start from a copy of that state (one memcpy)
   /// instead of re-sweeping blocks whose product cannot change.
   void computePrefix() {
     const Worker& w = *master_;
     const int nbQubits = prototype_.nbQubits();
-    for (std::size_t r = 0; r < w.plans.size(); ++r) {
-      const FusionPlan<T>& plan = w.plans[r];
+    for (std::size_t r = 0; r < w.program.steps.size(); ++r) {
+      const ProgramStep<T>& run = w.program.steps[r];
+      const FusionPlan<T>& plan = run.plan;
       std::size_t blocks = 0;
       for (const auto& block : plan.blocks) {
         bool parameterFree = true;
         for (const auto& step : block.steps) {
-          if (w.binding.isBound(w.runs[r][step.gateIndex].gate)) {
+          if (w.binding.isBound(run.gates[step.gateIndex].gate)) {
             parameterFree = false;
             break;
           }
@@ -348,56 +329,46 @@ class BatchedSimulation {
 
     const std::size_t dim = std::size_t{1} << nbQubits;
     prefixState_.assign(dim, std::complex<T>(0));
-    prefixState_[initialIndex_] = std::complex<T>(1);
+    prefixState_[0] = std::complex<T>(1);
     for (std::size_t r = 0; r < prefixPlans_; ++r) {
-      applyFusionPlan(prefixState_, nbQubits, w.plans[r]);
+      applyFusionPlan(prefixState_, nbQubits, w.program.steps[r].plan);
     }
     if (prefixBlocks_ > 0) {
-      applyFusionPlan(prefixState_, nbQubits, w.plans[prefixPlans_], 0,
-                      prefixBlocks_);
+      applyFusionPlan(prefixState_, nbQubits,
+                      w.program.steps[prefixPlans_].plan, 0, prefixBlocks_);
     }
   }
 
-  /// Executes ONE member on `worker`: bind the parameters, refresh the
-  /// fused matrices (recipe replay), reset the pooled state to the
-  /// initial basis state (or the cached parameter-free prefix state), and
-  /// run the plans (or the per-gate backend with fusion off).
+  /// Executes ONE member on `worker`: bind the parameters, reset the
+  /// pooled state to |0...0> (or the cached parameter-free prefix state),
+  /// then refresh each remaining plan's fused matrices (recipe replay) and
+  /// apply it.
   void runMember(Worker& worker, const std::vector<T>& parameters,
                  std::vector<std::complex<T>>& state) const {
     worker.binding.bind(parameters);
     const int nbQubits = prototype_.nbQubits();
-    const std::size_t dim = std::size_t{1} << nbQubits;
-    if (options_.fusion && !prefixState_.empty()) {
+    if (!prefixState_.empty()) {
       state.assign(prefixState_.begin(), prefixState_.end());
     } else {
-      state.assign(dim, std::complex<T>(0));
-      state[initialIndex_] = std::complex<T>(1);
+      state.assign(std::size_t{1} << nbQubits, std::complex<T>(0));
+      state[0] = std::complex<T>(1);
     }
-    if (options_.fusion) {
-      for (std::size_t r = prefixPlans_; r < worker.plans.size(); ++r) {
-        const std::size_t first = r == prefixPlans_ ? prefixBlocks_ : 0;
-        rebindFusionPlan(worker.plans[r], worker.runs[r], first);
-        applyFusionPlan(state, nbQubits, worker.plans[r], first);
-      }
-    } else {
-      const Backend<T>& backend = defaultBackend<T>();
-      for (const auto& run : worker.runs) {
-        for (const auto& ref : run) {
-          backend.applyGate(state, nbQubits, *ref.gate, ref.offset);
-        }
-      }
+    for (std::size_t r = prefixPlans_; r < worker.program.steps.size(); ++r) {
+      ProgramStep<T>& run = worker.program.steps[r];
+      const std::size_t first = r == prefixPlans_ ? prefixBlocks_ : 0;
+      rebindFusionPlan(run.plan, run.gates, first);
+      applyFusionPlan(state, nbQubits, run.plan, first);
     }
   }
 
   BatchOptions options_;
   QCircuit<T> prototype_;
   std::uint64_t shapeHash_ = 0;
-  std::size_t initialIndex_ = 0;
   std::unique_ptr<Worker> master_;
-  /// Parameter-free prefix: plans [0, prefixPlans_) are entirely
-  /// member-invariant, plus the first prefixBlocks_ blocks of plan
+  /// Parameter-free prefix: the plans of runs [0, prefixPlans_) are
+  /// entirely member-invariant, plus the first prefixBlocks_ blocks of run
   /// prefixPlans_.  prefixState_ holds the amplitudes after the prefix
-  /// (empty when there is no prefix or fusion is off).
+  /// (empty when there is no prefix).
   std::size_t prefixPlans_ = 0;
   std::size_t prefixBlocks_ = 0;
   std::vector<std::complex<T>> prefixState_;
@@ -411,7 +382,7 @@ namespace qclab {
 /// once (fusion plan + block schedule) and executes one member per
 /// parameter vector with rebinding.  Declared in qcircuit.hpp; every
 /// member is bit-identical to binding the same parameters and calling
-/// simulate with the matching fusion options.
+/// simulate with fusion on.
 template <typename T>
 std::vector<Simulation<T>> QCircuit<T>::simulateBatch(
     const std::vector<std::vector<T>>& parameterSets,

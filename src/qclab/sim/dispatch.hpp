@@ -19,7 +19,7 @@
 ///     statevector branch tree bit for bit; at the first non-Clifford op
 ///     every branch tableau expands into a statevector (the CHP-style
 ///     conversion point, O(2^rank) amplitudes) and the remaining suffix
-///     runs through sim::runOps, the executor of QCircuit::simulate.  When
+///     is compiled and run by sim::execute, like QCircuit::simulate.  When
 ///     the tableau does not pay off, or a typed UnsupportedGateError
 ///     surfaces in the tableau phase, the router declines and simulate
 ///     runs the circuit on its own statevector pipeline.
@@ -415,9 +415,11 @@ class DispatchRunner {
     simulation.retrackStateBytes();
 
     // ---- non-Clifford suffix on the statevector pipeline --------------
-    runOps(simulation, analysis.ops, analysis.cliffordPrefixOps,
-           resolveFusion(options.fusion, options.fusionOptions, backend, n),
-           backend);
+    execute(simulation,
+            compile(analysis.ops, analysis.cliffordPrefixOps, n,
+                    resolveFusion(options.fusion, options.fusionOptions,
+                                  backend, n)),
+            backend);
     obs::metrics().countDispatchRoute(
         analysis.fullyClifford ? DispatchRoute::kStabilizer
                                : DispatchRoute::kHybrid);

@@ -6,13 +6,16 @@
 ///
 /// QCircuit::flatten expands sub-circuits once into a flat list of
 /// elementary ops (FlatOp), each carrying the qubit offset accumulated
-/// over its nesting chain; no driver walks the nesting itself.
-/// segmentOps is the one place that decides where a gate run ends: at a
-/// measurement, a reset, or a barrier (semantically neutral, but an
-/// explicit fusion boundary).  QCircuit::simulate and the dispatch suffix
-/// execute the segments through runOps; the batch engine and the
-/// trajectory compiler consume the same segments, so every driver fuses
-/// the same runs.
+/// over its nesting chain; no driver walks the nesting itself.  compile
+/// turns that list into a Program in one pass: it is the one place that
+/// decides where a gate run ends (at a measurement, a reset, or a barrier
+/// — semantically neutral, but an explicit fusion boundary), the one
+/// place that fuses the runs, and the one place that resolves each
+/// measurement or reset to its absolute qubit and basis change.
+/// QCircuit::simulate and the dispatch suffix run their program through
+/// execute; the batch and trajectory engines compile once and replay
+/// their program for every member or trajectory.  Every driver applies a
+/// gate run through applyRun.
 
 #include <algorithm>
 #include <complex>
@@ -45,44 +48,106 @@ struct FlatOp {
   int offset;
 };
 
-/// One execution step of a flat op list: a maximal gate run (`gates`
-/// non-empty), or a single measurement or reset (`op`).
+/// One step of a compiled Program: a maximal gate run (`gates` non-empty),
+/// or a single measurement or reset of the absolute qubit `qubit`.
 template <typename T>
-struct OpSegment {
+struct ProgramStep {
+  /// The gate run; empty for a measurement or reset.
   std::vector<GateRef<T>> gates;
-  FlatOp<T> op{nullptr, 0};
+  /// The run's fused blocks when the program was compiled with fusion;
+  /// empty otherwise, and then applyRun applies the gates one by one.
+  FusionPlan<T> plan;
+  int qubit = 0;
+  bool reset = false;
+  /// After the collapse, `v` rotates a qubit measured in another basis
+  /// back into it (`vDagger` rotated it into Z before); for a reset it is
+  /// Pauli X, which flips outcome 1 to |0>.  Both are empty for a
+  /// Z-basis measurement.
+  dense::Matrix<T> v;
+  dense::Matrix<T> vDagger;
+
+  bool isRun() const noexcept { return !gates.empty(); }
+  /// A measurement in a basis other than Z.
+  bool rotates() const noexcept { return !reset && v.rows() != 0; }
 };
 
-/// Cuts ops[first, end) into gate runs and measurement / reset steps, in
-/// order.  A gate run is a maximal stretch of consecutive gates, so
-/// measurements, resets, and barriers end it; barriers emit no step of
-/// their own.
+/// A flat op list compiled for execution: its steps in order, and the
+/// number of measurements among them.
 template <typename T>
-std::vector<OpSegment<T>> segmentOps(const std::vector<FlatOp<T>>& ops,
-                                     std::size_t first = 0) {
-  std::vector<OpSegment<T>> segments;
+struct Program {
+  std::vector<ProgramStep<T>> steps;
+  std::size_t nbMeasurements = 0;
+};
+
+/// Compiles ops[first, end) of an `nbQubits`-qubit register into a
+/// Program.  A gate run is a maximal stretch of consecutive gates, so
+/// measurements, resets, and barriers end it; barriers emit no step of
+/// their own.  Every run is fused with `fusion` when it is non-null.  The
+/// program points into the ops' circuit, which must outlive it.
+template <typename T>
+Program<T> compile(const std::vector<FlatOp<T>>& ops, std::size_t first,
+                   int nbQubits, const FusionOptions* fusion) {
+  Program<T> program;
   for (std::size_t index = first; index < ops.size();) {
-    const ObjectType type = ops[index].object->objectType();
+    const FlatOp<T>& op = ops[index];
+    const ObjectType type = op.object->objectType();
     if (type == ObjectType::kBarrier) {
       ++index;
-    } else if (type != ObjectType::kGate) {  // measurement or reset
-      segments.push_back({{}, ops[index++]});
-    } else {
+      continue;
+    }
+    ProgramStep<T>& step = program.steps.emplace_back();
+    if (type == ObjectType::kGate) {
       std::size_t end = index;
       while (end < ops.size() &&
              ops[end].object->objectType() == ObjectType::kGate) {
         ++end;
       }
-      OpSegment<T>& segment = segments.emplace_back();
-      segment.gates.reserve(end - index);
+      step.gates.reserve(end - index);
       for (; index < end; ++index) {
-        segment.gates.push_back(
+        step.gates.push_back(
             {static_cast<const qgates::QGate<T>*>(ops[index].object),
              ops[index].offset});
       }
+      if (fusion != nullptr) {
+        step.plan = fuseGates(step.gates, nbQubits, *fusion);
+      }
+      continue;
     }
+    ++index;
+    step.reset = type == ObjectType::kReset;
+    if (step.reset) {
+      step.qubit = static_cast<const Reset<T>*>(op.object)->qubit();
+      step.v = dense::pauliX<T>();
+    } else {
+      const auto& measurement = static_cast<const Measurement<T>&>(*op.object);
+      step.qubit = measurement.qubit();
+      if (measurement.basis() != Basis::kZ) {
+        step.v = measurement.basisVectors();
+        step.vDagger = step.v.dagger();
+      }
+      ++program.nbMeasurements;
+    }
+    step.qubit += op.offset;
+    util::checkQubit(step.qubit, nbQubits);
   }
-  return segments;
+  return program;
+}
+
+/// Applies the gate-run step `step` to one state: through its fused plan
+/// when it has one, otherwise gate by gate through `backend`, calling
+/// `afterGate(ref)` after each gate (the trajectory engine samples its
+/// gate noise there).
+template <typename State, typename T, typename AfterGate>
+void applyRun(State& state, int nbQubits, const ProgramStep<T>& step,
+              const Backend<T>& backend, AfterGate&& afterGate) {
+  if (!step.plan.blocks.empty()) {
+    applyFusionPlan(state, nbQubits, step.plan);
+    return;
+  }
+  for (const GateRef<T>& ref : step.gates) {
+    backend.applyGate(state, nbQubits, *ref.gate, ref.offset);
+    afterGate(ref);
+  }
 }
 
 /// Throws QubitRangeError unless every op fits an `nbQubits`-qubit
@@ -128,29 +193,17 @@ inline constexpr T kDropTol = T(100) * std::numeric_limits<T>::epsilon();
 /// measurement's basis.  A measurement records its outcome; a reset
 /// records nothing and flips outcome 1 back to |0>.
 template <typename T>
-void splitBranches(Simulation<T>& simulation, const FlatOp<T>& op) {
-  const bool reset = op.object->objectType() == ObjectType::kReset;
-  const auto* measurement =
-      reset ? nullptr : static_cast<const Measurement<T>*>(op.object);
+void splitBranches(Simulation<T>& simulation, const ProgramStep<T>& step) {
+  const bool reset = step.reset;
   const obs::ScopedSpan span(reset ? "reset" : "measure", "stage");
   const int nbQubits = simulation.nbQubits();
-  const int qubit =
-      (reset ? static_cast<const Reset<T>*>(op.object)->qubit()
-             : measurement->qubit()) +
-      op.offset;
-  util::checkQubit(qubit, nbQubits);
-  const bool rotate = !reset && measurement->basis() != Basis::kZ;
-  // After the collapse, V rotates a qubit measured in another basis back
-  // into it; for a reset it is Pauli X, which flips outcome 1 to |0>.
-  const dense::Matrix<T> v = rotate  ? measurement->basisVectors()
-                             : reset ? dense::pauliX<T>()
-                                     : dense::Matrix<T>();
-  const dense::Matrix<T> vDagger = rotate ? v.dagger() : dense::Matrix<T>();
+  const int qubit = step.qubit;
+  const bool rotate = step.rotates();
 
   std::vector<Branch<T>> next;
   next.reserve(simulation.branches().size());
   for (auto& branch : simulation.branches()) {
-    if (rotate) sim::apply1(branch.state, nbQubits, qubit, vDagger);
+    if (rotate) sim::apply1(branch.state, nbQubits, qubit, step.vDagger);
     T p0 = sim::measureProbability0(branch.state, nbQubits, qubit);
     p0 = std::min(std::max(p0, T(0)), T(1));
     const T probabilities[2] = {p0, T(1) - p0};
@@ -173,7 +226,7 @@ void splitBranches(Simulation<T>& simulation, const FlatOp<T>& op) {
       }
       sim::collapse(child.state, nbQubits, qubit, outcome, p);
       if (rotate || (reset && outcome == 1)) {
-        sim::apply1(child.state, nbQubits, qubit, v);
+        sim::apply1(child.state, nbQubits, qubit, step.v);
       }
       child.probability = branch.probability * static_cast<double>(p);
       child.result = branch.result;
@@ -196,13 +249,14 @@ void splitBranches(Simulation<T>& simulation, const FlatOp<T>& op) {
 /// fusion wins on every circuit (1.12-1.47x, then 1.14-6.4x up to n = 21).
 inline constexpr int kDefaultFusionMinQubits = 10;
 
-/// The fusion decision of QCircuit::simulate and the dispatch suffix:
-/// the windows runOps fuses with, or nullptr for per-gate application
-/// through `backend`.  An explicit `fusion` wins; unset, the run fuses
-/// only when `backend` is the kernel engine and the register has at
-/// least kDefaultFusionMinQubits qubits, so any other backend passed in
-/// (the paper's SparseKronBackend, the metering InstrumentedBackend)
-/// still applies every gate itself.
+/// The fusion decision of QCircuit::simulate and the dispatch suffix,
+/// which compile a program on every call: the windows compile fuses
+/// with, or nullptr for per-gate application through `backend`.  An
+/// explicit `fusion` wins; unset, the run fuses only when `backend` is
+/// the kernel engine and the register has at least
+/// kDefaultFusionMinQubits qubits, so any other backend passed in (the
+/// paper's SparseKronBackend, the metering InstrumentedBackend) still
+/// applies every gate itself.
 template <typename T>
 const FusionOptions* resolveFusion(std::optional<bool> fusion,
                                    const FusionOptions& options,
@@ -213,31 +267,23 @@ const FusionOptions* resolveFusion(std::optional<bool> fusion,
   return fuse ? &options : nullptr;
 }
 
-/// Runs the segments of ops[first, end) on every branch of `simulation`:
-/// a gate run is fused into one plan shared by all branches when `fusion`
-/// is non-null and applied gate by gate through `backend` otherwise;
-/// measurements and resets split the branches.  Ends with the throttled
-/// numerical-health check of the finished branches (sentinel.hpp), which
-/// covers the scalar, SIMD, fused, and blocked paths alike.
+/// Runs `program` on every branch of `simulation`: gate runs through
+/// applyRun, measurements and resets split the branches.  Ends with the
+/// throttled numerical-health check of the finished branches
+/// (sentinel.hpp), which covers the scalar, SIMD, fused, and blocked
+/// paths alike.
 template <typename T>
-void runOps(Simulation<T>& simulation, const std::vector<FlatOp<T>>& ops,
-            std::size_t first, const FusionOptions* fusion,
-            const Backend<T>& backend) {
+void execute(Simulation<T>& simulation, const Program<T>& program,
+             const Backend<T>& backend) {
   const int nbQubits = simulation.nbQubits();
-  for (const OpSegment<T>& segment : segmentOps(ops, first)) {
-    if (segment.gates.empty()) {
-      splitBranches(simulation, segment.op);
-    } else if (fusion != nullptr) {
-      const FusionPlan<T> plan = fuseGates(segment.gates, nbQubits, *fusion);
-      for (auto& branch : simulation.branches()) {
-        applyFusionPlan(branch.state, nbQubits, plan);
-      }
-    } else {
-      for (const GateRef<T>& ref : segment.gates) {
-        for (auto& branch : simulation.branches()) {
-          backend.applyGate(branch.state, nbQubits, *ref.gate, ref.offset);
-        }
-      }
+  for (const ProgramStep<T>& step : program.steps) {
+    if (!step.isRun()) {
+      splitBranches(simulation, step);
+      continue;
+    }
+    for (auto& branch : simulation.branches()) {
+      applyRun(branch.state, nbQubits, step, backend,
+               [](const GateRef<T>&) {});
     }
   }
   // Branch weights are factored out of branch states, so each branch

@@ -21,8 +21,8 @@
 ///
 /// The scheduler is a pure function over gate sequences (fuseGates), so a
 /// plan is built once per gate run and applied to every simulation
-/// branch.  The runs themselves come from sim::segmentOps (execute.hpp),
-/// so simulate, the dispatch suffix, the batch engine, and the trajectory
+/// branch.  The runs themselves come from sim::compile (execute.hpp), so
+/// simulate, the dispatch suffix, the batch engine, and the trajectory
 /// engine fuse the same runs.
 /// Each block additionally records its *recipe* — which gate went in at
 /// which step, over which window — so rebindFusionPlan can replay the

@@ -1,10 +1,9 @@
 /// \file test_batch.cpp
 /// \brief Tests of the batched multi-circuit execution engine:
-/// differential fuzz against standalone simulate (bit-identical members
-/// across scalar types, fusion/blocking modes, and thread counts),
-/// shared-plan re-entrancy from many threads (TSan-covered), the
-/// parameter-free prefix cache, rebinding between runs, and input
-/// validation.
+/// differential fuzz against standalone fused simulate (bit-identical
+/// members across scalar types and thread counts), shared-plan
+/// re-entrancy from many threads (TSan-covered), the parameter-free
+/// prefix cache, rebinding between runs, and input validation.
 
 #include <gtest/gtest.h>
 
@@ -27,21 +26,17 @@ bool bitIdentical(const StateA& a, const StateB& b) {
 }
 
 /// Standalone reference run: bind `values` on a private clone and
-/// simulate with the options the batch engine uses internally.
+/// simulate from |0...0> with fusion on, as the batch engine runs.
 template <typename T>
 std::vector<std::complex<T>> standalone(const QCircuit<T>& prototype,
-                                        const std::vector<T>& values,
-                                        const sim::BatchOptions& options) {
+                                        const std::vector<T>& values) {
   QCircuit<T> instance(prototype);
   ParameterBinding<T> binding(instance);
   binding.bind(values);
   SimulateOptions simulate;
-  simulate.fusion = options.fusion;
-  simulate.fusionOptions = options.fusionOptions;
-  std::string bits = options.initialBits;
-  if (bits.empty()) {
-    bits.assign(static_cast<std::size_t>(prototype.nbQubits()), '0');
-  }
+  simulate.fusion = true;
+  const std::string bits(static_cast<std::size_t>(prototype.nbQubits()),
+                         '0');
   auto simulation = instance.simulate(bits, simulate);
   return simulation.branches().front().state.toVector();
 }
@@ -49,13 +44,13 @@ std::vector<std::complex<T>> standalone(const QCircuit<T>& prototype,
 /// Runs `members` random parameter vectors through one engine and checks
 /// every member against its standalone run, bit for bit.
 template <typename T>
-void fuzzOnce(random::Rng& rng, const sim::BatchOptions& options) {
+void fuzzOnce(random::Rng& rng) {
   const int n = 3 + static_cast<int>(rng.uniformInt(4));  // 3..6 qubits
   QCircuit<T> circuit(n);
   test::addRandomGates(circuit, 20 + static_cast<int>(rng.uniformInt(20)),
                        rng);
 
-  sim::BatchedSimulation<T> engine(circuit, options);
+  sim::BatchedSimulation<T> engine(circuit);
   const std::size_t members = 4 + rng.uniformInt(5);
   std::vector<std::vector<T>> parameterSets(members);
   for (auto& values : parameterSets) {
@@ -68,7 +63,7 @@ void fuzzOnce(random::Rng& rng, const sim::BatchOptions& options) {
   auto results = engine.run(parameterSets);
   ASSERT_EQ(results.size(), members);
   for (std::size_t m = 0; m < members; ++m) {
-    const auto reference = standalone(circuit, parameterSets[m], options);
+    const auto reference = standalone(circuit, parameterSets[m]);
     EXPECT_TRUE(bitIdentical(results[m].branches().front().state, reference))
         << "member " << m << " diverges from its standalone simulate";
   }
@@ -76,30 +71,12 @@ void fuzzOnce(random::Rng& rng, const sim::BatchOptions& options) {
 
 TEST(BatchDifferential, FuzzFusionBlockingDouble) {
   random::Rng rng(0xbadc0de);
-  for (int trial = 0; trial < 6; ++trial) {
-    sim::BatchOptions options;
-    options.fusion = true;
-    options.fusionOptions.blocking = trial % 2 == 0;
-    fuzzOnce<double>(rng, options);
-  }
-}
-
-TEST(BatchDifferential, FuzzFusionOffDouble) {
-  random::Rng rng(1234);
-  for (int trial = 0; trial < 4; ++trial) {
-    sim::BatchOptions options;
-    options.fusion = false;
-    fuzzOnce<double>(rng, options);
-  }
+  for (int trial = 0; trial < 6; ++trial) fuzzOnce<double>(rng);
 }
 
 TEST(BatchDifferential, FuzzFloat) {
   random::Rng rng(5678);
-  for (int trial = 0; trial < 4; ++trial) {
-    sim::BatchOptions options;
-    options.fusion = trial % 2 == 0;
-    fuzzOnce<float>(rng, options);
-  }
+  for (int trial = 0; trial < 4; ++trial) fuzzOnce<float>(rng);
 }
 
 TEST(BatchDifferential, ThreadCountDoesNotChangeBits) {
@@ -161,7 +138,7 @@ TEST(BatchReentrancy, EightThreadsShareOneShapePlan) {
 
   // And the parallel results still match the standalone reference.
   auto results = engine.run(parameterSets);
-  const auto reference = standalone(circuit, parameterSets[17], options);
+  const auto reference = standalone(circuit, parameterSets[17]);
   EXPECT_TRUE(bitIdentical(results[17].branches().front().state, reference));
 }
 
@@ -177,8 +154,7 @@ TEST(BatchPrefix, LeadingParameterFreeLayerIsCached) {
     circuit.push_back(RotationZ<double>(q, 0.1 * (q + 1)));
   }
 
-  sim::BatchOptions options;
-  sim::BatchedSimulation<double> engine(circuit, options);
+  sim::BatchedSimulation<double> engine(circuit);
   EXPECT_GT(engine.prefixPlanCount() + engine.prefixBlockCount(), 0u);
 
   std::vector<std::vector<double>> parameterSets = {
@@ -186,7 +162,7 @@ TEST(BatchPrefix, LeadingParameterFreeLayerIsCached) {
   auto results = engine.run(parameterSets);
   for (std::size_t m = 0; m < parameterSets.size(); ++m) {
     EXPECT_TRUE(bitIdentical(results[m].branches().front().state,
-                             standalone(circuit, parameterSets[m], options)));
+                             standalone(circuit, parameterSets[m])));
   }
 }
 
@@ -196,13 +172,12 @@ TEST(BatchPrefix, FullyParameterFreeCircuitRunsFromCacheAlone) {
   circuit.push_back(CX<double>(0, 1));
   circuit.push_back(CX<double>(1, 2));
 
-  sim::BatchOptions options;
-  sim::BatchedSimulation<double> engine(circuit, options);
+  sim::BatchedSimulation<double> engine(circuit);
   EXPECT_EQ(engine.nbParameters(), 0u);
 
   std::vector<std::vector<double>> parameterSets(3);
   auto results = engine.run(parameterSets);
-  const auto reference = standalone(circuit, {}, options);
+  const auto reference = standalone<double>(circuit, {});
   for (const auto& result : results) {
     EXPECT_TRUE(bitIdentical(result.branches().front().state, reference));
   }
@@ -223,7 +198,7 @@ TEST(BatchEngine, RebindBetweenRunsChangesResults) {
   EXPECT_FALSE(bitIdentical(first[0].branches().front().state,
                             second[0].branches().front().state));
   EXPECT_TRUE(bitIdentical(second[0].branches().front().state,
-                           standalone(circuit, {-2.1}, sim::BatchOptions{})));
+                           standalone<double>(circuit, {-2.1})));
 }
 
 TEST(BatchEngine, ParametersOfRoundTrips) {
@@ -245,8 +220,7 @@ TEST(BatchEngine, SimulateBatchEntryPoint) {
   auto results = circuit.simulateBatch({{0.7}, {1.4}});
   ASSERT_EQ(results.size(), 2u);
   for (std::size_t m = 0; m < 2; ++m) {
-    const auto reference =
-        standalone(circuit, {0.7 + 0.7 * m}, sim::BatchOptions{});
+    const auto reference = standalone<double>(circuit, {0.7 + 0.7 * m});
     EXPECT_TRUE(bitIdentical(results[m].branches().front().state, reference));
   }
 }
@@ -262,6 +236,15 @@ TEST(BatchEngine, RejectsMeasurementsAndWrongArity) {
   unitary.push_back(RotationX<double>(0, 0.0));
   sim::BatchedSimulation<double> engine(unitary);
   EXPECT_THROW(engine.run({{0.1, 0.2}}), InvalidArgumentError);
+}
+
+TEST(BatchEngine, RejectsNegativeThreadCount) {
+  QCircuit<double> circuit(1);
+  circuit.push_back(RotationX<double>(0, 0.0));
+  sim::BatchOptions options;
+  options.nbThreads = -1;
+  EXPECT_THROW((sim::BatchedSimulation<double>(circuit, options)),
+               InvalidArgumentError);
 }
 
 }  // namespace

@@ -2,10 +2,11 @@
 /// \brief Cross-driver agreement on nested circuits with barriers: every
 /// execution driver (simulate with fusion off / on and dispatch
 /// kStatevector / kAuto, the SparseKron reference backend, the batch
-/// engine, and the trajectory engine) runs from the same flat op list and
-/// the same gate-run cut, so all of them must agree with the circuit
-/// written out flat by hand.  Also pins that every driver rejects an op
-/// outside the register with QubitRangeError on the calling thread.
+/// engine, and the trajectory engine) runs a program sim::compile built
+/// from the same flat op list, so all of them must agree with the circuit
+/// written out flat by hand, and the fused drivers with each other bit for
+/// bit.  Also pins that every driver rejects an op outside the register
+/// with QubitRangeError on the calling thread.
 
 #include <gtest/gtest.h>
 
@@ -146,82 +147,86 @@ TEST(DriverAgreement, KAutoTakesTheTableauPrefixThroughSubCircuits) {
 
 TEST(DriverAgreement, BatchMatchesSimulateBitForBit) {
   const QCircuit<double> unitary = makeCircuits(/*branching=*/false).nested;
-  for (const bool fusion : {false, true}) {
-    SCOPED_TRACE("fusion=" + std::to_string(fusion));
-    sim::BatchOptions options;
-    options.fusion = fusion;
-    sim::BatchedSimulation<double> engine(unitary, options);
-    ASSERT_EQ(engine.nbParameters(), 3u);  // RY, RX, RZ
-    const std::vector<std::vector<double>> parameterSets = {
-        {0.3, 0.9, 1.1}, {-1.2, 0.4, 2.5}, {2.0, -0.7, 0.05}};
-    const std::vector<Simulation<double>> members = engine.run(parameterSets);
-    ASSERT_EQ(members.size(), parameterSets.size());
-    for (std::size_t m = 0; m < members.size(); ++m) {
-      QCircuit<double> instance(unitary);
-      ParameterBinding<double>(instance).bind(parameterSets[m]);
-      SimulateOptions simulate;
-      simulate.fusion = fusion;
-      simulate.fusionOptions = options.fusionOptions;
-      const Simulation<double> reference = instance.simulate("0000", simulate);
-      EXPECT_TRUE(bitIdentical(members[m].stateBuffer(0),
-                               reference.stateBuffer(0)))
-          << "member " << m;
-    }
+  sim::BatchedSimulation<double> engine(unitary);
+  ASSERT_EQ(engine.nbParameters(), 3u);  // RY, RX, RZ
+  const std::vector<std::vector<double>> parameterSets = {
+      {0.3, 0.9, 1.1}, {-1.2, 0.4, 2.5}, {2.0, -0.7, 0.05}};
+  const std::vector<Simulation<double>> members = engine.run(parameterSets);
+  ASSERT_EQ(members.size(), parameterSets.size());
+  for (std::size_t m = 0; m < members.size(); ++m) {
+    QCircuit<double> instance(unitary);
+    ParameterBinding<double>(instance).bind(parameterSets[m]);
+    SimulateOptions simulate;
+    simulate.fusion = true;
+    const Simulation<double> reference = instance.simulate("0000", simulate);
+    EXPECT_TRUE(
+        bitIdentical(members[m].stateBuffer(0), reference.stateBuffer(0)))
+        << "member " << m;
   }
 }
 
 TEST(DriverAgreement, NoiseFreeTrajectoriesMatchSimulate) {
+  // A noise-free trajectory replays the plans fused simulate builds, and
+  // the all-qubit marginal adds each |amplitude|^2 to zero exactly.
   const QCircuit<double> unitary = makeCircuits(/*branching=*/false).nested;
+  noise::TrajectoryOptions options;
+  options.nbTrajectories = 2;
+  options.marginalQubits = {0, 1, 2, 3};
+  const auto result =
+      noise::TrajectorySimulator<double>(unitary, {}, options).run("0000");
+  const std::vector<double>& probabilities = result.probabilities();
   for (const bool fusion : {false, true}) {
     SCOPED_TRACE("fusion=" + std::to_string(fusion));
-    noise::TrajectoryOptions options;
-    options.nbTrajectories = 2;
-    options.fusion = fusion;
-    options.marginalQubits = {0, 1, 2, 3};
-    const auto result =
-        noise::TrajectorySimulator<double>(unitary, {}, options).run("0000");
     SimulateOptions simulate;
     simulate.fusion = fusion;
     const std::vector<std::complex<double>> state =
         unitary.simulate("0000", simulate).state(0);
-    const std::vector<double>& probabilities = result.probabilities();
     ASSERT_EQ(probabilities.size(), state.size());
     for (std::size_t i = 0; i < state.size(); ++i) {
-      EXPECT_NEAR(probabilities[i], std::norm(state[i]), 1e-12)
-          << "outcome " << i;
+      if (fusion) {
+        EXPECT_EQ(probabilities[i], std::norm(state[i])) << "outcome " << i;
+      } else {
+        EXPECT_NEAR(probabilities[i], std::norm(state[i]), 1e-12)
+            << "outcome " << i;
+      }
     }
   }
 }
 
 TEST(DriverAgreement, BarriersEndFusedRunsInEveryDriver) {
-  // H(0) CX(0,1) | barrier | CX(1,2) RY(2): three qubits fit one fused
-  // block, so only the barrier splits the run into two.
-  QCircuit<double> circuit(3);
-  circuit.push_back(Hadamard<double>(0));
-  circuit.push_back(CX<double>(0, 1));
-  circuit.push_back(Barrier<double>(0, 2));
-  circuit.push_back(CX<double>(1, 2));
-  circuit.push_back(RotationY<double>(2, 0.5));
+  // H(0) H(1) CX(0,1) fits one two-qubit block; a barrier before the CX
+  // splits the run, and with it the block, in two.  The batch and
+  // trajectory engines compile once, so with default options they fuse
+  // even this 3-qubit register.
   if (!obs::kEnabled) GTEST_SKIP() << "obs disabled at compile time";
   const obs::Metrics& m = obs::metrics();
+  for (const bool barrier : {false, true}) {
+    SCOPED_TRACE("barrier=" + std::to_string(barrier));
+    QCircuit<double> circuit(3);
+    circuit.push_back(Hadamard<double>(0));
+    circuit.push_back(Hadamard<double>(1));
+    if (barrier) circuit.push_back(Barrier<double>(0, 1));
+    circuit.push_back(CX<double>(0, 1));
+    const std::uint64_t expected = barrier ? 2 : 1;
 
-  SimulateOptions options;
-  options.fusion = true;
-  options.fusionOptions.maxQubits = 4;
-  std::uint64_t before = m.fusionBlocks();
-  (void)circuit.simulate("000", options);
-  const std::uint64_t simulateBlocks = m.fusionBlocks() - before;
+    SimulateOptions options;
+    options.fusion = true;
+    std::uint64_t before = m.fusionBlocks();
+    (void)circuit.simulate("000", options);
+    EXPECT_EQ(m.fusionBlocks() - before, expected) << "simulate";
 
-  noise::TrajectoryOptions trajectory;
-  trajectory.nbTrajectories = 1;
-  trajectory.fusion = true;
-  trajectory.fusionOptions = options.fusionOptions;
-  before = m.fusionBlocks();
-  (void)noise::TrajectorySimulator<double>(circuit, {}, trajectory).run("000");
-  const std::uint64_t trajectoryBlocks = m.fusionBlocks() - before;
+    noise::TrajectoryOptions trajectory;
+    trajectory.nbTrajectories = 1;
+    before = m.fusionBlocks();
+    (void)noise::TrajectorySimulator<double>(circuit, {}, trajectory)
+        .run("000");
+    EXPECT_EQ(m.fusionBlocks() - before, expected) << "trajectory engine";
 
-  EXPECT_EQ(simulateBlocks, 2u);
-  EXPECT_EQ(trajectoryBlocks, simulateBlocks);
+    before = m.fusionBlocks();
+    (void)sim::BatchedSimulation<double>(circuit).run(
+        std::vector<std::vector<double>>(1));
+    EXPECT_EQ(m.fusionBlocks() - before, expected) << "batch engine";
+  }
 }
 
 // ---- an op outside the register throws on the calling thread ------------
@@ -244,14 +249,12 @@ TEST(DriverRangeCheck, TrajectoryEngine) {
       QubitRangeError);
 }
 
-TEST(DriverRangeCheck, UnfusedBatchEngine) {
-  sim::BatchOptions options;
-  options.fusion = false;
+TEST(DriverRangeCheck, BatchEngine) {
   const std::vector<std::vector<double>> parameterSets = {{0.1}, {0.2},
                                                           {0.3}};
-  EXPECT_THROW(sim::BatchedSimulation<double>(offsetPastRegister(), options)
-                   .run(parameterSets),
-               QubitRangeError);
+  EXPECT_THROW(
+      sim::BatchedSimulation<double>(offsetPastRegister()).run(parameterSets),
+      QubitRangeError);
 }
 
 TEST(DriverRangeCheck, DispatchSampleCounts) {

@@ -4,16 +4,20 @@
 ///
 /// The determinism tests pin the engine's central contract: per-trajectory
 /// jump() streams plus serial fixed-order reductions make the aggregate
-/// result bit-identical for every OpenMP thread count and schedule.  The
-/// fusion fuzz test pins the second contract: under per-gate noise the
-/// scheduler has no multi-gate run to merge, so fusion on and off agree
-/// bit for bit per seed.
+/// result bit-identical for every OpenMP thread count and schedule, on
+/// the per-gate path of gate noise and on the fused, cache-blocked path
+/// of measurement-only noise alike.  The fusion tests pin the engine's
+/// fusion rule: it fuses every noise-free gate run, and none under gate
+/// noise.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <numeric>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #ifdef QCLAB_HAS_OPENMP
@@ -55,19 +59,6 @@ QCircuit<double> randomNoisyCircuit(int nbQubits, random::Rng& rng) {
     circuit.push_back(Measurement<double>(q));
   }
   return circuit;
-}
-
-/// A random single-qubit channel for the fuzz tests.
-KrausChannel<double> randomChannel(random::Rng& rng) {
-  const double p = rng.uniform(0.0, 0.3);
-  switch (rng.uniformInt(6)) {
-    case 0: return KrausChannel<double>::bitFlip(p);
-    case 1: return KrausChannel<double>::phaseFlip(p);
-    case 2: return KrausChannel<double>::bitPhaseFlip(p);
-    case 3: return KrausChannel<double>::depolarizing(p);
-    case 4: return KrausChannel<double>::amplitudeDamping(p);
-    default: return KrausChannel<double>::phaseDamping(p);
-  }
 }
 
 void expectBitIdentical(const TrajectoryResult<double>& a,
@@ -293,21 +284,76 @@ TEST(TrajectoryDeterminism, DifferentSeedsDiffer) {
 
 #ifdef QCLAB_HAS_OPENMP
 
+/// Gate plus readout noise (per-gate path), and readout noise alone
+/// (fused path).
+std::vector<NoiseModel<double>> perGateAndFusedModels() {
+  NoiseModel<double> gateNoise = NoiseModel<double>::bitFlip(0.1);
+  gateNoise.measurementNoise = KrausChannel<double>::readout(0.05);
+  NoiseModel<double> readoutOnly;
+  readoutOnly.measurementNoise = KrausChannel<double>::readout(0.05);
+  return {gateNoise, readoutOnly};
+}
+
 TEST(TrajectoryDeterminism, ThreadCountInvariance) {
   random::Rng rng(31);
   const auto circuit = randomNoisyCircuit(4, rng);
-  NoiseModel<double> model = NoiseModel<double>::bitFlip(0.1);
+  for (const NoiseModel<double>& model : perGateAndFusedModels()) {
+    SCOPED_TRACE(model.gateNoise ? "gate noise" : "readout noise only");
+    std::vector<TrajectoryResult<double>> runs;
+    for (int threads : {1, 2, 8}) {
+      TrajectoryOptions options;
+      options.seed = 7;
+      options.nbTrajectories = 96;
+      options.nbThreads = threads;
+      options.marginalQubits = allQubits(4);
+      const TrajectorySimulator<double> simulator(circuit, model, options);
+      runs.push_back(simulator.run("0000"));
+    }
+    expectBitIdentical(runs[0], runs[1]);
+    expectBitIdentical(runs[0], runs[2]);
+  }
+}
+
+TEST(TrajectoryDeterminism, BlockedPlanThreadCountInvariance) {
+  // n = 17 exceeds one cache-blocking chunk, and every gate run acts on
+  // qubits 3..16 inside the chunk window: each of the four runs replays
+  // as one blocked sweep.
+  const int n = 17;
+  QCircuit<double> circuit(n);
+  for (int round = 0; round < 4; ++round) {
+    for (int q = 3; q < n; ++q) {
+      circuit.push_back(qgates::RotationY<double>(q, 0.2 * (q + round)));
+    }
+    for (int q = 3; q + 1 < n; ++q) {
+      circuit.push_back(qgates::CZ<double>(q, q + 1));
+    }
+    circuit.push_back(Measurement<double>(3 + 4 * round));
+  }
+  NoiseModel<double> model;
   model.measurementNoise = KrausChannel<double>::readout(0.05);
 
+  // Kernels run serially inside each trajectory at every thread count: a
+  // single trajectory thread would otherwise open a nested team for every
+  // kernel call, which takes minutes under ThreadSanitizer.
+  const int originalThreads = omp_get_max_threads();
+  omp_set_num_threads(1);
+  const std::uint64_t blockedBefore =
+      obs::metrics().gateApplications(sim::KernelPath::kBlocked);
   std::vector<TrajectoryResult<double>> runs;
-  for (int threads : {1, 2, 8}) {
+  for (int threads : {1, 2, 4}) {
     TrajectoryOptions options;
-    options.seed = 7;
-    options.nbTrajectories = 96;
+    options.seed = 11;
+    options.nbTrajectories = 8;
     options.nbThreads = threads;
-    options.marginalQubits = allQubits(4);
+    options.marginalQubits = {3, 7, 11, 15};
     const TrajectorySimulator<double> simulator(circuit, model, options);
-    runs.push_back(simulator.run("0000"));
+    runs.push_back(simulator.run(std::string(n, '0')));
+  }
+  omp_set_num_threads(originalThreads);
+  if (obs::kEnabled) {
+    EXPECT_EQ(obs::metrics().gateApplications(sim::KernelPath::kBlocked) -
+                  blockedBefore,
+              3u * 8u * 4u);
   }
   expectBitIdentical(runs[0], runs[1]);
   expectBitIdentical(runs[0], runs[2]);
@@ -316,102 +362,101 @@ TEST(TrajectoryDeterminism, ThreadCountInvariance) {
 TEST(TrajectoryDeterminism, ScheduleInvariance) {
   random::Rng rng(37);
   const auto circuit = randomNoisyCircuit(3, rng);
-  const NoiseModel<double> model = NoiseModel<double>::depolarizing(0.1);
+  NoiseModel<double> readoutOnly;
+  readoutOnly.measurementNoise = KrausChannel<double>::readout(0.1);
 
   omp_sched_t originalKind;
   int originalChunk;
   omp_get_schedule(&originalKind, &originalChunk);
 
-  std::vector<TrajectoryResult<double>> runs;
   const std::pair<omp_sched_t, int> schedules[] = {
       {omp_sched_static, 0},
       {omp_sched_static, 1},
       {omp_sched_dynamic, 1},
       {omp_sched_guided, 2},
   };
-  for (const auto& [kind, chunk] : schedules) {
-    omp_set_schedule(kind, chunk);
-    TrajectoryOptions options;
-    options.seed = 3;
-    options.nbTrajectories = 64;
-    options.nbThreads = 4;
-    options.marginalQubits = allQubits(3);
-    const TrajectorySimulator<double> simulator(circuit, model, options);
-    runs.push_back(simulator.run("000"));
+  for (const NoiseModel<double>& model :
+       {NoiseModel<double>::depolarizing(0.1), readoutOnly}) {
+    SCOPED_TRACE(model.gateNoise ? "gate noise" : "readout noise only");
+    std::vector<TrajectoryResult<double>> runs;
+    for (const auto& [kind, chunk] : schedules) {
+      omp_set_schedule(kind, chunk);
+      TrajectoryOptions options;
+      options.seed = 3;
+      options.nbTrajectories = 64;
+      options.nbThreads = 4;
+      options.marginalQubits = allQubits(3);
+      const TrajectorySimulator<double> simulator(circuit, model, options);
+      runs.push_back(simulator.run("000"));
+    }
+    for (std::size_t i = 1; i < runs.size(); ++i) {
+      expectBitIdentical(runs[0], runs[i]);
+    }
   }
   omp_set_schedule(originalKind, originalChunk);
-
-  for (std::size_t i = 1; i < runs.size(); ++i) {
-    expectBitIdentical(runs[0], runs[i]);
-  }
 }
 
 #endif  // QCLAB_HAS_OPENMP
 
-// ---- fusion properties ------------------------------------------------
-
-TEST(TrajectoryFusion, OnOffBitIdenticalUnderGateNoiseFuzz) {
-  // Under per-gate noise every run is a single gate, so fusion on and off
-  // must produce bit-for-bit identical trajectories for any seed.
-  for (std::uint64_t seed = 0; seed < 6; ++seed) {
-    random::Rng rng(1000 + seed);
-    const int n = 2 + static_cast<int>(rng.uniformInt(4));
-    const auto circuit = randomNoisyCircuit(n, rng);
-    NoiseModel<double> model;
-    model.gateNoise = randomChannel(rng);
-    if (rng.uniform() < 0.5) {
-      model.measurementNoise = randomChannel(rng);
-    }
-    TrajectoryOptions unfused;
-    unfused.seed = seed;
-    unfused.nbTrajectories = 32;
-    unfused.marginalQubits = allQubits(n);
-    TrajectoryOptions fused = unfused;
-    fused.fusion = true;
-
-    const auto resultUnfused =
-        TrajectorySimulator<double>(circuit, model, unfused)
-            .run(std::string(static_cast<std::size_t>(n), '0'));
-    const auto resultFused =
-        TrajectorySimulator<double>(circuit, model, fused)
-            .run(std::string(static_cast<std::size_t>(n), '0'));
-    expectBitIdentical(resultUnfused, resultFused);
-  }
-}
+// ---- fusion rule ------------------------------------------------------
 
 TEST(TrajectoryFusion, MeasurementOnlyNoiseEngagesFusedBlocks) {
-  // With no gate noise the gate runs genuinely fuse; recorded outcomes
-  // stay identical per seed and the marginals agree to rounding.
+  // With no gate noise every gate run fuses, whatever the register size.
+  if (!obs::kEnabled) GTEST_SKIP() << "obs disabled at compile time";
   random::Rng rng(41);
   const auto circuit = randomNoisyCircuit(4, rng);
   NoiseModel<double> model;
   model.measurementNoise = KrausChannel<double>::readout(0.1);
+  TrajectoryOptions options;
+  options.seed = 13;
+  options.nbTrajectories = 48;
 
-  TrajectoryOptions unfused;
-  unfused.seed = 13;
-  unfused.nbTrajectories = 48;
-  unfused.marginalQubits = allQubits(4);
-  TrajectoryOptions fused = unfused;
-  fused.fusion = true;
+  const std::uint64_t before = obs::metrics().fusionBlocks();
+  TrajectorySimulator<double>(circuit, model, options).run("0000");
+  EXPECT_GT(obs::metrics().fusionBlocks(), before);
+}
 
-  obs::metrics().reset();
-  const auto resultUnfused =
-      TrajectorySimulator<double>(circuit, model, unfused).run("0000");
-  const std::uint64_t fusionBlocksBefore = obs::metrics().fusionBlocks();
-  const auto resultFused =
-      TrajectorySimulator<double>(circuit, model, fused).run("0000");
+TEST(TrajectoryFusion, GateNoiseAddsNoFusedBlocks) {
+  // Gate noise samples a channel after every gate, which leaves no run to
+  // merge: every gate goes through the kernel backend.
+  if (!obs::kEnabled) GTEST_SKIP() << "obs disabled at compile time";
+  random::Rng rng(43);
+  const auto circuit = randomNoisyCircuit(4, rng);
+  NoiseModel<double> model = NoiseModel<double>::depolarizing(0.05);
+  model.measurementNoise = KrausChannel<double>::readout(0.1);
+  TrajectoryOptions options;
+  options.seed = 13;
+  options.nbTrajectories = 48;
 
-  if (obs::kEnabled) {
-    EXPECT_EQ(fusionBlocksBefore, 0u);
-    EXPECT_GT(obs::metrics().fusionBlocks(), 0u);
-  }
-  EXPECT_EQ(resultUnfused.results(), resultFused.results());
-  const auto& a = resultUnfused.probabilities();
-  const auto& b = resultFused.probabilities();
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_NEAR(a[i], b[i], test::tol<double>());
-  }
+  const std::uint64_t before = obs::metrics().fusionBlocks();
+  TrajectorySimulator<double>(circuit, model, options).run("0000");
+  EXPECT_EQ(obs::metrics().fusionBlocks(), before);
+}
+
+// ---- ownership --------------------------------------------------------
+
+// The program points into the engine's own circuit copy: a copy would
+// still point into its source's.
+static_assert(!std::is_copy_constructible_v<TrajectorySimulator<double>>);
+static_assert(!std::is_copy_assignable_v<TrajectorySimulator<double>>);
+
+TEST(Trajectory, MovedSimulatorRunsAfterItsSourceIsGone) {
+  random::Rng rng(47);
+  const auto circuit = randomNoisyCircuit(3, rng);
+  NoiseModel<double> model;
+  model.measurementNoise = KrausChannel<double>::readout(0.1);
+  TrajectoryOptions options;
+  options.seed = 5;
+  options.nbTrajectories = 16;
+  options.marginalQubits = allQubits(3);
+  const TrajectoryResult<double> expected =
+      TrajectorySimulator<double>(circuit, model, options).run("000");
+
+  auto source =
+      std::make_unique<TrajectorySimulator<double>>(circuit, model, options);
+  const TrajectorySimulator<double> moved(std::move(*source));
+  source.reset();
+  expectBitIdentical(moved.run("000"), expected);
 }
 
 // ---- observability ----------------------------------------------------
