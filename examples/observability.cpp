@@ -2,7 +2,8 @@
 /// \brief Instrumenting a simulation with qclab::obs (README
 /// "Observability"): run Grover search through InstrumentedBackend, print
 /// the text report, and export
-///   - grover_trace.json   — Chrome trace_event timeline (open in
+///   - grover_trace.json   — Chrome trace_event view of the flight rings:
+///                           stage spans and gate events (open in
 ///                           about:tracing or https://ui.perfetto.dev)
 ///   - BENCH_grover_obs.json — machine-readable counters + timings.
 
@@ -14,10 +15,9 @@ int main() {
   using T = double;
   using namespace qclab;
 
-  // Fresh counters and a live tracer for this run.
-  obs::metrics().reset();
-  obs::tracer().clear();
-  obs::tracer().enable();
+  // Fresh counters, empty flight rings, and tracing on for this run.
+  obs::resetAll();
+  obs::flightRecorder().enableTracing();
 
   // A 5-qubit Grover search, metered gate by gate.
   const std::string marked = "11111";
@@ -38,10 +38,10 @@ int main() {
   obs::Report report("grover_n5");
   std::cout << report.text();
 
-  // 2. Chrome trace_event timeline of every gate span.
-  if (obs::tracer().writeChromeTrace("grover_trace.json")) {
+  // 2. Chrome trace_event timeline of every stage span and gate event.
+  if (obs::writeChromeTrace("grover_trace.json")) {
     std::cout << "\nwrote grover_trace.json ("
-              << obs::tracer().nbEvents() << " spans)\n";
+              << obs::flightRecorder().totalRecorded() << " events)\n";
   }
 
   // 3. Machine-readable metrics in the BENCH_*.json shape.
@@ -49,6 +49,6 @@ int main() {
     std::cout << "wrote BENCH_grover_obs.json\n";
   }
 
-  obs::tracer().disable();
+  obs::flightRecorder().disableTracing();
   return 0;
 }

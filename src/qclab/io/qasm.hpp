@@ -104,7 +104,7 @@ class AngleParser {
 /// malformed or unsupported input.
 template <typename T>
 QCircuit<T> parseQasm(const std::string& source) {
-  const obs::ScopedSpan span("qasm/parse", "stage");
+  const obs::ScopedSpan span("qasm/parse");
   const auto tokens = tokenizeQasm(source);
   std::size_t pos = 0;
 

@@ -114,25 +114,6 @@ void simulateDensity(const QCircuit<T>& circuit, DensityMatrix<T>& state,
   }
 }
 
-/// Attributes a density matrix's 4^n amplitudes to the obs live-memory
-/// accounting for the duration of a simulateDensity run.
-class ScopedDensityBytes {
- public:
-  /// `nbQubits` register qubits with `ampBytes` bytes per amplitude.
-  ScopedDensityBytes(int nbQubits, std::uint64_t ampBytes) noexcept
-      : bytes_(obs::kEnabled
-                   ? (std::uint64_t{1} << (2 * nbQubits)) * ampBytes
-                   : 0) {
-    obs::metrics().addStateBytes(bytes_);
-  }
-  ScopedDensityBytes(const ScopedDensityBytes&) = delete;
-  ScopedDensityBytes& operator=(const ScopedDensityBytes&) = delete;
-  ~ScopedDensityBytes() { obs::metrics().releaseStateBytes(bytes_); }
-
- private:
-  std::uint64_t bytes_;
-};
-
 /// Convenience: runs `circuit` from |bits> under `model` and returns the
 /// final density matrix.
 template <typename T>
@@ -141,13 +122,10 @@ DensityMatrix<T> simulateDensity(const QCircuit<T>& circuit,
                                  const NoiseModel<T>& model = {}) {
   util::require(static_cast<int>(bits.size()) == circuit.nbQubits(),
                 "initial bitstring length must equal nbQubits");
-  const obs::Span span(
-      obs::tracer(),
-      "simulateDensity(n=" + std::to_string(circuit.nbQubits()) + ")",
-      "noise");
-  const ScopedDensityBytes memory(circuit.nbQubits(),
-                                  sizeof(std::complex<T>));
+  const obs::ScopedSpan span("simulateDensity");
   DensityMatrix<T> state(bits);
+  const obs::ScopedStateBytes memory(state.matrix().size() *
+                                     sizeof(std::complex<T>));
   simulateDensity(circuit, state, model);
   return state;
 }

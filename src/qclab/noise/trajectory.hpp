@@ -181,26 +181,6 @@ class TrajectoryResult {
   std::size_t nbMeasurements_ = 0;
 };
 
-namespace detail {
-
-/// Attributes per-thread trajectory working buffers to the obs live-memory
-/// accounting (same contract as ScopedDensityBytes).
-class ScopedTrajectoryBytes {
- public:
-  explicit ScopedTrajectoryBytes(std::uint64_t bytes) noexcept
-      : bytes_(obs::kEnabled ? bytes : 0) {
-    obs::metrics().addStateBytes(bytes_);
-  }
-  ScopedTrajectoryBytes(const ScopedTrajectoryBytes&) = delete;
-  ScopedTrajectoryBytes& operator=(const ScopedTrajectoryBytes&) = delete;
-  ~ScopedTrajectoryBytes() { obs::metrics().releaseStateBytes(bytes_); }
-
- private:
-  std::uint64_t bytes_;
-};
-
-}  // namespace detail
-
 /// Monte Carlo trajectory engine over a circuit + noise model.  The
 /// circuit is deep-copied and compiled once into a sim::Program (gate
 /// runs, shared fusion plans, measurements, resets); run() replays the
@@ -281,11 +261,7 @@ class TrajectorySimulator {
                     "initial bitstring must be over {0, 1}");
     }
     const std::size_t total = options_.nbTrajectories;
-    const obs::Span span(
-        obs::tracer(),
-        "simulateTrajectories(n=" + std::to_string(nbQubits_) +
-            ",N=" + std::to_string(total) + ")",
-        "noise");
+    const obs::ScopedSpan span("simulateTrajectories");
     obs::metrics().add(obs::Counter::kTrajectoryRuns);
     obs::metrics().add(obs::Counter::kTrajectories, total);
 
@@ -301,8 +277,6 @@ class TrajectorySimulator {
     if (!marginalPositions_.empty()) marginals.resize(total);
 
     const std::int64_t count = static_cast<std::int64_t>(total);
-    const std::uint64_t stateBytes =
-        (std::uint64_t{1} << nbQubits_) * sizeof(C);
     // Release/acquire edge mirroring the implicit end-of-region barrier:
     // gcc's libgomp is not TSan-instrumented, so without it the tool
     // cannot see that worker writes happen-before the merge below.
@@ -316,7 +290,7 @@ class TrajectorySimulator {
       // Per-thread working set: the 2^n state plus channel scratch.
       std::vector<C> state(std::size_t{1} << nbQubits_);
       Scratch scratch;
-      const detail::ScopedTrajectoryBytes memory(stateBytes);
+      const obs::ScopedStateBytes memory(state.size() * sizeof(C));
 #ifdef QCLAB_HAS_OPENMP
 #pragma omp for schedule(runtime)
 #endif

@@ -11,14 +11,16 @@
 /// object (schema "qclab-crash-v1") containing
 ///  - the signal and a pre-formatted build line,
 ///  - the crashing thread's active stage-span stack (the signal-safe
-///    SpanFrameStack mirror maintained by ScopedSpan, trace.hpp),
+///    SpanFrameStack maintained by ScopedSpan, trace.hpp),
 ///  - every plain counter of the QCLAB_OBS_COUNTERS table (metrics.hpp),
 ///    the per-path gate counts, the state-memory gauges, and the sentinel
-///    counters (the string-sharded per-kind counters are deliberately
+///    gauges (the string-sharded per-kind counters are deliberately
 ///    skipped: their snapshot takes mutexes and walks deques — not
 ///    signal-safe),
 ///  - the flight-recorder rings of every thread (flightrecorder.hpp),
-///    newest kCrashDumpMaxEventsPerRing events each,
+///    newest kCrashDumpMaxEventsPerRing events each: kernel events with
+///    their duration, path and qubits, and — when tracing was on — the
+///    closed stage spans,
 /// then restores the default disposition and re-raises, so the process
 /// still dies with the correct signal for its supervisor.
 ///
@@ -186,8 +188,8 @@ inline void writeCrashDump(int fd, int sig, const char* reason) noexcept {
   w.str(crashState().build);
   w.str("\"");
 
-  // Active stage-span stack of THIS thread (the crashing one): interned
-  // static strings pushed by ScopedSpan, read with plain loads.
+  // Active stage-span stack of THIS thread (the crashing one): static
+  // strings pushed by ScopedSpan, read with plain loads.
   w.str(",\"stage_stack\":[");
   const SpanFrameStack& frames = spanFrames();
   int depth = frames.depth.load(std::memory_order_acquire);
@@ -233,15 +235,10 @@ inline void writeCrashDump(int fd, int sig, const char* reason) noexcept {
   }
   w.str("}");
 
-  // Numerical-health sentinels at the moment of death.
+  // Numerical-health gauges at the moment of death (the sentinel
+  // counters are counter-table rows above).
   const Sentinel& s = sentinel();
-  w.str(",\"sentinel\":{\"checks\":");
-  w.u64(s.checks());
-  w.str(",\"nan_detected\":");
-  w.u64(s.nanDetected());
-  w.str(",\"norm_alerts\":");
-  w.u64(s.normAlerts());
-  w.str(",\"last_norm_sq\":");
+  w.str(",\"sentinel\":{\"last_norm_sq\":");
   w.fixedQuoted(s.lastNormSq());
   w.str(",\"max_amp_sq\":");
   w.fixedQuoted(s.maxAmpSq());
@@ -257,35 +254,41 @@ inline void writeCrashDump(int fd, int sig, const char* reason) noexcept {
     if (!firstRing) w.str(",");
     firstRing = false;
     const std::uint64_t head = ring->head.load(std::memory_order_acquire);
-    std::uint64_t retained =
-        head < kFlightRingCapacity ? head : kFlightRingCapacity;
-    if (retained > kCrashDumpMaxEventsPerRing) {
-      retained = kCrashDumpMaxEventsPerRing;
+    std::uint64_t first = FlightRecorder::firstReadable(head);
+    if (head - first > kCrashDumpMaxEventsPerRing) {
+      first = head - kCrashDumpMaxEventsPerRing;
     }
     w.str("{\"thread\":");
     w.u64(ring->threadId);
     w.str(",\"recorded\":");
     w.u64(head);
     w.str(",\"events\":[");
-    const std::uint64_t start = head - retained;
-    for (std::uint64_t i = 0; i < retained; ++i) {
-      const FlightEvent& event =
-          ring->events[(start + i) & (kFlightRingCapacity - 1)];
-      if (i != 0) w.str(",");
+    bool firstEvent = true;
+    FlightEvent event;
+    for (std::uint64_t i = first; i < head; ++i) {
+      if (!FlightRecorder::load(*ring, i, event)) continue;
+      if (!firstEvent) w.str(",");
+      firstEvent = false;
+      const auto kind = static_cast<FlightEventKind>(event.kind);
       w.str("{\"t\":");
-      w.u64(event.timeNs);
+      w.u64(event.startNs);
+      w.str(",\"dur\":");
+      w.u64(event.durationNs);
       w.str(",\"kind\":\"");
-      w.str(flightEventKindName(
-          static_cast<FlightEventKind>(event.kind)));
-      w.str("\",\"path\":\"");
-      w.str(event.path < static_cast<std::uint16_t>(sim::kKernelPathCount)
-                ? sim::kernelPathName(
-                      static_cast<sim::KernelPath>(event.path))
-                : "unknown");
-      w.str("\",\"mask\":");
-      w.u64(event.qubitMask);
-      w.str(",\"aux\":");
-      w.u64(event.aux);
+      w.str(flightEventKindName(kind));
+      if (kind == FlightEventKind::kSpan) {
+        w.str("\",\"name\":\"");
+        w.str(event.name);
+        w.str("\",\"depth\":");
+        w.u64(event.path);
+      } else {
+        w.str("\",\"path\":\"");
+        w.str(sim::kernelPathName(static_cast<sim::KernelPath>(event.path)));
+        w.str("\",\"mask\":");
+        w.u64(event.qubitMask);
+        w.str(",\"aux\":");
+        w.u64(event.aux);
+      }
       w.str("}");
     }
     w.str("]}");
@@ -394,8 +397,7 @@ inline bool installCrashHandlers(bool handleSigusr1 = false) {
   // Force-construct the singletons the dump path reads.
   (void)metrics();
   (void)flightRecorder().enabled();
-  (void)sentinel().checks();
-  (void)tracer().enabled();
+  (void)sentinel().policy();
   (void)spanFrames().depth.load(std::memory_order_relaxed);
 
   stack_t altStack = {};

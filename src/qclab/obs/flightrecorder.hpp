@@ -1,47 +1,56 @@
 #pragma once
 
 /// \file flightrecorder.hpp
-/// \brief Always-on, lock-free per-thread flight recorder.
+/// \brief The one event store of qclab::obs: lock-free per-thread rings.
 ///
-/// The postmortem complement of the counters and traces: a fixed-size ring
-/// buffer per recording thread holds the last ~64k compact binary events
-/// (gate kind of event, kernel path, qubit mask, timestamp, batch member
-/// index), so when a long-running process crashes or hangs, the crash
-/// handler (crashdump.hpp) — or an explicit obs::dumpNow() — can show what
-/// every thread was doing *right before* things went wrong.  No file I/O
-/// happens on the hot path; recording is one steady-clock read plus plain
-/// stores and a release store of the ring head.
+/// Each recording thread owns a ring of its last ~64k compact events,
+/// filled by two writers: kernel timers (PathTimer, histogram.hpp) write
+/// one event per timed gate, fused block, blocked run or batch member —
+/// start, duration, kernel path, qubit mask or index — while the recorder
+/// is enabled (the default) or tracing is on; stage spans (ScopedSpan,
+/// trace.hpp) write one event per closed span only while tracing is on,
+/// so a thread running nothing but spans allocates no ring.  Two views
+/// read the rings: the Chrome trace export (trace.hpp) and the crash dump
+/// (crashdump.hpp).
 ///
 /// Design constraints, in order:
 ///  - RECORDING must be cheap enough to leave on (<3% end-to-end on the
 ///    GHZ n=20 overhead bench, enforced by bench_obs_overhead): the ring
 ///    is thread-private, so there is no sharing, no CAS, no mutex on the
-///    record path — the only synchronization is the release store that
-///    publishes the new head to readers.
+///    record path — only plain stores (release-ordered words, then the
+///    release store that publishes the new head to readers).
 ///  - READING must be possible from an async signal handler on a crashed
 ///    process: rings are heap blocks published onto an atomic intrusive
 ///    list and NEVER freed, so a handler can walk the list with plain
-///    loads regardless of which thread crashed.  Reads race benignly with
-///    in-flight writers (a torn event at the ring head of a *live* thread
-///    can misreport that one slot; every other slot is quiescent).
+///    loads regardless of which thread crashed.  A reader re-checks the
+///    head after copying a slot (load()), so it never decodes — and
+///    never follows the span-name pointer of — a slot that a live writer
+///    may be overwriting.
 ///
-/// The recorder is enabled by default ("always-on black box");
-/// QCLAB_OBS_FLIGHT=off (or 0) disables it at process start, and
-/// enable()/disable() toggle it at runtime (the overhead bench uses this
-/// to measure the plain side honestly).  Under QCLAB_OBS_DISABLED the
-/// recorder stays off, its recording body is discarded, and no ring
-/// memory is allocated.
+/// QCLAB_OBS_FLIGHT=off (or 0) disables kernel-event recording at process
+/// start, and enable()/disable() toggle it at runtime (the overhead bench
+/// uses this to measure the plain side honestly).  Under
+/// QCLAB_OBS_DISABLED the recorder and tracing stay off, the recording
+/// body is discarded, and no ring memory is allocated.
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <vector>
 
 #include "qclab/obs/enabled.hpp"
-#include "qclab/obs/trace.hpp"
 
 namespace qclab::obs {
+
+/// Steady-clock nanoseconds: the timestamp of every ring event.
+inline std::uint64_t nowNs() noexcept {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
 
 /// What a flight-recorder event describes.
 enum class FlightEventKind : std::uint16_t {
@@ -50,6 +59,7 @@ enum class FlightEventKind : std::uint16_t {
   kBlockedRun,     ///< one cache-blocked chunked sweep (aux = blocks in run)
   kBatchMember,    ///< one batched member executed (aux = member index)
   kSentinelAlert,  ///< a numerical-health violation (aux: 1 NaN, 2 norm)
+  kSpan,           ///< one closed stage span (tracing only)
 };
 
 /// Stable short name of an event kind (static storage: safe to read from
@@ -61,21 +71,33 @@ inline const char* flightEventKindName(FlightEventKind kind) noexcept {
     case FlightEventKind::kBlockedRun:    return "blocked-run";
     case FlightEventKind::kBatchMember:   return "batch-member";
     case FlightEventKind::kSentinelAlert: return "sentinel-alert";
+    case FlightEventKind::kSpan:          return "span";
   }
   return "unknown";
 }
 
-/// One compact binary event (24 bytes).  Trivially default-constructible
-/// on purpose, so a new ring leaves its slots unwritten (see FlightRing).
+/// One event as readers see it (decoded from a 24-byte ring slot).
 struct FlightEvent {
-  std::uint64_t timeNs;     ///< ns since the tracer epoch
-  std::uint64_t qubitMask;  ///< bit q set = qubit q involved (q < 64)
-  std::uint32_t aux;        ///< kind-specific extra (batch member, ...)
-  std::uint16_t kind;       ///< FlightEventKind
-  std::uint16_t path;       ///< sim::KernelPath of the work
+  std::uint64_t startNs = 0;     ///< begin, nowNs() clock
+  std::uint64_t durationNs = 0;  ///< end - begin
+  std::uint64_t qubitMask = 0;   ///< gate / fused block: bit q = qubit q
+  std::uint64_t aux = 0;         ///< blocked run, batch member, sentinel
+  const char* name = nullptr;    ///< span: its static stage name
+  std::uint16_t kind = 0;        ///< FlightEventKind
+  std::uint16_t path = 0;        ///< sim::KernelPath, or a span's depth
 };
 
-/// Events retained per recording thread (power of two).
+/// One ring slot: the start time, a payload word (qubit mask, aux value,
+/// or span-name pointer, by kind), and the duration packed with the kind
+/// and the kernel path or span depth.  Trivially default-constructible on
+/// purpose, so a new ring leaves its slots unwritten (see FlightRing).
+struct FlightSlot {
+  std::uint64_t words[3];
+};
+
+/// Slots per recording thread (power of two).  Readers see the newest
+/// kFlightRingCapacity - 1 events: the oldest slot is the one the next
+/// record overwrites.
 inline constexpr std::size_t kFlightRingCapacity = std::size_t{1} << 16;
 
 /// Bitmask over qubit indices < 64 (qubits beyond 64 are dropped from the
@@ -98,14 +120,14 @@ struct FlightThreadSnapshot {
 /// One thread's ring.  Heap-allocated on the owning thread's first record,
 /// pushed onto an atomic intrusive list, and intentionally never freed so
 /// crash handlers can walk rings of exited threads.  Up to ~1.5 MB per
-/// thread that ever recorded: the events are left uninitialized, so a
+/// thread that ever recorded: the slots are left uninitialized, so a
 /// page is committed only when a record first writes into it, and
 /// readers touch only the slots below `head`.
 struct FlightRing {
   std::atomic<std::uint64_t> head{0};  ///< events ever recorded (monotonic)
   std::uint32_t threadId = 0;
   FlightRing* next = nullptr;  ///< intrusive list, newest ring first
-  FlightEvent events[kFlightRingCapacity];
+  FlightSlot slots[kFlightRingCapacity];
 };
 
 /// The process-wide flight recorder.
@@ -121,6 +143,7 @@ class FlightRecorder {
     }
   }
 
+  /// Kernel-event recording (on by default).
   void enable() noexcept { enabled_.store(true, std::memory_order_relaxed); }
   void disable() noexcept {
     enabled_.store(false, std::memory_order_relaxed);
@@ -129,22 +152,83 @@ class FlightRecorder {
     return kEnabled && enabled_.load(std::memory_order_relaxed);
   }
 
-  /// Records one event into this thread's ring (lock-free; the ring is
-  /// created on the thread's first record).
+  /// The tracing switch (off by default): spans record only while it is
+  /// on, kernel events also while the recorder itself is disabled.
+  void enableTracing() noexcept {
+    tracing_.store(true, std::memory_order_relaxed);
+  }
+  void disableTracing() noexcept {
+    tracing_.store(false, std::memory_order_relaxed);
+  }
+  bool tracing() const noexcept {
+    return kEnabled && tracing_.load(std::memory_order_relaxed);
+  }
+
+  /// Records one event spanning [startNs, endNs) into this thread's ring
+  /// (lock-free; the ring is created on the thread's first record).
+  /// `payload` is the qubit mask of gate and fused-block events, the
+  /// span-name pointer of spans, and the aux value of the other kinds;
+  /// `path` is the kernel path, or a span's depth.  Durations keep 56
+  /// bits (over two years).
   void record(FlightEventKind kind, std::uint16_t path,
-              std::uint64_t qubitMask, std::uint32_t aux = 0) noexcept {
+              std::uint64_t payload, std::uint64_t startNs,
+              std::uint64_t endNs) noexcept {
     if constexpr (kEnabled) {
-      if (!enabled()) return;
+      if (!tracing() && (kind == FlightEventKind::kSpan || !enabled())) {
+        return;
+      }
       FlightRing* ring = localRing();
       const std::uint64_t head = ring->head.load(std::memory_order_relaxed);
-      FlightEvent& slot = ring->events[head & (kFlightRingCapacity - 1)];
-      slot.timeNs = tracer().nowNs();
-      slot.qubitMask = qubitMask;
-      slot.aux = aux;
-      slot.kind = static_cast<std::uint16_t>(kind);
-      slot.path = path;
+      FlightSlot& slot = ring->slots[head & (kFlightRingCapacity - 1)];
+      const std::uint64_t duration = endNs - startNs;
+      store(slot.words[0], startNs);
+      store(slot.words[1], payload);
+      store(slot.words[2],
+            (duration < kDurationMask ? duration : kDurationMask) |
+                static_cast<std::uint64_t>(kind) << 56 |
+                static_cast<std::uint64_t>(path < 31 ? path : 31) << 59);
       ring->head.store(head + 1, std::memory_order_release);
     }
+  }
+
+  /// Oldest event index a reader may load from a ring whose head is
+  /// `head` (FlightRing::head): older events are evicted.
+  static std::uint64_t firstReadable(std::uint64_t head) noexcept {
+    return head < kFlightRingCapacity ? 0 : head - kFlightRingCapacity + 1;
+  }
+
+  /// Copies event `index` of `ring` into `out`.  Returns false when the
+  /// event was never recorded, or was overwritten — possibly mid-copy —
+  /// by the ring's live writer; `out` is then not decoded.
+  /// Async-signal-safe (atomic loads only).
+  static bool load(const FlightRing& ring, std::uint64_t index,
+                   FlightEvent& out) noexcept {
+    if (index >= ring.head.load(std::memory_order_acquire)) return false;
+    const FlightSlot& slot = ring.slots[index & (kFlightRingCapacity - 1)];
+    const std::uint64_t start = load(slot.words[0]);
+    const std::uint64_t payload = load(slot.words[1]);
+    const std::uint64_t packed = load(slot.words[2]);
+    // The writer of event index + capacity overwrites this slot; it
+    // starts only after head reached that value.
+    if (ring.head.load(std::memory_order_relaxed) >=
+        index + kFlightRingCapacity) {
+      return false;
+    }
+    const auto kind = static_cast<FlightEventKind>((packed >> 56) & 7);
+    out = FlightEvent{};
+    out.startNs = start;
+    out.durationNs = packed & kDurationMask;
+    out.kind = static_cast<std::uint16_t>(kind);
+    out.path = static_cast<std::uint16_t>(packed >> 59);
+    if (kind == FlightEventKind::kSpan) {
+      out.name = reinterpret_cast<const char*>(payload);
+    } else if (kind == FlightEventKind::kGate ||
+               kind == FlightEventKind::kFusedBlock) {
+      out.qubitMask = payload;
+    } else {
+      out.aux = payload;
+    }
+    return true;
   }
 
   /// Head of the ring list for lock-free walks (crash handler).  Each
@@ -157,40 +241,42 @@ class FlightRecorder {
   /// Number of threads that ever recorded.
   std::size_t threadCount() const noexcept {
     std::size_t n = 0;
-    for (const FlightRing* ring = rings(); ring != nullptr;
-         ring = ring->next) {
-      ++n;
-    }
+    for (const FlightRing* ring = rings(); ring; ring = ring->next) ++n;
     return n;
   }
 
   /// Total events ever recorded across all threads.
   std::uint64_t totalRecorded() const noexcept {
     std::uint64_t total = 0;
-    for (const FlightRing* ring = rings(); ring != nullptr;
-         ring = ring->next) {
+    for (const FlightRing* ring = rings(); ring; ring = ring->next) {
       total += ring->head.load(std::memory_order_acquire);
     }
     return total;
   }
 
-  /// Per-thread copies of the retained events, oldest first (reporting /
-  /// tests; NOT signal-safe — handlers walk rings() directly).
+  /// Events evicted because their ring was full.
+  std::uint64_t dropped() const noexcept {
+    std::uint64_t total = 0;
+    for (const FlightRing* ring = rings(); ring; ring = ring->next) {
+      total += firstReadable(ring->head.load(std::memory_order_acquire));
+    }
+    return total;
+  }
+
+  /// Per-thread copies of the retained events, oldest first, skipping any
+  /// slot a live writer overwrote during the copy (reporting / tests; NOT
+  /// signal-safe — handlers walk rings() with load()).
   std::vector<FlightThreadSnapshot> snapshot() const {
     std::vector<FlightThreadSnapshot> out;
-    for (const FlightRing* ring = rings(); ring != nullptr;
-         ring = ring->next) {
+    for (const FlightRing* ring = rings(); ring; ring = ring->next) {
       FlightThreadSnapshot snap;
       snap.threadId = ring->threadId;
       snap.recorded = ring->head.load(std::memory_order_acquire);
-      const std::uint64_t retained =
-          snap.recorded < kFlightRingCapacity ? snap.recorded
-                                              : kFlightRingCapacity;
-      snap.events.reserve(static_cast<std::size_t>(retained));
-      const std::uint64_t start = snap.recorded - retained;
-      for (std::uint64_t i = 0; i < retained; ++i) {
-        snap.events.push_back(
-            ring->events[(start + i) & (kFlightRingCapacity - 1)]);
+      const std::uint64_t first = firstReadable(snap.recorded);
+      snap.events.reserve(static_cast<std::size_t>(snap.recorded - first));
+      FlightEvent event;
+      for (std::uint64_t i = first; i < snap.recorded; ++i) {
+        if (load(*ring, i, event)) snap.events.push_back(event);
       }
       out.push_back(std::move(snap));
     }
@@ -201,19 +287,33 @@ class FlightRecorder {
   /// concurrently recording threads — call from quiescent points only, as
   /// with every other obs reset.
   void reset() noexcept {
-    for (const FlightRing* ring = rings(); ring != nullptr;
-         ring = ring->next) {
+    for (const FlightRing* ring = rings(); ring; ring = ring->next) {
       const_cast<FlightRing*>(ring)->head.store(0,
                                                 std::memory_order_relaxed);
     }
   }
 
  private:
+  static constexpr std::uint64_t kDurationMask = (std::uint64_t{1} << 56) - 1;
+
+  // Slot words are written by the owner with release and read with
+  // acquire (a plain mov each on x86-64, and no data race): a reader
+  // that sees any word of an event also sees every head published
+  // before the event was written.
+  using Word = std::atomic_ref<std::uint64_t>;
+  static void store(std::uint64_t& word, std::uint64_t value) noexcept {
+    Word(word).store(value, std::memory_order_release);
+  }
+  static std::uint64_t load(const std::uint64_t& word) noexcept {
+    return Word(const_cast<std::uint64_t&>(word))
+        .load(std::memory_order_acquire);
+  }
+
   /// This thread's ring, allocated and published on first use.
   FlightRing* localRing() {
     thread_local FlightRing* cached = nullptr;
     if (cached == nullptr) {
-      FlightRing* ring = new FlightRing;  // default-init: events unwritten
+      FlightRing* ring = new FlightRing;  // default-init: slots unwritten
       ring->threadId = nextThreadId_.fetch_add(1, std::memory_order_relaxed);
       FlightRing* head = ringsHead_.load(std::memory_order_relaxed);
       do {
@@ -227,6 +327,7 @@ class FlightRecorder {
   }
 
   std::atomic<bool> enabled_{true};
+  std::atomic<bool> tracing_{false};
   std::atomic<FlightRing*> ringsHead_{nullptr};
   std::atomic<std::uint32_t> nextThreadId_{0};
 };

@@ -18,11 +18,12 @@
 
 #include <atomic>
 #include <bit>
-#include <chrono>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "qclab/obs/enabled.hpp"
+#include "qclab/obs/flightrecorder.hpp"
 #include "qclab/obs/perfcounters.hpp"
 #include "qclab/sim/kernel_path.hpp"
 
@@ -187,15 +188,20 @@ inline std::atomic<int>& currentTimedPath() noexcept {
 /// process-wide histogram of a kernel path, and — when the perf registry
 /// is enabled — samples hardware counters over the same scope so each
 /// path's latency comes with its IPC and LLC miss rate (perfcounters.hpp).
+/// Given an event `kind`, it also writes the timed work as one event with
+/// `payload` — its qubit mask or aux value (FlightRecorder::record) — into
+/// the calling thread's flight ring.
 class PathTimer {
  public:
-  explicit PathTimer(sim::KernelPath path) noexcept
-      : perf_(path), path_(path) {
+  explicit PathTimer(sim::KernelPath path,
+                     std::optional<FlightEventKind> kind = std::nullopt,
+                     std::uint64_t payload = 0) noexcept
+      : perf_(path), path_(path), kind_(kind), payload_(payload) {
     if constexpr (kEnabled) {
       auto& current = detail::currentTimedPath();
       previousPath_ = current.load(std::memory_order_relaxed);
       current.store(static_cast<int>(path), std::memory_order_relaxed);
-      start_ = std::chrono::steady_clock::now();
+      startNs_ = nowNs();
     }
   }
 
@@ -206,12 +212,12 @@ class PathTimer {
     if constexpr (kEnabled) {
       detail::currentTimedPath().store(previousPath_,
                                        std::memory_order_relaxed);
-      const auto elapsed = std::chrono::steady_clock::now() - start_;
-      latencyHistograms().record(
-          path_,
-          static_cast<std::uint64_t>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-                  .count()));
+      const std::uint64_t endNs = nowNs();
+      latencyHistograms().record(path_, endNs - startNs_);
+      if (kind_) {
+        flightRecorder().record(*kind_, static_cast<std::uint16_t>(path_),
+                                payload_, startNs_, endNs);
+      }
     }
   }
 
@@ -219,8 +225,10 @@ class PathTimer {
   PerfScope perf_;  // destroyed after the histogram record; scope covers
                     // at least the timed region
   sim::KernelPath path_;
+  std::optional<FlightEventKind> kind_;
+  std::uint64_t payload_;
   int previousPath_ = -1;
-  std::chrono::steady_clock::time_point start_;
+  std::uint64_t startNs_ = 0;
 };
 
 }  // namespace qclab::obs

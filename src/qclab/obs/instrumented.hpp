@@ -10,9 +10,8 @@
 ///    with an estimate of the state-vector bytes touched,
 ///  - times the inner application into the per-path latency histogram
 ///    (obs::latencyHistograms(), histogram.hpp), feeding the p50/p90/p99
-///    and effective-bandwidth figures of the v2 reports,
-///  - records a trace span named after the gate when obs::tracer() is
-///    enabled.
+///    and effective-bandwidth figures of the v2 reports, and writes it as
+///    one gate event (kernel path, qubits, duration) into the flight ring.
 ///
 /// The decorator is opt-in and adds a per-gate cost (a label string and a
 /// counter update, ~100ns) that the bare backends never pay.  Under
@@ -27,7 +26,6 @@
 #include "qclab/obs/flightrecorder.hpp"
 #include "qclab/obs/histogram.hpp"
 #include "qclab/obs/metrics.hpp"
-#include "qclab/obs/trace.hpp"
 #include "qclab/sim/backend.hpp"
 #include "qclab/sim/kernel_path.hpp"
 
@@ -75,17 +73,13 @@ class InstrumentedBackend final : public sim::Backend<T> {
       // so reports attribute the work to the tier that did it.
       const sim::KernelPath path = sim::simdCountedPath(
           inner_.dispatchPath(gate), gate.nbQubits());
-      std::string kind = qgates::gateKindLabel(gate);
       {
-        const Span span(tracer(), kind, "gate");
-        const PathTimer timer(path);
+        const PathTimer timer(path, FlightEventKind::kGate,
+                              qubitMask64(gate.qubits()));
         inner_.applyGate(state, nbQubits, gate, offset);
       }
-      metrics().countGate(path, kind.c_str(),
+      metrics().countGate(path, qgates::gateKindLabel(gate).c_str(),
                           bytesTouchedEstimate(path, state.size(), gate));
-      flightRecorder().record(FlightEventKind::kGate,
-                              static_cast<std::uint16_t>(path),
-                              qubitMask64(gate.qubits()));
     } else {
       inner_.applyGate(state, nbQubits, gate, offset);
     }

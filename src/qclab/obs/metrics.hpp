@@ -7,12 +7,13 @@
 ///  - the plain counters of the QCLAB_OBS_COUNTERS table below (gate
 ///    applications, bytes touched, branch spawns and prunes, shots,
 ///    simulations, noise channels, trajectories, batches, fusion,
-///    dispatch conversions and fallbacks, prefetch, tier fallbacks),
+///    dispatch conversions and fallbacks, prefetch, tier fallbacks,
+///    sentinel checks and alerts),
 ///  - label-indexed families: gate applications and bytes touched per
 ///    kernel path, dispatch routes, and live bytes per memory tier,
 ///  - gate applications per gate kind, and
-///  - live and high-water state-vector memory (Simulation branch states
-///    and density matrices attribute their allocations here).
+///  - live and high-water state-vector memory (the mapped bytes of every
+///    sim::StateBuffer, plus density matrices and trajectory states).
 ///
 /// QCLAB_OBS_COUNTERS is the only list of plain counters.  Metrics
 /// storage, readers and reset, the ObsSnapshot fields, and the
@@ -79,7 +80,13 @@
   X(kPrefetchRetired, prefetchRetired, "prefetch_retired",                     \
     "madvise(DONTNEED) granules dropped behind the walk.")                     \
   X(kStateTierFallbacks, stateTierFallbacks, "state_tier_fallbacks",           \
-    "mmap state allocations that fell back to the heap tier.")
+    "mmap state allocations that fell back to the heap tier.")                 \
+  X(kSentinelChecks, sentinelChecks, "sentinel_checks",                        \
+    "Numerical-health checks performed by the sentinels.")                     \
+  X(kSentinelNanDetected, sentinelNanDetected, "sentinel_nan_detected",        \
+    "Sentinel checks that found non-finite amplitudes.")                       \
+  X(kSentinelNormAlerts, sentinelNormAlerts, "sentinel_norm_alerts",           \
+    "Sentinel checks that found norm drift beyond tolerance.")
 
 namespace qclab::obs {
 
@@ -269,8 +276,8 @@ class Metrics {
     if constexpr (kEnabled) dispatchRoutes_.add(route, 1);
   }
 
-  /// Attributes `bytes` of newly live simulation state (branch state
-  /// vectors, density matrices) and raises the high-water mark.
+  /// Attributes `bytes` of newly live simulation state (state buffers,
+  /// density matrices, trajectory states) and raises the high-water mark.
   void addStateBytes(std::uint64_t bytes) {
     if constexpr (kEnabled) {
       const std::uint64_t now =
@@ -283,23 +290,26 @@ class Metrics {
     }
   }
 
-  /// Releases `bytes` of simulation state (branch pruned / owner freed).
+  /// Releases `bytes` of simulation state (buffer freed or handed off).
   void releaseStateBytes(std::uint64_t bytes) {
     if constexpr (kEnabled) {
       stateBytes_.fetch_sub(bytes, std::memory_order_relaxed);
     }
   }
 
-  /// Attributes bytes to a resolved memory tier (sim::StateBuffer).
-  /// `mapped` is address space reserved by the tier; `resident` is the
-  /// part expected to be RAM-backed.  Heap allocations pass equal
-  /// values; the mmap tier maps the whole state but counts resident
-  /// bytes only as its prefetch advisor faults granules in.
+  /// Attributes bytes to a resolved memory tier (sim::StateBuffer, the
+  /// only attributor of state-vector bytes).  `mapped` is address space
+  /// reserved by the tier: the state's size on either tier, so it also
+  /// counts as live state bytes.  `resident` is the part expected to be
+  /// RAM-backed.  Heap allocations pass equal values; the mmap tier maps
+  /// the whole state but counts resident bytes only as its prefetch
+  /// advisor faults granules in.
   void addTierBytes(sim::StateTier tier, std::uint64_t resident,
                     std::uint64_t mapped) {
     if constexpr (kEnabled) {
       tierResident_.add(tier, resident);
       tierMapped_.add(tier, mapped);
+      if (mapped != 0) addStateBytes(mapped);
     }
   }
 
@@ -309,6 +319,7 @@ class Metrics {
     if constexpr (kEnabled) {
       tierResident_.sub(tier, resident);
       tierMapped_.sub(tier, mapped);
+      releaseStateBytes(mapped);
     }
   }
 
@@ -378,8 +389,7 @@ class Metrics {
     return gateByKind_.snapshot();
   }
 
-  /// Currently live simulation-state bytes (branch states + density
-  /// matrices that attributed themselves).
+  /// Currently live simulation-state bytes.
   std::uint64_t currentStateBytes() const {
     return stateBytes_.load(std::memory_order_relaxed);
   }
@@ -406,5 +416,21 @@ inline Metrics& metrics() {
   static Metrics instance;
   return instance;
 }
+
+/// Attributes `bytes` of simulation state held outside a sim::StateBuffer
+/// (a density matrix, a trajectory worker's state) to the live and
+/// high-water state bytes for the object's lifetime.
+class ScopedStateBytes {
+ public:
+  explicit ScopedStateBytes(std::uint64_t bytes) noexcept : bytes_(bytes) {
+    metrics().addStateBytes(bytes_);
+  }
+  ScopedStateBytes(const ScopedStateBytes&) = delete;
+  ScopedStateBytes& operator=(const ScopedStateBytes&) = delete;
+  ~ScopedStateBytes() { metrics().releaseStateBytes(bytes_); }
+
+ private:
+  std::uint64_t bytes_;
+};
 
 }  // namespace qclab::obs

@@ -3,15 +3,15 @@
 /// \file obs.hpp
 /// \brief Umbrella header of the observability layer (qclab::obs):
 /// counters (metrics.hpp), per-path latency histograms (histogram.hpp),
-/// scoped-span tracing with Chrome trace_event export and pipeline-stage
-/// aggregation (trace.hpp), hardware perf-counter sampling
+/// pipeline-stage spans, their aggregation, and the Chrome trace_event
+/// view of the flight rings (trace.hpp), hardware perf-counter sampling
 /// (perfcounters.hpp), roofline attribution (roofline.hpp), aggregate
 /// text/JSON reporting (report.hpp), the OpenMetrics exposition renderer
 /// (openmetrics.hpp), shared JSON escaping (json.hpp), the metering
-/// backend decorator (instrumented.hpp), the always-on flight recorder
-/// (flightrecorder.hpp), numerical-health sentinels (sentinel.hpp),
-/// signal-safe crash diagnostics (crashdump.hpp), and the SIGPROF
-/// sampling profiler (profiler.hpp).
+/// backend decorator (instrumented.hpp), the flight recorder's
+/// per-thread event rings (flightrecorder.hpp), numerical-health
+/// sentinels (sentinel.hpp), signal-safe crash diagnostics
+/// (crashdump.hpp), and the SIGPROF sampling profiler (profiler.hpp).
 ///
 /// Compile with QCLAB_OBS_DISABLED (CMake: -DQCLAB_OBS_DISABLED=ON) to
 /// discard every recording body (enabled.hpp): the API stays the same,
@@ -35,15 +35,14 @@
 namespace qclab::obs {
 
 /// Zeroes every obs registry — counters, latency histograms, stage
-/// aggregates, perf-counter totals, flight rings, sentinel counters, and
-/// profiler samples — and clears the tracer's ring buffer.  The
-/// start-of-measured-region reset used by benches and tests.
+/// aggregates, perf-counter totals, flight rings (trace events included),
+/// sentinel gauges, and profiler samples.  The start-of-measured-region
+/// reset used by benches and tests.
 inline void resetAll() {
   metrics().reset();
   latencyHistograms().reset();
   stageStats().reset();
   perfRegistry().reset();
-  tracer().clear();
   flightRecorder().reset();
   sentinel().reset();
   profiler().reset();

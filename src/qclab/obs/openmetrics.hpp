@@ -29,7 +29,6 @@
 #include "qclab/obs/histogram.hpp"
 #include "qclab/obs/metrics.hpp"
 #include "qclab/obs/perfcounters.hpp"
-#include "qclab/obs/sentinel.hpp"
 #include "qclab/obs/trace.hpp"
 #include "qclab/sim/kernel_path.hpp"
 #include "qclab/sim/simd.hpp"
@@ -47,9 +46,6 @@ struct ObsSnapshot {
   std::vector<std::uint64_t> bytesByPath;  ///< kKernelPathCount entries
   std::vector<std::uint64_t> dispatchRoutes;  ///< kDispatchRouteCount
   std::map<std::string, std::uint64_t> gateByKind;
-  std::uint64_t sentinelChecks = 0;
-  std::uint64_t sentinelNanDetected = 0;
-  std::uint64_t sentinelNormAlerts = 0;
   std::uint64_t flightEventsRecorded = 0;
   std::uint64_t currentStateBytes = 0;  ///< gauge
   std::uint64_t peakStateBytes = 0;     ///< gauge
@@ -88,9 +84,6 @@ inline ObsSnapshot captureSnapshot() {
   snap.bytesByPath = m.bytesByPath().values();
   snap.dispatchRoutes = m.routes().values();
   snap.gateByKind = m.gateKinds();
-  snap.sentinelChecks = sentinel().checks();
-  snap.sentinelNanDetected = sentinel().nanDetected();
-  snap.sentinelNormAlerts = sentinel().normAlerts();
   snap.flightEventsRecorded = flightRecorder().totalRecorded();
   snap.currentStateBytes = m.currentStateBytes();
   snap.peakStateBytes = m.peakStateBytes();
@@ -146,12 +139,6 @@ inline ObsSnapshot snapshotDelta(const ObsSnapshot& previous) {
       count = saturatingSub(count, prior->second);
     }
   }
-  delta.sentinelChecks =
-      saturatingSub(delta.sentinelChecks, previous.sentinelChecks);
-  delta.sentinelNanDetected = saturatingSub(delta.sentinelNanDetected,
-                                            previous.sentinelNanDetected);
-  delta.sentinelNormAlerts = saturatingSub(delta.sentinelNormAlerts,
-                                           previous.sentinelNormAlerts);
   delta.flightEventsRecorded = saturatingSub(
       delta.flightEventsRecorded, previous.flightEventsRecorded);
   for (std::size_t i = 0; i < delta.histograms.size() &&
@@ -230,15 +217,6 @@ inline std::string renderOpenMetrics(const ObsSnapshot& snap) {
   for (const CounterRow& row : kCounterRows) {
     counter(std::string("qclab_") + row.name, row.help, snap[row.counter]);
   }
-  counter("qclab_sentinel_checks",
-          "Numerical-health checks performed by the sentinels.",
-          snap.sentinelChecks);
-  counter("qclab_sentinel_nan_detected",
-          "Sentinel checks that found non-finite amplitudes.",
-          snap.sentinelNanDetected);
-  counter("qclab_sentinel_norm_alerts",
-          "Sentinel checks that found norm drift beyond tolerance.",
-          snap.sentinelNormAlerts);
   counter("qclab_flight_events_recorded",
           "Events recorded by the always-on flight recorder.",
           snap.flightEventsRecorded);

@@ -7,7 +7,7 @@
 /// start() arms an ITIMER_PROF interval timer; the kernel delivers
 /// SIGPROF to whichever thread is burning CPU, and the handler snapshots
 /// that thread's signal-safe stage-span stack (SpanFrameStack, trace.hpp
-/// — interned static strings maintained by ScopedSpan) plus the kernel
+/// — static strings maintained by ScopedSpan) plus the kernel
 /// path currently under a PathTimer (histogram.hpp).  Each distinct
 /// (frames, path) pair becomes one slot in a fixed open-addressed table;
 /// a sample is a CAS-free count bump on an existing slot or a CAS claim
@@ -102,7 +102,7 @@ class SamplingProfiler {
   void handleSample() noexcept {
     samples_.fetch_add(1, std::memory_order_relaxed);
 
-    // Snapshot this thread's span frames (interned static strings).
+    // Snapshot this thread's span frames (static strings).
     const SpanFrameStack& spanStack = spanFrames();
     int depth = spanStack.depth.load(std::memory_order_acquire);
     if (depth > kMaxFrames) depth = kMaxFrames;
@@ -115,8 +115,8 @@ class SamplingProfiler {
     }
     const int path = detail::currentTimedPath().load(std::memory_order_relaxed);
 
-    // FNV-1a over the frame pointers + path (pointer identity is stack
-    // identity: frames are interned).
+    // FNV-1a over the frame pointers + path (equal names behind distinct
+    // pointers take distinct slots; folded() merges them).
     std::uint64_t hash = 1469598103934665603ull;
     const auto mix = [&hash](std::uint64_t value) noexcept {
       hash ^= value;

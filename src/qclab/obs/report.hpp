@@ -31,8 +31,8 @@
 ///    last norm and peak amplitude, and the cost percentiles of the
 ///    checks themselves (sentinel.hpp),
 ///  - "flight": the always-on flight recorder's thread count and total
-///    events recorded (flightrecorder.hpp; the events themselves are a
-///    crash-dump concern, not a report concern),
+///    events recorded (flightrecorder.hpp; the events themselves go to
+///    the crash dump and the Chrome trace, not to reports),
 ///  - "profiler": SIGPROF sample totals and distinct stacks when the
 ///    sampling profiler ran (profiler.hpp).
 /// Every quoted string goes through jsonEscape().
@@ -202,16 +202,16 @@ class Report {
     }
     out << "\n";
     out << "flight recorder: "
-        << (flightRecorder().enabled() ? "on" : "off") << ", "
+        << (flightRecorder().enabled() ? "on" : "off") << ", tracing "
+        << (flightRecorder().tracing() ? "on" : "off") << ", "
         << snap.flightEventsRecorded << " events over "
-        << flightRecorder().threadCount() << " threads\n";
+        << flightRecorder().threadCount() << " threads, "
+        << flightRecorder().dropped() << " dropped\n";
     if (profiler().samples() != 0) {
       out << "profiler: " << profiler().samples() << " samples, "
           << profiler().distinctStacks() << " stacks, "
           << profiler().dropped() << " dropped\n";
     }
-    out << "trace: " << tracer().nbEvents() << " spans retained, "
-        << tracer().dropped() << " dropped\n";
     if (!results_.empty()) {
       out << "results:\n";
       for (const auto& result : results_) {
@@ -438,7 +438,7 @@ class Report {
         << ", \"p99_ns\": " << checkSnap.percentileNs(0.99) << "}\n";
     out << "  },\n";
     // v4: flight-recorder occupancy (the events themselves go to crash
-    // dumps, not reports).
+    // dumps and the Chrome trace, not reports).
     out << "  \"flight\": {\n";
     out << "    \"enabled\": "
         << (flightRecorder().enabled() ? "true" : "false") << ",\n";
@@ -453,8 +453,9 @@ class Report {
         << ",\n";
     out << "    \"dropped\": " << profiler().dropped() << "\n";
     out << "  },\n";
-    out << "  \"trace\": {\"events\": " << tracer().nbEvents()
-        << ", \"dropped\": " << tracer().dropped() << "},\n";
+    out << "  \"trace\": {\"events\": "
+        << flightRecorder().totalRecorded() - flightRecorder().dropped()
+        << ", \"dropped\": " << flightRecorder().dropped() << "},\n";
     out << "  \"results\": [";
     first = true;
     for (const auto& result : results_) {

@@ -18,6 +18,7 @@
 /// QCLAB_OBS_NO_ROOFLINE skips calibration entirely.  QCLAB_OBS_DISABLED
 /// builds never measure and render an explicit unavailable marker.
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -118,14 +119,25 @@ inline const RooflineCalibration& rooflineCalibration() {
       double best = 0.0;
       for (int iter = 0; iter < 4; ++iter) {  // iter 0 warms pages + caches
         const auto sweepStart = std::chrono::steady_clock::now();
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
+        // Release/acquire edge mirroring the implicit end-of-region
+        // barrier for TSan, which cannot see into libgomp (same pattern
+        // as the batch and trajectory engines).
+        std::atomic<int> workersDone{0};
+#ifdef QCLAB_HAS_OPENMP
+#pragma omp parallel
 #endif
-        for (std::int64_t i = 0; i < n; ++i) {
-          a[static_cast<std::size_t>(i)] =
-              b[static_cast<std::size_t>(i)] +
-              scalar * c[static_cast<std::size_t>(i)];
+        {
+#ifdef QCLAB_HAS_OPENMP
+#pragma omp for schedule(static)
+#endif
+          for (std::int64_t i = 0; i < n; ++i) {
+            a[static_cast<std::size_t>(i)] =
+                b[static_cast<std::size_t>(i)] +
+                scalar * c[static_cast<std::size_t>(i)];
+          }
+          workersDone.fetch_add(1, std::memory_order_release);
         }
+        (void)workersDone.load(std::memory_order_acquire);
         const double sweepNs = static_cast<double>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(
                 std::chrono::steady_clock::now() - sweepStart)

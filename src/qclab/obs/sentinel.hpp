@@ -25,10 +25,11 @@
 ///    point (end of QCircuit::simulate, end of BatchedSimulation::forEach)
 ///    on a thread that is outside any parallel region.
 ///
-/// Every check records into counters (checks / nan / norm alerts), gauges
-/// (last norm, running max amplitude), and a latency histogram of the
-/// check passes themselves; reports render these as the v4 "sentinel"
-/// section and the OpenMetrics exporter as qclab_sentinel_* families.
+/// Every check records into the sentinel_* rows of the counter table
+/// (metrics.hpp: checks / nan / norm alerts), gauges (last norm, running
+/// max amplitude), and a latency histogram of the check passes
+/// themselves; reports render these as the v4 "sentinel" section and the
+/// OpenMetrics exporter as qclab_sentinel_* families.
 /// Violations also drop a kSentinelAlert event into the flight recorder so
 /// crash dumps show *when* the state went bad relative to the event
 /// stream.  Under QCLAB_OBS_DISABLED the policy is pinned off and every
@@ -49,6 +50,7 @@
 #include "qclab/obs/enabled.hpp"
 #include "qclab/obs/flightrecorder.hpp"
 #include "qclab/obs/histogram.hpp"
+#include "qclab/obs/metrics.hpp"
 
 #ifdef QCLAB_HAS_OPENMP
 #include <omp.h>
@@ -87,7 +89,7 @@ struct SentinelConfig {
   double normTolerance = 1e-4;
 };
 
-/// The process-wide sentinel registry: configuration, counters, and the
+/// The process-wide sentinel registry: configuration, gauges, and the
 /// sticky deferred violation.
 class Sentinel {
  public:
@@ -150,7 +152,7 @@ class Sentinel {
   void report(double normSq, double maxAmpSq, bool nanSeen, const char* site,
               std::uint64_t checkNs) noexcept {
     if constexpr (kEnabled) {
-      checks_.fetch_add(1, std::memory_order_relaxed);
+      metrics().add(Counter::kSentinelChecks);
       checkHistogram_.record(checkNs);
       storeDouble(lastNormSqBits_, normSq);
       storeDoubleMax(maxAmpSqBits_, maxAmpSq);
@@ -158,10 +160,11 @@ class Sentinel {
       const bool normBad =
           !nanBad && std::abs(normSq - 1.0) > loadDouble(normToleranceBits_);
       if (!nanBad && !normBad) return;
-      if (nanBad) nanDetected_.fetch_add(1, std::memory_order_relaxed);
-      if (normBad) normAlerts_.fetch_add(1, std::memory_order_relaxed);
-      flightRecorder().record(FlightEventKind::kSentinelAlert, 0, 0,
-                              nanBad ? 1u : 2u);
+      metrics().add(nanBad ? Counter::kSentinelNanDetected
+                           : Counter::kSentinelNormAlerts);
+      const std::uint64_t now = nowNs();
+      flightRecorder().record(FlightEventKind::kSentinelAlert, 0,
+                              nanBad ? 1u : 2u, now, now);
       switch (policy()) {
         case SentinelPolicy::kOff:
           break;
@@ -172,7 +175,7 @@ class Sentinel {
                        nanBad ? "non-finite amplitude" : "norm drift", site,
                        normSq, maxAmpSq,
                        static_cast<unsigned long long>(
-                           checks_.load(std::memory_order_relaxed)));
+                           metrics().sentinelChecks()));
           break;
         case SentinelPolicy::kThrow: {
           const std::lock_guard<std::mutex> lock(violationMutex_);
@@ -192,12 +195,6 @@ class Sentinel {
   /// True when a kThrow violation awaits its safe point.
   bool violationPending() const noexcept {
     return violationPending_.load(std::memory_order_acquire);
-  }
-
-  /// Message of the pending (or last thrown) violation.
-  std::string violationMessage() const {
-    const std::lock_guard<std::mutex> lock(violationMutex_);
-    return violationMessage_;
   }
 
   /// Safe-point raise: throws NumericalHealthError when a violation is
@@ -223,18 +220,6 @@ class Sentinel {
 
   // ---- readers --------------------------------------------------------
 
-  std::uint64_t checks() const noexcept {
-    return checks_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t nanDetected() const noexcept {
-    return nanDetected_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t normAlerts() const noexcept {
-    return normAlerts_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t violations() const noexcept {
-    return nanDetected() + normAlerts();
-  }
   /// sum|amp|^2 of the most recent check (0 before any check).
   double lastNormSq() const noexcept { return loadDouble(lastNormSqBits_); }
   /// Largest |amp|^2 seen by any check since the last reset.
@@ -244,12 +229,9 @@ class Sentinel {
     return checkHistogram_;
   }
 
-  /// Zeroes counters, gauges, the histogram, and the pending violation
-  /// (configuration is kept).
+  /// Zeroes the gauges, the histogram, and the pending violation
+  /// (configuration is kept; the counters reset with metrics()).
   void reset() noexcept {
-    checks_.store(0, std::memory_order_relaxed);
-    nanDetected_.store(0, std::memory_order_relaxed);
-    normAlerts_.store(0, std::memory_order_relaxed);
     storeDouble(lastNormSqBits_, 0.0);
     storeDouble(maxAmpSqBits_, 0.0);
     checkHistogram_.reset();
@@ -301,9 +283,6 @@ class Sentinel {
       static_cast<int>(kEnabled ? SentinelPolicy::kLog : SentinelPolicy::kOff)};
   std::atomic<std::uint32_t> interval_{8};
   std::atomic<std::uint64_t> normToleranceBits_{doubleBits(1e-4)};
-  std::atomic<std::uint64_t> checks_{0};
-  std::atomic<std::uint64_t> nanDetected_{0};
-  std::atomic<std::uint64_t> normAlerts_{0};
   std::atomic<std::uint64_t> lastNormSqBits_{0};
   std::atomic<std::uint64_t> maxAmpSqBits_{0};
   LatencyHistogram checkHistogram_;

@@ -362,7 +362,7 @@ class QCircuit final : public QObject<T> {
       // plain vector) lets 30+ qubit runs land on the out-of-core tier;
       // on the mmap tier the zero-fill is a file hole, so only the basis
       // amplitude's page faults in here.
-      const obs::ScopedSpan span("state/alloc", "stage");
+      const obs::ScopedSpan span("state/alloc");
       state = sim::StateBuffer<T>::zeros(std::size_t{1} << nbQubits_,
                                          options.stateTier);
       state.data()[util::bitstringToIndex(bits)] = std::complex<T>(1);
@@ -390,11 +390,9 @@ class QCircuit final : public QObject<T> {
       for (auto& amplitude : state) amplitude *= scale;
     }
     obs::metrics().add(obs::Counter::kCircuitSimulations);
-    const obs::ScopedSpan span(
-        "simulate(n=" + std::to_string(nbQubits_) + ")", "circuit",
-        "simulate");
+    const obs::ScopedSpan span("simulate");
     Simulation<T> simulation(nbQubits_, std::move(state));
-    const obs::ScopedSpan executeSpan("execute", "stage");
+    const obs::ScopedSpan executeSpan("execute");
     sim::execute(simulation,
                  sim::compile(flatten(), 0, nbQubits_,
                               sim::resolveFusion(options.fusion,

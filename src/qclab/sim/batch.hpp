@@ -97,7 +97,7 @@ class BatchedSimulation {
         shapeHash_(prototype.shapeHash()) {
     util::require(options_.nbThreads >= 0,
                   "thread count must be nonnegative");
-    const obs::ScopedSpan span("batch/plan", "stage");
+    const obs::ScopedSpan span("batch/plan");
     master_ = std::make_unique<Worker>(prototype_, nullptr);
     computePrefix();
   }
@@ -171,11 +171,8 @@ class BatchedSimulation {
     }
     obs::metrics().add(obs::Counter::kBatchRuns);
     obs::metrics().add(obs::Counter::kBatchMembers, members);
-    const obs::ScopedSpan span(
-        "batch(n=" + std::to_string(prototype_.nbQubits()) +
-            ",M=" + std::to_string(members) + ")",
-        "circuit", "batch");
-    const obs::ScopedSpan executeSpan("batch/execute", "stage");
+    const obs::ScopedSpan span("batch");
+    const obs::ScopedSpan executeSpan("batch/execute");
     const std::int64_t count = static_cast<std::int64_t>(members);
 #ifdef QCLAB_HAS_OPENMP
     const int threads = options_.nbThreads > 0 ? options_.nbThreads
@@ -211,13 +208,10 @@ class BatchedSimulation {
       for (std::int64_t m = 0; m < count; ++m) {
         const std::size_t member = static_cast<std::size_t>(m);
         {
-          const obs::PathTimer timer(KernelPath::kBatch);
+          const obs::PathTimer timer(
+              KernelPath::kBatch, obs::FlightEventKind::kBatchMember, member);
           runMember(*worker, parameterSets[member], buffer);
         }
-        obs::flightRecorder().record(
-            obs::FlightEventKind::kBatchMember,
-            static_cast<std::uint16_t>(KernelPath::kBatch),
-            /*qubitMask=*/0, static_cast<std::uint32_t>(member));
         // Throttled numerical-health check on the finished member's state.
         // kThrow cannot raise here (we may be inside the OMP region);
         // report() just latches and throwIfPending() below raises it.

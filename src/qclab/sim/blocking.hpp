@@ -95,7 +95,7 @@ struct BlockSchedule {
 template <typename T = double, typename Block>
 BlockSchedule buildBlockSchedule(const std::vector<Block>& blocks,
                                  int nbQubits, int blockQubits) {
-  const obs::ScopedSpan span("fusion/block-schedule", "stage");
+  const obs::ScopedSpan span("fusion/block-schedule");
   BlockSchedule schedule;
   if (blocks.empty()) return schedule;
 

@@ -323,7 +323,7 @@ class DispatchRunner {
                                                DispatchMode mode) {
     CircuitAnalysis<T> analysis;
     {
-      const obs::ScopedSpan span("dispatch/analyze", "stage");
+      const obs::ScopedSpan span("dispatch/analyze");
       analysis = analyzeCircuit(circuit);
     }
     if (mode == DispatchMode::kAuto &&
@@ -358,10 +358,9 @@ class DispatchRunner {
                                   const CircuitAnalysis<T>& analysis) {
     const int n = analysis.nbQubits;
     obs::metrics().add(obs::Counter::kCircuitSimulations);
-    const obs::ScopedSpan span("simulate(n=" + std::to_string(n) + ")",
-                               "circuit", "simulate");
+    const obs::ScopedSpan span("simulate");
     const obs::PathTimer timer(KernelPath::kDispatch);
-    const obs::ScopedSpan executeSpan("execute", "stage");
+    const obs::ScopedSpan executeSpan("execute");
 
     std::vector<TableauBranch> branches;
     branches.push_back({stabilizer::Tableau(n), 1.0, {}, {}});
@@ -396,7 +395,7 @@ class DispatchRunner {
     // ---- conversion point: expand every branch tableau ----------------
     std::vector<Branch<T>> converted;
     {
-      const obs::ScopedSpan convertSpan("dispatch/convert", "stage");
+      const obs::ScopedSpan convertSpan("dispatch/convert");
       converted.reserve(branches.size());
       for (auto& branch : branches) {
         Branch<T> out;
@@ -412,7 +411,6 @@ class DispatchRunner {
     }
     Simulation<T> simulation(n, {});
     simulation.branches() = std::move(converted);
-    simulation.retrackStateBytes();
 
     // ---- non-Clifford suffix on the statevector pipeline --------------
     execute(simulation,
@@ -496,7 +494,7 @@ std::map<std::string, std::uint64_t> dispatchSampleCounts(
     const QCircuit<T>& circuit, std::uint64_t shots, std::uint64_t seed) {
   CircuitAnalysis<T> analysis;
   {
-    const obs::ScopedSpan span("dispatch/analyze", "stage");
+    const obs::ScopedSpan span("dispatch/analyze");
     analysis = analyzeCircuit(circuit);
   }
   const int n = circuit.nbQubits();
@@ -508,10 +506,7 @@ std::map<std::string, std::uint64_t> dispatchSampleCounts(
   }
   obs::metrics().countDispatchRoute(DispatchRoute::kStabilizer);
   obs::metrics().add(obs::Counter::kShotsSampled, shots);
-  const obs::ScopedSpan span(
-      "dispatch/sample(n=" + std::to_string(n) +
-          ",shots=" + std::to_string(shots) + ")",
-      "circuit", "dispatch");
+  const obs::ScopedSpan span("dispatch");
   const std::size_t nbChunks = static_cast<std::size_t>(
       (shots + kDispatchShotChunk - 1) / kDispatchShotChunk);
   std::vector<random::Rng> streams =

@@ -22,16 +22,6 @@ enum class DispatchMode : int {
                      ///< capable engine
 };
 
-/// Stable short name of a dispatch mode (reports, env parsing).
-inline const char* dispatchModeName(DispatchMode mode) noexcept {
-  switch (mode) {
-    case DispatchMode::kStatevector: return "statevector";
-    case DispatchMode::kStabilizer:  return "stabilizer";
-    case DispatchMode::kAuto:        return "auto";
-  }
-  return "unknown";
-}
-
 /// How a dispatched execution was actually routed (obs counters).
 enum class DispatchRoute : int {
   kStatevector = 0,  ///< whole circuit ran on the statevector pipeline

@@ -195,7 +195,7 @@ inline constexpr T kDropTol = T(100) * std::numeric_limits<T>::epsilon();
 template <typename T>
 void splitBranches(Simulation<T>& simulation, const ProgramStep<T>& step) {
   const bool reset = step.reset;
-  const obs::ScopedSpan span(reset ? "reset" : "measure", "stage");
+  const obs::ScopedSpan span(reset ? "reset" : "measure");
   const int nbQubits = simulation.nbQubits();
   const int qubit = step.qubit;
   const bool rotate = step.rotates();
@@ -239,7 +239,6 @@ void splitBranches(Simulation<T>& simulation, const ProgramStep<T>& step) {
     }
   }
   simulation.branches() = std::move(next);
-  simulation.retrackStateBytes();
 }
 
 /// Smallest register an unset SimulateOptions::fusion fuses.  Measured

@@ -415,7 +415,7 @@ std::vector<std::complex<T>> diagonalBlockTable(
 template <typename T>
 FusionPlan<T> fuseGates(const std::vector<GateRef<T>>& gates, int nbQubits,
                         const FusionOptions& options = {}) {
-  const obs::ScopedSpan span("fusion/plan", "stage");
+  const obs::ScopedSpan span("fusion/plan");
   util::require(options.maxQubits >= 1,
                 "fusion window must span at least one qubit");
   const int denseWindow = std::min(options.maxQubits, nbQubits);
@@ -536,7 +536,7 @@ template <typename T>
 void rebindFusionPlan(FusionPlan<T>& plan,
                       const std::vector<GateRef<T>>& gates,
                       std::size_t firstBlock = 0) {
-  const obs::ScopedSpan span("fusion/rebind", "stage");
+  const obs::ScopedSpan span("fusion/rebind");
   detail::BlockBuilder<T> builder;
   for (std::size_t b = firstBlock; b < plan.blocks.size(); ++b) {
     auto& block = plan.blocks[b];
@@ -578,30 +578,22 @@ namespace detail {
 template <typename State, typename T>
 void applyFusedBlock(State& state, int nbQubits,
                      const FusedBlock<T>& block, std::uint64_t bytes) {
-  if (block.diagonal) {
-    const obs::PathTimer timer(KernelPath::kFusedDiagonalK);
-    applyDiagonalBlock(state, nbQubits, block.qubits, block.diag);
-    obs::metrics().countGate(KernelPath::kFusedDiagonalK, nullptr, bytes);
-  } else if (block.qubits.size() == 1) {
-    const obs::PathTimer timer(KernelPath::kFusedDenseK);
-    apply1(state, nbQubits, block.qubits.front(), block.matrix);
-    obs::metrics().countGate(KernelPath::kFusedDenseK, nullptr, bytes);
-  } else if (block.qubits.size() == 2) {
-    const obs::PathTimer timer(KernelPath::kFusedDenseK);
-    apply2(state, nbQubits, block.qubits[0], block.qubits[1], block.matrix);
-    obs::metrics().countGate(KernelPath::kFusedDenseK, nullptr, bytes);
-  } else {
-    const obs::PathTimer timer(KernelPath::kFusedDenseK);
-    applyK(state, nbQubits, block.qubits, block.matrix);
-    obs::metrics().countGate(KernelPath::kFusedDenseK, nullptr, bytes);
+  const KernelPath path =
+      block.diagonal ? KernelPath::kFusedDiagonalK : KernelPath::kFusedDenseK;
+  {
+    const obs::PathTimer timer(path, obs::FlightEventKind::kFusedBlock,
+                               obs::qubitMask64(block.qubits));
+    if (block.diagonal) {
+      applyDiagonalBlock(state, nbQubits, block.qubits, block.diag);
+    } else if (block.qubits.size() == 1) {
+      apply1(state, nbQubits, block.qubits.front(), block.matrix);
+    } else if (block.qubits.size() == 2) {
+      apply2(state, nbQubits, block.qubits[0], block.qubits[1], block.matrix);
+    } else {
+      applyK(state, nbQubits, block.qubits, block.matrix);
+    }
   }
-  obs::flightRecorder().record(
-      obs::FlightEventKind::kFusedBlock,
-      static_cast<std::uint16_t>(block.diagonal
-                                     ? KernelPath::kFusedDiagonalK
-                                     : KernelPath::kFusedDenseK),
-      obs::qubitMask64(block.qubits),
-      static_cast<std::uint32_t>(block.gatesIn));
+  obs::metrics().countGate(path, nullptr, bytes);
 }
 
 }  // namespace detail
@@ -645,14 +637,14 @@ void applyFusionPlan(
       if (begin >= end) continue;
       if (item.blocked && begin == item.first &&
           end == item.first + item.count) {
-        const obs::PathTimer timer(KernelPath::kBlocked);
-        applyBlockedRun(state, nbQubits, plan.blocks, item.first, item.count,
-                        plan.schedule.blockQubits);
+        {
+          const obs::PathTimer timer(KernelPath::kBlocked,
+                                     obs::FlightEventKind::kBlockedRun,
+                                     item.count);
+          applyBlockedRun(state, nbQubits, plan.blocks, item.first,
+                          item.count, plan.schedule.blockQubits);
+        }
         obs::metrics().countGate(KernelPath::kBlocked, nullptr, bytes);
-        obs::flightRecorder().record(
-            obs::FlightEventKind::kBlockedRun,
-            static_cast<std::uint16_t>(KernelPath::kBlocked),
-            /*qubitMask=*/0, static_cast<std::uint32_t>(item.count));
       } else {
         for (std::size_t i = begin; i < end; ++i) {
           detail::applyFusedBlock(state, nbQubits, plan.blocks[i], bytes);

@@ -443,34 +443,10 @@ void applyKSpan(std::complex<T>* __restrict__ state, std::int64_t dim,
   }
 }
 
-/// Diagonal k-qubit gate over `dim` amplitudes.  `positions` are the
-/// MSB-first gate bit positions within a span index.
-template <typename T>
-void applyDiagonalKSpan(std::complex<T>* __restrict__ state, std::int64_t dim,
-                        const std::vector<int>& positions,
-                        const std::vector<std::complex<T>>& diagonal) {
-  const int k = static_cast<int>(positions.size());
-  // Restrict views: a plain diagonal[row] load aliases the state store
-  // (same complex type) and costs a reload per amplitude (~5x).
-  const int* __restrict__ pos = positions.data();
-  const std::complex<T>* __restrict__ diag = diagonal.data();
-  for (std::int64_t i = 0; i < dim; ++i) {
-    util::index_t row = 0;
-    for (int b = 0; b < k; ++b) {
-      row = (row << 1) |
-            util::getBit(static_cast<util::index_t>(i), pos[b]);
-    }
-    const std::complex<T> d = diag[row];
-    const T xr = state[i].real(), xi = state[i].imag();
-    state[i] = std::complex<T>(d.real() * xr - d.imag() * xi,
-                               d.real() * xi + d.imag() * xr);
-  }
-}
-
 /// Run-structured diagonal k-qubit gate over `dim` amplitudes: the row
 /// index is constant over every unit-stride run of 2^minPos amplitudes
-/// (minPos = the lowest gate bit position), so instead of the per-amplitude
-/// bit-gather of applyDiagonalKSpan the table row is computed once per run
+/// (minPos = the lowest gate bit position), so instead of gathering the
+/// gate bits of every amplitude the table row is computed once per run
 /// and the run is scaled through the dispatched scaleRun kernel.  Row
 /// indices walk by XOR deltas: bit-gathering distributes over XOR and a
 /// sequential counter flips exactly its ctz+1 low bits per increment, so

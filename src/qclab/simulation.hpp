@@ -174,72 +174,14 @@ class Simulation {
   Simulation() = default;
 
   /// Starts a simulation with a single branch holding `state` (a plain
-  /// vector converts implicitly into a heap-tier StateBuffer).
+  /// vector converts implicitly into a heap-tier StateBuffer).  Each
+  /// branch's StateBuffer attributes its own bytes to the obs live-memory
+  /// accounting, so copies, moves and prunes need no bookkeeping here.
   Simulation(int nbQubits, sim::StateBuffer<T> state)
       : nbQubits_(nbQubits) {
     Branch<T> root;
     root.state = std::move(state);
     branches_.push_back(std::move(root));
-    retrackStateBytes();
-  }
-
-  // Branch state vectors are attributed to obs::metrics() live-memory
-  // accounting, so ownership transfers must move the attribution along
-  // and copies must attribute their own bytes.
-  ~Simulation() { obs::metrics().releaseStateBytes(trackedStateBytes_); }
-
-  Simulation(const Simulation& other)
-      : nbQubits_(other.nbQubits_), branches_(other.branches_) {
-    retrackStateBytes();
-  }
-
-  Simulation(Simulation&& other) noexcept
-      : nbQubits_(other.nbQubits_),
-        branches_(std::move(other.branches_)),
-        trackedStateBytes_(other.trackedStateBytes_) {
-    other.branches_.clear();
-    other.trackedStateBytes_ = 0;
-  }
-
-  Simulation& operator=(const Simulation& other) {
-    if (this != &other) {
-      nbQubits_ = other.nbQubits_;
-      branches_ = other.branches_;
-      retrackStateBytes();
-    }
-    return *this;
-  }
-
-  Simulation& operator=(Simulation&& other) noexcept {
-    if (this != &other) {
-      obs::metrics().releaseStateBytes(trackedStateBytes_);
-      nbQubits_ = other.nbQubits_;
-      branches_ = std::move(other.branches_);
-      trackedStateBytes_ = other.trackedStateBytes_;
-      other.branches_.clear();
-      other.trackedStateBytes_ = 0;
-    }
-    return *this;
-  }
-
-  /// Re-attributes the current branch-state footprint to the obs
-  /// live-memory accounting (current + high-water state bytes).  Called by
-  /// the simulators after branch spawn/prune; a no-op under
-  /// QCLAB_OBS_DISABLED.
-  void retrackStateBytes() {
-    if constexpr (obs::kEnabled) {
-      std::uint64_t now = 0;
-      for (const auto& branch : branches_) {
-        now += static_cast<std::uint64_t>(branch.state.size()) *
-               sizeof(std::complex<T>);
-      }
-      if (now >= trackedStateBytes_) {
-        obs::metrics().addStateBytes(now - trackedStateBytes_);
-      } else {
-        obs::metrics().releaseStateBytes(trackedStateBytes_ - now);
-      }
-      trackedStateBytes_ = now;
-    }
   }
 
   /// Number of register qubits.
@@ -304,7 +246,7 @@ class Simulation {
   /// '1').  Zero-probability outcomes are included with count 0.
   std::vector<std::uint64_t> counts(std::uint64_t shots,
                                     random::Rng& rng) const {
-    const obs::ScopedSpan span("sample/counts", "stage");
+    const obs::ScopedSpan span("sample/counts");
     const std::size_t m = nbMeasurements();
     util::require(m <= 26, "counts vector would exceed 2^26 entries; use "
                            "countsMap for many measurements");
@@ -337,7 +279,7 @@ class Simulation {
   /// appear.
   std::map<std::string, std::uint64_t> countsMap(std::uint64_t shots,
                                                  random::Rng& rng) const {
-    const obs::ScopedSpan span("sample/counts", "stage");
+    const obs::ScopedSpan span("sample/counts");
     obs::metrics().add(obs::Counter::kShotsSampled, shots);
     std::vector<double> weights;
     weights.reserve(branches_.size());
@@ -397,8 +339,6 @@ class Simulation {
  private:
   int nbQubits_ = 0;
   std::vector<Branch<T>> branches_;
-  /// Bytes currently attributed to obs::metrics() for this simulation.
-  std::uint64_t trackedStateBytes_ = 0;
 };
 
 }  // namespace qclab

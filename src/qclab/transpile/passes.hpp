@@ -306,7 +306,7 @@ QCircuit<T> mergeSingleQubitGates(const QCircuit<T>& circuit,
 template <typename T>
 QCircuit<T> optimize(const QCircuit<T>& circuit,
                      T tol = T(1e3) * std::numeric_limits<T>::epsilon()) {
-  const obs::ScopedSpan span("transpile/optimize", "stage");
+  const obs::ScopedSpan span("transpile/optimize");
   QCircuit<T> current = flatten(circuit);
   for (int round = 0; round < 10; ++round) {
     const std::size_t before = current.nbObjectsRecursive();

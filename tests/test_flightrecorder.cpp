@@ -1,13 +1,18 @@
 /// \file test_flightrecorder.cpp
 /// \brief Flight-recorder tests: event capture through the instrumented
 /// pipeline (gates, fused blocks, blocked runs, batch members), ring wrap
-/// at capacity, enable/disable toggling, the qubit-mask helper, and the
-/// no-op surface under QCLAB_OBS_DISABLED.
+/// at capacity, enable/disable toggling, the qubit-mask helper, the ring's
+/// size budget, durations beyond 32 bits, no ring for span-only threads
+/// with tracing off, readers racing a wrapping writer, and the no-op
+/// surface under QCLAB_OBS_DISABLED.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "qclab/qclab.hpp"
@@ -149,8 +154,7 @@ TEST(FlightRecorder, RingWrapsAtCapacityKeepingNewestEvents) {
 
   const std::uint64_t total = kFlightRingCapacity + 500;
   for (std::uint64_t i = 0; i < total; ++i) {
-    flightRecorder().record(FlightEventKind::kGate, 0, 0,
-                            static_cast<std::uint32_t>(i));
+    flightRecorder().record(FlightEventKind::kBatchMember, 0, i, i, i);
   }
 
   // Find this thread's ring: the one that recorded `total` events.
@@ -158,11 +162,11 @@ TEST(FlightRecorder, RingWrapsAtCapacityKeepingNewestEvents) {
   for (const auto& snap : flightRecorder().snapshot()) {
     if (snap.recorded != total) continue;
     found = true;
-    ASSERT_EQ(snap.events.size(), kFlightRingCapacity);
-    // Oldest retained event is number total - capacity; newest is total-1.
-    EXPECT_EQ(snap.events.front().aux,
-              static_cast<std::uint32_t>(total - kFlightRingCapacity));
-    EXPECT_EQ(snap.events.back().aux, static_cast<std::uint32_t>(total - 1));
+    // The newest capacity - 1 events stay readable (the oldest slot is
+    // the one the next record overwrites); newest is total - 1.
+    ASSERT_EQ(snap.events.size(), kFlightRingCapacity - 1);
+    EXPECT_EQ(snap.events.front().aux, total - kFlightRingCapacity + 1);
+    EXPECT_EQ(snap.events.back().aux, total - 1);
   }
   EXPECT_TRUE(found) << "no ring recorded the expected event count";
 }
@@ -170,27 +174,132 @@ TEST(FlightRecorder, RingWrapsAtCapacityKeepingNewestEvents) {
 TEST(FlightRecorder, DisableStopsRecordingEnableResumes) {
   qclab::obs::resetAll();
   flightRecorder().enable();
-  flightRecorder().record(FlightEventKind::kGate, 0, 1);
+  flightRecorder().record(FlightEventKind::kGate, 0, 1, 0, 1);
   const std::uint64_t afterOne = flightRecorder().totalRecorded();
   EXPECT_GE(afterOne, 1u);
 
   flightRecorder().disable();
   EXPECT_FALSE(flightRecorder().enabled());
-  flightRecorder().record(FlightEventKind::kGate, 0, 2);
+  flightRecorder().record(FlightEventKind::kGate, 0, 2, 0, 1);
   EXPECT_EQ(flightRecorder().totalRecorded(), afterOne);
 
   flightRecorder().enable();
   EXPECT_TRUE(flightRecorder().enabled());
-  flightRecorder().record(FlightEventKind::kGate, 0, 3);
+  flightRecorder().record(FlightEventKind::kGate, 0, 3, 0, 1);
   EXPECT_EQ(flightRecorder().totalRecorded(), afterOne + 1);
 }
 
 TEST(FlightRecorder, ResetRewindsEveryRing) {
   flightRecorder().enable();
-  flightRecorder().record(FlightEventKind::kGate, 0, 0);
+  flightRecorder().record(FlightEventKind::kGate, 0, 0, 0, 1);
   EXPECT_GE(flightRecorder().totalRecorded(), 1u);
   flightRecorder().reset();
   EXPECT_EQ(flightRecorder().totalRecorded(), 0u);
+}
+
+TEST(FlightRecorder, RingStaysWithinItsMemoryBudget) {
+  // Spans and kernel events share the 24-byte slot the flight recorder
+  // has always had, so a ring still costs at most 64 Ki x 24 B.
+  EXPECT_EQ(sizeof(qclab::obs::FlightSlot), 24u);
+  EXPECT_EQ(kFlightRingCapacity, std::size_t{1} << 16);
+  EXPECT_LE(sizeof(qclab::obs::FlightRing),
+            (std::size_t{1} << 16) * 24 + 24);
+}
+
+TEST(FlightRecorder, EventsLongerThan32BitNanosecondsSurviveIntact) {
+  qclab::obs::resetAll();
+  flightRecorder().enable();
+  // A 30-qubit simulate runs longer than 2^32 ns (4.3 s): pass explicit
+  // timestamps through the record call every timer uses.
+  const std::uint64_t start = (std::uint64_t{1} << 40) + 12345;
+  const std::uint64_t duration = (std::uint64_t{5} << 32) + 678;
+  flightRecorder().record(FlightEventKind::kBlockedRun,
+                          static_cast<std::uint16_t>(KernelPath::kBlocked),
+                          /*payload=*/7, start, start + duration);
+  bool found = false;
+  for (const auto& snap : flightRecorder().snapshot()) {
+    for (const auto& event : snap.events) {
+      found = true;
+      EXPECT_EQ(event.startNs, start);
+      EXPECT_EQ(event.durationNs, duration);
+      EXPECT_EQ(event.kind,
+                static_cast<std::uint16_t>(FlightEventKind::kBlockedRun));
+      EXPECT_EQ(event.path, static_cast<std::uint16_t>(KernelPath::kBlocked));
+      EXPECT_EQ(event.aux, 7u);
+    }
+  }
+  EXPECT_TRUE(found);
+  qclab::obs::resetAll();
+}
+
+TEST(FlightRecorder, SpanOnlyThreadWithTracingOffAllocatesNoRing) {
+  ASSERT_FALSE(flightRecorder().tracing());
+  flightRecorder().enable();
+  const std::size_t rings = flightRecorder().threadCount();
+  std::thread([] {
+    for (int i = 0; i < 1000; ++i) {
+      const qclab::obs::ScopedSpan outer("untraced");
+      const qclab::obs::ScopedSpan inner("untraced/inner");
+    }
+  }).join();
+  EXPECT_EQ(flightRecorder().threadCount(), rings);
+}
+
+TEST(FlightRecorder, ReadersNeverDecodeASlotALiveWriterOverwrites) {
+  qclab::obs::resetAll();
+  flightRecorder().enable();
+  flightRecorder().enableTracing();
+  // The writer wraps its ring over and over with a three-event pattern —
+  // a span (payload: a name pointer) and two gate events (payload: a
+  // mask that is no valid pointer) — so the event a slot held and the
+  // one overwriting it differ in kind for two slots in three, and a torn
+  // slot would pair one event's kind with the other's payload.
+  static const char* const kName = "live";
+  constexpr std::uint64_t kMask = ~std::uint64_t{0} - 7;
+  std::atomic<bool> stop{false};
+  std::thread writer([&stop] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      { const qclab::obs::ScopedSpan span(kName); }
+      flightRecorder().record(FlightEventKind::kGate, 0, kMask, 0, 1);
+      flightRecorder().record(FlightEventKind::kGate, 0, kMask, 0, 1);
+    }
+  });
+  while (flightRecorder().totalRecorded() < 2 * kFlightRingCapacity) {
+    std::this_thread::yield();
+  }
+  std::uint64_t torn = 0;
+  const auto check = [&torn](const qclab::obs::FlightEvent& event) {
+    if (event.kind == static_cast<std::uint16_t>(FlightEventKind::kSpan)) {
+      torn += event.name != kName;
+    } else {
+      torn += event.qubitMask != kMask;
+    }
+  };
+  // Hammer the oldest readable slot, the next one the writer overwrites.
+  const qclab::obs::FlightRing& ring = *flightRecorder().rings();
+  qclab::obs::FlightEvent event;
+  for (int i = 0; i < 200000; ++i) {
+    const std::uint64_t head = ring.head.load(std::memory_order_acquire);
+    if (qclab::obs::FlightRecorder::load(
+            ring, qclab::obs::FlightRecorder::firstReadable(head), event)) {
+      check(event);
+    }
+  }
+  // Whole-ring readers: snapshots and the Chrome view.
+  bool traced = true;
+  for (int round = 0; round < 4; ++round) {
+    for (const auto& snap : flightRecorder().snapshot()) {
+      for (const auto& e : snap.events) check(e);
+    }
+    traced = traced && qclab::obs::chromeTraceJson().find("\"live\"") !=
+                           std::string::npos;
+  }
+  stop.store(true, std::memory_order_relaxed);
+  writer.join();
+  EXPECT_EQ(torn, 0u);
+  EXPECT_TRUE(traced);
+  flightRecorder().disableTracing();
+  qclab::obs::resetAll();
 }
 
 #else  // QCLAB_OBS_DISABLED
@@ -198,7 +307,9 @@ TEST(FlightRecorder, ResetRewindsEveryRing) {
 TEST(FlightRecorder, DisabledBuildRecordsNothing) {
   flightRecorder().enable();  // no-op
   EXPECT_FALSE(flightRecorder().enabled());
-  flightRecorder().record(FlightEventKind::kGate, 0, 1, 2);
+  flightRecorder().enableTracing();  // no-op
+  EXPECT_FALSE(flightRecorder().tracing());
+  flightRecorder().record(FlightEventKind::kGate, 0, 1, 0, 2);
   EXPECT_EQ(flightRecorder().totalRecorded(), 0u);
   EXPECT_EQ(flightRecorder().threadCount(), 0u);
   EXPECT_TRUE(flightRecorder().snapshot().empty());

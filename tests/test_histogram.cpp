@@ -260,7 +260,7 @@ TEST(ObsDisabledV2, HistogramsAndMemoryAreInertNoOps) {
   EXPECT_EQ(metrics.peakStateBytes(), 0u);
   EXPECT_EQ(metrics.bytesTouched(KernelPath::kDense1), 0u);
 
-  // Simulations still run (and retrackStateBytes compiles to nothing).
+  // Simulations still run (and their state buffers attribute nothing).
   qclab::QCircuit<T> circuit(2);
   circuit.push_back(qclab::qgates::Hadamard<T>(0));
   circuit.push_back(qclab::Measurement<T>(0));

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "qclab/obs/benchjson.hpp"
@@ -512,122 +513,154 @@ TEST(ObsMetrics, NoiseChannelCounter) {
   EXPECT_EQ(metrics.noiseChannelApplications(), 3u);
 }
 
-// ---- tracing (enabled builds only) ------------------------------------
+// ---- tracing: the Chrome view of the flight rings (enabled builds) -----
+
+namespace bj = qclab::obs::benchjson;
+
+/// The Chrome view of the rings, checked for validity and parsed.
+bj::JsonValue chromeTrace() {
+  const std::string json = qclab::obs::chromeTraceJson();
+  EXPECT_TRUE(JsonChecker(json).valid()) << json;
+  return bj::parseJson(json);
+}
+
+const std::vector<bj::JsonValue>& traceEvents(const bj::JsonValue& trace) {
+  return trace.find("traceEvents")->array;
+}
+
+double number(const bj::JsonValue& value, const char* key) {
+  return value.find(key)->number;
+}
+
+/// True when `inner`'s [ts, ts + dur] lies inside `outer`'s (timestamps
+/// are microseconds with three decimals: exact nanoseconds).
+bool nestsIn(const bj::JsonValue& inner, const bj::JsonValue& outer) {
+  return number(inner, "ts") >= number(outer, "ts") &&
+         number(inner, "ts") + number(inner, "dur") <=
+             number(outer, "ts") + number(outer, "dur") + 1e-3;
+}
 
 TEST(ObsTrace, ChromeTraceParsesAndNests) {
-  auto& tracer = qclab::obs::tracer();
-  qclab::obs::metrics().reset();
-  tracer.clear();
-  tracer.enable();
+  qclab::obs::resetAll();
+  auto& recorder = qclab::obs::flightRecorder();
+  recorder.enable();
+  recorder.enableTracing();
 
   qclab::QCircuit<T> circuit(2);
   circuit.push_back(qclab::qgates::Hadamard<T>(0));
   circuit.push_back(qclab::qgates::CX<T>(0, 1));
   const qclab::obs::InstrumentedBackend<T> backend;
   circuit.simulate("00", backend);
-  tracer.disable();
+  recorder.disableTracing();
 
-  // 2 gate spans + 1 circuit span + the "state/alloc" and "execute"
-  // pipeline-stage spans.
-  const auto events = tracer.events();
+  // The "state/alloc", "simulate" and "execute" stage spans plus one
+  // event per instrumented gate, nothing evicted.
+  const bj::JsonValue trace = chromeTrace();
+  const auto& events = traceEvents(trace);
   ASSERT_EQ(events.size(), 5u);
+  EXPECT_EQ(number(trace, "retainedEvents"), 5.0);
+  EXPECT_EQ(number(trace, "droppedEvents"), 0.0);
 
-  const qclab::obs::TraceEvent* simulateSpan = nullptr;
-  const qclab::obs::TraceEvent* executeSpan = nullptr;
-  const qclab::obs::TraceEvent* allocSpan = nullptr;
-  std::vector<const qclab::obs::TraceEvent*> gateSpans;
+  std::map<std::string, const bj::JsonValue*> spans;
+  std::vector<const bj::JsonValue*> gates;
   for (const auto& event : events) {
-    if (std::string(event.category) == "circuit") {
-      simulateSpan = &event;
-    } else if (std::string(event.category) == "gate") {
-      gateSpans.push_back(&event);
-    } else if (event.name == "execute") {
-      executeSpan = &event;
-    } else if (event.name == "state/alloc") {
-      allocSpan = &event;
+    EXPECT_EQ(event.stringOr("ph", ""), "X");
+    EXPECT_GE(number(event, "dur"), 0.0);
+    // One recording thread, one track.
+    EXPECT_EQ(number(event, "tid"), number(events.front(), "tid"));
+    if (event.stringOr("cat", "") == "stage") {
+      spans[event.stringOr("name", "")] = &event;
+    } else {
+      EXPECT_EQ(event.stringOr("cat", ""), "gate");
+      gates.push_back(&event);
     }
   }
-  ASSERT_NE(simulateSpan, nullptr);
-  EXPECT_EQ(simulateSpan->name, "simulate(n=2)");
-  ASSERT_EQ(gateSpans.size(), 2u);
-  EXPECT_EQ(gateSpans[0]->name, "H");
-  EXPECT_EQ(gateSpans[1]->name, "cX");
+  ASSERT_EQ(spans.size(), 3u);
+  ASSERT_EQ(gates.size(), 2u);
+  const bj::JsonValue& simulate = *spans.at("simulate");
+  const bj::JsonValue& execute = *spans.at("execute");
+  const bj::JsonValue& alloc = *spans.at("state/alloc");
 
-  // ScopedSpan hierarchy: simulate is a root span, execute nests inside
-  // it (parent name + depth recorded), state allocation precedes both.
-  EXPECT_EQ(simulateSpan->parent, "");
-  EXPECT_EQ(simulateSpan->depth, 0);
-  ASSERT_NE(executeSpan, nullptr);
-  EXPECT_EQ(executeSpan->parent, "simulate(n=2)");
-  EXPECT_EQ(executeSpan->depth, 1);
-  ASSERT_NE(allocSpan, nullptr);
-  EXPECT_EQ(allocSpan->parent, "");
+  // Span hierarchy: simulate is a root span with execute nested inside
+  // it, and the state allocation precedes both.
+  EXPECT_EQ(number(*simulate.find("args"), "depth"), 0.0);
+  EXPECT_EQ(number(*execute.find("args"), "depth"), 1.0);
+  EXPECT_EQ(number(*alloc.find("args"), "depth"), 0.0);
+  EXPECT_TRUE(nestsIn(execute, simulate));
+  EXPECT_LE(number(alloc, "ts") + number(alloc, "dur"),
+            number(simulate, "ts") + 1e-3);
 
-  // Gate spans nest inside the circuit span.
-  for (const auto* gate : gateSpans) {
-    EXPECT_GE(gate->startNs, simulateSpan->startNs);
-    EXPECT_LE(gate->startNs + gate->durationNs,
-              simulateSpan->startNs + simulateSpan->durationNs);
-  }
-
-  const std::string json = tracer.chromeTraceJson();
-  JsonChecker checker(json);
-  EXPECT_TRUE(checker.valid()) << json;
-  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(json.find("simulate(n=2)"), std::string::npos);
-  // Ring-buffer accounting and span hierarchy surface in the export.
-  EXPECT_NE(json.find("\"droppedEvents\":0"), std::string::npos);
-  EXPECT_NE(json.find("\"retainedEvents\":5"), std::string::npos);
-  EXPECT_NE(json.find("\"args\":{\"parent\":\"simulate(n=2)\",\"depth\":1}"),
-            std::string::npos);
-  tracer.clear();
+  // Gate events are identified by kernel path and qubits, carry their
+  // duration, and nest inside execute.
+  const auto pathOf = [&backend](const qclab::qgates::QGate<T>& gate) {
+    return std::string(qclab::sim::kernelPathName(qclab::sim::simdCountedPath(
+        backend.dispatchPath(gate), gate.nbQubits())));
+  };
+  EXPECT_EQ(gates[0]->stringOr("name", ""),
+            pathOf(qclab::qgates::Hadamard<T>(0)));
+  EXPECT_EQ(gates[1]->stringOr("name", ""),
+            pathOf(qclab::qgates::CX<T>(0, 1)));
+  EXPECT_EQ(number(*gates[0]->find("args"), "qubits"), 1.0);
+  EXPECT_EQ(number(*gates[1]->find("args"), "qubits"), 3.0);
+  for (const auto* gate : gates) EXPECT_TRUE(nestsIn(*gate, execute));
+  qclab::obs::resetAll();
 }
 
 TEST(ObsTrace, RingBufferEvictsOldestAndCountsDropped) {
-  qclab::obs::Tracer tracer(4);
-  tracer.enable();
-  for (int i = 0; i < 10; ++i) {
-    tracer.record("span" + std::to_string(i), "test",
-                  static_cast<std::uint64_t>(i), 1);
+  qclab::obs::resetAll();
+  auto& recorder = qclab::obs::flightRecorder();
+  recorder.enableTracing();
+  // A full ring of spans on this thread — capacity - 1 readable events,
+  // the last slot being the next one to overwrite — plus 500 older ones
+  // it evicts.
+  const std::size_t retained = qclab::obs::kFlightRingCapacity - 1;
+  for (int i = 0; i < 500; ++i) {
+    const qclab::obs::ScopedSpan span("evicted");
   }
-  EXPECT_EQ(tracer.nbEvents(), 4u);
-  EXPECT_EQ(tracer.dropped(), 6u);
-  const auto events = tracer.events();
-  ASSERT_EQ(events.size(), 4u);
-  EXPECT_EQ(events.front().name, "span6");  // oldest retained
-  EXPECT_EQ(events.back().name, "span9");   // newest
+  for (std::size_t i = 0; i < retained; ++i) {
+    const qclab::obs::ScopedSpan span("kept");
+  }
+  recorder.disableTracing();
 
   // The eviction count is part of the export, so a truncated trace is
   // detectable from the artifact alone.
-  const std::string json = tracer.chromeTraceJson();
-  JsonChecker checker(json);
-  EXPECT_TRUE(checker.valid()) << json;
-  EXPECT_NE(json.find("\"droppedEvents\":6"), std::string::npos);
-  EXPECT_NE(json.find("\"retainedEvents\":4"), std::string::npos);
-  EXPECT_EQ(json.find("span0"), std::string::npos);  // evicted
-  EXPECT_NE(json.find("span6"), std::string::npos);  // retained
+  const std::string json = qclab::obs::chromeTraceJson();
+  EXPECT_NE(json.find("\"droppedEvents\":500,"), std::string::npos);
+  EXPECT_NE(json.find("\"retainedEvents\":" + std::to_string(retained) +
+                      ","),
+            std::string::npos);
+  EXPECT_EQ(json.find("evicted"), std::string::npos);
+  const bj::JsonValue trace = chromeTrace();
+  EXPECT_EQ(traceEvents(trace).size(), retained);
+  EXPECT_EQ(qclab::obs::flightRecorder().dropped(), 500u);
 
-  // clear() resets the eviction count along with the events.
-  tracer.clear();
-  EXPECT_EQ(tracer.dropped(), 0u);
-  EXPECT_NE(tracer.chromeTraceJson().find("\"droppedEvents\":0"),
+  // Rewinding the rings resets the eviction count along with the events.
+  qclab::obs::resetAll();
+  EXPECT_NE(qclab::obs::chromeTraceJson().find("\"droppedEvents\":0,"),
             std::string::npos);
 }
 
 TEST(ObsTrace, DisabledTracerRecordsNothing) {
-  qclab::obs::Tracer tracer;  // enabled() defaults to false
-  tracer.record("ignored", "test", 0, 1);
-  EXPECT_EQ(tracer.nbEvents(), 0u);
-  JsonChecker checker(tracer.chromeTraceJson());
-  EXPECT_TRUE(checker.valid());
+  qclab::obs::resetAll();
+  ASSERT_FALSE(qclab::obs::flightRecorder().tracing());
+  {
+    const qclab::obs::ScopedSpan outer("untraced");
+    const qclab::obs::ScopedSpan inner("untraced/inner");
+  }
+  EXPECT_EQ(qclab::obs::flightRecorder().totalRecorded(), 0u);
+  const bj::JsonValue trace = chromeTrace();
+  EXPECT_TRUE(traceEvents(trace).empty());
+  EXPECT_EQ(number(trace, "retainedEvents"), 0.0);
+  // The stage registry still saw both spans.
+  EXPECT_EQ(qclab::obs::stageStats().snapshot().count("untraced/inner"), 1u);
+  qclab::obs::resetAll();
 }
 
 // ---- pipeline stages (enabled builds only) ----------------------------
 
 TEST(ObsStages, PipelineStagesAccumulateWithTracerOff) {
   qclab::obs::resetAll();
-  ASSERT_FALSE(qclab::obs::tracer().enabled());
+  ASSERT_FALSE(qclab::obs::flightRecorder().tracing());
 
   const auto circuit = qclab::io::parseQasm<T>(
       "OPENQASM 2.0;\n"
@@ -662,35 +695,42 @@ TEST(ObsStages, PipelineStagesAccumulateWithTracerOff) {
 
 TEST(ObsStages, ScopedSpanTracksParentAndDepth) {
   qclab::obs::resetAll();
-  auto& tracer = qclab::obs::tracer();
-  tracer.enable();
-  {
-    const qclab::obs::ScopedSpan outer("outer", "test");
-    {
-      const qclab::obs::ScopedSpan inner("inner", "test");
-      const qclab::obs::ScopedSpan innermost("innermost", "test", "leaf");
-    }
+  auto& recorder = qclab::obs::flightRecorder();
+  recorder.enableTracing();
+  const auto nest = [] {
+    const qclab::obs::ScopedSpan outer("outer");
+    const qclab::obs::ScopedSpan inner("inner");
+    const qclab::obs::ScopedSpan innermost("innermost");
+  };
+  nest();
+  std::thread(nest).join();
+  recorder.disableTracing();
+
+  // Two recording threads, two tracks, each holding the three spans in
+  // completion order (innermost first), each nested in its parent.
+  const bj::JsonValue trace = chromeTrace();
+  std::map<double, std::vector<const bj::JsonValue*>> tracks;
+  for (const auto& event : traceEvents(trace)) {
+    tracks[number(event, "tid")].push_back(&event);
   }
-  tracer.disable();
+  ASSERT_EQ(tracks.size(), 2u);
+  for (const auto& [tid, spans] : tracks) {
+    ASSERT_EQ(spans.size(), 3u) << "track " << tid;
+    const char* const names[] = {"innermost", "inner", "outer"};
+    for (int i = 0; i < 3; ++i) {
+      EXPECT_EQ(spans[i]->stringOr("name", ""), names[i]);
+      EXPECT_EQ(number(*spans[i]->find("args"), "depth"), 2.0 - i);
+    }
+    EXPECT_TRUE(nestsIn(*spans[0], *spans[1]));
+    EXPECT_TRUE(nestsIn(*spans[1], *spans[2]));
+  }
 
-  const auto events = tracer.events();
-  ASSERT_EQ(events.size(), 3u);  // completion order: innermost, inner, outer
-  EXPECT_EQ(events[0].name, "innermost");
-  EXPECT_EQ(events[0].parent, "inner");
-  EXPECT_EQ(events[0].depth, 2);
-  EXPECT_EQ(events[1].name, "inner");
-  EXPECT_EQ(events[1].parent, "outer");
-  EXPECT_EQ(events[1].depth, 1);
-  EXPECT_EQ(events[2].name, "outer");
-  EXPECT_EQ(events[2].parent, "");
-  EXPECT_EQ(events[2].depth, 0);
-
-  // Stage aggregation keys on the explicit stageKey when given.
+  // The stage registry keys on the static names, across threads.
   const auto stages = qclab::obs::stageStats().snapshot();
-  EXPECT_TRUE(stages.count("outer"));
-  EXPECT_TRUE(stages.count("inner"));
-  EXPECT_TRUE(stages.count("leaf"));
-  EXPECT_EQ(stages.count("innermost"), 0u);
+  for (const char* stage : {"outer", "inner", "innermost"}) {
+    ASSERT_TRUE(stages.count(stage)) << stage;
+    EXPECT_EQ(stages.at(stage).count, 2u) << stage;
+  }
   qclab::obs::resetAll();
 }
 
@@ -836,8 +876,8 @@ TEST(ObsRoofline, PointPlacement) {
 TEST(ObsDisabled, CountersStayZeroAndTraceStaysEmpty) {
   auto& metrics = qclab::obs::metrics();
   metrics.reset();
-  auto& tracer = qclab::obs::tracer();
-  tracer.enable();  // must be a no-op
+  auto& recorder = qclab::obs::flightRecorder();
+  recorder.enableTracing();  // must be a no-op
 
   qclab::QCircuit<T> circuit(2);
   circuit.push_back(qclab::qgates::Hadamard<T>(0));
@@ -851,12 +891,12 @@ TEST(ObsDisabled, CountersStayZeroAndTraceStaysEmpty) {
   EXPECT_TRUE(metrics.gateKinds().empty());
   EXPECT_EQ(metrics.branchSpawns(), 0u);
   EXPECT_EQ(metrics.shotsSampled(), 0u);
-  EXPECT_FALSE(tracer.enabled());
-  EXPECT_EQ(tracer.nbEvents(), 0u);
+  EXPECT_FALSE(recorder.tracing());
+  EXPECT_EQ(recorder.totalRecorded(), 0u);
 
-  JsonChecker trace(tracer.chromeTraceJson());
+  JsonChecker trace(qclab::obs::chromeTraceJson());
   EXPECT_TRUE(trace.valid());
-  EXPECT_NE(tracer.chromeTraceJson().find("\"droppedEvents\":0"),
+  EXPECT_NE(qclab::obs::chromeTraceJson().find("\"droppedEvents\":0"),
             std::string::npos);
 }
 
@@ -864,7 +904,7 @@ TEST(ObsDisabled, V3SurfacesAreInertNoOps) {
   // Stage spans: construct, nest, destroy — nothing recorded.
   {
     const qclab::obs::ScopedSpan outer("outer");
-    const qclab::obs::ScopedSpan inner("inner", "stage", "key");
+    const qclab::obs::ScopedSpan inner("inner");
   }
   EXPECT_TRUE(qclab::obs::stageStats().snapshot().empty());
 

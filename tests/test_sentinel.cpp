@@ -18,6 +18,7 @@
 
 #include "qclab/qclab.hpp"
 
+using qclab::obs::metrics;
 using qclab::obs::NumericalHealthError;
 using qclab::obs::sentinel;
 using qclab::obs::SentinelConfig;
@@ -112,9 +113,9 @@ TEST(Sentinel, DetectsInjectedNaNOnTheSimulatePath) {
 
   driftCircuit({kNaN, 0}).simulate("000");
 
-  EXPECT_GE(sentinel().checks(), 1u);
-  EXPECT_GE(sentinel().nanDetected(), 1u);
-  EXPECT_EQ(sentinel().normAlerts(), 0u);  // NaN outranks drift
+  EXPECT_GE(metrics().sentinelChecks(), 1u);
+  EXPECT_GE(metrics().sentinelNanDetected(), 1u);
+  EXPECT_EQ(metrics().sentinelNormAlerts(), 0u);  // NaN outranks drift
 }
 
 TEST(Sentinel, DetectsInjectedNormDriftOnTheSimulatePath) {
@@ -124,8 +125,8 @@ TEST(Sentinel, DetectsInjectedNormDriftOnTheSimulatePath) {
 
   driftCircuit({1.2, 0}).simulate("000");  // normSq = 1.44
 
-  EXPECT_GE(sentinel().normAlerts(), 1u);
-  EXPECT_EQ(sentinel().nanDetected(), 0u);
+  EXPECT_GE(metrics().sentinelNormAlerts(), 1u);
+  EXPECT_EQ(metrics().sentinelNanDetected(), 0u);
   EXPECT_NEAR(sentinel().lastNormSq(), 1.44, 1e-9);
 }
 
@@ -140,8 +141,9 @@ TEST(Sentinel, HealthyCircuitRaisesNoAlerts) {
   circuit.push_back(qclab::qgates::CX<T>(1, 2));
   EXPECT_NO_THROW(circuit.simulate("000"));
 
-  EXPECT_GE(sentinel().checks(), 1u);
-  EXPECT_EQ(sentinel().violations(), 0u);
+  EXPECT_GE(metrics().sentinelChecks(), 1u);
+  EXPECT_EQ(metrics().sentinelNanDetected(), 0u);
+  EXPECT_EQ(metrics().sentinelNormAlerts(), 0u);
 }
 
 TEST(Sentinel, ThrowPolicyRaisesAtTheSafePoint) {
@@ -183,7 +185,7 @@ TEST(Sentinel, DetectsInjectionOnTheBlockedPath) {
 
   ASSERT_GE(qclab::obs::metrics().gateApplications(KernelPath::kBlocked), 1u)
       << "workload did not reach the blocked executor";
-  EXPECT_GE(sentinel().normAlerts(), 1u);
+  EXPECT_GE(metrics().sentinelNormAlerts(), 1u);
 }
 
 TEST(Sentinel, ThrowPolicySurfacesFromTheBatchEngine) {
@@ -212,12 +214,12 @@ TEST(Sentinel, OffPolicyChecksNothingAndStatesStayBitIdentical) {
   qclab::obs::resetAll();
   sentinel().configure(eagerConfig(SentinelPolicy::kOff));
   const auto unmonitored = driftCircuit({1.2, 0}).simulate("000");
-  EXPECT_EQ(sentinel().checks(), 0u);
+  EXPECT_EQ(metrics().sentinelChecks(), 0u);
   EXPECT_FALSE(sentinel().shouldCheck());
 
   sentinel().configure(eagerConfig(SentinelPolicy::kLog));
   const auto monitored = driftCircuit({1.2, 0}).simulate("000");
-  EXPECT_GE(sentinel().checks(), 1u);
+  EXPECT_GE(metrics().sentinelChecks(), 1u);
 
   EXPECT_TRUE(bitIdentical(unmonitored.branches().front().state,
                            monitored.branches().front().state));
@@ -232,7 +234,7 @@ TEST(Sentinel, IntervalThrottlesCheckCadence) {
 
   const auto circuit = driftCircuit({1.0, 0});
   for (int run = 0; run < 5; ++run) circuit.simulate("000");
-  EXPECT_LE(sentinel().checks(), 2u);
+  EXPECT_LE(metrics().sentinelChecks(), 2u);
 }
 
 TEST(Sentinel, EnvKnobSelectsThePolicy) {
@@ -277,12 +279,13 @@ TEST(Sentinel, DisabledBuildIsInert) {
   sentinel().configure(config);  // no-op
   EXPECT_FALSE(sentinel().shouldCheck());
   EXPECT_NO_THROW(sentinel().throwIfPending());
-  EXPECT_EQ(sentinel().checks(), 0u);
-  EXPECT_EQ(sentinel().violations(), 0u);
+  EXPECT_EQ(metrics().sentinelChecks(), 0u);
+  EXPECT_EQ(metrics().sentinelNanDetected(), 0u);
+  EXPECT_EQ(metrics().sentinelNormAlerts(), 0u);
 
   // Even a pathological circuit simulates silently.
   EXPECT_NO_THROW(driftCircuit({1.5, 0}).simulate("000"));
-  EXPECT_EQ(sentinel().checks(), 0u);
+  EXPECT_EQ(metrics().sentinelChecks(), 0u);
 }
 
 #endif  // QCLAB_OBS_DISABLED
