@@ -175,6 +175,67 @@ void BM_Fused2Apply2(benchmark::State& state) {
 BENCHMARK(BM_Fused2Apply2)
     ->ArgsProduct({{8, 12, 16, 20}, {0, 1}});
 
+// The fused-2 block at the bottom of the register.  Arg 2 is the low bit
+// position: 0 puts the pair on qubits (n-2, n-1), where the low partner's
+// stride is below a vector register; 2 puts it on (n-4, n-3), whose runs
+// are one or two registers long.
+void BM_Fused2Apply2ShortRuns(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const int low = static_cast<int>(state.range(2));
+  const auto previous = qclab::sim::setSimdLevel(benchLevel(state));
+  auto psi = makeState(n);
+  const auto u = qclab::qgates::RotationXX<T>(0, 1, 0.9).matrix();
+  for (auto _ : state) {
+    qclab::sim::apply2(psi, n, n - 2 - low, n - 1 - low, u);
+    benchmark::DoNotOptimize(psi.data());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(psi.size()) * sizeof(C));
+  state.SetLabel(qclab::sim::simdLevelName(qclab::sim::activeSimdLevel()));
+  qclab::sim::setSimdLevel(previous);
+}
+BENCHMARK(BM_Fused2Apply2ShortRuns)
+    ->ArgsProduct({{8, 12, 16, 20}, {0, 1}, {0, 2}});
+
+// A fused diagonal block on qubits [first, first + k) through the
+// run-structured sweep of applyDiagonalBlock.
+void runDiagonalBlock(benchmark::State& state, int first, int k) {
+  const int n = static_cast<int>(state.range(0));
+  const auto previous = qclab::sim::setSimdLevel(benchLevel(state));
+  auto psi = makeState(n);
+  std::vector<int> qubits;
+  for (int q = first; q < first + k; ++q) qubits.push_back(q);
+  std::vector<C> table(std::size_t{1} << k);
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    table[i] = std::polar(T(1), T(0.1) * static_cast<T>(i));
+  }
+  for (auto _ : state) {
+    qclab::sim::applyDiagonalBlock(psi, n, qubits, table);
+    benchmark::DoNotOptimize(psi.data());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(psi.size()) * sizeof(C));
+  state.SetLabel(qclab::sim::simdLevelName(qclab::sim::activeSimdLevel()));
+  qclab::sim::setSimdLevel(previous);
+}
+
+// The last min(9, n) qubits: a contiguous suffix, the cyclic table walk.
+void BM_DiagonalBlockSuffix(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const int k = std::min(9, n);
+  runDiagonalBlock(state, n - k, k);
+}
+BENCHMARK(BM_DiagonalBlockSuffix)->ArgsProduct({{8, 12, 16, 20}, {0, 1}});
+
+// Qubits 0 to min(12, n) - 1: the block holds qubit 0, so the whole state
+// is one group whose runs the team splits (below n = 13, the whole
+// register: a suffix).
+void BM_DiagonalBlockTopGroup(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  runDiagonalBlock(state, 0, std::min(12, n));
+}
+BENCHMARK(BM_DiagonalBlockTopGroup)->ArgsProduct({{8, 12, 16, 20}, {0, 1}});
+
 void BM_Fused2ApplyK(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   auto psi = makeState(n);

@@ -367,7 +367,9 @@ class QCircuit final : public QObject<T> {
                                          options.stateTier);
       state.data()[util::bitstringToIndex(bits)] = std::complex<T>(1);
     }
-    return simulate(std::move(state), options, backend);
+    // An exact basis state: no norm pass over the 2^n amplitudes (on the
+    // mmap tier that pass would fault in every page of the file hole).
+    return simulateNormalized(std::move(state), options, backend);
   }
 
   /// Simulates from an arbitrary initial state with explicit options.
@@ -389,17 +391,7 @@ class QCircuit final : public QObject<T> {
       const T scale = T(1) / norm;
       for (auto& amplitude : state) amplitude *= scale;
     }
-    obs::metrics().add(obs::Counter::kCircuitSimulations);
-    const obs::ScopedSpan span("simulate");
-    Simulation<T> simulation(nbQubits_, std::move(state));
-    const obs::ScopedSpan executeSpan("execute");
-    sim::execute(simulation,
-                 sim::compile(flatten(), 0, nbQubits_,
-                              sim::resolveFusion(options.fusion,
-                                                 options.fusionOptions,
-                                                 backend, nbQubits_)),
-                 backend);
-    return simulation;
+    return simulateNormalized(std::move(state), options, backend);
   }
 
   /// Batched parameter sweep (sim/batch.hpp — include it to use these):
@@ -472,6 +464,23 @@ class QCircuit final : public QObject<T> {
   }
 
  private:
+  /// The statevector pipeline of simulate for a state of norm 1.
+  Simulation<T> simulateNormalized(sim::StateBuffer<T> state,
+                                   const SimulateOptions& options,
+                                   const sim::Backend<T>& backend) const {
+    obs::metrics().add(obs::Counter::kCircuitSimulations);
+    const obs::ScopedSpan span("simulate");
+    Simulation<T> simulation(nbQubits_, std::move(state));
+    const obs::ScopedSpan executeSpan("execute");
+    sim::execute(simulation,
+                 sim::compile(flatten(), 0, nbQubits_,
+                              sim::resolveFusion(options.fusion,
+                                                 options.fusionOptions,
+                                                 backend, nbQubits_)),
+                 backend);
+    return simulation;
+  }
+
   /// Appends this circuit's elementary objects to `ops` (see flatten);
   /// `offset` accumulates parent offsets.
   void flattenInto(std::vector<sim::FlatOp<T>>& ops, int offset) const {

@@ -181,9 +181,8 @@ class BatchedSimulation {
     // cannot see into libgomp (same pattern as the trajectory engine).
     std::atomic<int> clonesDone{0};
     std::atomic<int> workersDone{0};
-#pragma omp parallel num_threads(threads) if (count > 1 && !omp_in_parallel())
 #endif
-    {
+    const auto runMembers = [&] {
       // Thread 0 reuses the master worker built at construction; other
       // threads clone it (circuit copy + plan copy, no re-scheduling).
       std::unique_ptr<Worker> local;
@@ -230,9 +229,21 @@ class BatchedSimulation {
 #ifdef QCLAB_HAS_OPENMP
       workersDone.fetch_add(1, std::memory_order_release);
 #endif
-    }
+    };
 #ifdef QCLAB_HAS_OPENMP
+    // A single member, or a call from inside a parallel region, runs on
+    // the calling thread without a team of its own: the kernels fork only
+    // outside every region, so a lone member at the top level keeps them
+    // parallel.
+    if (count > 1 && !omp_in_parallel()) {
+#pragma omp parallel num_threads(threads)
+      runMembers();
+    } else {
+      runMembers();
+    }
     (void)workersDone.load(std::memory_order_acquire);
+#else
+    runMembers();
 #endif
     // Safe point: back on the calling thread, outside any parallel
     // region — raise a sentinel violation latched by any member.

@@ -137,7 +137,7 @@ BlockSchedule buildBlockSchedule(const std::vector<Block>& blocks,
 namespace detail {
 
 /// Which per-chunk routine a compiled block dispatches to.
-enum class ChunkKernel { kDiagonal1, kDense1, kDense2, kDiagonalK, kDenseK };
+enum class ChunkKernel { kDense1, kDense2, kDiagonalK, kDenseK };
 
 /// A fused block lowered to chunk-local form: bit positions instead of
 /// qubit indices (identical inside a chunk, since all positions < b) and
@@ -148,7 +148,7 @@ struct CompiledBlock {
   std::vector<int> positions;   ///< kernel-specific order (see compile)
   std::complex<T> u2[4] = {};   ///< kDense1: row-major 2x2
   std::complex<T> u4[16] = {};  ///< kDense2: row-major 4x4, MSB-first
-  std::vector<std::complex<T>> diagonal;  ///< kDiagonal1 / kDiagonalK
+  std::vector<std::complex<T>> diagonal;  ///< kDiagonalK
   dense::Matrix<T> matrix;                ///< kDenseK
   std::vector<util::index_t> offsets;     ///< kDenseK subspace offsets
 };
@@ -167,9 +167,10 @@ CompiledBlock<T> compileBlock(const Block& block, int nbQubits) {
   }
 
   if (block.diagonal) {
+    // Every width, one qubit included, takes the run-structured sweep
+    // that applyDiagonalBlock runs in a plain sweep.
     compiled.diagonal = block.diag;
-    compiled.kernel =
-        k == 1 ? ChunkKernel::kDiagonal1 : ChunkKernel::kDiagonalK;
+    compiled.kernel = ChunkKernel::kDiagonalK;
     compiled.positions = std::move(msbFirst);
     return compiled;
   }
@@ -222,10 +223,6 @@ void applyCompiledChunk(std::complex<T>* chunk, std::int64_t chunkDim,
                         std::vector<std::complex<T>>& scratch) {
   for (const auto& block : run) {
     switch (block.kernel) {
-      case ChunkKernel::kDiagonal1:
-        simd::applyDiagonal1Span(chunk, chunkDim, block.positions[0],
-                                 block.diagonal[0], block.diagonal[1], level);
-        break;
       case ChunkKernel::kDense1:
         simd::apply1Span(chunk, chunkDim, block.positions[0], block.u2,
                          level);
@@ -303,9 +300,10 @@ void applyBlockedRun(State& state, int nbQubits,
                                  : std::chrono::steady_clock::time_point{};
 
 #ifdef QCLAB_HAS_OPENMP
-  // Trajectory workers call fusion plans from inside an OMP region;
-  // nested teams would only add overhead there.
-#pragma omp parallel if (chunks > 1 && !omp_in_parallel())
+  // The kernel regions' nesting rule: inside any enclosing region (the
+  // batch and trajectory engines, even with one thread) the sweep runs on
+  // the calling thread.
+#pragma omp parallel if (chunks > 1 && omp_get_level() == 0)
 #endif
   {
     std::vector<std::complex<T>> scratch;

@@ -44,6 +44,22 @@ inline constexpr std::int64_t kRunTile = 1 << 12;
 
 namespace detail {
 
+/// The one nesting rule of the kernel regions: fork a team when `work`
+/// reaches `threshold` and no parallel region encloses the call, active
+/// or not.  A driver that runs kernels inside its own team (the batch and
+/// trajectory engines, even with a single thread) has already spent the
+/// thread budget, so the kernel runs on the calling thread.
+inline bool forkKernelTeam(std::int64_t work,
+                           std::int64_t threshold) noexcept {
+#ifdef QCLAB_HAS_OPENMP
+  return work >= threshold && omp_get_level() == 0;
+#else
+  (void)work;
+  (void)threshold;
+  return false;
+#endif
+}
+
 /// Fixed bit positions (controls + target) with their pinned values, in an
 /// inline buffer: applyControlled1 runs once per gate application, so a
 /// heap-allocated + std::sort'ed vector here costs more than the loop it
@@ -120,7 +136,8 @@ void apply1(State& state, int nbQubits, int qubit,
         std::min(dim, std::max(2 * stride, kRunTile));
     const std::int64_t chunks = dim / chunk;
 #ifdef QCLAB_HAS_OPENMP
-#pragma omp parallel for schedule(static) if (dim >= 2 * kOmpThreshold)
+#pragma omp parallel for schedule(static) \
+    if (detail::forkKernelTeam(dim, 2 * kOmpThreshold))
 #endif
     for (std::int64_t c = 0; c < chunks; ++c) {
       simd::apply1Span(data + c * chunk, chunk, pos, coeffs, level);
@@ -132,7 +149,8 @@ void apply1(State& state, int nbQubits, int qubit,
   const std::int64_t tilesPerRun = stride / tile;
   const std::int64_t tasks = (dim / (2 * stride)) * tilesPerRun;
 #ifdef QCLAB_HAS_OPENMP
-#pragma omp parallel for schedule(static) if (dim >= 2 * kOmpThreshold)
+#pragma omp parallel for schedule(static) \
+    if (detail::forkKernelTeam(dim, 2 * kOmpThreshold))
 #endif
   for (std::int64_t t = 0; t < tasks; ++t) {
     const std::int64_t offset =
@@ -159,7 +177,8 @@ void applyDiagonal1(State& state, int nbQubits,
   const std::int64_t tasks = (dim / (2 * stride)) * tilesPerRun;
   std::complex<T>* const data = state.data();
 #ifdef QCLAB_HAS_OPENMP
-#pragma omp parallel for schedule(static) if (dim >= kOmpThreshold)
+#pragma omp parallel for schedule(static) \
+    if (detail::forkKernelTeam(dim, kOmpThreshold))
 #endif
   for (std::int64_t t = 0; t < tasks; ++t) {
     const std::int64_t offset =
@@ -193,17 +212,18 @@ void apply2(State& state, int nbQubits, int qubit0,
   const std::int64_t sHi = std::int64_t{1} << posHi;
   const std::int64_t sLo = std::int64_t{1} << posLo;
   std::complex<T>* const data = state.data();
-  if (sLo < simd::kVectorLanes<T>) {
-    // Short runs: a dispatch call + matrix re-hoist per quad would
-    // dominate; hand aligned power-of-two chunks to the span walker.
+  if (sLo < simd::kVectorLanes<T> || 2 * sHi <= kRunTile) {
+    // Short runs, or groups that fit one tile: a dispatch call + matrix
+    // re-hoist per quad would dominate; hand aligned power-of-two chunks
+    // (whole groups) to the span kernel the blocked executor calls too.
     const std::int64_t chunk = std::min(dim, std::max(2 * sHi, kRunTile));
     const std::int64_t chunks = dim / chunk;
 #ifdef QCLAB_HAS_OPENMP
-#pragma omp parallel for schedule(static) if (dim >= 4 * kOmpThreshold)
+#pragma omp parallel for schedule(static) \
+    if (detail::forkKernelTeam(dim, 4 * kOmpThreshold))
 #endif
     for (std::int64_t c = 0; c < chunks; ++c) {
-      simd::apply2SpanShortRuns(data + c * chunk, chunk, posHi, posLo,
-                                coeffs);
+      simd::apply2Span(data + c * chunk, chunk, posHi, posLo, coeffs, level);
     }
     return;
   }
@@ -214,7 +234,8 @@ void apply2(State& state, int nbQubits, int qubit0,
   const std::int64_t innerGroups = sHi / (2 * sLo);
   const std::int64_t tasks = (dim / (2 * sHi)) * innerGroups * tilesPerRun;
 #ifdef QCLAB_HAS_OPENMP
-#pragma omp parallel for schedule(static) if (dim >= 4 * kOmpThreshold)
+#pragma omp parallel for schedule(static) \
+    if (detail::forkKernelTeam(dim, 4 * kOmpThreshold))
 #endif
   for (std::int64_t t = 0; t < tasks; ++t) {
     const std::int64_t q = t / tilesPerRun;
@@ -246,7 +267,8 @@ void applyControlled1(State& state, int nbQubits,
   const std::complex<T> u00 = u(0, 0), u01 = u(0, 1);
   const std::complex<T> u10 = u(1, 0), u11 = u(1, 1);
 #ifdef QCLAB_HAS_OPENMP
-#pragma omp parallel for schedule(static) if (count >= kOmpThreshold)
+#pragma omp parallel for schedule(static) \
+    if (detail::forkKernelTeam(count, kOmpThreshold))
 #endif
   for (std::int64_t base = 0; base < count; ++base) {
     util::index_t i0 = static_cast<util::index_t>(base);
@@ -278,7 +300,8 @@ void applyControlledDiagonal1(State& state,
 
   const std::int64_t count = std::int64_t{1} << (nbQubits - fixed.count);
 #ifdef QCLAB_HAS_OPENMP
-#pragma omp parallel for schedule(static) if (count >= kOmpThreshold)
+#pragma omp parallel for schedule(static) \
+    if (detail::forkKernelTeam(count, kOmpThreshold))
 #endif
   for (std::int64_t base = 0; base < count; ++base) {
     util::index_t i0 = static_cast<util::index_t>(base);
@@ -304,7 +327,8 @@ void applySwap(State& state, int nbQubits, int qubit0,
   const int hi = std::max(p0, p1);
   const std::int64_t count = std::int64_t{1} << (nbQubits - 2);
 #ifdef QCLAB_HAS_OPENMP
-#pragma omp parallel for schedule(static) if (count >= kOmpThreshold)
+#pragma omp parallel for schedule(static) \
+    if (detail::forkKernelTeam(count, kOmpThreshold))
 #endif
   for (std::int64_t base = 0; base < count; ++base) {
     // Indices with bit(lo) = 1, bit(hi) = 0; swap with the (0, 1) partner.
@@ -359,7 +383,7 @@ void applyK(State& state, int nbQubits,
   const std::complex<T>* __restrict__ mat = u.data();
   const util::index_t* __restrict__ off = offsets.data();
 #ifdef QCLAB_HAS_OPENMP
-#pragma omp parallel if (count >= kOmpThreshold)
+#pragma omp parallel if (detail::forkKernelTeam(count, kOmpThreshold))
 #endif
   {
     std::vector<std::complex<T>> scratch(dim);
@@ -417,7 +441,8 @@ void applyDiagonalK(State& state, int nbQubits,
   const std::complex<T>* __restrict__ diag = diagonal.data();
   const int* __restrict__ pos = positions.data();
 #ifdef QCLAB_HAS_OPENMP
-#pragma omp parallel for schedule(static) if (dim >= kOmpThreshold)
+#pragma omp parallel for schedule(static) \
+    if (detail::forkKernelTeam(dim, kOmpThreshold))
 #endif
   for (std::int64_t i = 0; i < dim; ++i) {
     util::index_t row = 0;
@@ -435,9 +460,13 @@ void applyDiagonalK(State& state, int nbQubits,
 /// the (ascending, MSB-first) `qubits` list, in place, through the
 /// run-structured sweep of simd::applyDiagonalRunsSpan — the fused-path
 /// diagonal kernel (wide diagonal blocks from sim/fusion.hpp land here).
-/// The state splits into independent 2^{maxPos+1}-amplitude groups, which
-/// is also the OpenMP work division.  At one multiply per amplitude the
-/// sweep shares apply2's parallel threshold: below 4 * kOmpThreshold
+/// The state splits into independent 2^{maxPos+1}-amplitude groups; a
+/// group longer than a tile is cut into whole runs of at least kRunTile
+/// amplitudes, each starting its table walk at the row of its first
+/// amplitude, so a block that holds qubit 0 (one group) still spreads
+/// over the team.  Every amplitude gets the same one multiply by the
+/// same entry however the state is cut.  At one multiply per amplitude
+/// the sweep shares apply2's parallel threshold: below 4 * kOmpThreshold
 /// amplitudes a fork/join costs more than the sweep itself.
 template <typename State, typename T>
 void applyDiagonalBlock(State& state, int nbQubits,
@@ -461,15 +490,18 @@ void applyDiagonalBlock(State& state, int nbQubits,
   const SimdLevel level = activeSimdLevel();
   const std::int64_t dim = std::int64_t{1} << nbQubits;
   const std::int64_t groupDim = std::int64_t{1} << (positions.front() + 1);
-  const std::int64_t groups = dim / groupDim;
+  const std::int64_t runLen = std::int64_t{1} << positions.back();
+  const std::int64_t pieceDim =
+      std::min(groupDim, std::max(runLen, kRunTile));
+  const std::int64_t pieces = dim / pieceDim;
   std::complex<T>* const data = state.data();
 #ifdef QCLAB_HAS_OPENMP
 #pragma omp parallel for schedule(static) \
-    if (dim >= 4 * kOmpThreshold && groups > 1 && !omp_in_parallel())
+    if (pieces > 1 && detail::forkKernelTeam(dim, 4 * kOmpThreshold))
 #endif
-  for (std::int64_t g = 0; g < groups; ++g) {
-    simd::applyDiagonalRunsSpan(data + g * groupDim, groupDim, positions,
-                                diagonal, level);
+  for (std::int64_t p = 0; p < pieces; ++p) {
+    simd::applyDiagonalRunsSpan(data + p * pieceDim, pieceDim, positions,
+                                diagonal, level, p * pieceDim);
   }
 }
 
@@ -484,7 +516,7 @@ auto measureProbability0(const State& state, int nbQubits,
   T p0(0);
 #ifdef QCLAB_HAS_OPENMP
 #pragma omp parallel for schedule(static) reduction(+ : p0) \
-    if (half >= kOmpThreshold)
+    if (detail::forkKernelTeam(half, kOmpThreshold))
 #endif
   for (std::int64_t base = 0; base < half; ++base) {
     const util::index_t i0 =
@@ -506,7 +538,8 @@ void collapse(State& state, int nbQubits, int qubit,
   const int pos = util::bitPosition(qubit, nbQubits);
   const std::int64_t half = std::int64_t{1} << (nbQubits - 1);
 #ifdef QCLAB_HAS_OPENMP
-#pragma omp parallel for schedule(static) if (half >= kOmpThreshold)
+#pragma omp parallel for schedule(static) \
+    if (detail::forkKernelTeam(half, kOmpThreshold))
 #endif
   for (std::int64_t base = 0; base < half; ++base) {
     const util::index_t i0 =

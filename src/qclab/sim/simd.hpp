@@ -25,22 +25,27 @@
 ///    and the CPU support — this is how both paths are tested on one
 ///    machine.
 ///
-/// Dispatch matrix (per span kernel, W = complex lanes per 256-bit
-/// register: 2 for double, 4 for float):
+/// Dispatch matrix (per span kernel at the AVX2 level, W = complex lanes
+/// per 256-bit register: 2 for double, 4 for float; every other case,
+/// and the whole scalar level, takes the portable loops).  The choice
+/// depends only on bit positions, the scalar type and the level:
 ///
-///   kernel          | AVX2 level, run >= W lanes | otherwise
-///   ----------------+----------------------------+------------------
-///   apply1Span      | avx2::apply1Runs           | portable pairs
-///   applyDiag1Span  | avx2::scaleRun             | portable scale
-///   apply2Span      | avx2::apply2Runs           | portable quads
-///   applyKSpan      | (scalar gather/scatter — no vector tier yet)
-///   applyDiagKSpan  | (scalar — bit-gather row indexing)
+///   kernel                 | case                  | AVX2 kernel
+///   -----------------------+-----------------------+---------------------
+///   apply1Span             | stride >= W           | avx2::apply1Runs
+///   apply2Span, double     | low position 0        | avx2::apply2SpanLowPair
+///   apply2Span, double     | low position >= 1     | avx2::apply2SpanRuns
+///   apply2Span, float      | low stride >= W       | avx2::apply2Runs
+///   applyDiagonalRunsSpan  | suffix, double        | avx2::diagonalCycle
+///   applyDiagonalRunsSpan  | lowest stride >= 4    | avx2::scaleRun
+///   applyKSpan             | (scalar gather/scatter — no vector tier)
 
 #include <atomic>
 #include <complex>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <type_traits>
 #include <vector>
 
 #include "qclab/dense/matrix.hpp"
@@ -320,20 +325,6 @@ void apply1Span(std::complex<T>* state, std::int64_t dim, int pos,
   }
 }
 
-/// diag(d0, d1) at bit position `pos` over `dim` amplitudes (same
-/// alignment contract as apply1Span).  Branch-free: the two runs of each
-/// group are scaled by their own constant — no per-element bit test.
-template <typename T>
-void applyDiagonal1Span(std::complex<T>* state, std::int64_t dim, int pos,
-                        std::complex<T> d0, std::complex<T> d1,
-                        SimdLevel level) {
-  const std::int64_t stride = std::int64_t{1} << pos;
-  for (std::int64_t base = 0; base < dim; base += 2 * stride) {
-    scaleRun(state + base, stride, d0, level);
-    scaleRun(state + base + stride, stride, d1, level);
-  }
-}
-
 /// apply2Span for short runs (sLo below a vector width): the run path
 /// re-hoists the 4x4 matrix into split locals and builds a pointer quad
 /// per FOUR amplitudes, which dominates at these strides (a contiguous
@@ -385,13 +376,27 @@ void apply2SpanShortRuns(std::complex<T>* state, std::int64_t dim, int posHi,
 /// 4x4 dense gate at bit positions posHi > posLo over `dim` amplitudes
 /// (`dim` a multiple of 2^{posHi+1}, group-aligned).  `u` is MSB-first
 /// over (bit at posHi, bit at posLo).  The path choice depends only on
-/// the positions, never on `dim`, so chunked and full sweeps stay
-/// bit-identical.
+/// the positions, the scalar type and the level, never on `dim`, so
+/// chunked and full sweeps stay bit-identical.  Double at the AVX2 level
+/// broadcasts the matrix once per span: the in-register quad kernel when
+/// the low partner is at position 0, else the hoisted quad walker.
 template <typename T>
 void apply2Span(std::complex<T>* state, std::int64_t dim, int posHi,
                 int posLo, const std::complex<T> u[16], SimdLevel level) {
   const std::int64_t sHi = std::int64_t{1} << posHi;
   const std::int64_t sLo = std::int64_t{1} << posLo;
+#ifdef QCLAB_SIMD_X86
+  if constexpr (std::is_same_v<T, double>) {
+    if (level == SimdLevel::kAvx2) {
+      if (posLo == 0) {
+        avx2::apply2SpanLowPair(state, dim, sHi, u);
+      } else {
+        avx2::apply2SpanRuns(state, dim, sHi, sLo, u);
+      }
+      return;
+    }
+  }
+#endif
   if (sLo < kVectorLanes<T>) {
     apply2SpanShortRuns(state, dim, posHi, posLo, u);
     return;
@@ -453,26 +458,43 @@ void applyKSpan(std::complex<T>* __restrict__ state, std::int64_t dim,
 /// after precomputing the gather of each of the m+1 possible flip patterns
 /// the per-step gather collapses to one ctz plus one XOR.  Three paths:
 ///  - gate bits contiguous at position 0 (the full-window / suffix case):
-///    row = i mod 2^k, a sequential cyclic table walk,
+///    row = i mod 2^k, a sequential cyclic table walk (AVX2 for double),
 ///  - runs of >= 4 amplitudes: delta-walked row + scaleRun per run,
 ///  - short runs: per-amplitude delta-walked row.
-/// The path choice depends only on `positions`, never on `dim`, so chunked
-/// (blocked) and full-state sweeps stay bit-identical.
+/// The path choice depends only on `positions`, the scalar type and the
+/// level, never on `dim`, so chunked (blocked) and full-state sweeps stay
+/// bit-identical.
+///
+/// `state` holds amplitudes [first, first + dim) of a 2^{maxPos+1}-aligned
+/// group, and each row comes from the amplitude's index in that group, so
+/// a group can be cut into pieces (applyDiagonalBlock's one-group split).
+/// `first` and `dim` must cover whole runs of 2^minPos amplitudes and be
+/// even.
 template <typename T>
 void applyDiagonalRunsSpan(std::complex<T>* state, std::int64_t dim,
                            const std::vector<int>& positions,
                            const std::vector<std::complex<T>>& diagonal,
-                           SimdLevel level) {
+                           SimdLevel level, std::int64_t first = 0) {
   const int k = static_cast<int>(positions.size());
   // `positions` is MSB-first over ascending qubits => strictly descending,
   // so front() is the highest bit and back() the lowest.
   if (positions.front() == k - 1) {
     // Contiguous suffix [0, k): row = i mod 2^k, cyclic table walk.
     const util::index_t mask = (util::index_t{1} << k) - 1;
+#ifdef QCLAB_SIMD_X86
+    if constexpr (std::is_same_v<T, double>) {
+      if (level == SimdLevel::kAvx2) {
+        avx2::diagonalCycle(state, dim, diagonal.data(), first,
+                            static_cast<std::int64_t>(mask));
+        return;
+      }
+    }
+#endif
     std::complex<T>* __restrict__ psi = state;
     const std::complex<T>* __restrict__ diag = diagonal.data();
     for (std::int64_t i = 0; i < dim; ++i) {
-      const std::complex<T> d = diag[static_cast<util::index_t>(i) & mask];
+      const std::complex<T> d =
+          diag[static_cast<util::index_t>(first + i) & mask];
       const T xr = psi[i].real(), xi = psi[i].imag();
       psi[i] = std::complex<T>(d.real() * xr - d.imag() * xi,
                                d.real() * xi + d.imag() * xr);
@@ -482,12 +504,12 @@ void applyDiagonalRunsSpan(std::complex<T>* state, std::int64_t dim,
   const int minPos = positions.back();
   const std::int64_t runLen = std::int64_t{1} << minPos;
   // deltas[j]: gather of the flip pattern with j low counter bits set —
-  // counter bit c lives at span position shift + c, and row bit (k-1-i)
-  // collects span position positions[i].
+  // counter bit c lives at group position shift + c, and row bit (k-1-i)
+  // collects group position positions[i].
   const int shift = runLen >= 4 ? minPos : 0;
   const int counterBits = [&] {
     int m = 0;
-    while ((std::int64_t{1} << (m + shift)) < dim) ++m;
+    while ((std::int64_t{1} << (m + shift)) < first + dim) ++m;
     return m;
   }();
   util::index_t deltas[64];
@@ -499,14 +521,21 @@ void applyDiagonalRunsSpan(std::complex<T>* state, std::int64_t dim,
     }
     deltas[j] = g;
   }
+  // The walk starts from the gathered row of the span's first amplitude.
+  util::index_t row = 0;
+  for (int i = 0; i < k; ++i) {
+    row = (row << 1) |
+          util::getBit(static_cast<util::index_t>(first),
+                       positions[static_cast<std::size_t>(i)]);
+  }
   if (runLen >= 4) {
     const std::int64_t runs = dim >> minPos;
-    util::index_t row = 0;
+    const std::int64_t firstRun = first >> minPos;
     for (std::int64_t t = 0;;) {
       scaleRun(state + (t << minPos), runLen, diagonal[row], level);
       if (++t == runs) break;
       row ^= deltas[util::countTrailingZeros(
-                        static_cast<util::index_t>(t)) + 1];
+                        static_cast<util::index_t>(firstRun + t)) + 1];
     }
     return;
   }
@@ -514,7 +543,6 @@ void applyDiagonalRunsSpan(std::complex<T>* state, std::int64_t dim,
   // gather, only the row indexing is cheaper).
   std::complex<T>* __restrict__ psi = state;
   const std::complex<T>* __restrict__ diag = diagonal.data();
-  util::index_t row = 0;
   for (std::int64_t i = 0;;) {
     const std::complex<T> d = diag[row];
     const T xr = psi[i].real(), xi = psi[i].imag();
@@ -522,7 +550,7 @@ void applyDiagonalRunsSpan(std::complex<T>* state, std::int64_t dim,
                              d.real() * xi + d.imag() * xr);
     if (++i == dim) break;
     row ^= deltas[util::countTrailingZeros(
-                      static_cast<util::index_t>(i)) + 1];
+                      static_cast<util::index_t>(first + i)) + 1];
   }
 }
 

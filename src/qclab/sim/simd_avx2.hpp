@@ -105,18 +105,12 @@ QCLAB_AVX2_TARGET inline void scaleRun(std::complex<double>* a,
   }
 }
 
-/// In-place 4x4 dense update of the four unit-stride runs a[0..3]
-/// (`count` complex amplitudes each, MSB-first row order):
-/// a[r] <- sum_c u[4r + c] a[c].
-QCLAB_AVX2_TARGET inline void apply2Runs(std::complex<double>* const a[4],
-                                         std::int64_t count,
-                                         const std::complex<double> u[16]) {
-  __m256d cr[16], ci[16];
-  for (int e = 0; e < 16; ++e) {
-    cr[e] = _mm256_set1_pd(u[e].real());
-    ci[e] = _mm256_set1_pd(u[e].imag());
-  }
-  const std::int64_t vec = (count / 2) * 2;
+/// Vector part of the 4x4 run update: the first `vec` (even) amplitudes
+/// of the runs a[0..3], with the matrix already broadcast into cr / ci.
+QCLAB_AVX2_TARGET inline void quadRunsBody(std::complex<double>* const a[4],
+                                           std::int64_t vec,
+                                           const __m256d cr[16],
+                                           const __m256d ci[16]) {
   for (std::int64_t j = 0; j < vec; j += 2) {
     __m256d in[4];
     for (int c = 0; c < 4; ++c) {
@@ -130,6 +124,21 @@ QCLAB_AVX2_TARGET inline void apply2Runs(std::complex<double>* const a[4],
       _mm256_storeu_pd(reinterpret_cast<double*>(a[r] + j), acc);
     }
   }
+}
+
+/// In-place 4x4 dense update of the four unit-stride runs a[0..3]
+/// (`count` complex amplitudes each, MSB-first row order):
+/// a[r] <- sum_c u[4r + c] a[c].
+QCLAB_AVX2_TARGET inline void apply2Runs(std::complex<double>* const a[4],
+                                         std::int64_t count,
+                                         const std::complex<double> u[16]) {
+  __m256d cr[16], ci[16];
+  for (int e = 0; e < 16; ++e) {
+    cr[e] = _mm256_set1_pd(u[e].real());
+    ci[e] = _mm256_set1_pd(u[e].imag());
+  }
+  const std::int64_t vec = (count / 2) * 2;
+  quadRunsBody(a, vec, cr, ci);
   for (std::int64_t j = vec; j < count; ++j) {
     std::complex<double> in[4] = {a[0][j], a[1][j], a[2][j], a[3][j]};
     for (int r = 0; r < 4; ++r) {
@@ -142,6 +151,92 @@ QCLAB_AVX2_TARGET inline void apply2Runs(std::complex<double>* const a[4],
       }
       a[r][j] = std::complex<double>(re, im);
     }
+  }
+}
+
+/// 4x4 update at strides sHi > sLo >= 2 over `dim` amplitudes (whole
+/// 2*sHi groups): apply2Runs on every quad of runs, with the matrix
+/// broadcast once per span instead of once per quad.
+QCLAB_AVX2_TARGET inline void apply2SpanRuns(std::complex<double>* state,
+                                             std::int64_t dim,
+                                             std::int64_t sHi,
+                                             std::int64_t sLo,
+                                             const std::complex<double> u[16]) {
+  __m256d cr[16], ci[16];
+  for (int e = 0; e < 16; ++e) {
+    cr[e] = _mm256_set1_pd(u[e].real());
+    ci[e] = _mm256_set1_pd(u[e].imag());
+  }
+  for (std::int64_t b2 = 0; b2 < dim; b2 += 2 * sHi) {
+    for (std::int64_t b1 = b2; b1 < b2 + sHi; b1 += 2 * sLo) {
+      std::complex<double>* const quad[4] = {state + b1, state + b1 + sLo,
+                                             state + b1 + sHi,
+                                             state + b1 + sHi + sLo};
+      quadRunsBody(quad, sLo, cr, ci);
+    }
+  }
+}
+
+/// 4x4 update with the low partner at bit position 0 (stride sHi >= 2 for
+/// the high one) over `dim` amplitudes (whole 2*sHi groups).  A quad's
+/// four amplitudes fill two registers, lo = [a(i), a(i+1)] and
+/// hi = [a(i+sHi), a(i+sHi+1)]; each amplitude is broadcast across both
+/// 128-bit lanes and multiplied by its matrix column, so lo gathers rows
+/// 0-1 and hi rows 2-3.  Per lane this is apply2Runs' arithmetic: the
+/// same cmul per (row, column) and the same column-order sum.
+QCLAB_AVX2_TARGET inline void apply2SpanLowPair(
+    std::complex<double>* state, std::int64_t dim, std::int64_t sHi,
+    const std::complex<double> u[16]) {
+  // Column c of rows (0, 1) and of rows (2, 3), one row per 128-bit lane.
+  __m256d loR[4], loI[4], hiR[4], hiI[4];
+  for (int c = 0; c < 4; ++c) {
+    loR[c] = _mm256_setr_pd(u[c].real(), u[c].real(), u[4 + c].real(),
+                            u[4 + c].real());
+    loI[c] = _mm256_setr_pd(u[c].imag(), u[c].imag(), u[4 + c].imag(),
+                            u[4 + c].imag());
+    hiR[c] = _mm256_setr_pd(u[8 + c].real(), u[8 + c].real(),
+                            u[12 + c].real(), u[12 + c].real());
+    hiI[c] = _mm256_setr_pd(u[8 + c].imag(), u[8 + c].imag(),
+                            u[12 + c].imag(), u[12 + c].imag());
+  }
+  double* p = reinterpret_cast<double*>(state);
+  for (std::int64_t b2 = 0; b2 < dim; b2 += 2 * sHi) {
+    for (std::int64_t i = b2; i < b2 + sHi; i += 2) {
+      const __m256d lo = _mm256_loadu_pd(p + 2 * i);
+      const __m256d hi = _mm256_loadu_pd(p + 2 * (i + sHi));
+      const __m256d in[4] = {_mm256_permute2f128_pd(lo, lo, 0x00),
+                             _mm256_permute2f128_pd(lo, lo, 0x11),
+                             _mm256_permute2f128_pd(hi, hi, 0x00),
+                             _mm256_permute2f128_pd(hi, hi, 0x11)};
+      __m256d outLo = cmul(in[0], loR[0], loI[0]);
+      __m256d outHi = cmul(in[0], hiR[0], hiI[0]);
+      for (int c = 1; c < 4; ++c) {
+        outLo = _mm256_add_pd(outLo, cmul(in[c], loR[c], loI[c]));
+        outHi = _mm256_add_pd(outHi, cmul(in[c], hiR[c], hiI[c]));
+      }
+      _mm256_storeu_pd(p + 2 * i, outLo);
+      _mm256_storeu_pd(p + 2 * (i + sHi), outHi);
+    }
+  }
+}
+
+/// Cyclic diagonal walk: a[i] <- diag[(first + i) & mask] over `dim`
+/// amplitudes, `first` and `dim` even, mask + 1 >= 2 a power of two.
+/// Two neighbouring amplitudes have neighbouring table rows, so one
+/// 256-bit load brings both entries; the re / im halves are spread across
+/// the lanes in registers.
+QCLAB_AVX2_TARGET inline void diagonalCycle(std::complex<double>* a,
+                                            std::int64_t dim,
+                                            const std::complex<double>* diag,
+                                            std::int64_t first,
+                                            std::int64_t mask) {
+  double* p = reinterpret_cast<double*>(a);
+  const double* d = reinterpret_cast<const double*>(diag);
+  for (std::int64_t i = 0; i < dim; i += 2) {
+    const __m256d entries = _mm256_loadu_pd(d + 2 * ((first + i) & mask));
+    const __m256d dr = _mm256_movedup_pd(entries);       // [r0 r0 r1 r1]
+    const __m256d di = _mm256_permute_pd(entries, 0xF);  // [i0 i0 i1 i1]
+    _mm256_storeu_pd(p + 2 * i, cmul(_mm256_loadu_pd(p + 2 * i), dr, di));
   }
 }
 

@@ -144,16 +144,60 @@ std::vector<std::uint64_t> sampleStateCounts(
   return rng.multinomial(shots, std::move(weights));
 }
 
-/// sampleStateCounts over the full register.
+/// sampleStateCounts over the full register.  The outcome of measuring
+/// every qubit is the state index itself, so this samples the amplitudes
+/// directly, without a 2^n weights vector.  Counts and the generator's
+/// final state equal Rng::multinomial over the |amplitude|^2 weights: the
+/// same `shots` uniforms are drawn in the same order, then sorted, and a
+/// second pass hands each one to the first outcome whose running sum
+/// exceeds it (the last positive outcome takes the rest).
 template <typename State>
 std::vector<std::uint64_t> sampleStateCounts(
     const State& state, std::uint64_t shots,
     random::Rng& rng) {
   util::require(util::isPowerOfTwo(state.size()), "state size not 2^n");
   const int nbQubits = util::log2PowerOfTwo(state.size());
-  std::vector<int> qubits(static_cast<std::size_t>(nbQubits));
-  for (int q = 0; q < nbQubits; ++q) qubits[static_cast<std::size_t>(q)] = q;
-  return sampleStateCounts(state, qubits, shots, rng);
+  util::require(nbQubits >= 1, "sampleStateCounts needs at least one qubit");
+  util::require(nbQubits <= 26, "counts vector would exceed 2^26 entries");
+  obs::metrics().add(obs::Counter::kShotsSampled, shots);
+  const std::size_t dim = state.size();
+  const auto weight = [&state](std::size_t i) {
+    return static_cast<double>(std::norm(state[i]));
+  };
+  std::size_t positive = 0;
+  std::size_t last = 0;
+  double total = 0.0;
+  for (std::size_t i = 0; i < dim; ++i) {
+    const double w = weight(i);
+    util::require(w >= 0.0, "multinomial weights must be nonnegative");
+    if (w > 0.0) {
+      ++positive;
+      last = i;
+    }
+    total += w;
+  }
+  util::require(total > 0.0, "multinomial weights sum to zero");
+
+  std::vector<std::uint64_t> counts(dim, 0);
+  if (positive == 1) {
+    counts[last] = shots;
+    return counts;
+  }
+  std::vector<double> draws(static_cast<std::size_t>(shots));
+  for (double& r : draws) r = rng.uniform() * total;
+  std::sort(draws.begin(), draws.end());
+  // A draw r lands on the number of running sums before `last` that are
+  // at or below r: the first outcome whose running sum exceeds it.
+  std::size_t next = 0;
+  double cumulative = 0.0;
+  for (std::size_t i = 0; i < last && next < draws.size(); ++i) {
+    cumulative += weight(i);
+    for (; next < draws.size() && draws[next] < cumulative; ++next) {
+      ++counts[i];
+    }
+  }
+  counts[last] += draws.size() - next;
+  return counts;
 }
 
 /// One simulation branch.

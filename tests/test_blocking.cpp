@@ -186,6 +186,43 @@ TYPED_TEST(BlockingDifferential, EveryBlockQubitsIsBitIdenticalToPlain) {
   }
 }
 
+TYPED_TEST(BlockingDifferential, LoneDiagonalBlockIsBitIdenticalToPlain) {
+  using T = TypeParam;
+  // A one-qubit diagonal block between two dense ones stays a lone block.
+  // The blocked sweep once sent it to its own per-run scale while the
+  // plain sweep took the diagonal-block walk, so at bit position 1 the
+  // two sweeps rounded differently.  n = 17 puts the whole register past
+  // the default chunk, so the default options block the run.
+  const int n = 17;
+  for (const SimdLevel level : {SimdLevel::kScalar, SimdLevel::kAvx2}) {
+    const qclab::test::ScopedSimdLevel scoped(level);
+    for (int pos = 0; pos < 4; ++pos) {
+      const int rzQubit = n - 1 - pos;
+      const int ryQubit = pos == 0 ? n - 2 : n - 1;
+      qclab::QCircuit<T> circuit(n);
+      for (int q = 0; q < n; ++q) {
+        circuit.push_back(qclab::qgates::Hadamard<T>(q));
+      }
+      for (int round = 0; round < 3; ++round) {
+        circuit.push_back(qclab::qgates::RotationY<T>(ryQubit, 0.3 + round));
+        circuit.push_back(qclab::qgates::RotationZ<T>(rzQubit, 0.7 + round));
+        circuit.push_back(qclab::qgates::RotationY<T>(ryQubit, 0.5 + round));
+      }
+      qclab::SimulateOptions blocked;
+      blocked.fusion = true;
+      const auto a =
+          circuit.simulate(std::string(n, '0'), unblockedOptions()).state(0);
+      const auto b = circuit.simulate(std::string(n, '0'), blocked).state(0);
+      ASSERT_EQ(a.size(), b.size());
+      EXPECT_EQ(std::memcmp(a.data(), b.data(),
+                            a.size() * sizeof(std::complex<T>)),
+                0)
+          << "RZ at bit position " << pos << ", level "
+          << qclab::sim::simdLevelName(qclab::sim::activeSimdLevel());
+    }
+  }
+}
+
 TYPED_TEST(BlockingDifferential, RandomCircuitsMatchUnfusedSimulation) {
   using T = TypeParam;
   for (int n = 2; n <= 12; n += 2) {

@@ -14,6 +14,20 @@
 
 namespace qclab::test {
 
+/// Forces a SIMD dispatch level for one scope and restores the previous
+/// one (the level is clamped to what the build and the CPU support).
+class ScopedSimdLevel {
+ public:
+  explicit ScopedSimdLevel(sim::SimdLevel level)
+      : previous_(sim::setSimdLevel(level)) {}
+  ~ScopedSimdLevel() { sim::setSimdLevel(previous_); }
+  ScopedSimdLevel(const ScopedSimdLevel&) = delete;
+  ScopedSimdLevel& operator=(const ScopedSimdLevel&) = delete;
+
+ private:
+  sim::SimdLevel previous_;
+};
+
 /// Comparison tolerance per scalar type.
 template <typename T>
 constexpr T tol() {

@@ -23,6 +23,53 @@ TEST(SampleStateCounts, GhzOnlyTwoOutcomes) {
   for (std::size_t i = 1; i < 31; ++i) EXPECT_EQ(counts[i], 0u);
 }
 
+TEST(SampleStateCounts, FullRegisterMatchesMultinomialDrawForDraw) {
+  // The full-register overload samples the amplitudes without a weights
+  // vector; its counts and the generator it leaves behind must equal
+  // Rng::multinomial over |amplitude|^2, on states with zero runs at the
+  // front, at the back and scattered, and on single-outcome states.
+  random::Rng inputs(2024);
+  int checked = 0;
+  for (int n = 1; n <= 18; ++n) {
+    const std::size_t dim = std::size_t{1} << n;
+    for (int variant = 0; variant < 20; ++variant) {
+      auto state = test::randomState<double>(n, inputs);
+      switch (variant % 5) {
+        case 1:  // zero run at the front
+          std::fill(state.begin(), state.begin() + dim / 2, C(0));
+          break;
+        case 2:  // zero run at the back
+          std::fill(state.begin() + dim / 2, state.end(), C(0));
+          break;
+        case 3:  // scattered zeros
+          for (std::size_t i = 0; i < dim; ++i) {
+            if (inputs.uniform() < 0.6) state[i] = C(0);
+          }
+          state[inputs.uniformInt(dim)] = C(0.5, -0.25);
+          break;
+        case 4:  // a single outcome
+          std::fill(state.begin(), state.end(), C(0));
+          state[inputs.uniformInt(dim)] = C(0, 1);
+          break;
+        default:
+          break;
+      }
+      const std::uint64_t shots = 1 + inputs.uniformInt(2048);
+      const std::uint64_t seed = inputs();
+      random::Rng direct(seed);
+      random::Rng reference(seed);
+      std::vector<double> weights(dim);
+      for (std::size_t i = 0; i < dim; ++i) weights[i] = std::norm(state[i]);
+      EXPECT_EQ(sampleStateCounts(state, shots, direct),
+                reference.multinomial(shots, std::move(weights)))
+          << "n=" << n << " variant=" << variant;
+      EXPECT_EQ(direct(), reference()) << "n=" << n << " variant=" << variant;
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, 360);
+}
+
 TEST(SampleStateCounts, SubsetMarginals) {
   // Bell pair + spectator |+>: sampling only qubit 1 of 3 is 50/50.
   QCircuit<double> circuit(3);

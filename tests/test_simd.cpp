@@ -7,31 +7,30 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <complex>
+#include <cstring>
 #include <vector>
 
 #include "qclab/qclab.hpp"
 #include "test_helpers.hpp"
 
+#ifdef QCLAB_HAS_OPENMP
+#include <omp.h>
+#endif
+
 using qclab::sim::KernelPath;
 using qclab::sim::SimdLevel;
+using qclab::test::ScopedSimdLevel;
 
 namespace {
-
-/// Forces a dispatch level for one scope and restores the previous one.
-class ScopedSimdLevel {
- public:
-  explicit ScopedSimdLevel(SimdLevel level)
-      : previous_(qclab::sim::setSimdLevel(level)) {}
-  ~ScopedSimdLevel() { qclab::sim::setSimdLevel(previous_); }
-
- private:
-  SimdLevel previous_;
-};
 
 bool avx2Available() {
   return qclab::sim::detectedSimdLevel() == SimdLevel::kAvx2;
 }
+
+/// Both dispatch levels (AVX2 clamps to scalar where the CPU lacks it).
+const SimdLevel kLevels[] = {SimdLevel::kScalar, SimdLevel::kAvx2};
 
 }  // namespace
 
@@ -152,7 +151,9 @@ TYPED_TEST(SimdDifferential, ApplyDiagonal1AgreesAcrossLevels) {
 TYPED_TEST(SimdDifferential, Apply2AgreesWithApplyKAndAcrossLevels) {
   using T = TypeParam;
   qclab::random::Rng rng(13);
-  for (int n : {2, 3, 5, 13}) {
+  // Every position pair at n = 2-13: the quad kernels at the bottom of
+  // the register (low partner at position 0, short vector runs) included.
+  for (int n = 2; n <= 13; ++n) {
     const auto reference = qclab::test::randomState<T>(n, rng);
     for (int q0 = 0; q0 < n; ++q0) {
       for (int q1 = q0 + 1; q1 < n; ++q1) {
@@ -163,18 +164,31 @@ TYPED_TEST(SimdDifferential, Apply2AgreesWithApplyKAndAcrossLevels) {
                                qclab::test::randomUnitary1<T>(rng)) *
             u;
         auto viaK = reference;
-        auto via2Scalar = reference;
         qclab::sim::applyK(viaK, n, {q0, q1}, u);
-        {
-          const ScopedSimdLevel level(SimdLevel::kScalar);
-          qclab::sim::apply2(via2Scalar, n, q0, q1, u);
-        }
-        qclab::test::expectStateNear(viaK, via2Scalar);
-        if (avx2Available()) {
-          auto via2Vector = reference;
-          const ScopedSimdLevel level(SimdLevel::kAvx2);
-          qclab::sim::apply2(via2Vector, n, q0, q1, u);
-          qclab::test::expectStateNear(viaK, via2Vector);
+        const int posHi = qclab::util::bitPosition(q0, n);
+        const int posLo = qclab::util::bitPosition(q1, n);
+        std::complex<T> coeffs[16];
+        for (int i = 0; i < 16; ++i) coeffs[i] = u(i / 4, i % 4);
+        for (const SimdLevel level : kLevels) {
+          const ScopedSimdLevel scoped(level);
+          auto plain = reference;
+          qclab::sim::apply2(plain, n, q0, q1, u);
+          qclab::test::expectStateNear(viaK, plain);
+          // The same span kernel group by group, as a blocked chunk runs
+          // it, gives the plain sweep's bits.
+          auto grouped = reference;
+          const std::int64_t group = std::int64_t{2} << posHi;
+          for (std::int64_t g = 0; g < std::int64_t(grouped.size());
+               g += group) {
+            qclab::sim::simd::apply2Span(grouped.data() + g, group, posHi,
+                                         posLo, coeffs,
+                                         qclab::sim::activeSimdLevel());
+          }
+          EXPECT_EQ(std::memcmp(plain.data(), grouped.data(),
+                                plain.size() * sizeof(std::complex<T>)),
+                    0)
+              << "n=" << n << " qubits (" << q0 << ", " << q1 << ") level "
+              << qclab::sim::simdLevelName(qclab::sim::activeSimdLevel());
         }
       }
     }
@@ -204,6 +218,130 @@ TYPED_TEST(SimdDifferential, RandomCircuitsAgreeAcrossLevels) {
     qclab::test::expectStateNear(scalar, vector,
                                  T(8) * qclab::test::tol<T>());
   }
+}
+
+// ---- double diagonal blocks ------------------------------------------
+//
+// At the AVX2 level a double suffix diagonal runs the vector cyclic walk,
+// and a block that holds qubit 0 splits its one group over the team.
+// Each must agree with applyDiagonalK at both levels, and a plain sweep
+// must equal the span kernel run group by group (what a blocked chunk
+// runs) and in one call, bit for bit.
+
+namespace {
+
+bool sameBits(const std::vector<std::complex<double>>& a,
+              const std::vector<std::complex<double>>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(),
+                     a.size() * sizeof(std::complex<double>)) == 0;
+}
+
+/// MSB-first bit positions of ascending `qubits` (descending positions).
+std::vector<int> bitPositions(const std::vector<int>& qubits, int n) {
+  std::vector<int> positions;
+  for (int q : qubits) positions.push_back(qclab::util::bitPosition(q, n));
+  return positions;
+}
+
+/// Diagonal windows of every span-walk path on an n-qubit register:
+/// suffixes, short runs (lowest position 0 or 1, not a suffix) and
+/// one-group windows (holding qubit 0).
+std::vector<std::vector<int>> diagonalWindows(int n) {
+  std::vector<std::vector<int>> windows;
+  for (int k = 1; k <= std::min(n, 4); ++k) {
+    std::vector<int> suffix;
+    for (int q = n - k; q < n; ++q) suffix.push_back(q);
+    windows.push_back(suffix);
+  }
+  if (n >= 2) windows.push_back({n - 2});
+  if (n >= 3) windows.push_back({0, n - 1});
+  if (n >= 4) windows.push_back({1, n - 2});
+  if (n >= 3) windows.push_back({0, n / 2});
+  std::vector<int> top;
+  for (int q = 0; q < std::min(n - 1, 12); ++q) top.push_back(q);
+  if (!top.empty()) windows.push_back(top);
+  return windows;
+}
+
+}  // namespace
+
+TEST(SimdSpanKernels, DiagonalBlocksAgreeAtBothLevels) {
+  using T = double;
+  qclab::random::Rng rng(32);
+  for (int n = 2; n <= 13; ++n) {
+    const auto reference = qclab::test::randomState<T>(n, rng);
+    for (const auto& qubits : diagonalWindows(n)) {
+      std::vector<std::complex<T>> table(std::size_t{1} << qubits.size());
+      for (auto& d : table) {
+        d = std::polar(T(1), static_cast<T>(rng.uniform(-3, 3)));
+      }
+      auto viaK = reference;
+      qclab::sim::applyDiagonalK(viaK, n, qubits, table);
+      const auto positions = bitPositions(qubits, n);
+      for (const SimdLevel level : kLevels) {
+        const ScopedSimdLevel scoped(level);
+        auto plain = reference;
+        qclab::sim::applyDiagonalBlock(plain, n, qubits, table);
+        qclab::test::expectStateNear(viaK, plain);
+        // One span call over the whole register, and one per group.
+        auto whole = reference;
+        qclab::sim::simd::applyDiagonalRunsSpan(
+            whole.data(), std::int64_t(whole.size()), positions, table,
+            qclab::sim::activeSimdLevel());
+        auto grouped = reference;
+        const std::int64_t group = std::int64_t{2} << positions.front();
+        for (std::int64_t g = 0; g < std::int64_t(grouped.size());
+             g += group) {
+          qclab::sim::simd::applyDiagonalRunsSpan(
+              grouped.data() + g, group, positions, table,
+              qclab::sim::activeSimdLevel());
+        }
+        EXPECT_TRUE(sameBits(plain, whole) && sameBits(plain, grouped))
+            << "n=" << n << " window of " << qubits.size()
+            << " from qubit " << qubits.front() << " level "
+            << qclab::sim::simdLevelName(qclab::sim::activeSimdLevel());
+      }
+    }
+  }
+}
+
+TEST(SimdSpanKernels, OneGroupDiagonalBlockIsThreadCountInvariant) {
+#ifndef QCLAB_HAS_OPENMP
+  GTEST_SKIP() << "built without OpenMP";
+#else
+  using T = double;
+  // n = 16 clears the parallel threshold; every window holds qubit 0, so
+  // the block is one group and the team splits its runs.
+  const int n = 16;
+  qclab::random::Rng rng(33);
+  const auto reference = qclab::test::randomState<T>(n, rng);
+  const int originalThreads = omp_get_max_threads();
+  for (const std::vector<int>& qubits :
+       {std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11},
+        std::vector<int>{0, 7, 15}, std::vector<int>{0, 14}}) {
+    std::vector<std::complex<T>> table(std::size_t{1} << qubits.size());
+    for (auto& d : table) {
+      d = std::polar(T(1), static_cast<T>(rng.uniform(-3, 3)));
+    }
+    for (const SimdLevel level : kLevels) {
+      const ScopedSimdLevel scoped(level);
+      std::vector<std::complex<T>> first;
+      for (int threads : {1, 2, 4}) {
+        omp_set_num_threads(threads);
+        auto state = reference;
+        qclab::sim::applyDiagonalBlock(state, n, qubits, table);
+        if (first.empty()) {
+          first = state;
+        } else {
+          EXPECT_TRUE(sameBits(first, state))
+              << threads << " threads, window of " << qubits.size();
+        }
+      }
+    }
+  }
+  omp_set_num_threads(originalThreads);
+#endif
 }
 
 // ---- fixed-capacity controlled-kernel buffer --------------------------

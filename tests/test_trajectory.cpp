@@ -332,11 +332,6 @@ TEST(TrajectoryDeterminism, BlockedPlanThreadCountInvariance) {
   NoiseModel<double> model;
   model.measurementNoise = KrausChannel<double>::readout(0.05);
 
-  // Kernels run serially inside each trajectory at every thread count: a
-  // single trajectory thread would otherwise open a nested team for every
-  // kernel call, which takes minutes under ThreadSanitizer.
-  const int originalThreads = omp_get_max_threads();
-  omp_set_num_threads(1);
   const std::uint64_t blockedBefore =
       obs::metrics().gateApplications(sim::KernelPath::kBlocked);
   std::vector<TrajectoryResult<double>> runs;
@@ -349,7 +344,6 @@ TEST(TrajectoryDeterminism, BlockedPlanThreadCountInvariance) {
     const TrajectorySimulator<double> simulator(circuit, model, options);
     runs.push_back(simulator.run(std::string(n, '0')));
   }
-  omp_set_num_threads(originalThreads);
   if (obs::kEnabled) {
     EXPECT_EQ(obs::metrics().gateApplications(sim::KernelPath::kBlocked) -
                   blockedBefore,
