@@ -16,32 +16,12 @@ std::uint64_t splitmix64(std::uint64_t& x) noexcept {
   return z ^ (z >> 31);
 }
 
-constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 void Rng::seed(std::uint64_t seed) noexcept {
   std::uint64_t s = seed;
   for (auto& word : state_) word = splitmix64(s);
   hasCachedNormal_ = false;
-}
-
-std::uint64_t Rng::operator()() noexcept {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
-
-double Rng::uniform() noexcept {
-  return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
 }
 
 double Rng::uniform(double low, double high) noexcept {
@@ -96,48 +76,30 @@ std::uint64_t Rng::binomial(std::uint64_t trials, double p) noexcept {
   return successes;
 }
 
-std::vector<std::uint64_t> Rng::multinomial(std::uint64_t trials,
-                                            std::vector<double> weights) {
-  util::require(!weights.empty(), "multinomial requires at least one category");
-  // Running sum in place; `last` is the last positive-weight category.
-  std::size_t positive = 0;
-  std::size_t last = 0;
-  double total = 0.0;
-  for (std::size_t k = 0; k < weights.size(); ++k) {
-    const double w = weights[k];
-    util::require(w >= 0.0, "multinomial weights must be nonnegative");
-    if (w > 0.0) {
-      ++positive;
-      last = k;
-    }
-    total += w;
-    weights[k] = total;
+std::size_t Rng::countAtOrBelow(const double* sums, std::size_t n,
+                               double r) noexcept {
+  // Keeps the answer in [base, base + n]; compiles to conditional moves.
+  const double* base = sums;
+  while (n > 1) {
+    const std::size_t half = n / 2;
+    base = base[half] <= r ? base + half : base;
+    n -= half;
   }
-  util::require(total > 0.0, "multinomial weights sum to zero");
+  return static_cast<std::size_t>(base - sums) + (*base <= r ? 1 : 0);
+}
 
-  std::vector<std::uint64_t> counts(weights.size(), 0);
-  if (positive == 1) {
-    counts[last] = trials;
-    return counts;
-  }
-  const double* cumulative = weights.data();
+void Rng::drawFromSums(std::uint64_t trials, const double* sums,
+                       std::size_t last, double total,
+                       std::uint64_t* counts) noexcept {
   for (std::uint64_t t = 0; t < trials; ++t) {
-    // The category is the number of boundaries cumulative[0..last) at or
-    // below r.  A zero-weight category repeats its predecessor's boundary
-    // and so is never chosen, and an r that rounds up to total (subnormal
-    // totals) lands on `last`.  The search keeps the answer in
-    // [base, base + n] and compiles to conditional moves.
-    const double r = uniform() * total;
-    const double* base = cumulative;
-    std::size_t n = last;
-    while (n > 1) {
-      const std::size_t half = n / 2;
-      base = base[half] <= r ? base + half : base;
-      n -= half;
-    }
-    ++counts[static_cast<std::size_t>(base - cumulative) + (*base <= r ? 1 : 0)];
+    ++counts[countAtOrBelow(sums, last, uniform() * total)];
   }
-  return counts;
+}
+
+std::vector<std::uint64_t> Rng::multinomial(
+    std::uint64_t trials, const std::vector<double>& weights) {
+  return multinomial(trials, weights.size(),
+                     [&weights](std::size_t k) { return weights[k]; });
 }
 
 void Rng::jump() noexcept {

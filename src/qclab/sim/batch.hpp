@@ -231,14 +231,16 @@ class BatchedSimulation {
 #endif
     };
 #ifdef QCLAB_HAS_OPENMP
-    // A single member, or a call from inside a parallel region, runs on
-    // the calling thread without a team of its own: the kernels fork only
-    // outside every region, so a lone member at the top level keeps them
-    // parallel.
-    if (count > 1 && !omp_in_parallel()) {
-#pragma omp parallel num_threads(threads)
+    // A lone member at the top level runs outside any region, so its
+    // kernels (which fork only outside every region) keep the team; its
+    // orphaned barrier and worksharing loop bind to the implicit one-thread
+    // team.  Every other call opens a region for them to bind to — an
+    // inactive one for a lone member or a call from inside a parallel
+    // region, which then runs on the calling thread alone.
+    if (count == 1 && omp_get_level() == 0) {
       runMembers();
     } else {
+#pragma omp parallel num_threads(threads) if (count > 1 && !omp_in_parallel())
       runMembers();
     }
     (void)workersDone.load(std::memory_order_acquire);

@@ -460,14 +460,15 @@ void applyDiagonalK(State& state, int nbQubits,
 /// the (ascending, MSB-first) `qubits` list, in place, through the
 /// run-structured sweep of simd::applyDiagonalRunsSpan — the fused-path
 /// diagonal kernel (wide diagonal blocks from sim/fusion.hpp land here).
-/// The state splits into independent 2^{maxPos+1}-amplitude groups; a
-/// group longer than a tile is cut into whole runs of at least kRunTile
-/// amplitudes, each starting its table walk at the row of its first
-/// amplitude, so a block that holds qubit 0 (one group) still spreads
-/// over the team.  Every amplitude gets the same one multiply by the
-/// same entry however the state is cut.  At one multiply per amplitude
-/// the sweep shares apply2's parallel threshold: below 4 * kOmpThreshold
-/// amplitudes a fork/join costs more than the sweep itself.
+/// The state is cut into pieces of whole runs, at least kRunTile
+/// amplitudes each (apply1 and apply2's chunk rule), and each piece starts
+/// its table walk at the row of its first amplitude, so a block that
+/// holds qubit 0 (one 2^{maxPos+1} group) still spreads over the team and
+/// a narrow window takes one call per tile, not per group.  Every
+/// amplitude gets the same one multiply by the same entry however the
+/// state is cut.  At one multiply per amplitude the sweep shares apply2's
+/// parallel threshold: below 4 * kOmpThreshold amplitudes a fork/join
+/// costs more than the sweep itself.
 template <typename State, typename T>
 void applyDiagonalBlock(State& state, int nbQubits,
                         const std::vector<int>& qubits,
@@ -489,10 +490,8 @@ void applyDiagonalBlock(State& state, int nbQubits,
   }
   const SimdLevel level = activeSimdLevel();
   const std::int64_t dim = std::int64_t{1} << nbQubits;
-  const std::int64_t groupDim = std::int64_t{1} << (positions.front() + 1);
   const std::int64_t runLen = std::int64_t{1} << positions.back();
-  const std::int64_t pieceDim =
-      std::min(groupDim, std::max(runLen, kRunTile));
+  const std::int64_t pieceDim = std::min(dim, std::max(runLen, kRunTile));
   const std::int64_t pieces = dim / pieceDim;
   std::complex<T>* const data = state.data();
 #ifdef QCLAB_HAS_OPENMP

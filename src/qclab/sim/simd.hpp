@@ -465,11 +465,12 @@ void applyKSpan(std::complex<T>* __restrict__ state, std::int64_t dim,
 /// level, never on `dim`, so chunked (blocked) and full-state sweeps stay
 /// bit-identical.
 ///
-/// `state` holds amplitudes [first, first + dim) of a 2^{maxPos+1}-aligned
-/// group, and each row comes from the amplitude's index in that group, so
-/// a group can be cut into pieces (applyDiagonalBlock's one-group split).
-/// `first` and `dim` must cover whole runs of 2^minPos amplitudes and be
-/// even.
+/// `state` holds amplitudes [first, first + dim) of the register, or of an
+/// aligned window that holds every gate bit (a blocked chunk, first = 0),
+/// and each row comes from the gate bits of the index first + i, so the
+/// state can be cut into pieces at any offset that covers whole runs
+/// (applyDiagonalBlock's split).  `first` and `dim` must cover whole runs
+/// of 2^minPos amplitudes and be even.
 template <typename T>
 void applyDiagonalRunsSpan(std::complex<T>* state, std::int64_t dim,
                            const std::vector<int>& positions,

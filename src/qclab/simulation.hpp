@@ -141,16 +141,14 @@ std::vector<std::uint64_t> sampleStateCounts(
     }
     weights[outcome] += static_cast<double>(std::norm(state[i]));
   }
-  return rng.multinomial(shots, std::move(weights));
+  return rng.multinomial(shots, weights);
 }
 
 /// sampleStateCounts over the full register.  The outcome of measuring
-/// every qubit is the state index itself, so this samples the amplitudes
-/// directly, without a 2^n weights vector.  Counts and the generator's
-/// final state equal Rng::multinomial over the |amplitude|^2 weights: the
-/// same `shots` uniforms are drawn in the same order, then sorted, and a
-/// second pass hands each one to the first outcome whose running sum
-/// exceeds it (the last positive outcome takes the rest).
+/// every qubit is the state index itself, so the sampler reads the
+/// |amplitude|^2 weights straight from the state, without a 2^n weights
+/// vector; counts and the generator's final state equal
+/// Rng::multinomial over those weights.
 template <typename State>
 std::vector<std::uint64_t> sampleStateCounts(
     const State& state, std::uint64_t shots,
@@ -160,44 +158,9 @@ std::vector<std::uint64_t> sampleStateCounts(
   util::require(nbQubits >= 1, "sampleStateCounts needs at least one qubit");
   util::require(nbQubits <= 26, "counts vector would exceed 2^26 entries");
   obs::metrics().add(obs::Counter::kShotsSampled, shots);
-  const std::size_t dim = state.size();
-  const auto weight = [&state](std::size_t i) {
+  return rng.multinomial(shots, state.size(), [&state](std::size_t i) {
     return static_cast<double>(std::norm(state[i]));
-  };
-  std::size_t positive = 0;
-  std::size_t last = 0;
-  double total = 0.0;
-  for (std::size_t i = 0; i < dim; ++i) {
-    const double w = weight(i);
-    util::require(w >= 0.0, "multinomial weights must be nonnegative");
-    if (w > 0.0) {
-      ++positive;
-      last = i;
-    }
-    total += w;
-  }
-  util::require(total > 0.0, "multinomial weights sum to zero");
-
-  std::vector<std::uint64_t> counts(dim, 0);
-  if (positive == 1) {
-    counts[last] = shots;
-    return counts;
-  }
-  std::vector<double> draws(static_cast<std::size_t>(shots));
-  for (double& r : draws) r = rng.uniform() * total;
-  std::sort(draws.begin(), draws.end());
-  // A draw r lands on the number of running sums before `last` that are
-  // at or below r: the first outcome whose running sum exceeds it.
-  std::size_t next = 0;
-  double cumulative = 0.0;
-  for (std::size_t i = 0; i < last && next < draws.size(); ++i) {
-    cumulative += weight(i);
-    for (; next < draws.size() && draws[next] < cumulative; ++next) {
-      ++counts[i];
-    }
-  }
-  counts[last] += draws.size() - next;
-  return counts;
+  });
 }
 
 /// One simulation branch.
@@ -307,7 +270,7 @@ class Simulation {
     for (const auto& b : branches_) {
       weights[util::bitstringToIndex(b.result)] += b.probability;
     }
-    return rng.multinomial(shots, std::move(weights));
+    return rng.multinomial(shots, weights);
   }
 
   /// counts() with a fresh generator seeded by `seed` (mirrors MATLAB's
@@ -328,7 +291,7 @@ class Simulation {
     std::vector<double> weights;
     weights.reserve(branches_.size());
     for (const auto& b : branches_) weights.push_back(b.probability);
-    const auto perBranch = rng.multinomial(shots, std::move(weights));
+    const auto perBranch = rng.multinomial(shots, weights);
     std::map<std::string, std::uint64_t> result;
     for (std::size_t i = 0; i < branches_.size(); ++i) {
       result[branches_[i].result] += perBranch[i];

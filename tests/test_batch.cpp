@@ -12,6 +12,10 @@
 #include <cstring>
 #include <vector>
 
+#ifdef QCLAB_HAS_OPENMP
+#include <omp.h>
+#endif
+
 #include "test_helpers.hpp"
 
 namespace qclab {
@@ -107,6 +111,67 @@ TEST(BatchDifferential, ThreadCountDoesNotChangeBits) {
         << "member " << m << " depends on the thread count";
   }
 }
+
+#ifdef QCLAB_HAS_OPENMP
+TEST(BatchDifferential, CallsFromInsideATeamRunEveryMemberOnce) {
+  // Two threads of one team each run their own batch (several members,
+  // then a lone member): every member's callback runs exactly once, on
+  // the calling thread, with the standalone bits.
+  random::Rng rng(2718);
+  QCircuit<double> circuit(5);
+  test::addRandomGates(circuit, 30, rng);
+  std::vector<std::vector<double>> parameterSets(6);
+  {
+    sim::BatchedSimulation<double> probe(circuit);
+    for (auto& values : parameterSets) {
+      values.resize(probe.nbParameters());
+      for (auto& value : values) value = rng.uniform(-3.0, 3.0);
+    }
+  }
+  std::vector<std::vector<std::complex<double>>> references;
+  for (const auto& values : parameterSets) {
+    references.push_back(standalone(circuit, values));
+  }
+  const std::vector<std::vector<double>> lone = {parameterSets[2]};
+
+  constexpr int kCallers = 2;
+  const std::size_t members = parameterSets.size();
+  std::vector<int> calls(kCallers * (members + 1), 0);
+  std::vector<int> foreignThread(kCallers, 0);
+  std::vector<int> wrongBits(kCallers, 0);
+#pragma omp parallel num_threads(kCallers)
+  {
+    const int caller = omp_get_thread_num();
+    // Slot `members` records the lone member (a copy of member 2).
+    const auto check = [&](std::size_t slot,
+                           const Simulation<double>& simulation) {
+      ++calls[static_cast<std::size_t>(caller) * (members + 1) + slot];
+      if (omp_get_thread_num() != 0) ++foreignThread[caller];
+      if (!bitIdentical(simulation.branches().front().state,
+                        references[slot == members ? 2 : slot])) {
+        ++wrongBits[caller];
+      }
+    };
+    sim::BatchedSimulation<double> engine(circuit);
+    engine.forEach(parameterSets,
+                   [&](std::size_t m, Simulation<double> simulation) {
+                     check(m, simulation);
+                   });
+    engine.forEach(lone, [&](std::size_t, Simulation<double> simulation) {
+      check(members, simulation);
+    });
+  }
+  for (int caller = 0; caller < kCallers; ++caller) {
+    for (std::size_t slot = 0; slot <= members; ++slot) {
+      EXPECT_EQ(calls[static_cast<std::size_t>(caller) * (members + 1) + slot],
+                1)
+          << "caller " << caller << " slot " << slot;
+    }
+    EXPECT_EQ(foreignThread[caller], 0) << "caller " << caller;
+    EXPECT_EQ(wrongBits[caller], 0) << "caller " << caller;
+  }
+}
+#endif  // QCLAB_HAS_OPENMP
 
 // ---- re-entrancy (TSan-covered: suite name matches the Batch filter) ---
 

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <set>
@@ -288,6 +289,35 @@ TEST(Rng, MultinomialIsExactInverseCdf) {
     const auto expected = replay(rng, 5000, weights);
     EXPECT_EQ(rng.multinomial(5000, weights), expected)
         << categories << " categories";
+  }
+}
+
+TEST(Rng, MultinomialBlockTableIsExactInverseCdf) {
+  // With more categories than max(2^12, trials) the table keeps one
+  // running sum per block of 2, 16 or 64 categories and a trial re-adds
+  // one block: still exactly the linear scan's category, with zero runs
+  // across block edges and a heavy last positive category inside the
+  // tail block.  More trials than categories keeps one sum per category.
+  struct Case {
+    std::size_t categories;
+    std::uint64_t trials;
+  };
+  Rng weightsRng(19);
+  for (const Case c : {Case{4097, 600}, Case{4097, 8201}, Case{40000, 600},
+                       Case{300000, 600}}) {
+    std::vector<double> weights(c.categories);
+    for (auto& w : weights) {
+      w = weightsRng.uniform() < 0.3 ? 0.0 : weightsRng.uniform(0.0, 2.0);
+    }
+    std::fill(weights.begin(), weights.begin() + 200, 0.0);
+    std::fill(weights.begin() + 1000, weights.begin() + 1300, 0.0);
+    std::fill(weights.end() - 90, weights.end(), 0.0);
+    weights[c.categories - 100] = 1.0;
+    weights[c.categories - 91] = 0.2 * static_cast<double>(c.categories);
+    Rng rng(20 + c.categories + c.trials);
+    const auto expected = replay(rng, c.trials, weights);
+    EXPECT_EQ(rng.multinomial(c.trials, weights), expected)
+        << c.categories << " categories, " << c.trials << " trials";
   }
 }
 
