@@ -2,7 +2,9 @@
 /// \brief Experiment P2: per-gate-type application cost of the QCLAB++-style
 /// kernel backend as a function of register size.  The expected shape is
 /// O(2^n) per gate with diagonal < single-qubit < controlled < general
-/// two-qubit constants.
+/// two-qubit constants.  The Hadamard, CNOT and measurement rows also run
+/// at n = 2 and 5, the sizes of the paper's worked examples, where the
+/// fixed cost of one kernel call is the whole row.
 
 #include <benchmark/benchmark.h>
 
@@ -33,7 +35,7 @@ void BM_Hadamard(benchmark::State& state) {
                           static_cast<std::int64_t>(psi.size()) *
                           sizeof(C));
 }
-BENCHMARK(BM_Hadamard)->DenseRange(8, 20, 4);
+BENCHMARK(BM_Hadamard)->Arg(2)->Arg(5)->DenseRange(8, 20, 4);
 
 void BM_DiagonalRz(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -58,7 +60,7 @@ void BM_Cnot(benchmark::State& state) {
     benchmark::DoNotOptimize(psi.data());
   }
 }
-BENCHMARK(BM_Cnot)->DenseRange(8, 20, 4);
+BENCHMARK(BM_Cnot)->Arg(2)->Arg(5)->DenseRange(8, 20, 4);
 
 void BM_Toffoli(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -256,7 +258,7 @@ void BM_MeasureProbability(benchmark::State& state) {
     benchmark::DoNotOptimize(qclab::sim::measureProbability0(psi, n, n / 2));
   }
 }
-BENCHMARK(BM_MeasureProbability)->DenseRange(8, 20, 4);
+BENCHMARK(BM_MeasureProbability)->Arg(2)->Arg(5)->DenseRange(8, 20, 4);
 
 }  // namespace
 

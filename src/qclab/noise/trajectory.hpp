@@ -20,10 +20,10 @@
 /// measurement probabilities) are serial fixed-order sums, and per-
 /// trajectory results are written to preassigned slots that are merged
 /// sequentially after the parallel loop — so the aggregate result is
-/// bit-identical for any OpenMP thread count and any schedule.  The
-/// OpenMP parallelism is over trajectories (schedule(runtime), so
-/// OMP_SCHEDULE applies); the gate kernels themselves only parallelize
-/// when the trajectory loop leaves them a thread to use.
+/// bit-identical for any thread count.  The parallelism is over
+/// trajectories (sim::parallelRanges, one contiguous share per thread);
+/// the gate kernels fork a team of their own only when the trajectories
+/// run on the calling thread (one thread asked for, or one trajectory).
 ///
 /// Gate fusion: the circuit is compiled once by sim::compile, which cuts
 /// its gate runs at measurements, resets, and barriers exactly as
@@ -35,7 +35,6 @@
 /// channel sample after each.
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <complex>
 #include <cstdint>
@@ -43,10 +42,6 @@
 #include <string>
 #include <utility>
 #include <vector>
-
-#ifdef QCLAB_HAS_OPENMP
-#include <omp.h>
-#endif
 
 #include "qclab/measurement.hpp"
 #include "qclab/noise/channels.hpp"
@@ -74,8 +69,8 @@ struct TrajectoryOptions {
   std::uint64_t seed = 0;
   /// Number of Monte Carlo unravellings (statistical error ~ 1/sqrt(N)).
   std::size_t nbTrajectories = 256;
-  /// OpenMP threads over trajectories; 0 = the OpenMP default.  Any value
-  /// yields bit-identical results.
+  /// Threads over trajectories; 0 = the OpenMP default.  Any value yields
+  /// bit-identical results.
   int nbThreads = 0;
   /// Qubits (MSB-first, at most 16) whose final-state outcome distribution
   /// is averaged over trajectories; required for probabilities() /
@@ -219,10 +214,8 @@ class TrajectorySimulator {
       util::checkQubit(qubit, nbQubits_);
       marginalPositions_.push_back(util::bitPosition(qubit, nbQubits_));
     }
-    const std::vector<sim::FlatOp<T>> ops = circuit_.flatten();
-    sim::checkOps(ops, nbQubits_);  // trajectories run in an OpenMP region
     const sim::FusionOptions fusion{};
-    program_ = sim::compile(ops, 0, nbQubits_,
+    program_ = sim::compile(circuit_.flatten(), 0, nbQubits_,
                             model_.gateNoise ? nullptr : &fusion);
   }
 
@@ -277,24 +270,12 @@ class TrajectorySimulator {
     if (!marginalPositions_.empty()) marginals.resize(total);
 
     const std::int64_t count = static_cast<std::int64_t>(total);
-    // Release/acquire edge mirroring the implicit end-of-region barrier:
-    // gcc's libgomp is not TSan-instrumented, so without it the tool
-    // cannot see that worker writes happen-before the merge below.
-    std::atomic<int> workersDone{0};
-#ifdef QCLAB_HAS_OPENMP
-    const int threads = options_.nbThreads > 0 ? options_.nbThreads
-                                               : omp_get_max_threads();
-#pragma omp parallel num_threads(threads)
-#endif
-    {
+    const auto runShare = [&](std::int64_t lo, std::int64_t hi, int) {
       // Per-thread working set: the 2^n state plus channel scratch.
       std::vector<C> state(std::size_t{1} << nbQubits_);
       Scratch scratch;
       const obs::ScopedStateBytes memory(state.size() * sizeof(C));
-#ifdef QCLAB_HAS_OPENMP
-#pragma omp for schedule(runtime)
-#endif
-      for (std::int64_t t = 0; t < count; ++t) {
+      for (std::int64_t t = lo; t < hi; ++t) {
         const obs::PathTimer timer(sim::KernelPath::kTrajectory);
         random::Rng rng = streams[static_cast<std::size_t>(t)];
         initState(state, bits);
@@ -309,14 +290,12 @@ class TrajectorySimulator {
               static_cast<double>(fn(state));
         }
       }
-      workersDone.fetch_add(1, std::memory_order_release);
-    }
-    // RMWs form a release sequence, so this single acquire load
-    // synchronizes with every worker's fetch_add above.
-    (void)workersDone.load(std::memory_order_acquire);
+    };
+    sim::parallelRanges(count, sim::teamSize(count, 2, options_.nbThreads),
+                        runShare);
 
     // Sequential merge in trajectory order: the aggregate is bit-identical
-    // for every thread count and schedule.
+    // for every thread count.
     if (!marginals.empty()) {
       std::vector<T> mean(std::size_t{1} << marginalPositions_.size(), T(0));
       for (const auto& marginal : marginals) {
@@ -441,8 +420,8 @@ class TrajectorySimulator {
   }
 
   /// Projective Z sample of `qubit` + collapse.  Serial fixed-order
-  /// probability sum (sim::measureProbability0 uses an OpenMP reduction
-  /// whose summation order varies with thread count — unusable here).
+  /// probability sum (sim::measureProbability0 adds one partial per
+  /// thread, so its bits vary with the thread count — unusable here).
   int sampleAndCollapse(std::vector<C>& state, int qubit,
                         random::Rng& rng) const {
     const int pos = util::bitPosition(qubit, nbQubits_);

@@ -18,7 +18,6 @@
 /// QCLAB_OBS_NO_ROOFLINE skips calibration entirely.  QCLAB_OBS_DISABLED
 /// builds never measure and render an explicit unavailable marker.
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -28,6 +27,7 @@
 #include "qclab/obs/enabled.hpp"
 #include "qclab/obs/perfcounters.hpp"
 #include "qclab/sim/kernel_path.hpp"
+#include "qclab/sim/parallel.hpp"
 
 namespace qclab::obs {
 
@@ -119,25 +119,11 @@ inline const RooflineCalibration& rooflineCalibration() {
       double best = 0.0;
       for (int iter = 0; iter < 4; ++iter) {  // iter 0 warms pages + caches
         const auto sweepStart = std::chrono::steady_clock::now();
-        // Release/acquire edge mirroring the implicit end-of-region
-        // barrier for TSan, which cannot see into libgomp (same pattern
-        // as the batch and trajectory engines).
-        std::atomic<int> workersDone{0};
-#ifdef QCLAB_HAS_OPENMP
-#pragma omp parallel
-#endif
-        {
-#ifdef QCLAB_HAS_OPENMP
-#pragma omp for schedule(static)
-#endif
-          for (std::int64_t i = 0; i < n; ++i) {
-            a[static_cast<std::size_t>(i)] =
-                b[static_cast<std::size_t>(i)] +
-                scalar * c[static_cast<std::size_t>(i)];
-          }
-          workersDone.fetch_add(1, std::memory_order_release);
-        }
-        (void)workersDone.load(std::memory_order_acquire);
+        sim::parallelFor(n, n, 0,
+                         [a = a.data(), b = b.data(), c = c.data(),
+                          scalar](std::int64_t i) {
+                           a[i] = b[i] + scalar * c[i];
+                         });
         const double sweepNs = static_cast<double>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(
                 std::chrono::steady_clock::now() - sweepStart)

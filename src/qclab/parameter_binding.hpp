@@ -40,10 +40,12 @@ class ParameterBinding {
   /// Writes `values[i]` into parameter slot i (gate setTheta).  Requires
   /// exactly nbParameters() values.
   void bind(const std::vector<T>& values) const {
-    util::require(values.size() == slots_.size(),
-                  "ParameterBinding::bind: expected " +
-                      std::to_string(slots_.size()) + " values, got " +
-                      std::to_string(values.size()));
+    if (values.size() != slots_.size()) [[unlikely]] {
+      throw InvalidArgumentError("ParameterBinding::bind: expected " +
+                                 std::to_string(slots_.size()) +
+                                 " values, got " +
+                                 std::to_string(values.size()));
+    }
     for (std::size_t i = 0; i < slots_.size(); ++i) {
       slots_[i].set(slots_[i].gate, values[i]);
     }

@@ -550,10 +550,11 @@ class QCircuit final : public QObject<T> {
   void checkFits(const QObject<T>& object) const {
     const auto qs = object.qubits();
     util::require(!qs.empty(), "object acts on no qubits");
-    util::require(qs.back() < nbQubits_,
-                  "object qubit " + std::to_string(qs.back()) +
-                      " does not fit in a " + std::to_string(nbQubits_) +
-                      "-qubit circuit");
+    if (qs.back() >= nbQubits_) [[unlikely]] {
+      throw InvalidArgumentError("object qubit " + std::to_string(qs.back()) +
+                                 " does not fit in a " +
+                                 std::to_string(nbQubits_) + "-qubit circuit");
+    }
   }
 
   int nbQubits_;

@@ -34,18 +34,19 @@
 /// the cached values are bit-identical to applying the same blocks per
 /// member (kernel path choice never depends on where a sweep starts).
 ///
-/// Execution is OpenMP-parallel across members; each worker thread owns a
-/// private circuit clone + program (gate pointers must target the clone
-/// the thread mutates) and one reusable state buffer, so nothing is shared
-/// mutably.  Every member's amplitudes are BIT-IDENTICAL to a standalone
-/// `circuit.simulate(zeros, options)` with `options.fusion = true`: both
-/// paths run the same kernels in the same order on the same values.
+/// Execution is parallel across members (sim::parallelRanges); each worker
+/// thread owns a private circuit clone + program (gate pointers must
+/// target the clone the thread mutates) and one reusable state buffer, so
+/// nothing is shared mutably.  Every member's amplitudes are
+/// BIT-IDENTICAL to a standalone `circuit.simulate(zeros, options)` with
+/// `options.fusion = true`: both paths run the same kernels in the same
+/// order on the same values.
 ///
 /// Restriction: unitary circuits only (gates, sub-circuits, barriers).
 /// Measurements and resets branch the state per member, which has no
 /// shared shape to amortize — the constructor throws on them.
 
-#include <atomic>
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -62,11 +63,8 @@
 #include "qclab/qcircuit.hpp"
 #include "qclab/sim/execute.hpp"
 #include "qclab/sim/fusion.hpp"
+#include "qclab/sim/parallel.hpp"
 #include "qclab/util/errors.hpp"
-
-#ifdef QCLAB_HAS_OPENMP
-#include <omp.h>
-#endif
 
 namespace qclab::sim {
 
@@ -74,7 +72,8 @@ namespace qclab::sim {
 /// from |0...0> and always run fused: the plans are built once per shape
 /// and replayed for every member.
 struct BatchOptions {
-  /// OpenMP threads across batch members; 0 = omp_get_max_threads().
+  /// Threads across batch members; 0 = the OpenMP default.  A lone member
+  /// runs on the calling thread, and its kernels fork the default team.
   int nbThreads = 0;
 };
 
@@ -148,7 +147,9 @@ class BatchedSimulation {
   /// Streaming variant of run(): invokes
   /// `callback(member, Simulation<T>&&)` for every member, from the
   /// worker thread that simulated it (callbacks for distinct members may
-  /// run concurrently — the callback must be safe for that).  A callback
+  /// run concurrently — the callback must be safe for that; its
+  /// omp_get_thread_num() is its thread's number in the engine's team, 0
+  /// for a call from inside another parallel region).  A callback
   /// that only reads the simulation lets the engine reclaim the member's
   /// state buffer into the per-thread pool; moving the simulation out
   /// transfers ownership and costs one fresh allocation for the next
@@ -158,61 +159,43 @@ class BatchedSimulation {
                Callback&& callback) {
     const std::size_t members = parameterSets.size();
     if (members == 0) return;
-    // Validate every member's arity up front: a throw inside the OpenMP
-    // region below could not propagate (std::terminate), so the bind
-    // precondition must fail on the calling thread.
+    // Validate every member's arity up front, so a bad member fails
+    // before any other member has run.
     const std::size_t expected = master_->binding.nbParameters();
     for (std::size_t m = 0; m < members; ++m) {
-      util::require(parameterSets[m].size() == expected,
-                    "simulateBatch: member " + std::to_string(m) +
-                        " carries " +
-                        std::to_string(parameterSets[m].size()) +
-                        " parameters, shape has " + std::to_string(expected));
+      if (parameterSets[m].size() != expected) [[unlikely]] {
+        throw InvalidArgumentError(
+            "simulateBatch: member " + std::to_string(m) + " carries " +
+            std::to_string(parameterSets[m].size()) +
+            " parameters, shape has " + std::to_string(expected));
+      }
     }
     obs::metrics().add(obs::Counter::kBatchRuns);
     obs::metrics().add(obs::Counter::kBatchMembers, members);
     const obs::ScopedSpan span("batch");
     const obs::ScopedSpan executeSpan("batch/execute");
     const std::int64_t count = static_cast<std::int64_t>(members);
-#ifdef QCLAB_HAS_OPENMP
-    const int threads = options_.nbThreads > 0 ? options_.nbThreads
-                                               : omp_get_max_threads();
-    // Release/acquire edges mirroring the barriers below for TSan, which
-    // cannot see into libgomp (same pattern as the trajectory engine).
-    std::atomic<int> clonesDone{0};
-    std::atomic<int> workersDone{0};
-#endif
-    const auto runMembers = [&] {
-      // Thread 0 reuses the master worker built at construction; other
-      // threads clone it (circuit copy + plan copy, no re-scheduling).
-      std::unique_ptr<Worker> local;
-      Worker* worker = master_.get();
-#ifdef QCLAB_HAS_OPENMP
-      if (omp_get_thread_num() != 0) {
-        local = std::make_unique<Worker>(prototype_, master_.get());
-        worker = local.get();
-        clonesDone.fetch_add(1, std::memory_order_release);
-      }
-      // Every clone finishes copying the master's plans before any member
-      // runs: thread 0 rebinds those plans in place, and rebindFusionPlan
-      // moves each block's recipe out and back in, so a copy taken in that
-      // window would have no recipe to rebind.
-#pragma omp barrier
-      (void)clonesDone.load(std::memory_order_acquire);
-#endif
+    const int parts = teamSize(count, 2, options_.nbThreads);
+    // Part 0 runs on the master worker built at construction, part p on
+    // clone p (circuit copy + plan copy, no re-scheduling), built here on
+    // first use and kept: a clone must not copy the master's plans while
+    // part 0 rebinds them in place.
+    while (clones_.size() + 1 < std::min(members, std::size_t(parts))) {
+      clones_.push_back(std::make_unique<Worker>(prototype_, master_.get()));
+    }
+    const auto runMembers = [&](std::int64_t lo, std::int64_t hi, int part) {
+      Worker& worker =
+          part == 0 ? *master_ : *clones_[static_cast<std::size_t>(part) - 1];
       std::vector<std::complex<T>> buffer;  // per-thread pooled state
-#ifdef QCLAB_HAS_OPENMP
-#pragma omp for schedule(dynamic)
-#endif
-      for (std::int64_t m = 0; m < count; ++m) {
+      for (std::int64_t m = lo; m < hi; ++m) {
         const std::size_t member = static_cast<std::size_t>(m);
         {
           const obs::PathTimer timer(
               KernelPath::kBatch, obs::FlightEventKind::kBatchMember, member);
-          runMember(*worker, parameterSets[member], buffer);
+          runMember(worker, parameterSets[member], buffer);
         }
         // Throttled numerical-health check on the finished member's state.
-        // kThrow cannot raise here (we may be inside the OMP region);
+        // kThrow does not raise here (other members may be running);
         // report() just latches and throwIfPending() below raises it.
         if (obs::sentinel().shouldCheck()) {
           obs::sentinelCheckState(buffer.data(), buffer.size(), "batch");
@@ -226,27 +209,10 @@ class BatchedSimulation {
           buffer.clear();
         }
       }
-#ifdef QCLAB_HAS_OPENMP
-      workersDone.fetch_add(1, std::memory_order_release);
-#endif
     };
-#ifdef QCLAB_HAS_OPENMP
-    // A lone member at the top level runs outside any region, so its
-    // kernels (which fork only outside every region) keep the team; its
-    // orphaned barrier and worksharing loop bind to the implicit one-thread
-    // team.  Every other call opens a region for them to bind to — an
-    // inactive one for a lone member or a call from inside a parallel
-    // region, which then runs on the calling thread alone.
-    if (count == 1 && omp_get_level() == 0) {
-      runMembers();
-    } else {
-#pragma omp parallel num_threads(threads) if (count > 1 && !omp_in_parallel())
-      runMembers();
-    }
-    (void)workersDone.load(std::memory_order_acquire);
-#else
-    runMembers();
-#endif
+    // A call from inside another region runs every member on the calling
+    // thread, as thread 0 of a team of its own.
+    runAsOwnTeam([&] { parallelRanges(count, parts, runMembers); });
     // Safe point: back on the calling thread, outside any parallel
     // region — raise a sentinel violation latched by any member.
     obs::sentinel().throwIfPending();
@@ -278,7 +244,6 @@ class BatchedSimulation {
         }
         return;
       }
-      checkOps(ops, nbQubits);
       const FusionOptions fusion{};
       program = compile(ops, 0, nbQubits, &fusion);
       for (const ProgramStep<T>& step : program.steps) {
@@ -372,6 +337,8 @@ class BatchedSimulation {
   QCircuit<T> prototype_;
   std::uint64_t shapeHash_ = 0;
   std::unique_ptr<Worker> master_;
+  /// Workers of parts 1, 2, ... of the member loop.
+  std::vector<std::unique_ptr<Worker>> clones_;
   /// Parameter-free prefix: the plans of runs [0, prefixPlans_) are
   /// entirely member-invariant, plus the first prefixBlocks_ blocks of run
   /// prefixPlans_.  prefixState_ holds the amplitudes after the prefix

@@ -35,13 +35,10 @@
 #include "qclab/obs/sentinel.hpp"
 #include "qclab/obs/trace.hpp"
 #include "qclab/sim/memory_advisor.hpp"
+#include "qclab/sim/parallel.hpp"
 #include "qclab/sim/simd.hpp"
 #include "qclab/util/bits.hpp"
 #include "qclab/util/errors.hpp"
-
-#ifdef QCLAB_HAS_OPENMP
-#include <omp.h>
-#endif
 
 namespace qclab::sim {
 
@@ -252,7 +249,7 @@ void applyCompiledChunk(std::complex<T>* chunk, std::int64_t chunkDim,
 /// blocks sequentially with full sweeps.
 ///
 /// Generic over the state container.  Each thread walks its OWN
-/// contiguous chunk range (staticPartition).  When the container exposes
+/// contiguous chunk range (parallelRanges).  When the container exposes
 /// a prefetch advisor (the mmap tier of sim::StateBuffer), the thread
 /// keeps a WILLNEED window one advisor granule ahead of the chunk being
 /// computed and DONTNEED-retires granules it has fully streamed past, so
@@ -287,50 +284,40 @@ void applyBlockedRun(State& state, int nbQubits,
   }
 
   // Numerical-health sentinel: when this run's check is due, each chunk is
-  // scanned right after its kernels while it is still cache-hot, per-thread
-  // partials are merged once, and ONE report covers the whole sweep — the
-  // sentinel cost rides the blocking win instead of forcing its own
-  // full-state pass.
+  // scanned right after its kernels while it is still cache-hot, the
+  // per-share partials are merged once, in share order, and ONE report
+  // covers the whole sweep — the sentinel cost rides the blocking win
+  // instead of forcing its own full-state pass.
   const bool sentinelDue = obs::sentinel().shouldCheck();
-  double sentinelNormSq = 0.0;
-  double sentinelMaxAmpSq = 0.0;
-  bool sentinelNanSeen = false;
+  struct SentinelShare {
+    double normSq = 0.0;
+    double maxAmpSq = 0.0;
+    bool nanSeen = false;
+  };
+  const int parts = teamSize(chunks, 2);
+  std::vector<SentinelShare> sentinelShares(
+      sentinelDue ? static_cast<std::size_t>(parts) : 0);
   const auto sentinelBegin = sentinelDue
                                  ? std::chrono::steady_clock::now()
                                  : std::chrono::steady_clock::time_point{};
 
-#ifdef QCLAB_HAS_OPENMP
-  // The kernel regions' nesting rule: inside any enclosing region (the
-  // batch and trajectory engines, even with one thread) the sweep runs on
-  // the calling thread.
-#pragma omp parallel if (chunks > 1 && omp_get_level() == 0)
-#endif
-  {
+  // Each thread walks its own contiguous chunk share; the prefetch follows.
+  const auto sweep = [&](std::int64_t chunkLo, std::int64_t chunkHi,
+                         int part) {
     std::vector<std::complex<T>> scratch;
-    double threadNormSq = 0.0;
-    double threadMaxAmpSq = 0.0;
-    bool threadNanSeen = false;
-    // Manual even static partition instead of `omp for schedule(static)`:
-    // the prefetch walk needs to know each thread's range explicitly.
-#ifdef QCLAB_HAS_OPENMP
-    const int nThreads = omp_get_num_threads();
-    const int tid = omp_get_thread_num();
-#else
-    const int nThreads = 1;
-    const int tid = 0;
-#endif
-    const auto [chunkLo, chunkHi] =
-        staticPartition(static_cast<std::size_t>(chunks), nThreads, tid);
+    SentinelShare share;
     const std::uint64_t chunkBytes =
         static_cast<std::uint64_t>(chunkDim) * sizeof(std::complex<T>);
     const std::uint64_t granule = advisor ? advisor->granuleBytes() : 0;
-    const std::uint64_t threadEnd = chunkHi * chunkBytes;
-    std::uint64_t frontier = chunkLo * chunkBytes;  // willNeed high-water
-    std::uint64_t retireMark = frontier;            // retired low-water
-    for (std::size_t c = chunkLo; c < chunkHi; ++c) {
+    const std::uint64_t threadEnd =
+        static_cast<std::uint64_t>(chunkHi) * chunkBytes;
+    std::uint64_t frontier =  // willNeed high-water
+        static_cast<std::uint64_t>(chunkLo) * chunkBytes;
+    std::uint64_t retireMark = frontier;  // retired low-water
+    for (std::int64_t c = chunkLo; c < chunkHi; ++c) {
+      const std::uint64_t offset = static_cast<std::uint64_t>(c) * chunkBytes;
       if (advisor != nullptr) {
         // Keep the fault-ahead window one granule past the chunk at hand.
-        const std::uint64_t offset = c * chunkBytes;
         const std::uint64_t wanted = std::min(
             threadEnd, std::max(offset + chunkBytes,
                                 (offset / granule + 2) * granule));
@@ -344,13 +331,13 @@ void applyBlockedRun(State& state, int nbQubits,
       if (sentinelDue) {
         obs::sentinelAccumulateChunk(state.data() + c * chunkDim,
                                      static_cast<std::size_t>(chunkDim),
-                                     threadNormSq, threadMaxAmpSq,
-                                     threadNanSeen);
+                                     share.normSq, share.maxAmpSq,
+                                     share.nanSeen);
       }
       if (advisor != nullptr) {
         // Drop granules streamed fully past, keeping one behind so the
         // chunk straddling the granule boundary is not refaulted.
-        const std::uint64_t done = (c + 1) * chunkBytes;
+        const std::uint64_t done = offset + chunkBytes;
         if (done >= retireMark + 2 * granule) {
           advisor->retire(retireMark, done - granule - retireMark);
           retireMark = done - granule;
@@ -360,18 +347,16 @@ void applyBlockedRun(State& state, int nbQubits,
     if (advisor != nullptr && threadEnd > retireMark) {
       advisor->retire(retireMark, threadEnd - retireMark);
     }
-    if (sentinelDue) {
-#ifdef QCLAB_HAS_OPENMP
-#pragma omp critical(qclab_blocked_sentinel)
-#endif
-      {
-        sentinelNormSq += threadNormSq;
-        if (threadMaxAmpSq > sentinelMaxAmpSq) {
-          sentinelMaxAmpSq = threadMaxAmpSq;
-        }
-        sentinelNanSeen = sentinelNanSeen || threadNanSeen;
-      }
-    }
+    if (sentinelDue) sentinelShares[static_cast<std::size_t>(part)] = share;
+  };
+  parallelRanges(chunks, parts, sweep);
+  double sentinelNormSq = 0.0;
+  double sentinelMaxAmpSq = 0.0;
+  bool sentinelNanSeen = false;
+  for (const SentinelShare& share : sentinelShares) {
+    sentinelNormSq += share.normSq;
+    sentinelMaxAmpSq = std::max(sentinelMaxAmpSq, share.maxAmpSq);
+    sentinelNanSeen = sentinelNanSeen || share.nanSeen;
   }
   if (sentinelDue) {
     const auto elapsed = std::chrono::steady_clock::now() - sentinelBegin;

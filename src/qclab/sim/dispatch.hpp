@@ -7,7 +7,8 @@
 /// Three pieces (ROADMAP "adaptive dispatch layer"):
 ///
 ///  1. analyzeCircuit — one pass over a circuit's flat op list
-///     (QCircuit::flatten) producing a gate census, the Clifford fraction,
+///     (QCircuit::flatten) that rejects an op outside the register with
+///     QubitRangeError and produces a gate census, the Clifford fraction,
 ///     and the length of the leading run of tableau-executable ops (the
 ///     "Clifford prefix").  Gate classification probes the exact code path
 ///     the executor uses (stabilizer::isCliffordGate), so analyzer and
@@ -35,7 +36,6 @@
 /// per routed execution, and route / fallback / conversion counters
 /// surfaced in the v4 report and the OpenMetrics export.
 
-#include <atomic>
 #include <bit>
 #include <cmath>
 #include <complex>
@@ -51,12 +51,9 @@
 #include "qclab/obs/trace.hpp"
 #include "qclab/qcircuit.hpp"
 #include "qclab/sim/dispatch_mode.hpp"
+#include "qclab/sim/parallel.hpp"
 #include "qclab/stabilizer/apply.hpp"
 #include "qclab/util/bits.hpp"
-
-#ifdef QCLAB_HAS_OPENMP
-#include <omp.h>
-#endif
 
 namespace qclab::sim {
 
@@ -95,6 +92,10 @@ CircuitAnalysis<T> analyzeCircuit(const QCircuit<T>& circuit) {
   bool cliffordSoFar = true;
   for (std::size_t index = 0; index < analysis.ops.size(); ++index) {
     const QObject<T>& object = *analysis.ops[index].object;
+    // An op outside the register is a QubitRangeError on every route.
+    const int offset = analysis.ops[index].offset;
+    util::checkQubit(object.minQubit() + offset, analysis.nbQubits);
+    util::checkQubit(object.maxQubit() + offset, analysis.nbQubits);
     ++analysis.census[opKindLabel(object)];
     bool supported = true;
     switch (object.objectType()) {
@@ -498,7 +499,6 @@ std::map<std::string, std::uint64_t> dispatchSampleCounts(
     analysis = analyzeCircuit(circuit);
   }
   const int n = circuit.nbQubits();
-  checkOps(analysis.ops, n);  // shots run inside the OpenMP region below
   if (!analysis.fullyClifford) {
     throw UnsupportedGateError(
         "dispatchSampleCounts requires a fully Clifford circuit (use "
@@ -514,37 +514,19 @@ std::map<std::string, std::uint64_t> dispatchSampleCounts(
   std::vector<std::map<std::string, std::uint64_t>> partial(nbChunks);
 
   const std::int64_t count = static_cast<std::int64_t>(nbChunks);
-#ifdef QCLAB_HAS_OPENMP
-  // Release/acquire edge mirroring the implicit end-of-region barrier for
-  // TSan, which cannot see into libgomp (same pattern as the batch and
-  // trajectory engines).
-  std::atomic<int> workersDone{0};
-#pragma omp parallel if (count > 1 && !omp_in_parallel())
-#endif
-  {
-#ifdef QCLAB_HAS_OPENMP
-#pragma omp for schedule(dynamic)
-#endif
-    for (std::int64_t c = 0; c < count; ++c) {
-      const std::size_t chunk = static_cast<std::size_t>(c);
-      random::Rng& rng = streams[chunk];
-      const std::uint64_t begin = chunk * kDispatchShotChunk;
-      const std::uint64_t end =
-          begin + kDispatchShotChunk < shots ? begin + kDispatchShotChunk
-                                             : shots;
-      auto& histogram = partial[chunk];
-      for (std::uint64_t shot = begin; shot < end; ++shot) {
-        stabilizer::Tableau tableau(n);
-        ++histogram[stabilizer::detail::runShot(analysis.ops, tableau, rng)];
-      }
+  parallelFor(count, count, 2, [&](std::int64_t c) {
+    const std::size_t chunk = static_cast<std::size_t>(c);
+    random::Rng& rng = streams[chunk];
+    const std::uint64_t begin = chunk * kDispatchShotChunk;
+    const std::uint64_t end =
+        begin + kDispatchShotChunk < shots ? begin + kDispatchShotChunk
+                                           : shots;
+    auto& histogram = partial[chunk];
+    for (std::uint64_t shot = begin; shot < end; ++shot) {
+      stabilizer::Tableau tableau(n);
+      ++histogram[stabilizer::detail::runShot(analysis.ops, tableau, rng)];
     }
-#ifdef QCLAB_HAS_OPENMP
-    workersDone.fetch_add(1, std::memory_order_release);
-#endif
-  }
-#ifdef QCLAB_HAS_OPENMP
-  (void)workersDone.load(std::memory_order_acquire);
-#endif
+  });
 
   std::map<std::string, std::uint64_t> histogram;
   for (const auto& chunk : partial) {

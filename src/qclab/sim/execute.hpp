@@ -17,7 +17,7 @@
 /// their program for every member or trajectory.  Every driver applies a
 /// gate run through applyRun.
 
-#include <algorithm>
+#include <array>
 #include <complex>
 #include <limits>
 #include <optional>
@@ -150,20 +150,6 @@ void applyRun(State& state, int nbQubits, const ProgramStep<T>& step,
   }
 }
 
-/// Throws QubitRangeError unless every op fits an `nbQubits`-qubit
-/// register.  Drivers that execute ops inside their own OpenMP region
-/// (the batch engine, the trajectory engine, dispatchSampleCounts) call
-/// it on the calling thread first: a throw inside the region cannot
-/// propagate and ends in std::terminate.
-template <typename T>
-void checkOps(const std::vector<FlatOp<T>>& ops, int nbQubits) {
-  for (const FlatOp<T>& op : ops) {
-    const std::vector<int> qubits = op.object->qubits();
-    util::checkQubit(qubits.front() + op.offset, nbQubits);
-    util::checkQubit(qubits.back() + op.offset, nbQubits);
-  }
-}
-
 /// Census key of one elementary op: the gate mnemonic incl. controls
 /// (qgates::gateKindLabel, so static counts match obs-metered application
 /// counts), or "measure" / "reset" / "barrier".
@@ -190,8 +176,11 @@ inline constexpr T kDropTol = T(100) * std::numeric_limits<T>::epsilon();
 
 /// Measures or resets one qubit on every branch (paper §3.3): each branch
 /// splits into its Z outcomes with nonzero probability, in the
-/// measurement's basis.  A measurement records its outcome; a reset
-/// records nothing and flips outcome 1 back to |0>.
+/// measurement's basis.  Both outcome weights are summed from the state,
+/// so an outcome with no amplitude is pruned however far the branch's
+/// norm has drifted; each child is renormalized by its own weight and
+/// carries its share of the two.  A measurement records its outcome; a
+/// reset records nothing and flips outcome 1 back to |0>.
 template <typename T>
 void splitBranches(Simulation<T>& simulation, const ProgramStep<T>& step) {
   const bool reset = step.reset;
@@ -204,19 +193,18 @@ void splitBranches(Simulation<T>& simulation, const ProgramStep<T>& step) {
   next.reserve(simulation.branches().size());
   for (auto& branch : simulation.branches()) {
     if (rotate) sim::apply1(branch.state, nbQubits, qubit, step.vDagger);
-    T p0 = sim::measureProbability0(branch.state, nbQubits, qubit);
-    p0 = std::min(std::max(p0, T(0)), T(1));
-    const T probabilities[2] = {p0, T(1) - p0};
-    const bool both =
-        probabilities[0] > kDropTol<T> && probabilities[1] > kDropTol<T>;
+    const std::array<T, 2> weights =
+        sim::measureWeights(branch.state, nbQubits, qubit);
+    const T total = weights[0] + weights[1];
+    const bool both = weights[0] > kDropTol<T> && weights[1] > kDropTol<T>;
     if (both) {
       obs::metrics().add(obs::Counter::kBranchSpawns);
     } else {
       obs::metrics().add(obs::Counter::kBranchPrunes);
     }
     for (int outcome = 0; outcome < 2; ++outcome) {
-      const T p = probabilities[outcome];
-      if (p <= kDropTol<T>) continue;
+      const T weight = weights[static_cast<std::size_t>(outcome)];
+      if (weight <= kDropTol<T>) continue;
       Branch<T> child;
       // The state of the last surviving outcome can be moved.
       if (both && outcome == 0) {
@@ -224,11 +212,12 @@ void splitBranches(Simulation<T>& simulation, const ProgramStep<T>& step) {
       } else {
         child.state = std::move(branch.state);
       }
-      sim::collapse(child.state, nbQubits, qubit, outcome, p);
+      sim::collapse(child.state, nbQubits, qubit, outcome, weight);
       if (rotate || (reset && outcome == 1)) {
         sim::apply1(child.state, nbQubits, qubit, step.v);
       }
-      child.probability = branch.probability * static_cast<double>(p);
+      child.probability =
+          branch.probability * static_cast<double>(weight / total);
       child.result = branch.result;
       child.measurements = branch.measurements;
       if (!reset) {

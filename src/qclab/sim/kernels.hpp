@@ -6,8 +6,8 @@
 /// Instead of forming the extended unitary I (x) U' (x) I like the MATLAB
 /// toolbox, these kernels update the state vector in place by iterating over
 /// the 2^{n-k} gate subspaces with bit-insertion index arithmetic.  All hot
-/// loops are OpenMP-parallel; the paper's GPU backend is substituted by
-/// these CPU kernels (see DESIGN.md).
+/// loops run through sim::parallelFor (parallel.hpp); the paper's GPU
+/// backend is substituted by these CPU kernels (see DESIGN.md).
 ///
 /// The single- and two-qubit hot paths are tiled wrappers over the
 /// SIMD-dispatched span kernels of simd.hpp: for a target at bit position
@@ -24,41 +24,18 @@
 #include <vector>
 
 #include "qclab/dense/matrix.hpp"
+#include "qclab/sim/parallel.hpp"
 #include "qclab/sim/simd.hpp"
 #include "qclab/util/bits.hpp"
 #include "qclab/util/errors.hpp"
 
-#ifdef QCLAB_HAS_OPENMP
-#include <omp.h>
-#endif
-
 namespace qclab::sim {
-
-/// Threshold below which kernels stay single-threaded: parallelising tiny
-/// states costs more than it saves.
-inline constexpr std::int64_t kOmpThreshold = 1 << 12;
 
 /// Tile length (complex amplitudes) for splitting long unit-stride runs
 /// across OpenMP tasks; 2^12 doubles = 64 KiB per run slice, L1-friendly.
 inline constexpr std::int64_t kRunTile = 1 << 12;
 
 namespace detail {
-
-/// The one nesting rule of the kernel regions: fork a team when `work`
-/// reaches `threshold` and no parallel region encloses the call, active
-/// or not.  A driver that runs kernels inside its own team (the batch and
-/// trajectory engines, even with a single thread) has already spent the
-/// thread budget, so the kernel runs on the calling thread.
-inline bool forkKernelTeam(std::int64_t work,
-                           std::int64_t threshold) noexcept {
-#ifdef QCLAB_HAS_OPENMP
-  return work >= threshold && omp_get_level() == 0;
-#else
-  (void)work;
-  (void)threshold;
-  return false;
-#endif
-}
 
 /// Fixed bit positions (controls + target) with their pinned values, in an
 /// inline buffer: applyControlled1 runs once per gate application, so a
@@ -110,6 +87,25 @@ inline FixedBits collectFixedBits(int nbQubits,
   return fixed;
 }
 
+/// Adds `partial(lo, hi)` (N sums over [lo, hi)) over the parallelRanges
+/// shares of [0, count) in share order: bits depend on the thread count
+/// alone, never on which thread finishes first.
+template <typename T, std::size_t N, typename Partial>
+std::array<T, N> sumShares(std::int64_t count, Partial&& partial) {
+  const int parts = teamSize(count, kOmpThreshold);
+  if (parts <= 1) return partial(std::int64_t{0}, count);
+  std::vector<std::array<T, N>> shares(static_cast<std::size_t>(parts));
+  parallelRanges(count, parts,
+                 [&](std::int64_t lo, std::int64_t hi, int part) {
+                   shares[static_cast<std::size_t>(part)] = partial(lo, hi);
+                 });
+  std::array<T, N> total{};
+  for (const std::array<T, N>& share : shares) {
+    for (std::size_t i = 0; i < N; ++i) total[i] += share[i];
+  }
+  return total;
+}
+
 }  // namespace detail
 
 // All kernels are generic over the state container (`std::vector`,
@@ -135,29 +131,21 @@ void apply1(State& state, int nbQubits, int qubit,
     const std::int64_t chunk =
         std::min(dim, std::max(2 * stride, kRunTile));
     const std::int64_t chunks = dim / chunk;
-#ifdef QCLAB_HAS_OPENMP
-#pragma omp parallel for schedule(static) \
-    if (detail::forkKernelTeam(dim, 2 * kOmpThreshold))
-#endif
-    for (std::int64_t c = 0; c < chunks; ++c) {
+    parallelFor(chunks, dim, 2 * kOmpThreshold, [=, &coeffs](std::int64_t c) {
       simd::apply1Span(data + c * chunk, chunk, pos, coeffs, level);
-    }
+    });
     return;
   }
   // Each task updates one `tile`-length slice of a (|0>, |1>) run pair.
   const std::int64_t tile = std::min(stride, kRunTile);
   const std::int64_t tilesPerRun = stride / tile;
   const std::int64_t tasks = (dim / (2 * stride)) * tilesPerRun;
-#ifdef QCLAB_HAS_OPENMP
-#pragma omp parallel for schedule(static) \
-    if (detail::forkKernelTeam(dim, 2 * kOmpThreshold))
-#endif
-  for (std::int64_t t = 0; t < tasks; ++t) {
+  parallelFor(tasks, dim, 2 * kOmpThreshold, [=, &coeffs](std::int64_t t) {
     const std::int64_t offset =
         (t / tilesPerRun) * 2 * stride + (t % tilesPerRun) * tile;
     simd::apply1Runs(data + offset, data + offset + stride, tile, coeffs,
                      level);
-  }
+  });
 }
 
 /// Applies a diagonal 2x2 gate diag(d0, d1) to `qubit`, in place.  The
@@ -176,16 +164,12 @@ void applyDiagonal1(State& state, int nbQubits,
   const std::int64_t tilesPerRun = stride / tile;
   const std::int64_t tasks = (dim / (2 * stride)) * tilesPerRun;
   std::complex<T>* const data = state.data();
-#ifdef QCLAB_HAS_OPENMP
-#pragma omp parallel for schedule(static) \
-    if (detail::forkKernelTeam(dim, kOmpThreshold))
-#endif
-  for (std::int64_t t = 0; t < tasks; ++t) {
+  parallelFor(tasks, dim, kOmpThreshold, [=](std::int64_t t) {
     const std::int64_t offset =
         (t / tilesPerRun) * 2 * stride + (t % tilesPerRun) * tile;
     simd::scaleRun(data + offset, tile, d0, level);
     simd::scaleRun(data + offset + stride, tile, d1, level);
-  }
+  });
 }
 
 /// Applies a 4x4 gate to the ascending pair (qubit0, qubit1), in place.
@@ -218,13 +202,9 @@ void apply2(State& state, int nbQubits, int qubit0,
     // (whole groups) to the span kernel the blocked executor calls too.
     const std::int64_t chunk = std::min(dim, std::max(2 * sHi, kRunTile));
     const std::int64_t chunks = dim / chunk;
-#ifdef QCLAB_HAS_OPENMP
-#pragma omp parallel for schedule(static) \
-    if (detail::forkKernelTeam(dim, 4 * kOmpThreshold))
-#endif
-    for (std::int64_t c = 0; c < chunks; ++c) {
+    parallelFor(chunks, dim, 4 * kOmpThreshold, [=, &coeffs](std::int64_t c) {
       simd::apply2Span(data + c * chunk, chunk, posHi, posLo, coeffs, level);
-    }
+    });
     return;
   }
   // Flattened (outer group, inner group, run tile) task index; each task
@@ -233,11 +213,7 @@ void apply2(State& state, int nbQubits, int qubit0,
   const std::int64_t tilesPerRun = sLo / tile;
   const std::int64_t innerGroups = sHi / (2 * sLo);
   const std::int64_t tasks = (dim / (2 * sHi)) * innerGroups * tilesPerRun;
-#ifdef QCLAB_HAS_OPENMP
-#pragma omp parallel for schedule(static) \
-    if (detail::forkKernelTeam(dim, 4 * kOmpThreshold))
-#endif
-  for (std::int64_t t = 0; t < tasks; ++t) {
+  parallelFor(tasks, dim, 4 * kOmpThreshold, [=, &coeffs](std::int64_t t) {
     const std::int64_t q = t / tilesPerRun;
     const std::int64_t offset = (q / innerGroups) * 2 * sHi +
                                 (q % innerGroups) * 2 * sLo +
@@ -246,7 +222,7 @@ void apply2(State& state, int nbQubits, int qubit0,
                                       data + offset + sHi,
                                       data + offset + sHi + sLo};
     simd::apply2Runs(quad, tile, coeffs, level);
-  }
+  });
 }
 
 /// Applies a 2x2 gate to `target`, controlled on `controls` being in the
@@ -266,21 +242,18 @@ void applyControlled1(State& state, int nbQubits,
   const std::int64_t count = std::int64_t{1} << (nbQubits - fixed.count);
   const std::complex<T> u00 = u(0, 0), u01 = u(0, 1);
   const std::complex<T> u10 = u(1, 0), u11 = u(1, 1);
-#ifdef QCLAB_HAS_OPENMP
-#pragma omp parallel for schedule(static) \
-    if (detail::forkKernelTeam(count, kOmpThreshold))
-#endif
-  for (std::int64_t base = 0; base < count; ++base) {
+  std::complex<T>* const data = state.data();
+  parallelFor(count, count, kOmpThreshold, [=, &fixed](std::int64_t base) {
     util::index_t i0 = static_cast<util::index_t>(base);
     for (const auto& [pos, value] : fixed) {
       i0 = util::insertBit(i0, pos, value);
     }
     const util::index_t i1 = util::setBit(i0, targetPos);
-    const std::complex<T> a0 = state[i0];
-    const std::complex<T> a1 = state[i1];
-    state[i0] = u00 * a0 + u01 * a1;
-    state[i1] = u10 * a0 + u11 * a1;
-  }
+    const std::complex<T> a0 = data[i0];
+    const std::complex<T> a1 = data[i1];
+    data[i0] = u00 * a0 + u01 * a1;
+    data[i1] = u10 * a0 + u11 * a1;
+  });
 }
 
 /// Applies a diagonal 2x2 gate diag(d0, d1) to `target`, controlled on
@@ -299,19 +272,16 @@ void applyControlledDiagonal1(State& state,
   const int targetPos = util::bitPosition(target, nbQubits);
 
   const std::int64_t count = std::int64_t{1} << (nbQubits - fixed.count);
-#ifdef QCLAB_HAS_OPENMP
-#pragma omp parallel for schedule(static) \
-    if (detail::forkKernelTeam(count, kOmpThreshold))
-#endif
-  for (std::int64_t base = 0; base < count; ++base) {
+  std::complex<T>* const data = state.data();
+  parallelFor(count, count, kOmpThreshold, [=, &fixed](std::int64_t base) {
     util::index_t i0 = static_cast<util::index_t>(base);
     for (const auto& [pos, value] : fixed) {
       i0 = util::insertBit(i0, pos, value);
     }
     const util::index_t i1 = util::setBit(i0, targetPos);
-    state[i0] *= d0;
-    state[i1] *= d1;
-  }
+    data[i0] *= d0;
+    data[i1] *= d1;
+  });
 }
 
 /// Swaps qubits q0 and q1, in place (permutation only, no arithmetic).
@@ -326,18 +296,15 @@ void applySwap(State& state, int nbQubits, int qubit0,
   const int lo = std::min(p0, p1);
   const int hi = std::max(p0, p1);
   const std::int64_t count = std::int64_t{1} << (nbQubits - 2);
-#ifdef QCLAB_HAS_OPENMP
-#pragma omp parallel for schedule(static) \
-    if (detail::forkKernelTeam(count, kOmpThreshold))
-#endif
-  for (std::int64_t base = 0; base < count; ++base) {
+  auto* const data = state.data();
+  parallelFor(count, count, kOmpThreshold, [=](std::int64_t base) {
     // Indices with bit(lo) = 1, bit(hi) = 0; swap with the (0, 1) partner.
     util::index_t i = util::insertZeroBit(static_cast<util::index_t>(base), lo);
     i = util::insertZeroBit(i, hi);
     const util::index_t i01 = util::setBit(i, lo);
     const util::index_t i10 = util::setBit(i, hi);
-    std::swap(state[i01], state[i10]);
-  }
+    std::swap(data[i01], data[i10]);
+  });
 }
 
 /// Applies a general k-qubit gate on the (ascending, MSB-first) `qubits`
@@ -376,22 +343,17 @@ void applyK(State& state, int nbQubits,
   }
 
   const std::int64_t count = std::int64_t{1} << (nbQubits - k);
-  // Restrict views keep the matrix and gather-buffer loads from being
-  // treated as aliasing the state scatter (all complex<T>); without them
-  // the compiler reloads u per element (see DESIGN.md, SIMD tier).
-  std::complex<T>* __restrict__ psi = state.data();
-  const std::complex<T>* __restrict__ mat = u.data();
-  const util::index_t* __restrict__ off = offsets.data();
-#ifdef QCLAB_HAS_OPENMP
-#pragma omp parallel if (detail::forkKernelTeam(count, kOmpThreshold))
-#endif
-  {
+  std::complex<T>* const data = state.data();
+  const auto sweep = [&](std::int64_t lo, std::int64_t hi, int) {
+    // Restrict views keep the matrix and gather-buffer loads from being
+    // treated as aliasing the state scatter (all complex<T>); without them
+    // the compiler reloads u per element (see DESIGN.md, SIMD tier).
+    std::complex<T>* __restrict__ psi = data;
+    const std::complex<T>* __restrict__ mat = u.data();
+    const util::index_t* __restrict__ off = offsets.data();
     std::vector<std::complex<T>> scratch(dim);
     std::complex<T>* __restrict__ gathered = scratch.data();
-#ifdef QCLAB_HAS_OPENMP
-#pragma omp for schedule(static)
-#endif
-    for (std::int64_t outer = 0; outer < count; ++outer) {
+    for (std::int64_t outer = lo; outer < hi; ++outer) {
       util::index_t base = static_cast<util::index_t>(outer);
       for (int pos : positions) base = util::insertZeroBit(base, pos);
       for (util::index_t r = 0; r < dim; ++r) {
@@ -409,7 +371,8 @@ void applyK(State& state, int nbQubits,
         psi[base | off[r]] = std::complex<T>(sumr, sumi);
       }
     }
-  }
+  };
+  parallelRanges(count, teamSize(count, kOmpThreshold), sweep);
 }
 
 /// Applies a diagonal k-qubit gate given by its 2^k diagonal entries on
@@ -435,25 +398,25 @@ void applyDiagonalK(State& state, int nbQubits,
         util::bitPosition(qubits[static_cast<std::size_t>(i)], nbQubits);
   }
   const std::int64_t dim = std::int64_t{1} << nbQubits;
-  // Restrict views: diagonal loads must not alias the state stores (both
-  // complex<T>), or the table is reloaded per amplitude.
-  std::complex<T>* __restrict__ psi = state.data();
-  const std::complex<T>* __restrict__ diag = diagonal.data();
-  const int* __restrict__ pos = positions.data();
-#ifdef QCLAB_HAS_OPENMP
-#pragma omp parallel for schedule(static) \
-    if (detail::forkKernelTeam(dim, kOmpThreshold))
-#endif
-  for (std::int64_t i = 0; i < dim; ++i) {
-    util::index_t row = 0;
-    for (int b = 0; b < k; ++b) {
-      row = (row << 1) | util::getBit(static_cast<util::index_t>(i), pos[b]);
+  std::complex<T>* const data = state.data();
+  const auto sweep = [&](std::int64_t lo, std::int64_t hi, int) {
+    // Restrict views: diagonal loads must not alias the state stores (both
+    // complex<T>), or the table is reloaded per amplitude.
+    std::complex<T>* __restrict__ psi = data;
+    const std::complex<T>* __restrict__ diag = diagonal.data();
+    const int* __restrict__ pos = positions.data();
+    for (std::int64_t i = lo; i < hi; ++i) {
+      util::index_t row = 0;
+      for (int b = 0; b < k; ++b) {
+        row = (row << 1) | util::getBit(static_cast<util::index_t>(i), pos[b]);
+      }
+      const std::complex<T> d = diag[row];
+      const T xr = psi[i].real(), xi = psi[i].imag();
+      psi[i] = std::complex<T>(d.real() * xr - d.imag() * xi,
+                               d.real() * xi + d.imag() * xr);
     }
-    const std::complex<T> d = diag[row];
-    const T xr = psi[i].real(), xi = psi[i].imag();
-    psi[i] = std::complex<T>(d.real() * xr - d.imag() * xi,
-                             d.real() * xi + d.imag() * xr);
-  }
+  };
+  parallelRanges(dim, teamSize(dim, kOmpThreshold), sweep);
 }
 
 /// Applies a diagonal k-qubit gate given by its 2^k diagonal entries on
@@ -492,16 +455,13 @@ void applyDiagonalBlock(State& state, int nbQubits,
   const std::int64_t dim = std::int64_t{1} << nbQubits;
   const std::int64_t runLen = std::int64_t{1} << positions.back();
   const std::int64_t pieceDim = std::min(dim, std::max(runLen, kRunTile));
-  const std::int64_t pieces = dim / pieceDim;
   std::complex<T>* const data = state.data();
-#ifdef QCLAB_HAS_OPENMP
-#pragma omp parallel for schedule(static) \
-    if (pieces > 1 && detail::forkKernelTeam(dim, 4 * kOmpThreshold))
-#endif
-  for (std::int64_t p = 0; p < pieces; ++p) {
-    simd::applyDiagonalRunsSpan(data + p * pieceDim, pieceDim, positions,
-                                diagonal, level, p * pieceDim);
-  }
+  parallelFor(dim / pieceDim, dim, 4 * kOmpThreshold,
+              [=, &positions, &diagonal](std::int64_t p) {
+                simd::applyDiagonalRunsSpan(data + p * pieceDim, pieceDim,
+                                            positions, diagonal, level,
+                                            p * pieceDim);
+              });
 }
 
 /// Probability of measuring |0> on `qubit` (paper §3.3, Eq. for P(|0>)).
@@ -512,17 +472,37 @@ auto measureProbability0(const State& state, int nbQubits,
   util::checkQubit(qubit, nbQubits);
   const int pos = util::bitPosition(qubit, nbQubits);
   const std::int64_t half = std::int64_t{1} << (nbQubits - 1);
-  T p0(0);
-#ifdef QCLAB_HAS_OPENMP
-#pragma omp parallel for schedule(static) reduction(+ : p0) \
-    if (detail::forkKernelTeam(half, kOmpThreshold))
-#endif
-  for (std::int64_t base = 0; base < half; ++base) {
-    const util::index_t i0 =
-        util::insertZeroBit(static_cast<util::index_t>(base), pos);
-    p0 += std::norm(state[i0]);
-  }
-  return p0;
+  return detail::sumShares<T, 1>(
+      half, [&](std::int64_t lo, std::int64_t hi) {
+        std::array<T, 1> p0{};
+        for (std::int64_t base = lo; base < hi; ++base) {
+          p0[0] += std::norm(state[util::insertZeroBit(
+              static_cast<util::index_t>(base), pos)]);
+        }
+        return p0;
+      })[0];
+}
+
+/// Weights {sum |a_i|^2 over bit(qubit) = 0, over bit(qubit) = 1} in one
+/// sweep: an outcome with no amplitude reads exactly 0 however far the
+/// norm has drifted (the first weight has measureProbability0's bits).
+template <typename State>
+auto measureWeights(const State& state, int nbQubits, int qubit) {
+  using T = typename State::value_type::value_type;
+  util::checkQubit(qubit, nbQubits);
+  const int pos = util::bitPosition(qubit, nbQubits);
+  const std::int64_t half = std::int64_t{1} << (nbQubits - 1);
+  return detail::sumShares<T, 2>(
+      half, [&](std::int64_t lo, std::int64_t hi) {
+        std::array<T, 2> weights{};
+        for (std::int64_t base = lo; base < hi; ++base) {
+          const util::index_t i0 =
+              util::insertZeroBit(static_cast<util::index_t>(base), pos);
+          weights[0] += std::norm(state[i0]);
+          weights[1] += std::norm(state[util::setBit(i0, pos)]);
+        }
+        return weights;
+      });
 }
 
 /// Collapses `qubit` onto `outcome` and renormalizes by 1/sqrt(probability)
@@ -536,19 +516,16 @@ void collapse(State& state, int nbQubits, int qubit,
   const T scale = T(1) / std::sqrt(probability);
   const int pos = util::bitPosition(qubit, nbQubits);
   const std::int64_t half = std::int64_t{1} << (nbQubits - 1);
-#ifdef QCLAB_HAS_OPENMP
-#pragma omp parallel for schedule(static) \
-    if (detail::forkKernelTeam(half, kOmpThreshold))
-#endif
-  for (std::int64_t base = 0; base < half; ++base) {
+  std::complex<T>* const data = state.data();
+  parallelFor(half, half, kOmpThreshold, [=](std::int64_t base) {
     const util::index_t i0 =
         util::insertZeroBit(static_cast<util::index_t>(base), pos);
     const util::index_t i1 = util::setBit(i0, pos);
     const util::index_t keep = outcome == 0 ? i0 : i1;
     const util::index_t kill = outcome == 0 ? i1 : i0;
-    state[keep] *= scale;
-    state[kill] = std::complex<T>(0);
-  }
+    data[keep] *= scale;
+    data[kill] = std::complex<T>(0);
+  });
 }
 
 }  // namespace qclab::sim

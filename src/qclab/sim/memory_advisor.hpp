@@ -17,10 +17,7 @@
 /// thread-safe — the blocked executor calls them from inside an OpenMP
 /// parallel region, one walker per thread.
 
-#include <algorithm>
-#include <cstddef>
 #include <cstdint>
-#include <utility>
 
 namespace qclab::sim {
 
@@ -66,18 +63,5 @@ class MemoryAdvisor {
   virtual void retire(std::uint64_t offsetBytes,
                       std::uint64_t bytes) noexcept = 0;
 };
-
-/// The contiguous [lo, hi) share of `total` items owned by thread `tid`
-/// of `threads` under an even static partition: the per-thread chunk
-/// ranges of the blocked executor, which its prefetch walk follows.
-inline std::pair<std::size_t, std::size_t> staticPartition(
-    std::size_t total, int threads, int tid) noexcept {
-  if (threads <= 1) return {0, total};
-  const std::size_t per = total / static_cast<std::size_t>(threads);
-  const std::size_t rem = total % static_cast<std::size_t>(threads);
-  const std::size_t t = static_cast<std::size_t>(tid);
-  const std::size_t lo = t * per + std::min(t, rem);
-  return {lo, lo + per + (t < rem ? 1 : 0)};
-}
 
 }  // namespace qclab::sim

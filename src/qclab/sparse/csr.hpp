@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "qclab/dense/matrix.hpp"
+#include "qclab/sim/parallel.hpp"
 #include "qclab/util/errors.hpp"
 
 namespace qclab::sparse {
@@ -117,16 +118,19 @@ class CsrMatrix {
     util::require(x.size() == cols_, "spmv dimension mismatch");
     std::vector<value_type> y(rows_);
     const std::int64_t n = static_cast<std::int64_t>(rows_);
-#ifdef QCLAB_HAS_OPENMP
-#pragma omp parallel for schedule(static) if (n > 4096)
-#endif
-    for (std::int64_t i = 0; i < n; ++i) {
+    const std::size_t* const starts = rowPtr_.data();
+    const std::size_t* const columns = colInd_.data();
+    const value_type* const entries = values_.data();
+    const value_type* const in = x.data();
+    value_type* const out = y.data();
+    // Forks above sim::kOmpThreshold rows.
+    sim::parallelFor(n, n, sim::kOmpThreshold + 1, [=](std::int64_t i) {
       value_type sum(0);
-      for (std::size_t k = rowPtr_[i]; k < rowPtr_[i + 1]; ++k) {
-        sum += values_[k] * x[colInd_[k]];
+      for (std::size_t k = starts[i]; k < starts[i + 1]; ++k) {
+        sum += entries[k] * in[columns[k]];
       }
-      y[i] = sum;
-    }
+      out[i] = sum;
+    });
     return y;
   }
 

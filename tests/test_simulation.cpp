@@ -225,6 +225,22 @@ TEST(Simulation, ReducedStatesAllMeasured) {
   EXPECT_NEAR(std::abs(reduced[0][0]), 1.0, 1e-14);
 }
 
+TEST(Simulation, OutcomeWithNoAmplitudeIsPrunedWhenTheNormHasDrifted) {
+  // Qubit 0 exactly |0>, but the branch's norm^2 drifted to 1 - 1e-12:
+  // outcome 1 has no amplitude, so measuring must not spawn a branch for
+  // it (taking P(1) as 1 - P(0) would give one at probability 1e-12 with
+  // an all-zero state).
+  const double a = std::sqrt((1.0 - 1e-12) / 2.0);
+  Simulation<double> simulation(2, std::vector<C>{a, a, 0.0, 0.0});
+  sim::ProgramStep<double> measure;
+  measure.qubit = 0;
+  sim::splitBranches(simulation, measure);
+  ASSERT_EQ(simulation.nbBranches(), 1u);
+  EXPECT_EQ(simulation.result(0), "0");
+  EXPECT_EQ(simulation.probability(0), 1.0);
+  EXPECT_NEAR(dense::norm2(simulation.state(0)), 1.0, 1e-15);
+}
+
 TEST(Simulation, BranchCountGrowsGeometrically) {
   QCircuit<double> circuit(4);
   for (int q = 0; q < 4; ++q) circuit.push_back(Hadamard<double>(q));
