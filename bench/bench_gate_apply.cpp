@@ -251,11 +251,13 @@ void BM_Fused2ApplyK(benchmark::State& state) {
 }
 BENCHMARK(BM_Fused2ApplyK)->DenseRange(8, 20, 4);
 
+// Both outcome weights of one qubit: the sweep every measurement and
+// reset of a simulation runs (measureProbability0 takes its first).
 void BM_MeasureProbability(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   auto psi = makeState(n);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(qclab::sim::measureProbability0(psi, n, n / 2));
+    benchmark::DoNotOptimize(qclab::sim::measureWeights(psi, n, n / 2));
   }
 }
 BENCHMARK(BM_MeasureProbability)->Arg(2)->Arg(5)->DenseRange(8, 20, 4);

@@ -22,7 +22,7 @@ void BM_ProbabilityAndCollapse(benchmark::State& state) {
     std::vector<C> psi(std::size_t{1} << n,
                        C(1.0 / std::sqrt(static_cast<double>(1ULL << n))));
     state.ResumeTiming();
-    const T p0 = qclab::sim::measureProbability0(psi, n, n / 2);
+    const T p0 = qclab::sim::measureWeights(psi, n, n / 2)[0];
     qclab::sim::collapse(psi, n, n / 2, 0, p0);
     benchmark::DoNotOptimize(psi.data());
   }

@@ -69,8 +69,8 @@ struct TrajectoryOptions {
   std::uint64_t seed = 0;
   /// Number of Monte Carlo unravellings (statistical error ~ 1/sqrt(N)).
   std::size_t nbTrajectories = 256;
-  /// Threads over trajectories; 0 = the OpenMP default.  Any value yields
-  /// bit-identical results.
+  /// Threads over trajectories (1 keeps the kernels serial too); 0 = the
+  /// OpenMP default.  Any value yields bit-identical results.
   int nbThreads = 0;
   /// Qubits (MSB-first, at most 16) whose final-state outcome distribution
   /// is averaged over trajectories; required for probabilities() /
@@ -291,8 +291,8 @@ class TrajectorySimulator {
         }
       }
     };
-    sim::parallelRanges(count, sim::teamSize(count, 2, options_.nbThreads),
-                        runShare);
+    sim::parallelItems(count, sim::teamSize(count, 2, options_.nbThreads),
+                       options_.nbThreads, runShare);
 
     // Sequential merge in trajectory order: the aggregate is bit-identical
     // for every thread count.
@@ -420,8 +420,8 @@ class TrajectorySimulator {
   }
 
   /// Projective Z sample of `qubit` + collapse.  Serial fixed-order
-  /// probability sum (sim::measureProbability0 adds one partial per
-  /// thread, so its bits vary with the thread count — unusable here).
+  /// probability sum (sim::measureWeights adds one partial per thread,
+  /// so its bits vary with the thread count — unusable here).
   int sampleAndCollapse(std::vector<C>& state, int qubit,
                         random::Rng& rng) const {
     const int pos = util::bitPosition(qubit, nbQubits_);

@@ -72,7 +72,8 @@ namespace qclab::sim {
 /// from |0...0> and always run fused: the plans are built once per shape
 /// and replayed for every member.
 struct BatchOptions {
-  /// Threads across batch members; 0 = the OpenMP default.  A lone member
+  /// Threads across batch members; 0 = the OpenMP default.  1 keeps the
+  /// whole call, kernels included, on one thread; otherwise a lone member
   /// runs on the calling thread, and its kernels fork the default team.
   int nbThreads = 0;
 };
@@ -210,9 +211,7 @@ class BatchedSimulation {
         }
       }
     };
-    // A call from inside another region runs every member on the calling
-    // thread, as thread 0 of a team of its own.
-    runAsOwnTeam([&] { parallelRanges(count, parts, runMembers); });
+    parallelItems(count, parts, options_.nbThreads, runMembers);
     // Safe point: back on the calling thread, outside any parallel
     // region — raise a sentinel violation latched by any member.
     obs::sentinel().throwIfPending();

@@ -87,25 +87,6 @@ inline FixedBits collectFixedBits(int nbQubits,
   return fixed;
 }
 
-/// Adds `partial(lo, hi)` (N sums over [lo, hi)) over the parallelRanges
-/// shares of [0, count) in share order: bits depend on the thread count
-/// alone, never on which thread finishes first.
-template <typename T, std::size_t N, typename Partial>
-std::array<T, N> sumShares(std::int64_t count, Partial&& partial) {
-  const int parts = teamSize(count, kOmpThreshold);
-  if (parts <= 1) return partial(std::int64_t{0}, count);
-  std::vector<std::array<T, N>> shares(static_cast<std::size_t>(parts));
-  parallelRanges(count, parts,
-                 [&](std::int64_t lo, std::int64_t hi, int part) {
-                   shares[static_cast<std::size_t>(part)] = partial(lo, hi);
-                 });
-  std::array<T, N> total{};
-  for (const std::array<T, N>& share : shares) {
-    for (std::size_t i = 0; i < N; ++i) total[i] += share[i];
-  }
-  return total;
-}
-
 }  // namespace detail
 
 // All kernels are generic over the state container (`std::vector`,
@@ -464,45 +445,61 @@ void applyDiagonalBlock(State& state, int nbQubits,
               });
 }
 
-/// Probability of measuring |0> on `qubit` (paper §3.3, Eq. for P(|0>)).
-template <typename State>
-auto measureProbability0(const State& state, int nbQubits,
-                         int qubit) {
-  using T = typename State::value_type::value_type;
-  util::checkQubit(qubit, nbQubits);
-  const int pos = util::bitPosition(qubit, nbQubits);
-  const std::int64_t half = std::int64_t{1} << (nbQubits - 1);
-  return detail::sumShares<T, 1>(
-      half, [&](std::int64_t lo, std::int64_t hi) {
-        std::array<T, 1> p0{};
-        for (std::int64_t base = lo; base < hi; ++base) {
-          p0[0] += std::norm(state[util::insertZeroBit(
-              static_cast<util::index_t>(base), pos)]);
-        }
-        return p0;
-      })[0];
-}
-
 /// Weights {sum |a_i|^2 over bit(qubit) = 0, over bit(qubit) = 1} in one
 /// sweep: an outcome with no amplitude reads exactly 0 however far the
-/// norm has drifted (the first weight has measureProbability0's bits).
+/// norm has drifted.  Shares add in share order (bits vary by thread count).
 template <typename State>
 auto measureWeights(const State& state, int nbQubits, int qubit) {
   using T = typename State::value_type::value_type;
   util::checkQubit(qubit, nbQubits);
   const int pos = util::bitPosition(qubit, nbQubits);
   const std::int64_t half = std::int64_t{1} << (nbQubits - 1);
-  return detail::sumShares<T, 2>(
-      half, [&](std::int64_t lo, std::int64_t hi) {
-        std::array<T, 2> weights{};
-        for (std::int64_t base = lo; base < hi; ++base) {
-          const util::index_t i0 =
-              util::insertZeroBit(static_cast<util::index_t>(base), pos);
-          weights[0] += std::norm(state[i0]);
-          weights[1] += std::norm(state[util::setBit(i0, pos)]);
-        }
-        return weights;
-      });
+  const std::complex<T>* const data = state.data();
+  const std::int64_t stride = std::int64_t{1} << pos;
+  // Pairs [lo, hi) in index order as unit-stride runs of one group, no
+  // index arithmetic per pair; scalar sums (an array would sum in memory).
+  const auto partial = [=](std::int64_t lo, std::int64_t hi) {
+    T weight0(0);
+    T weight1(0);
+    if (stride == 1) {
+      for (std::int64_t i = 2 * lo; i < 2 * hi; i += 2) {
+        weight0 += std::norm(data[i]);
+        weight1 += std::norm(data[i + 1]);
+      }
+      return std::array<T, 2>{weight0, weight1};
+    }
+    for (std::int64_t base = lo; base < hi;) {
+      const std::int64_t run =
+          std::min(hi - base, stride - (base & (stride - 1)));
+      const std::complex<T>* const run0 =
+          data + util::insertZeroBit(static_cast<util::index_t>(base), pos);
+      const std::complex<T>* const run1 = run0 + stride;
+      for (std::int64_t j = 0; j < run; ++j) {
+        weight0 += std::norm(run0[j]);
+        weight1 += std::norm(run1[j]);
+      }
+      base += run;
+    }
+    return std::array<T, 2>{weight0, weight1};
+  };
+  const int parts = teamSize(half, kOmpThreshold);
+  if (parts <= 1) return partial(0, half);
+  std::vector<std::array<T, 2>> shares(static_cast<std::size_t>(parts));
+  parallelRanges(half, parts,
+                 [&](std::int64_t lo, std::int64_t hi, int part) {
+                   shares[static_cast<std::size_t>(part)] = partial(lo, hi);
+                 });
+  std::array<T, 2> total{};
+  for (const std::array<T, 2>& share : shares) {
+    total = {total[0] + share[0], total[1] + share[1]};
+  }
+  return total;
+}
+
+/// Probability of measuring |0> on `qubit` (paper §3.3, Eq. for P(|0>)).
+template <typename State>
+auto measureProbability0(const State& state, int nbQubits, int qubit) {
+  return measureWeights(state, nbQubits, qubit)[0];
 }
 
 /// Collapses `qubit` onto `outcome` and renormalizes by 1/sqrt(probability)

@@ -127,18 +127,21 @@ void parallelFor(std::int64_t count, std::int64_t work,
                  });
 }
 
-/// Calls body() as thread 0 of a one-thread team of its own inside an
-/// enclosing region, else directly, so callbacks that index per-thread
-/// storage by omp_get_thread_num() (BatchedSimulation::forEach) see 0.
+/// parallelRanges for a driver's items (batch members, trajectories).
+/// Unforked with `threads` == 1 or inside another region, the loop runs
+/// as thread 0 of a one-thread team of its own: its kernels stay serial
+/// and omp_get_thread_num() reads 0.  Else a lone item runs directly.
 template <typename Body>
-void runAsOwnTeam(const Body& body) {
+void parallelItems(std::int64_t count, int parts, int threads,
+                   const Body& body) {
 #ifdef QCLAB_HAS_OPENMP
-  if (omp_get_level() > 0) {
-    detail::forkTeam(1, [&](int) { body(); });
+  if (parts <= 1 && (threads == 1 || omp_get_level() > 0)) {
+    detail::forkTeam(1, [&](int) { body(std::int64_t{0}, count, 0); });
     return;
   }
 #endif
-  body();
+  (void)threads;
+  parallelRanges(count, parts, body);
 }
 
 }  // namespace qclab::sim

@@ -3,11 +3,14 @@
 /// that a call below its threshold or inside another region never opens
 /// a team, that every index runs once, and that an exception thrown by
 /// one thread of a forked loop reaches the caller with its type while no
-/// thread is left behind.
+/// thread is left behind, and that a driver asked for one thread keeps
+/// its kernels serial.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <complex>
 #include <thread>
 #include <vector>
 
@@ -157,6 +160,54 @@ TEST(ParallelFor, BatchMemberThrowReachesTheCaller) {
   for (std::size_t m = 0; m < results.size(); ++m) {
     EXPECT_EQ(results[m].state(0), reference[m].state(0)) << "member " << m;
   }
+}
+
+TEST(ParallelFor, OneThreadRequestKeepsKernelsSerial) {
+  // With nbThreads = 1 a driver's items run in a one-thread team of their
+  // own, so a kernel inside them sees one thread, not the default team;
+  // with the default a lone item's kernels fork the default team.  Every
+  // case below runs its items on one thread, one after another.
+  random::Rng rng(37);
+  QCircuit<double> circuit(4);
+  test::addRandomGates(circuit, 12, rng);
+  int widest = 0;
+  const auto recordKernelTeam = [&widest] {
+    widest = std::max(widest,
+                      sim::teamSize(std::int64_t{1} << 20, sim::kOmpThreshold));
+  };
+
+  const auto trajectoryKernels = [&](int threads, std::size_t items) {
+    noise::TrajectoryOptions options;
+    options.nbTrajectories = items;
+    options.nbThreads = threads;
+    widest = 0;
+    noise::TrajectorySimulator<double>(circuit, noise::NoiseModel<double>(),
+                                       options)
+        .runFunctional("0000", [&](const std::vector<std::complex<double>>&) {
+          recordKernelTeam();
+          return 0.0;
+        });
+    return widest;
+  };
+  EXPECT_EQ(trajectoryKernels(1, 6), 1);
+  EXPECT_EQ(trajectoryKernels(1, 1), 1);
+  EXPECT_EQ(trajectoryKernels(0, 1), omp_get_max_threads());
+
+  const auto batchKernels = [&](int threads, std::size_t members) {
+    sim::BatchOptions options;
+    options.nbThreads = threads;
+    sim::BatchedSimulation<double> engine(circuit, options);
+    const std::vector<std::vector<double>> parameterSets(
+        members, std::vector<double>(engine.nbParameters(), 0.5));
+    widest = 0;
+    engine.forEach(parameterSets, [&](std::size_t, Simulation<double>&&) {
+      recordKernelTeam();
+    });
+    return widest;
+  };
+  EXPECT_EQ(batchKernels(1, 5), 1);
+  EXPECT_EQ(batchKernels(1, 1), 1);
+  EXPECT_EQ(batchKernels(0, 1), omp_get_max_threads());
 }
 
 #endif  // QCLAB_HAS_OPENMP
