@@ -2,8 +2,8 @@
 /// \brief Tiered state memory experiment: GHZ and QFT simulated with the
 /// state on the heap tier and on the out-of-core mmap tier
 /// (sim/state_buffer.hpp).  The mmap rows are backed by an unlinked
-/// temporary file and exercise the schedule-driven madvise prefetch walk
-/// whose counters the report carries.
+/// temporary file that the kernel pages in and out; the executors see
+/// the same data()/size() on both tiers.
 ///
 /// The default register size keeps CI fast; QCLAB_BENCH_TIER_QUBITS
 /// raises it (26-30+) to reproduce the out-of-core regime where the
@@ -96,15 +96,6 @@ int main(int argc, char** argv) {
                 qclab::algorithms::ghz<T>(n));
   benchWorkload(report, "qft/n=" + std::to_string(n),
                 qclab::algorithms::qft<T>(n));
-
-  if (qclab::obs::kEnabled) {
-    // Lifetime prefetch-walk counters of the mmap runs above.
-    const auto& metrics = qclab::obs::metrics();
-    report.add("prefetch-issued",
-               static_cast<double>(metrics.prefetchIssued()), "granules");
-    report.add("prefetch-retired",
-               static_cast<double>(metrics.prefetchRetired()), "granules");
-  }
 
   std::printf("%s\n", report.json().c_str());
   if (!obsJsonPath.empty() && !report.writeJson(obsJsonPath)) {

@@ -129,16 +129,18 @@ class DensityMatrix {
     }
   }
 
-  /// Collapses `qubit` onto `outcome` (renormalized); returns the outcome
-  /// probability that was consumed.
+  /// Collapses `qubit` onto `outcome`, renormalized by the outcome's
+  /// weight summed from the diagonal; returns that weight.
   T collapse(int qubit, int outcome) {
     util::checkQubit(qubit, nbQubits_);
     util::require(outcome == 0 || outcome == 1, "outcome must be 0 or 1");
     const int pos = util::bitPosition(qubit, nbQubits_);
-    const T p0 = probability0(qubit);
-    const T p = outcome == 0 ? p0 : T(1) - p0;
-    util::require(p > T(0), "cannot collapse onto zero probability");
     const auto keep = static_cast<util::index_t>(outcome);
+    T p(0);
+    for (std::size_t i = 0; i < rho_.rows(); ++i) {
+      if (util::getBit(i, pos) == keep) p += std::real(rho_(i, i));
+    }
+    util::require(p > T(0), "cannot collapse onto zero probability");
     for (std::size_t i = 0; i < rho_.rows(); ++i) {
       for (std::size_t j = 0; j < rho_.cols(); ++j) {
         if (util::getBit(i, pos) != keep || util::getBit(j, pos) != keep) {

@@ -419,28 +419,29 @@ class TrajectorySimulator {
     sim::apply1(state, nbQubits_, qubit, scaled);
   }
 
-  /// Projective Z sample of `qubit` + collapse.  Serial fixed-order
-  /// probability sum (sim::measureWeights adds one partial per thread,
-  /// so its bits vary with the thread count — unusable here).
+  /// Projective Z sample of `qubit` + collapse.  Both outcome weights
+  /// come from one serial fixed-order walk (sim::measureWeights adds one
+  /// partial per thread, so its bits vary with the thread count —
+  /// unusable here); the draw is against their sum, so a state whose
+  /// norm drifted never picks an outcome it has no weight for, and the
+  /// chosen branch is renormalized by its own weight.
   int sampleAndCollapse(std::vector<C>& state, int qubit,
                         random::Rng& rng) const {
     const int pos = util::bitPosition(qubit, nbQubits_);
     const std::int64_t half = std::int64_t{1} << (nbQubits_ - 1);
-    T p0(0);
+    const util::index_t bit = util::index_t{1} << pos;
+    T weights[2] = {T(0), T(0)};
     for (std::int64_t base = 0; base < half; ++base) {
-      p0 += std::norm(state[util::insertZeroBit(
-          static_cast<util::index_t>(base), pos)]);
+      const util::index_t i0 =
+          util::insertZeroBit(static_cast<util::index_t>(base), pos);
+      weights[0] += std::norm(state[i0]);
+      weights[1] += std::norm(state[i0 | bit]);
     }
-    const double p0Clamped =
-        std::min(1.0, std::max(0.0, static_cast<double>(p0)));
-    int outcome = rng.uniform() < p0Clamped ? 0 : 1;
-    T probability = outcome == 0 ? p0 : T(1) - p0;
-    if (!(probability > T(0))) {
-      // The drawn branch is numerically impossible; take the other one.
-      outcome = 1 - outcome;
-      probability = outcome == 0 ? p0 : T(1) - p0;
-    }
-    sim::collapse(state, nbQubits_, qubit, outcome, probability);
+    const double p0 =
+        static_cast<double>(weights[0] / (weights[0] + weights[1]));
+    int outcome = rng.uniform() < p0 ? 0 : 1;
+    if (!(weights[outcome] > T(0))) outcome = 1 - outcome;
+    sim::collapse(state, nbQubits_, qubit, outcome, weights[outcome]);
     return outcome;
   }
 

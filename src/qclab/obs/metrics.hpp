@@ -7,8 +7,8 @@
 ///  - the plain counters of the QCLAB_OBS_COUNTERS table below (gate
 ///    applications, bytes touched, branch spawns and prunes, shots,
 ///    simulations, noise channels, trajectories, batches, fusion,
-///    dispatch conversions and fallbacks, prefetch, tier fallbacks,
-///    sentinel checks and alerts),
+///    dispatch conversions and fallbacks, tier fallbacks, sentinel
+///    checks and alerts),
 ///  - label-indexed families: gate applications and bytes touched per
 ///    kernel path, dispatch routes, and live bytes per memory tier,
 ///  - gate applications per gate kind, and
@@ -45,7 +45,7 @@
 #include "qclab/obs/enabled.hpp"
 #include "qclab/sim/dispatch_mode.hpp"
 #include "qclab/sim/kernel_path.hpp"
-#include "qclab/sim/memory_advisor.hpp"
+#include "qclab/sim/state_tier.hpp"
 
 /// The plain counters: X(enumerator, reader, exported name, help).  The
 /// exported name is the JSON and crash-dump key and the OpenMetrics
@@ -75,10 +75,6 @@
     "Tableau-phase refusals that fell back to the statevector path.")          \
   X(kDispatchConversions, dispatchConversions, "dispatch_conversions",         \
     "Tableau branches expanded into statevectors at the conversion point.")    \
-  X(kPrefetchIssued, prefetchIssued, "prefetch_issued",                        \
-    "madvise(WILLNEED) granules issued by the out-of-core walk.")              \
-  X(kPrefetchRetired, prefetchRetired, "prefetch_retired",                     \
-    "madvise(DONTNEED) granules dropped behind the walk.")                     \
   X(kStateTierFallbacks, stateTierFallbacks, "state_tier_fallbacks",           \
     "mmap state allocations that fell back to the heap tier.")                 \
   X(kSentinelChecks, sentinelChecks, "sentinel_checks",                        \
@@ -297,29 +293,21 @@ class Metrics {
     }
   }
 
-  /// Attributes bytes to a resolved memory tier (sim::StateBuffer, the
-  /// only attributor of state-vector bytes).  `mapped` is address space
-  /// reserved by the tier: the state's size on either tier, so it also
-  /// counts as live state bytes.  `resident` is the part expected to be
-  /// RAM-backed.  Heap allocations pass equal values; the mmap tier maps
-  /// the whole state but counts resident bytes only as its prefetch
-  /// advisor faults granules in.
-  void addTierBytes(sim::StateTier tier, std::uint64_t resident,
-                    std::uint64_t mapped) {
+  /// Attributes `bytes` of state to a resolved memory tier
+  /// (sim::StateBuffer, the only attributor of state-vector bytes): the
+  /// state's size on either tier, so it also counts as live state bytes.
+  void addTierBytes(sim::StateTier tier, std::uint64_t bytes) {
     if constexpr (kEnabled) {
-      tierResident_.add(tier, resident);
-      tierMapped_.add(tier, mapped);
-      if (mapped != 0) addStateBytes(mapped);
+      tierMapped_.add(tier, bytes);
+      addStateBytes(bytes);
     }
   }
 
-  /// Releases tier-attributed bytes (buffer freed / granules retired).
-  void releaseTierBytes(sim::StateTier tier, std::uint64_t resident,
-                        std::uint64_t mapped) {
+  /// Releases tier-attributed bytes (buffer freed or handed off).
+  void releaseTierBytes(sim::StateTier tier, std::uint64_t bytes) {
     if constexpr (kEnabled) {
-      tierResident_.sub(tier, resident);
-      tierMapped_.sub(tier, mapped);
-      releaseStateBytes(mapped);
+      tierMapped_.sub(tier, bytes);
+      releaseStateBytes(bytes);
     }
   }
 
@@ -367,11 +355,6 @@ class Metrics {
     return dispatchRoutes_[route];
   }
 
-  /// RAM-resident bytes currently attributed to `tier`.
-  std::uint64_t tierResidentBytes(sim::StateTier tier) const {
-    return tierResident_[tier];
-  }
-
   /// Mapped (address-space) bytes currently attributed to `tier`.
   std::uint64_t tierMappedBytes(sim::StateTier tier) const {
     return tierMapped_[tier];
@@ -381,7 +364,6 @@ class Metrics {
   const PathCounters& gatesByPath() const { return gateByPath_; }
   const PathCounters& bytesByPath() const { return bytesByPath_; }
   const RouteCounters& routes() const { return dispatchRoutes_; }
-  const TierCounters& tierResident() const { return tierResident_; }
   const TierCounters& tierMapped() const { return tierMapped_; }
 
   /// Snapshot of the per-kind counters (InstrumentedBackend runs only).
@@ -404,7 +386,6 @@ class Metrics {
   PathCounters gateByPath_;
   PathCounters bytesByPath_;
   RouteCounters dispatchRoutes_;
-  TierCounters tierResident_;
   TierCounters tierMapped_;
   std::atomic<std::uint64_t> stateBytes_{0};
   std::atomic<std::uint64_t> peakStateBytes_{0};

@@ -49,8 +49,7 @@ struct ObsSnapshot {
   std::uint64_t flightEventsRecorded = 0;
   std::uint64_t currentStateBytes = 0;  ///< gauge
   std::uint64_t peakStateBytes = 0;     ///< gauge
-  std::vector<std::uint64_t> tierResidentBytes;  ///< gauge, kStateTierCount
-  std::vector<std::uint64_t> tierMappedBytes;    ///< gauge, kStateTierCount
+  std::vector<std::uint64_t> tierMappedBytes;  ///< gauge, kStateTierCount
   std::vector<HistogramSnapshot> histograms;  ///< per kernel path
   std::map<std::string, StageAgg> stages;
   std::vector<PerfCounts> perf;               ///< per kernel path
@@ -87,7 +86,6 @@ inline ObsSnapshot captureSnapshot() {
   snap.flightEventsRecorded = flightRecorder().totalRecorded();
   snap.currentStateBytes = m.currentStateBytes();
   snap.peakStateBytes = m.peakStateBytes();
-  snap.tierResidentBytes = m.tierResident().values();
   snap.tierMappedBytes = m.tierMapped().values();
   for (int p = 0; p < sim::kKernelPathCount; ++p) {
     const auto path = static_cast<sim::KernelPath>(p);
@@ -252,11 +250,7 @@ inline std::string renderOpenMetrics(const ObsSnapshot& snap) {
   const auto tierName = [](int i) {
     return sim::stateTierName(static_cast<sim::StateTier>(i));
   };
-  // Per-tier memory gauges (state_buffer.hpp tier ladder): resident is
-  // what the tier believes is backed by RAM, mapped is address space.
-  family("qclab_state_tier_resident_bytes", true,
-         "Live state bytes resident in RAM per memory tier.", "tier",
-         snap.tierResidentBytes, tierName);
+  // Per-tier memory gauge (state_buffer.hpp tier ladder).
   family("qclab_state_tier_mapped_bytes", true, nullptr, "tier",
          snap.tierMappedBytes, tierName);
   family("qclab_path_gate_applications", false, nullptr, "path",

@@ -133,11 +133,10 @@ class Report {
     out << "state memory: " << snap.currentStateBytes << " live, "
         << snap.peakStateBytes << " peak\n";
     for (int t = 0; t < sim::kStateTierCount; ++t) {
-      const std::uint64_t resident = snap.tierResidentBytes[t];
       const std::uint64_t mapped = snap.tierMappedBytes[t];
-      if (resident == 0 && mapped == 0) continue;
+      if (mapped == 0) continue;
       out << "  tier " << sim::stateTierName(static_cast<sim::StateTier>(t))
-          << ": " << resident << " resident, " << mapped << " mapped\n";
+          << ": " << mapped << " mapped\n";
     }
     out << "dispatch routes:";
     for (int r = 0; r < sim::kDispatchRouteCount; ++r) {
@@ -287,8 +286,7 @@ class Report {
       if (t != 0) out << ",";
       out << "\n      \""
           << sim::stateTierName(static_cast<sim::StateTier>(t)) << "\": {"
-          << "\"resident_bytes\": " << snap.tierResidentBytes[t]
-          << ", \"mapped_bytes\": " << snap.tierMappedBytes[t] << "}";
+          << "\"mapped_bytes\": " << snap.tierMappedBytes[t] << "}";
     }
     out << "\n    }\n";
     out << "  },\n";

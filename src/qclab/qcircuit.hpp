@@ -64,7 +64,8 @@ struct SimulateOptions {
   /// Tuning knobs of the kAuto router.
   sim::DispatchOptions dispatchOptions{};
   /// Where the state amplitudes live (sim/state_buffer.hpp): the heap
-  /// or an out-of-core mmap tier — chosen automatically by state size,
+  /// or the out-of-core mmap tier, a mapping of an unlinked temporary
+  /// file that the kernel pages — chosen automatically by state size,
   /// overridable here and through the QCLAB_STATE_TIER /
   /// QCLAB_STATE_DIR environment variables.  The bits-overload of
   /// simulate allocates tiered on every route, the tableau-converted

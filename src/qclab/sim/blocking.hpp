@@ -34,7 +34,6 @@
 #include "qclab/dense/matrix.hpp"
 #include "qclab/obs/sentinel.hpp"
 #include "qclab/obs/trace.hpp"
-#include "qclab/sim/memory_advisor.hpp"
 #include "qclab/sim/parallel.hpp"
 #include "qclab/sim/simd.hpp"
 #include "qclab/util/bits.hpp"
@@ -248,13 +247,9 @@ void applyCompiledChunk(std::complex<T>* chunk, std::int64_t chunkDim,
 /// (enforced by buildBlockSchedule).  Bit-identical to applying the
 /// blocks sequentially with full sweeps.
 ///
-/// Generic over the state container.  Each thread walks its OWN
-/// contiguous chunk range (parallelRanges).  When the container exposes
-/// a prefetch advisor (the mmap tier of sim::StateBuffer), the thread
-/// keeps a WILLNEED window one advisor granule ahead of the chunk being
-/// computed and DONTNEED-retires granules it has fully streamed past, so
-/// the resident set stays a few granules per thread regardless of state
-/// size.
+/// Generic over the state container (anything with data() and
+/// value_type).  Each thread walks its OWN contiguous chunk range
+/// (parallelRanges).
 template <typename State, typename Block>
 void applyBlockedRun(State& state, int nbQubits,
                      const std::vector<Block>& blocks, std::size_t first,
@@ -276,13 +271,6 @@ void applyBlockedRun(State& state, int nbQubits,
   const std::int64_t chunkDim = std::int64_t{1} << blockQubits;
   const std::int64_t chunks = std::int64_t{1} << (nbQubits - blockQubits);
 
-  // Out-of-core states expose a prefetch advisor; plain vectors and
-  // heap-tier buffers do not, and the walk below compiles away.
-  MemoryAdvisor* advisor = nullptr;
-  if constexpr (requires { state.advisor(); }) {
-    advisor = state.advisor();
-  }
-
   // Numerical-health sentinel: when this run's check is due, each chunk is
   // scanned right after its kernels while it is still cache-hot, the
   // per-share partials are merged once, in share order, and ONE report
@@ -301,31 +289,12 @@ void applyBlockedRun(State& state, int nbQubits,
                                  ? std::chrono::steady_clock::now()
                                  : std::chrono::steady_clock::time_point{};
 
-  // Each thread walks its own contiguous chunk share; the prefetch follows.
+  // Each thread walks its own contiguous chunk share.
   const auto sweep = [&](std::int64_t chunkLo, std::int64_t chunkHi,
                          int part) {
     std::vector<std::complex<T>> scratch;
     SentinelShare share;
-    const std::uint64_t chunkBytes =
-        static_cast<std::uint64_t>(chunkDim) * sizeof(std::complex<T>);
-    const std::uint64_t granule = advisor ? advisor->granuleBytes() : 0;
-    const std::uint64_t threadEnd =
-        static_cast<std::uint64_t>(chunkHi) * chunkBytes;
-    std::uint64_t frontier =  // willNeed high-water
-        static_cast<std::uint64_t>(chunkLo) * chunkBytes;
-    std::uint64_t retireMark = frontier;  // retired low-water
     for (std::int64_t c = chunkLo; c < chunkHi; ++c) {
-      const std::uint64_t offset = static_cast<std::uint64_t>(c) * chunkBytes;
-      if (advisor != nullptr) {
-        // Keep the fault-ahead window one granule past the chunk at hand.
-        const std::uint64_t wanted = std::min(
-            threadEnd, std::max(offset + chunkBytes,
-                                (offset / granule + 2) * granule));
-        if (wanted > frontier) {
-          advisor->willNeed(frontier, wanted - frontier);
-          frontier = wanted;
-        }
-      }
       detail::applyCompiledChunk(state.data() + c * chunkDim, chunkDim, run,
                                  level, scratch);
       if (sentinelDue) {
@@ -334,18 +303,6 @@ void applyBlockedRun(State& state, int nbQubits,
                                      share.normSq, share.maxAmpSq,
                                      share.nanSeen);
       }
-      if (advisor != nullptr) {
-        // Drop granules streamed fully past, keeping one behind so the
-        // chunk straddling the granule boundary is not refaulted.
-        const std::uint64_t done = offset + chunkBytes;
-        if (done >= retireMark + 2 * granule) {
-          advisor->retire(retireMark, done - granule - retireMark);
-          retireMark = done - granule;
-        }
-      }
-    }
-    if (advisor != nullptr && threadEnd > retireMark) {
-      advisor->retire(retireMark, threadEnd - retireMark);
     }
     if (sentinelDue) sentinelShares[static_cast<std::size_t>(part)] = share;
   };

@@ -13,12 +13,8 @@
 ///    page-aligned interior.
 ///  - **mmap**  — an out-of-core tier backing the state with an
 ///    unlinked temporary file (`MAP_SHARED`), so states larger than RAM
-///    spill to disk under kernel paging.  The buffer exposes a
-///    `MemoryAdvisor` that the blocked executor drives along its
-///    `BlockSchedule` walk: `madvise(MADV_WILLNEED)` on upcoming
-///    granules, `MADV_DONTNEED` on retired ones — safe precisely
-///    because the mapping is file-backed and shared (dropped dirty
-///    pages are page-cache pages the file persists).
+///    spill to disk under kernel paging.  The file starts as a hole,
+///    which reads as the zero state without a single page resident.
 ///
 /// Tier selection is automatic by state size (`chooseStateTier`), with
 /// `SimulateOptions::stateTier` and the `QCLAB_STATE_TIER` /
@@ -28,19 +24,17 @@
 /// `data()`/`size()`.
 
 #include <algorithm>
-#include <atomic>
 #include <complex>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "qclab/obs/metrics.hpp"
-#include "qclab/sim/memory_advisor.hpp"
+#include "qclab/sim/state_tier.hpp"
 #include "qclab/util/errors.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -156,112 +150,12 @@ inline void adviseHugePages(void* data, std::size_t bytes) noexcept {
 #endif
 }
 
-/// Prefetch advisor of the out-of-core tier.  Batches madvise calls at
-/// an 8 MiB granule and tracks per-granule residency in atomic flags,
-/// so concurrent per-thread walkers from the blocked executor dedup
-/// their advice without locks: a granule already advised is skipped (no
-/// syscall), a fresh one is ISSUED, a dropped one RETIRED.  Residency
-/// known to the advisor feeds the per-tier resident-bytes gauge (kernel
-/// reclaim can evict more; this is the upper bound the advisor
-/// maintains).
-class MmapAdvisor final : public MemoryAdvisor {
- public:
-  MmapAdvisor(void* base, std::uint64_t bytes) noexcept
-      : base_(static_cast<unsigned char*>(base)),
-        bytes_(bytes),
-        granules_((bytes + kGranule - 1) / kGranule),
-        resident_(std::make_unique<std::atomic<std::uint8_t>[]>(
-            granules_ != 0 ? granules_ : 1)) {
-    for (std::uint64_t g = 0; g < granules_; ++g) {
-      resident_[g].store(0, std::memory_order_relaxed);
-    }
-  }
-
-  ~MmapAdvisor() override {
-    if constexpr (obs::kEnabled) {
-      const std::uint64_t left =
-          residentBytes_.load(std::memory_order_relaxed);
-      if (left != 0) {
-        obs::metrics().releaseTierBytes(StateTier::kMmap, left, 0);
-      }
-    }
-  }
-
-  std::uint64_t granuleBytes() const noexcept override { return kGranule; }
-
-  void willNeed(std::uint64_t offsetBytes,
-                std::uint64_t bytes) noexcept override {
-    if (bytes == 0 || offsetBytes >= bytes_) return;
-    const std::uint64_t end = std::min(offsetBytes + bytes, bytes_);
-    std::uint64_t issued = 0, issuedBytes = 0;
-    for (std::uint64_t g = offsetBytes / kGranule; g * kGranule < end; ++g) {
-      if (resident_[g].exchange(1, std::memory_order_relaxed) != 0) continue;
-      const std::uint64_t len = granuleLength(g);
-#if QCLAB_STATE_HAS_MMAP
-      ::madvise(base_ + g * kGranule, len, MADV_WILLNEED);
-#endif
-      ++issued;
-      issuedBytes += len;
-    }
-    if constexpr (obs::kEnabled) {
-      if (issued != 0) {
-        obs::metrics().add(obs::Counter::kPrefetchIssued, issued);
-      }
-      if (issuedBytes != 0) {
-        residentBytes_.fetch_add(issuedBytes, std::memory_order_relaxed);
-        obs::metrics().addTierBytes(StateTier::kMmap, issuedBytes, 0);
-      }
-    }
-  }
-
-  void retire(std::uint64_t offsetBytes,
-              std::uint64_t bytes) noexcept override {
-    if (bytes == 0 || offsetBytes >= bytes_) return;
-    const std::uint64_t end = std::min(offsetBytes + bytes, bytes_);
-    // Only granules FULLY inside the range: a straddling granule may
-    // still be live in a neighbour thread's chunk span.
-    std::uint64_t first = (offsetBytes + kGranule - 1) / kGranule;
-    std::uint64_t retired = 0, retiredBytes = 0;
-    for (std::uint64_t g = first; (g + 1) * kGranule <= end; ++g) {
-      if (resident_[g].exchange(0, std::memory_order_relaxed) == 0) continue;
-      const std::uint64_t len = granuleLength(g);
-#if QCLAB_STATE_HAS_MMAP
-      ::madvise(base_ + g * kGranule, len, MADV_DONTNEED);
-#endif
-      ++retired;
-      retiredBytes += len;
-    }
-    if constexpr (obs::kEnabled) {
-      if (retired != 0) {
-        obs::metrics().add(obs::Counter::kPrefetchRetired, retired);
-        residentBytes_.fetch_sub(retiredBytes, std::memory_order_relaxed);
-        obs::metrics().releaseTierBytes(StateTier::kMmap, retiredBytes, 0);
-      }
-    }
-  }
-
- private:
-  static constexpr std::uint64_t kGranule = std::uint64_t{8} << 20;
-
-  std::uint64_t granuleLength(std::uint64_t g) const noexcept {
-    return std::min(kGranule, bytes_ - g * kGranule);
-  }
-
-  unsigned char* base_;
-  std::uint64_t bytes_;
-  std::uint64_t granules_;
-  std::unique_ptr<std::atomic<std::uint8_t>[]> resident_;
-  std::atomic<std::uint64_t> residentBytes_{0};
-};
-
 }  // namespace detail
 
 /// Owns one branch's amplitudes on one of the two tiers.  Constructed
 /// implicitly from a `std::vector` (heap tier — the historical
 /// representation every call site already produces) or via `zeros`
-/// (tier chosen by size).  The executors only use data()/size(); the
-/// blocked executor additionally discovers `advisor()` through an
-/// `if constexpr (requires ...)` probe.
+/// (tier chosen by size).  The executors only use data()/size().
 template <typename T>
 class StateBuffer {
  public:
@@ -272,7 +166,7 @@ class StateBuffer {
   /// Adopts a heap vector (implicit: every legacy `std::vector` state
   /// flows into Simulation through this).
   StateBuffer(std::vector<value_type> state) : vec_(std::move(state)) {
-    trackAlloc(byteSize(), byteSize());
+    trackAlloc();
   }
 
   /// Allocates a zeroed `dim`-amplitude state on the tier
@@ -308,10 +202,8 @@ class StateBuffer {
         mapElems_(std::exchange(other.mapElems_, 0)),
         mapBytes_(std::exchange(other.mapBytes_, 0)),
         tier_(std::exchange(other.tier_, StateTier::kHeap)),
-        advisor_(std::move(other.advisor_)),
         options_(std::move(other.options_)),
-        trackedResident_(std::exchange(other.trackedResident_, 0)),
-        trackedMapped_(std::exchange(other.trackedMapped_, 0)) {
+        trackedBytes_(std::exchange(other.trackedBytes_, 0)) {
     other.vec_.clear();
   }
 
@@ -324,10 +216,8 @@ class StateBuffer {
       mapElems_ = std::exchange(other.mapElems_, 0);
       mapBytes_ = std::exchange(other.mapBytes_, 0);
       tier_ = std::exchange(other.tier_, StateTier::kHeap);
-      advisor_ = std::move(other.advisor_);
       options_ = std::move(other.options_);
-      trackedResident_ = std::exchange(other.trackedResident_, 0);
-      trackedMapped_ = std::exchange(other.trackedMapped_, 0);
+      trackedBytes_ = std::exchange(other.trackedBytes_, 0);
     }
     return *this;
   }
@@ -337,7 +227,7 @@ class StateBuffer {
   StateBuffer& operator=(std::vector<value_type>&& state) {
     release();
     vec_ = std::move(state);
-    trackAlloc(byteSize(), byteSize());
+    trackAlloc();
     return *this;
   }
 
@@ -369,10 +259,6 @@ class StateBuffer {
   friend bool operator==(const StateBuffer& a, const StateBuffer& b) {
     return a.size() == b.size() && std::equal(a.begin(), a.end(), b.begin());
   }
-
-  /// The prefetch advisor of the out-of-core tier (nullptr otherwise);
-  /// the blocked executor drives it along its chunk walk.
-  MemoryAdvisor* advisor() const noexcept { return advisor_.get(); }
 
   /// The underlying heap vector — heap tier only (the compatibility
   /// accessor behind Simulation::state()); tiered states must be read
@@ -408,30 +294,24 @@ class StateBuffer {
     return static_cast<std::uint64_t>(size()) * sizeof(value_type);
   }
 
-  void trackAlloc(std::uint64_t resident, std::uint64_t mapped) noexcept {
-    trackedResident_ = resident;
-    trackedMapped_ = mapped;
+  void trackAlloc() noexcept {
+    trackedBytes_ = byteSize();
     if constexpr (obs::kEnabled) {
-      if (resident != 0 || mapped != 0) {
-        obs::metrics().addTierBytes(tier_, resident, mapped);
-      }
+      if (trackedBytes_ != 0) obs::metrics().addTierBytes(tier_, trackedBytes_);
     }
   }
 
   void untrack() noexcept {
     if constexpr (obs::kEnabled) {
-      if (trackedResident_ != 0 || trackedMapped_ != 0) {
-        obs::metrics().releaseTierBytes(tier_, trackedResident_,
-                                        trackedMapped_);
+      if (trackedBytes_ != 0) {
+        obs::metrics().releaseTierBytes(tier_, trackedBytes_);
       }
     }
-    trackedResident_ = 0;
-    trackedMapped_ = 0;
+    trackedBytes_ = 0;
   }
 
   void release() noexcept {
     untrack();
-    advisor_.reset();  // flushes its remaining resident accounting
 #if QCLAB_STATE_HAS_MMAP
     if (map_ != nullptr) ::munmap(map_, mapBytes_);
 #endif
@@ -454,14 +334,14 @@ class StateBuffer {
     }
     tier_ = StateTier::kHeap;
     vec_.assign(other.data(), other.data() + other.size());
-    trackAlloc(byteSize(), byteSize());
+    trackAlloc();
   }
 
   void allocateHeap(std::size_t dim) {
     tier_ = StateTier::kHeap;
     vec_.assign(dim, value_type(0));
     detail::adviseHugePages(vec_.data(), dim * sizeof(value_type));
-    trackAlloc(byteSize(), byteSize());
+    trackAlloc();
   }
 
   bool allocateMmap(std::size_t dim) {
@@ -486,10 +366,9 @@ class StateBuffer {
     mapElems_ = dim;
     mapBytes_ = bytes;
     tier_ = StateTier::kMmap;
-    advisor_ = std::make_unique<detail::MmapAdvisor>(p, bytes);
     // ftruncate made a hole: the state reads as zeros with NO pages
     // resident yet — the zero-fill is free.
-    trackAlloc(0, bytes);
+    trackAlloc();
     return true;
 #else
     (void)dim;
@@ -502,10 +381,8 @@ class StateBuffer {
   std::size_t mapElems_ = 0;
   std::size_t mapBytes_ = 0;
   StateTier tier_ = StateTier::kHeap;
-  std::unique_ptr<detail::MmapAdvisor> advisor_;  ///< mmap tier only
   StateTierOptions options_;
-  std::uint64_t trackedResident_ = 0;  ///< obs tier-gauge attribution
-  std::uint64_t trackedMapped_ = 0;
+  std::uint64_t trackedBytes_ = 0;  ///< obs tier-gauge attribution
 };
 
 /// A borrowed view of contiguous amplitudes — what the backend virtual

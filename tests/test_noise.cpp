@@ -135,6 +135,18 @@ TEST(DensityMatrix, CollapseAndReset) {
   EXPECT_NEAR(toReset.trace(), 1.0, 1e-13);
 }
 
+TEST(DensityMatrix, CollapseOntoAnOutcomeWithNoWeightThrows) {
+  // Trace 1 - 1e-13, all of it on |0>: outcome 1 has no weight, whatever
+  // 1 - p0 says.
+  M diag(2, 2);
+  diag(0, 0) = C(1.0 - 1e-13);
+  DensityMatrix<double> rho(1, diag);
+  EXPECT_THROW(rho.collapse(0, 1), InvalidArgumentError);
+  // Outcome 0 is renormalized by its own weight.
+  EXPECT_EQ(rho.collapse(0, 0), 1.0 - 1e-13);
+  EXPECT_NEAR(rho.trace(), 1.0, 1e-15);
+}
+
 TEST(NoiselessDensitySimulation, MatchesStateVector) {
   auto circuit = qclab::test::randomCircuit<double>(3, 12, 9);
   const auto rho = simulateDensity(circuit, "000");

@@ -179,8 +179,6 @@ const char* const kFamilies[] = {
     "qclab_fusion_sweeps_saved",
     "qclab_dispatch_fallbacks",
     "qclab_dispatch_conversions",
-    "qclab_prefetch_issued",
-    "qclab_prefetch_retired",
     "qclab_state_tier_fallbacks",
     "qclab_sentinel_checks",
     "qclab_sentinel_nan_detected",
@@ -188,7 +186,6 @@ const char* const kFamilies[] = {
     "qclab_flight_events_recorded",
     "qclab_state_bytes",
     "qclab_state_bytes_peak",
-    "qclab_state_tier_resident_bytes",
     "qclab_state_tier_mapped_bytes",
 };
 
@@ -212,15 +209,13 @@ const char* const kKeyPaths[] = {
     "counters.batch_runs", "counters.batch_members_simulated",
     "counters.fusion_gates_in", "counters.fusion_blocks_out",
     "counters.fusion_sweeps_saved", "counters.dispatch_fallbacks",
-    "counters.dispatch_conversions", "counters.prefetch_issued",
-    "counters.prefetch_retired",
-    "counters.state_tier_fallbacks", "counters.gate_applications_by_path",
+    "counters.dispatch_conversions", "counters.state_tier_fallbacks",
+    "counters.gate_applications_by_path",
     "counters.gate_applications_by_kind", "counters.bytes_touched_by_path",
     "counters.dispatch_routes", "memory", "memory.current_state_bytes",
     "memory.peak_state_bytes", "memory.tiers", "memory.tiers.heap",
-    "memory.tiers.heap.resident_bytes", "memory.tiers.heap.mapped_bytes",
-    "memory.tiers.mmap",
-    "memory.tiers.mmap.resident_bytes", "memory.tiers.mmap.mapped_bytes",
+    "memory.tiers.heap.mapped_bytes", "memory.tiers.mmap",
+    "memory.tiers.mmap.mapped_bytes",
     "histograms", "bandwidth_gbps_by_path", "perf", "perf.available",
     "perf.hardware", "perf.llc", "perf.software", "perf.unavailable",
     "perf.by_path", "roofline", "roofline.available", "roofline.peak_gbps",

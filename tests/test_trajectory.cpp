@@ -229,6 +229,28 @@ TEST(Trajectory, XBasisMeasurementNoiseActsInMeasurementFrame) {
   EXPECT_NEAR(static_cast<double>(counts[1]) / 4000.0, 0.2, 0.03);
 }
 
+TEST(Trajectory, MeasurementRenormalizesByTheDrawnOutcomesWeight) {
+  // (1 - 1e-13) X passes the unitarity check but leaves norm^2 2e-13
+  // short; the measurement must divide by the drawn outcome's summed
+  // weight, not by 1 - p0 = 1.
+  using C = std::complex<double>;
+  QCircuit<double> circuit(1);
+  circuit.push_back(qgates::MatrixGate1<double>(
+      0, qgates::PauliX<double>(0).matrix() * C(1.0 - 1e-13)));
+  circuit.push_back(Measurement<double>(0));
+  TrajectoryOptions options;
+  options.nbTrajectories = 1;
+  const TrajectorySimulator<double> simulator(circuit, {}, options);
+  const auto result =
+      simulator.runFunctional("0", [](const std::vector<C>& state) {
+        double normSq = 0.0;
+        for (const C& amplitude : state) normSq += std::norm(amplitude);
+        return normSq;
+      });
+  EXPECT_EQ(result.results()[0], "1");
+  EXPECT_NEAR(result.expectations()[0], 1.0, 1e-15);
+}
+
 TEST(Trajectory, Validation) {
   QCircuit<double> circuit(2);
   circuit.push_back(qgates::Hadamard<double>(0));
