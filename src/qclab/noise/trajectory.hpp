@@ -262,6 +262,8 @@ class TrajectorySimulator {
     const std::vector<random::Rng> streams =
         random::Rng::jumpStreams(options_.seed, total);
 
+    // Formed here: a throw inside the parallel region would terminate.
+    const std::size_t dim = sim::stateDim<T>(nbQubits_);
     TrajectoryResult<T> result;
     result.nbMeasurements_ = program_.nbMeasurements;
     result.results_.resize(total);
@@ -272,7 +274,7 @@ class TrajectorySimulator {
     const std::int64_t count = static_cast<std::int64_t>(total);
     const auto runShare = [&](std::int64_t lo, std::int64_t hi, int) {
       // Per-thread working set: the 2^n state plus channel scratch.
-      std::vector<C> state(std::size_t{1} << nbQubits_);
+      std::vector<C> state(dim);
       Scratch scratch;
       const obs::ScopedStateBytes memory(state.size() * sizeof(C));
       for (std::int64_t t = lo; t < hi; ++t) {

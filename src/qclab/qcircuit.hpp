@@ -364,7 +364,7 @@ class QCircuit final : public QObject<T> {
       // on the mmap tier the zero-fill is a file hole, so only the basis
       // amplitude's page faults in here.
       const obs::ScopedSpan span("state/alloc");
-      state = sim::StateBuffer<T>::zeros(std::size_t{1} << nbQubits_,
+      state = sim::StateBuffer<T>::zeros(sim::stateDim<T>(nbQubits_),
                                          options.stateTier);
       state.data()[util::bitstringToIndex(bits)] = std::complex<T>(1);
     }
@@ -383,7 +383,7 @@ class QCircuit final : public QObject<T> {
   Simulation<T> simulate(
       sim::StateBuffer<T> state, const SimulateOptions& options,
       const sim::Backend<T>& backend = sim::defaultBackend<T>()) const {
-    util::require(state.size() == (std::size_t{1} << nbQubits_),
+    util::require(state.size() == sim::stateDim<T>(nbQubits_),
                   "initial state dimension must be 2^nbQubits");
     const T norm = dense::norm2(state);
     util::require(std::abs(norm - T(1)) < T(1e-4),

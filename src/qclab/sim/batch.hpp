@@ -88,13 +88,15 @@ class BatchedSimulation {
  public:
   /// Compiles `prototype`'s shape: clones it, cuts and fuses the gate
   /// runs, builds the block schedules (under the "batch/plan" stage
-  /// span).  Throws on measurements or resets or a negative thread count,
-  /// and QubitRangeError on an op outside the register.
+  /// span).  Throws on measurements or resets, a negative thread count or
+  /// a register no std::vector state can hold (stateDim), and
+  /// QubitRangeError on an op outside the register.
   explicit BatchedSimulation(const QCircuit<T>& prototype,
                              BatchOptions options = {})
       : options_(options),
         prototype_(prototype),
-        shapeHash_(prototype.shapeHash()) {
+        shapeHash_(prototype.shapeHash()),
+        dim_(stateDim<T>(prototype.nbQubits())) {
     util::require(options_.nbThreads >= 0,
                   "thread count must be nonnegative");
     const obs::ScopedSpan span("batch/plan");
@@ -298,8 +300,7 @@ class BatchedSimulation {
     }
     if (prefixPlans_ == 0 && prefixBlocks_ == 0) return;
 
-    const std::size_t dim = std::size_t{1} << nbQubits;
-    prefixState_.assign(dim, std::complex<T>(0));
+    prefixState_.assign(dim_, std::complex<T>(0));
     prefixState_[0] = std::complex<T>(1);
     for (std::size_t r = 0; r < prefixPlans_; ++r) {
       applyFusionPlan(prefixState_, nbQubits, w.program.steps[r].plan);
@@ -321,7 +322,7 @@ class BatchedSimulation {
     if (!prefixState_.empty()) {
       state.assign(prefixState_.begin(), prefixState_.end());
     } else {
-      state.assign(std::size_t{1} << nbQubits, std::complex<T>(0));
+      state.assign(dim_, std::complex<T>(0));
       state[0] = std::complex<T>(1);
     }
     for (std::size_t r = prefixPlans_; r < worker.program.steps.size(); ++r) {
@@ -335,6 +336,7 @@ class BatchedSimulation {
   BatchOptions options_;
   QCircuit<T> prototype_;
   std::uint64_t shapeHash_ = 0;
+  std::size_t dim_ = 0;  ///< amplitudes of a member's state
   std::unique_ptr<Worker> master_;
   /// Workers of parts 1, 2, ... of the member loop.
   std::vector<std::unique_ptr<Worker>> clones_;

@@ -140,7 +140,7 @@ inline std::size_t tableauStateDim(int n) {
   util::require(n <= 30,
                 "tableau -> statevector expansion needs 2^n amplitudes; "
                 "capped at 30 qubits");
-  return std::size_t{1} << n;
+  return stateDim<double>(n);
 }
 
 /// Expands a stabilizer tableau into the 2^n statevector it represents,

@@ -206,11 +206,15 @@ void splitBranches(Simulation<T>& simulation, const ProgramStep<T>& step) {
       const T weight = weights[static_cast<std::size_t>(outcome)];
       if (weight <= kDropTol<T>) continue;
       Branch<T> child;
-      // The state of the last surviving outcome can be moved.
+      // The last surviving outcome inherits by move: its parent is dropped.
       if (both && outcome == 0) {
         child.state = branch.state;
+        child.result = branch.result;
+        child.measurements = branch.measurements;
       } else {
         child.state = std::move(branch.state);
+        child.result = std::move(branch.result);
+        child.measurements = std::move(branch.measurements);
       }
       sim::collapse(child.state, nbQubits, qubit, outcome, weight);
       if (rotate || (reset && outcome == 1)) {
@@ -218,8 +222,6 @@ void splitBranches(Simulation<T>& simulation, const ProgramStep<T>& step) {
       }
       child.probability =
           branch.probability * static_cast<double>(weight / total);
-      child.result = branch.result;
-      child.measurements = branch.measurements;
       if (!reset) {
         child.result += static_cast<char>('0' + outcome);
         child.measurements.emplace_back(qubit, outcome);

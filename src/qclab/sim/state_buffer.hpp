@@ -29,6 +29,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -151,6 +152,24 @@ inline void adviseHugePages(void* data, std::size_t bytes) noexcept {
 }
 
 }  // namespace detail
+
+/// The 2^n amplitudes of an n-qubit state of T, formed on the calling
+/// thread before anything is allocated.  Throws InvalidArgumentError when
+/// 2^n does not fit a std::size_t or exceeds std::vector's max_size(),
+/// where the shift would be undefined or the allocation a length_error.
+template <typename T>
+std::size_t stateDim(int nbQubits) {
+  const bool fits = nbQubits >= 0 &&
+                    nbQubits < std::numeric_limits<std::size_t>::digits &&
+                    (std::size_t{1} << nbQubits) <=
+                        std::vector<std::complex<T>>().max_size();
+  if (!fits) [[unlikely]] {
+    throw InvalidArgumentError("a " + std::to_string(nbQubits) +
+                               "-qubit state has more amplitudes than a "
+                               "std::vector can hold");
+  }
+  return std::size_t{1} << nbQubits;
+}
 
 /// Owns one branch's amplitudes on one of the two tiers.  Constructed
 /// implicitly from a `std::vector` (heap tier — the historical

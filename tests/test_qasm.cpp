@@ -4,6 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstdlib>
+#include <functional>
+#include <string>
+
 #include "qclab/io/qasm.hpp"
 #include "test_helpers.hpp"
 
@@ -109,6 +115,171 @@ TEST(QasmParse, Errors) {
   EXPECT_THROW(
       parseQasm<double>("OPENQASM 2.0;\nqreg q[1];\nrx(1/0) q[0];"),
       QasmParseError);
+  // Literals are read whole and in range; classical bits are checked.
+  EXPECT_THROW(parseQasm<double>("OPENQASM 2.0;\nqreg q[1];\nrx(1.2.3) q[0];"),
+               QasmParseError);
+  EXPECT_THROW(parseQasm<double>("OPENQASM 2.0;\nqreg q[1];\nrx(1..5) q[0];"),
+               QasmParseError);
+  EXPECT_THROW(
+      parseQasm<double>("OPENQASM 2.0;\nqreg q[1];\nrx(1e-999) q[0];"),
+      QasmParseError);
+  EXPECT_THROW(parseQasm<double>("OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\n"
+                                 "measure q[0] -> c[9];"),
+               QasmParseError);
+}
+
+/// A malformed program and the error the importer reports for it.
+struct Diagnostic {
+  const char* source;
+  int line;
+  const char* message;
+};
+
+/// Every malformed program of QasmParse.Errors, the reader's literal,
+/// register and bit checks, and more syntax errors, with the message and
+/// line reported.  Errors name the line their statement starts on, also
+/// in the entries marked "next token", whose offending token or end of
+/// input lies on a later line.
+const Diagnostic kDiagnostics[] = {
+    {"qreg q[2];", 1, "program must start with OPENQASM"},
+    {"qreg\nq[2];", 1, "program must start with OPENQASM"},  // next token
+    {"OPENQASM 3.0;\nqreg q[2];", 1, "unsupported OpenQASM version 3.0"},
+    {"OPENQASM 3.0\n;", 1, "unsupported OpenQASM version 3.0"},  // next token
+    {"OPENQASM 2.0;\nh q[0];", 2, "statement before qreg declaration"},
+    {"OPENQASM 2.0;\nqreg q[1];\nh q[5];", 3, "qubit index out of range"},
+    {"OPENQASM 2.0;\nqreg q[2];\ncx q[0],\nq[5];", 3,  // next token
+     "qubit index out of range"},
+    {"OPENQASM 2.0;\nqreg q[1];\nfoo q[0];", 3, "unsupported gate 'foo'"},
+    {"OPENQASM 2.0;\n\nqreg q[1];\nh q[0];\n\nfoo q[0];\n", 6,
+     "unsupported gate 'foo'"},
+    {"OPENQASM 2.0;\nqreg q[2];\ncx q[0];", 3, "gate 'cx' expects 2 qubit(s)"},
+    {"OPENQASM 2.0;\nqreg q[1];\nrx() q[0];", 3,
+     "expected number, pi, or '(' in angle expression"},
+    {"OPENQASM 2.0;", 1, "program declares no quantum register"},
+    {"OPENQASM 2.0;\n\n", 1,  // next token
+     "program declares no quantum register"},
+    {"OPENQASM 2.0;\nqreg q[1];\nrx(1/0) q[0];", 3,
+     "division by zero in angle"},
+    {"OPENQASM 2.0;\nqreg q[1];\nrx(1/\n0) q[0];", 3,  // next token
+     "division by zero in angle"},
+    {"OPENQASM 2.0;\nqreg q[1];\nh q[0] @", 3, "unexpected character '@'"},
+    {"OPENQASM 2.0;\ninclude \"unterminated", 2, "unterminated string"},
+    {"", 1, "expected identifier, got ''"},
+    {"2.0;", 1, "expected identifier, got '2.0'"},
+    {"OPENQASM;", 1, "expected version number"},
+    {"OPENQASM 2.0", 1, "expected ';', got ''"},
+    {"OPENQASM 2.0;\ninclude qelib1;", 2, "expected include file name"},
+    {"OPENQASM 2.0;\nOPENQASM 2.0;", 2, "statement before qreg declaration"},
+    {"OPENQASM 2.0;\nqreg q[2];\nqreg r[2];", 3,
+     "multiple quantum registers are not supported"},
+    {"OPENQASM 2.0;\nqreg 5;", 2, "expected identifier, got '5'"},
+    {"OPENQASM 2.0;\nqreg q[0];", 2, "qreg must have at least one qubit"},
+    {"OPENQASM 2.0;\nqreg q[-3];", 2, "expected integer, got '-'"},
+    {"OPENQASM 2.0;\nqreg q[999999999999999999999];", 2,
+     "integer literal '999999999999999999999' is out of range"},
+    {"OPENQASM 2.0;\nqreg q[2.9];", 2, "expected integer, got '2.9'"},
+    {"OPENQASM 2.0;\nqreg q[1e1];", 2, "expected integer, got '1e1'"},
+    {"OPENQASM 2.0;\nqreg q[2];\nh q[1.7];", 3, "expected integer, got '1.7'"},
+    {"OPENQASM 2.0;\nqreg q[2];\nh r[0];", 3, "unknown quantum register 'r'"},
+    {"OPENQASM 2.0;\nqreg q[2];\nh r\n[0];", 3,  // next token
+     "unknown quantum register 'r'"},
+    {"OPENQASM 2.0;\nqreg q[2];\nmeasure q[0] -> c[0];", 3,
+     "unknown classical register 'c'"},
+    {"OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\nmeasure q[0] -> d[0];", 4,
+     "unknown classical register 'd'"},
+    {"OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\nmeasure q[0] -> c[9];", 4,
+     "classical bit index out of range"},
+    {"OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\nmeasure q[0] -> c[2.5];", 4,
+     "expected integer, got '2.5'"},
+    {"OPENQASM 2.0;\nqreg q[1];\nrx(1.2.3) q[0];", 3,
+     "expected number, got '1.2.3'"},
+    {"OPENQASM 2.0;\nqreg q[1];\nrx(1..5) q[0];", 3,
+     "expected number, got '1..5'"},
+    {"OPENQASM 2.0;\nqreg q[1];\nrx(1e999) q[0];", 3,
+     "number literal '1e999' is out of range"},
+    {"OPENQASM 2.0;\nqreg q[1];\nrx(1e-999) q[0];", 3,
+     "number literal '1e-999' is out of range"},
+    {"OPENQASM 2.0;\nqreg q[1];\nrx((pi) q[0];", 3, "expected ')', got 'q'"},
+    {"OPENQASM 2.0;\nqreg q[1];\nrx(0.5 q[0];", 3, "expected ')', got 'q'"},
+    {"OPENQASM 2.0;\nqreg q[1];\nrx(pi pi) q[0];", 3, "expected ')', got 'pi'"},
+    {"OPENQASM 2.0;\nqreg q[1];\nu3(1,2) q[0];", 3, "expected ',', got ')'"},
+    {"OPENQASM 2.0;\nqreg q[1];\nh(0.5) q[0];", 3,
+     "expected identifier, got '('"},
+    {"OPENQASM 2.0;\nqreg q[1];\nh q;", 3, "expected '[', got ';'"},
+    {"OPENQASM 2.0;\nqreg q[1];\nh q[0]\nh q[0];", 3,  // next token
+     "expected ';', got 'h'"},
+    {"OPENQASM 2.0;\nqreg q[1];\nreset q[0]", 3, "expected ';', got ''"},
+    {"OPENQASM 2.0;\nqreg q[1];\nbarrier;", 3, "expected identifier, got ';'"},
+};
+
+void expectDiagnostic(const std::function<void()>& parse,
+                      const Diagnostic& expected) {
+  try {
+    parse();
+    ADD_FAILURE() << "accepted";
+  } catch (const QasmParseError& error) {
+    EXPECT_EQ(error.line(), expected.line);
+    EXPECT_EQ(std::string(error.what()),
+              "QASM parse error (line " + std::to_string(expected.line) +
+                  "): " + expected.message);
+  }
+}
+
+TEST(QasmParse, DiagnosticsTable) {
+  for (const Diagnostic& diagnostic : kDiagnostics) {
+    // CRLF line endings report the same lines as LF.
+    for (const char* newline : {"\n", "\r\n"}) {
+      std::string source;
+      for (const char* c = diagnostic.source; *c != '\0'; ++c) {
+        source += *c == '\n' ? std::string(newline) : std::string(1, *c);
+      }
+      SCOPED_TRACE(source);
+      expectDiagnostic([&] { parseQasm<double>(source); }, diagnostic);
+    }
+  }
+  // QasmLexer.RejectsGarbage's inputs, through the tokenizer.
+  expectDiagnostic([] { tokenizeQasm("h q[0] @"); },
+                   {"", 1, "unexpected character '@'"});
+  expectDiagnostic([] { tokenizeQasm("include \"unterminated"); },
+                   {"", 1, "unterminated string"});
+}
+
+/// rx(<literal>) reads the double std::strtod reads, bit for bit.
+TEST(QasmParse, LiteralsReadLikeStrtod) {
+  const char* literals[] = {
+      "0.1", ".5", "5.", "9007199254740993", "2.2250738585072014e-308",
+      "1.7976931348623157e308", "0.78539816339744828",
+      "1234567890123456789012345678901234567890e-39",  // 40-digit mantissa
+      "1.0000000000000464e-310"};
+  for (const char* literal : literals) {
+    SCOPED_TRACE(literal);
+    const auto circuit = parseQasm<double>(
+        std::string("OPENQASM 2.0;\nqreg q[1];\nrx(") + literal + ") q[0];");
+    const auto& rx = static_cast<const RotationX<double>&>(circuit.objectAt(0));
+    const RotationX<double> expected(0, std::strtod(literal, nullptr));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(rx.theta()),
+              std::bit_cast<std::uint64_t>(expected.theta()));
+    qclab::test::expectMatrixNear(rx.matrix(), expected.matrix(), 0.0);
+  }
+  // Angle arithmetic is the same double arithmetic C++ does.
+  const auto circuit =
+      parseQasm<double>("OPENQASM 2.0;\nqreg q[1];\nrx(pi/3*2) q[0];");
+  const auto& rx = static_cast<const RotationX<double>&>(circuit.objectAt(0));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(rx.theta()),
+            std::bit_cast<std::uint64_t>(
+                RotationX<double>(0, M_PI / 3 * 2).theta()));
+}
+
+TEST(QasmParse, AdversarialSizes) {
+  std::string program = "OPENQASM 2.0;\nqreg q[2];\n";
+  for (int i = 0; i < 100000; ++i) {
+    program += i % 2 == 0 ? "h q[1];\n" : "cx q[0], q[1];\n";
+  }
+  EXPECT_EQ(parseQasm<double>(program).nbObjects(), 100000u);
+  // A program may end in a comment with no newline after it.
+  EXPECT_EQ(parseQasm<double>("OPENQASM 2.0;\nqreg q[1];\nh q[0]; // end")
+                .nbObjects(),
+            1u);
 }
 
 TEST(QasmParse, ErrorCarriesLineNumber) {
@@ -195,6 +366,13 @@ TEST(QasmRoundTrip, MeasurementBasesViaBasisChange) {
     EXPECT_EQ(a.result(i), b.result(i));
     EXPECT_NEAR(a.probability(i), b.probability(i), 1e-12);
   }
+}
+
+TEST(QasmRoundTrip, SubnormalAngle) {
+  // toQASM prints rz(1.0000000000000464e-310); the reader reads it back.
+  QCircuit<double> circuit(1);
+  circuit.push_back(RotationZ<double>(0, 1e-310));
+  EXPECT_EQ(parseQasm<double>(circuit.toQASM()).toQASM(), circuit.toQASM());
 }
 
 class QasmRandomRoundTrip : public ::testing::TestWithParam<int> {};

@@ -83,6 +83,27 @@ TEST(QasmFuzz, DeeplyNestedAngleExpressions) {
   EXPECT_EQ(circuit.nbObjects(), 1u);
   // Unbalanced version fails cleanly.
   expectGracefulParse("OPENQASM 2.0;\nqreg q[1];\nrx((((pi) q[0];\n");
+  // Parentheses and signs nest up to detail::kMaxAngleDepth, together;
+  // deeper angles are rejected instead of overflowing the stack.
+  const auto program = [](const std::string& angle) {
+    return "OPENQASM 2.0;\nqreg q[1];\nrx(" + angle + ") q[0];\n";
+  };
+  const auto parens = [](int depth) {
+    return std::string(depth, '(') + "pi" + std::string(depth, ')');
+  };
+  const int bound = detail::kMaxAngleDepth;
+  EXPECT_EQ(parseQasm<double>(program(parens(bound))).nbObjects(), 1u);
+  EXPECT_EQ(parseQasm<double>(program(std::string(bound, '-') + "pi"))
+                .nbObjects(),
+            1u);
+  EXPECT_EQ(parseQasm<double>(
+                program(std::string(bound / 2, '-') + parens(bound / 2)))
+                .nbObjects(),
+            1u);
+  EXPECT_THROW(parseQasm<double>(program(parens(bound + 1))), QasmParseError);
+  EXPECT_THROW(parseQasm<double>(program(parens(100000))), QasmParseError);
+  EXPECT_THROW(parseQasm<double>(program(std::string(100000, '-') + "pi")),
+               QasmParseError);
 }
 
 TEST(QasmFuzz, HugeIndicesAndCounts) {
@@ -90,6 +111,13 @@ TEST(QasmFuzz, HugeIndicesAndCounts) {
   expectGracefulParse("OPENQASM 2.0;\nqreg q[2];\nh q[999999999];\n");
   expectGracefulParse("OPENQASM 2.0;\nqreg q[0];\n");
   expectGracefulParse("OPENQASM 2.0;\nqreg q[-3];\n");
+  // Literals that read only in part, or out of range, are rejected.
+  for (const char* source : {"OPENQASM 2.0;\nqreg q[1e1];\n",
+                             "OPENQASM 2.0;\nqreg q[2.9];\n",
+                             "OPENQASM 2.0;\nqreg q[2];\nh q[1.7];\n",
+                             "OPENQASM 2.0;\nqreg q[1];\nrx(1e999) q[0];\n"}) {
+    EXPECT_THROW(parseQasm<double>(source), QasmParseError) << source;
+  }
 }
 
 }  // namespace

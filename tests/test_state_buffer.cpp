@@ -19,6 +19,7 @@
 #include <sys/resource.h>
 #endif
 
+#include "qclab/noise/trajectory.hpp"
 #include "qclab/qclab.hpp"
 #include "test_helpers.hpp"
 
@@ -441,4 +442,65 @@ TEST(StateBuffer, TierGaugesTrackLiveAllocations) {
   // Gauges return to their baseline when the buffers die.
   EXPECT_EQ(metrics.tierMappedBytes(StateTier::kMmap), mappedBefore);
   EXPECT_EQ(metrics.tierMappedBytes(StateTier::kHeap), heapBefore);
+}
+
+// ---- stateDim: registers no state can address ---------------------------
+
+TEST(StateDim, FormsTwoToTheNWhereAVectorCanHoldIt) {
+  EXPECT_EQ(qclab::sim::stateDim<double>(0), 1u);
+  EXPECT_EQ(qclab::sim::stateDim<float>(20), std::size_t{1} << 20);
+  for (const int n : {-1, 60, 63, 64, 100}) {
+    EXPECT_THROW(qclab::sim::stateDim<double>(n), qclab::InvalidArgumentError)
+        << n;
+    EXPECT_THROW(qclab::sim::stateDim<float>(n), qclab::InvalidArgumentError)
+        << n;
+  }
+}
+
+template <typename T>
+void expectSimulateRejects(int n) {
+  // A T gate: no dispatch route takes it, so the statevector path runs.
+  qclab::QCircuit<T> circuit(n);
+  circuit.push_back(qclab::qgates::TGate<T>(0));
+  EXPECT_THROW(circuit.simulate(std::string(static_cast<std::size_t>(n), '0')),
+               qclab::InvalidArgumentError)
+      << n;
+}
+
+TEST(StateDim, SimulateRejectsRegistersBeforeAllocating) {
+  for (const int n : {60, 63, 64}) {
+    expectSimulateRejects<double>(n);
+    expectSimulateRejects<float>(n);
+  }
+}
+
+TEST(StateDim, BatchAndTrajectoryEnginesRejectOnTheCallingThread) {
+  qclab::QCircuit<double> circuit(60);
+  circuit.push_back(qclab::qgates::RotationZ<double>(0, 0.5));
+  EXPECT_THROW(qclab::sim::BatchedSimulation<double>{circuit},
+               qclab::InvalidArgumentError);
+  qclab::noise::TrajectoryOptions options;
+  options.nbTrajectories = 4;
+  const qclab::noise::TrajectorySimulator<double> trajectories(circuit, {},
+                                                               options);
+  EXPECT_THROW(trajectories.run(std::string(60, '0')),
+               qclab::InvalidArgumentError);
+}
+
+TEST(StateDim, FullCliffordRegistersStillRunOnTheTableau) {
+  // GHZ on 100 qubits: the tableau samples it without any 2^n state.
+  qclab::QCircuit<double> circuit(100);
+  circuit.push_back(qclab::qgates::Hadamard<double>(0));
+  for (int q = 0; q + 1 < 100; ++q) {
+    circuit.push_back(qclab::qgates::CX<double>(q, q + 1));
+  }
+  for (int q = 0; q < 100; ++q) {
+    circuit.push_back(qclab::Measurement<double>(q));
+  }
+  const auto counts = qclab::sim::dispatchSampleCounts(circuit, 64, 7);
+  EXPECT_FALSE(counts.empty());
+  for (const auto& [outcome, count] : counts) {
+    EXPECT_TRUE(outcome == std::string(100, '0') ||
+                outcome == std::string(100, '1'));
+  }
 }
