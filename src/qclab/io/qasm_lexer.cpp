@@ -44,6 +44,10 @@ void scan(std::string_view text, std::size_t& cursor, detail::Lexeme& token) {
   const auto is = [&](std::size_t i, char c) { return i < n && text[i] == c; };
   std::size_t pos = cursor;
   int line = token.line;
+  if (token.type == Type::kString) {  // resume on the line the string ends
+    line += static_cast<int>(
+        std::count(token.text.begin(), token.text.end(), '\n'));
+  }
   for (;; ++pos) {  // blanks, newlines and // comments
     if (classAt(pos) == kNewline) {
       ++line;

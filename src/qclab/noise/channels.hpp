@@ -23,7 +23,7 @@ class KrausChannel {
  public:
   /// Builds a channel from its Kraus operators (all must be square with
   /// the same power-of-two dimension, and satisfy sum K^H K = I within
-  /// `tol`).
+  /// `tol`) and forms its superoperator once.
   explicit KrausChannel(std::vector<dense::Matrix<T>> operators,
                         T tol = T(1e-10))
       : operators_(std::move(operators)) {
@@ -31,20 +31,29 @@ class KrausChannel {
     const std::size_t dim = operators_.front().rows();
     util::require(dim >= 2 && (dim & (dim - 1)) == 0,
                   "Kraus operator dimension must be a power of two");
-    dense::Matrix<T> completeness(dim, dim);
+    superoperator_ = dense::Matrix<T>(dim * dim, dim * dim);
     for (const auto& k : operators_) {
       util::require(k.rows() == dim && k.cols() == dim,
                     "Kraus operators must share one square dimension");
-      completeness += k.dagger() * k;
+      superoperator_ += dense::kron(k, k.conj());
     }
-    util::require(
-        completeness.distanceMax(dense::Matrix<T>::identity(dim)) <= tol,
-        "Kraus operators do not satisfy sum K^H K = I");
+    // Trace preservation, sum K^H K = I, reads vec(I)^T S = vec(I)^T.
+    dense::Matrix<T> identity(1, dim * dim);
+    for (std::size_t a = 0; a < dim; ++a) identity(0, a * dim + a) = 1;
+    util::require((identity * superoperator_).distanceMax(identity) <= tol,
+                  "Kraus operators do not satisfy sum K^H K = I");
   }
 
   /// The Kraus operators.
   const std::vector<dense::Matrix<T>>& operators() const noexcept {
     return operators_;
+  }
+
+  /// The superoperator sum_i K_i (x) conj(K_i): the channel as a matrix
+  /// on the vectorised rho, over (qubits, qubits + n) of the 2n-qubit
+  /// register whose state is rho's row-major storage.
+  const dense::Matrix<T>& superoperator() const noexcept {
+    return superoperator_;
   }
 
   /// Number of qubits the channel acts on.
@@ -145,6 +154,7 @@ class KrausChannel {
   }
 
   std::vector<dense::Matrix<T>> operators_;
+  dense::Matrix<T> superoperator_;
 };
 
 }  // namespace qclab::noise

@@ -3,10 +3,13 @@
 /// \file density_matrix.hpp
 /// \brief Density-matrix state for mixed-state (noisy) simulation.
 ///
-/// The state is a dense 2^n x 2^n density matrix; unitary gates are applied
-/// as rho -> U rho U^H using the same in-place kernels as the state-vector
-/// simulator (column pass + adjoint column pass), channels as Kraus sums,
-/// and measurements either dephase (mid-circuit, outcome kept coherent for
+/// The state is a dense 2^n x 2^n density matrix, stored row-major, which
+/// is the vectorised |rho>> of a 2n-qubit register: row qubit q is qubit
+/// q and column qubit q is qubit q + n.  Every operation runs in place on
+/// that storage through the statevector kernels: a gate U as U on the row
+/// qubits and conj(U) = conj . U . conj on the column qubits, a channel
+/// as one sweep of its superoperator on (qubits, qubits + n), and
+/// measurements either dephase (mid-circuit, outcome kept coherent for
 /// classically-controlled corrections) or collapse.
 
 #include <complex>
@@ -79,27 +82,40 @@ class DensityMatrix {
     return std::real(sum);
   }
 
-  /// Applies a unitary gate: rho <- U rho U^H (kernel-based, two passes).
+  /// Applies a unitary gate: rho <- U rho U^H, as U on the row qubits and
+  /// conj(U) on the column qubits.  The qubits are checked against n
+  /// first: in the 2n-qubit register a qubit past n is a column qubit.
   void applyGate(const qgates::QGate<T>& gate, int offset = 0) {
+    const std::vector<int> qubits = gate.qubits();
+    util::checkQubit(qubits.front() + offset, nbQubits_);
+    util::checkQubit(qubits.back() + offset, nbQubits_);
     const auto& backend = sim::defaultBackend<T>();
-    applyMatrixConjugation([&](std::vector<value_type>& column) {
-      backend.applyGate(column, nbQubits_, gate, offset);
-    });
+    sim::StateSpan<T> state = vectorised();
+    backend.applyGate(state, 2 * nbQubits_, gate, offset);
+    sim::conjugate(state, 2 * nbQubits_);
+    backend.applyGate(state, 2 * nbQubits_, gate, offset + nbQubits_);
+    sim::conjugate(state, 2 * nbQubits_);
   }
 
-  /// Applies a Kraus channel on the given qubits:
-  /// rho <- sum_i K_i rho K_i^H.
+  /// Applies a Kraus channel on the given (ascending) qubits:
+  /// rho <- sum_i K_i rho K_i^H, as one sweep of the channel's
+  /// superoperator on (qubits, qubits + n).
   void applyChannel(const KrausChannel<T>& channel,
                     const std::vector<int>& qubits) {
     util::require(static_cast<int>(qubits.size()) == channel.nbQubits(),
                   "channel qubit count mismatch");
-    dense::Matrix<T> result(rho_.rows(), rho_.cols());
-    for (const auto& kraus : channel.operators()) {
-      dense::Matrix<T> branch = rho_;
-      conjugateWithMatrix(branch, qubits, kraus);
-      result += branch;
+    std::vector<int> doubled(qubits);
+    for (int qubit : qubits) {
+      util::checkQubit(qubit, nbQubits_);
+      doubled.push_back(qubit + nbQubits_);
     }
-    rho_ = std::move(result);
+    sim::StateSpan<T> state = vectorised();
+    if (qubits.size() == 1) {
+      sim::apply2(state, 2 * nbQubits_, doubled[0], doubled[1],
+                  channel.superoperator());
+    } else {
+      sim::applyK(state, 2 * nbQubits_, doubled, channel.superoperator());
+    }
   }
 
   /// Probability of measuring |0> on `qubit`.
@@ -119,14 +135,8 @@ class DensityMatrix {
   /// of the repetition code).
   void dephase(int qubit) {
     util::checkQubit(qubit, nbQubits_);
-    const int pos = util::bitPosition(qubit, nbQubits_);
-    for (std::size_t i = 0; i < rho_.rows(); ++i) {
-      for (std::size_t j = 0; j < rho_.cols(); ++j) {
-        if (util::getBit(i, pos) != util::getBit(j, pos)) {
-          rho_(i, j) = value_type(0);
-        }
-      }
-    }
+    applyDiagonal(qubit, {value_type(1), value_type(0), value_type(0),
+                          value_type(1)});
   }
 
   /// Collapses `qubit` onto `outcome`, renormalized by the outcome's
@@ -141,32 +151,18 @@ class DensityMatrix {
       if (util::getBit(i, pos) == keep) p += std::real(rho_(i, i));
     }
     util::require(p > T(0), "cannot collapse onto zero probability");
-    for (std::size_t i = 0; i < rho_.rows(); ++i) {
-      for (std::size_t j = 0; j < rho_.cols(); ++j) {
-        if (util::getBit(i, pos) != keep || util::getBit(j, pos) != keep) {
-          rho_(i, j) = value_type(0);
-        } else {
-          rho_(i, j) /= p;
-        }
-      }
-    }
+    std::vector<value_type> diagonal(4, value_type(0));
+    diagonal[3 * keep] = value_type(T(1) / p);
+    applyDiagonal(qubit, diagonal);
     return p;
   }
 
-  /// Reset: rho <- P0 rho P0 + X P1 rho P1 X.
+  /// Reset: rho <- P0 rho P0 + X P1 rho P1 X, the channel of the Kraus
+  /// pair {|0><0|, |0><1|}.
   void reset(int qubit) {
-    util::checkQubit(qubit, nbQubits_);
-    const int pos = util::bitPosition(qubit, nbQubits_);
-    dense::Matrix<T> result(rho_.rows(), rho_.cols());
-    for (std::size_t i = 0; i < rho_.rows(); ++i) {
-      for (std::size_t j = 0; j < rho_.cols(); ++j) {
-        if (util::getBit(i, pos) == util::getBit(j, pos)) {
-          result(util::clearBit(i, pos), util::clearBit(j, pos)) +=
-              rho_(i, j);
-        }
-      }
-    }
-    rho_ = std::move(result);
+    static const KrausChannel<T> channel(
+        {dense::Matrix<T>{{1, 0}, {0, 0}}, dense::Matrix<T>{{0, 1}, {0, 0}}});
+    applyChannel(channel, {qubit});
   }
 
   /// Outcome distribution over the listed qubits (in list order, MSB
@@ -189,41 +185,17 @@ class DensityMatrix {
   }
 
  private:
-  /// rho <- M rho M^H where `columnOp` applies M to a state vector.
-  template <typename ColumnOp>
-  void applyMatrixConjugation(ColumnOp&& columnOp) {
-    // Pass 1: columns (rho <- M rho), via B = (M (M rho)^H)^H.
-    applyToColumns(rho_, columnOp);
-    dense::Matrix<T> adjoint = rho_.dagger();
-    applyToColumns(adjoint, columnOp);
-    rho_ = adjoint.dagger();
+  /// rho's storage as the state of a 2n-qubit register.
+  sim::StateSpan<T> vectorised() noexcept {
+    return sim::StateSpan<T>(rho_.data(), rho_.size());
   }
 
-  template <typename ColumnOp>
-  static void applyToColumns(dense::Matrix<T>& matrix, ColumnOp&& columnOp) {
-    std::vector<value_type> column(matrix.rows());
-    for (std::size_t j = 0; j < matrix.cols(); ++j) {
-      for (std::size_t i = 0; i < matrix.rows(); ++i) column[i] = matrix(i, j);
-      columnOp(column);
-      for (std::size_t i = 0; i < matrix.rows(); ++i) matrix(i, j) = column[i];
-    }
-  }
-
-  /// branch <- K branch K^H for a (possibly non-unitary) k-qubit matrix.
-  void conjugateWithMatrix(dense::Matrix<T>& branch,
-                           const std::vector<int>& qubits,
-                           const dense::Matrix<T>& kraus) {
-    auto op = [&](std::vector<value_type>& column) {
-      if (qubits.size() == 1) {
-        sim::apply1(column, nbQubits_, qubits[0], kraus);
-      } else {
-        sim::applyK(column, nbQubits_, qubits, kraus);
-      }
-    };
-    applyToColumns(branch, op);
-    dense::Matrix<T> adjoint = branch.dagger();
-    applyToColumns(adjoint, op);
-    branch = adjoint.dagger();
+  /// Scales entry (i, j) of rho by diagonal[2 b_i + b_j], where b_i and
+  /// b_j are the row and column bits of `qubit`.
+  void applyDiagonal(int qubit, const std::vector<value_type>& diagonal) {
+    sim::StateSpan<T> state = vectorised();
+    sim::applyDiagonalBlock(state, 2 * nbQubits_, {qubit, qubit + nbQubits_},
+                            diagonal);
   }
 
   int nbQubits_;

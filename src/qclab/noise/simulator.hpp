@@ -3,8 +3,10 @@
 /// \file simulator.hpp
 /// \brief Noisy circuit simulation on density matrices.
 ///
-/// Walks a QCircuit exactly like the state-vector simulator but evolves a
-/// DensityMatrix and injects noise channels according to a NoiseModel:
+/// Runs the program sim::compile makes of a QCircuit, like the
+/// state-vector drivers, but evolves a DensityMatrix (whose operations are
+/// statevector kernel calls on a 2n-qubit register) and injects noise
+/// channels according to a NoiseModel:
 /// after every gate, the per-qubit channel is applied to each qubit the
 /// gate touched; measurements rotate into the measurement basis (V†),
 /// apply the readout channel, and then dephase the qubit (the outcome
@@ -23,6 +25,7 @@
 #include "qclab/obs/metrics.hpp"
 #include "qclab/obs/trace.hpp"
 #include "qclab/qcircuit.hpp"
+#include "qclab/sim/execute.hpp"
 
 namespace qclab::noise {
 
@@ -64,52 +67,40 @@ struct NoiseModel {
 template <typename T>
 void simulateDensity(const QCircuit<T>& circuit, DensityMatrix<T>& state,
                      const NoiseModel<T>& model = {}) {
-  for (const sim::FlatOp<T>& op : circuit.flatten()) {
-    switch (op.object->objectType()) {
-      case ObjectType::kGate: {
-        const auto& gate = static_cast<const qgates::QGate<T>&>(*op.object);
-        state.applyGate(gate, op.offset);
-        if (model.gateNoise) {
-          for (int qubit : gate.qubits()) {
-            state.applyChannel(*model.gateNoise, {qubit + op.offset});
-            obs::metrics().add(obs::Counter::kNoiseChannels);
-          }
+  const auto applyNoise = [&](const KrausChannel<T>& channel, int qubit) {
+    state.applyChannel(channel, {qubit});
+    obs::metrics().add(obs::Counter::kNoiseChannels);
+  };
+  const sim::Program<T> program =
+      sim::compile(circuit.flatten(), 0, state.nbQubits(), nullptr);
+  for (const sim::ProgramStep<T>& step : program.steps) {
+    if (step.isRun()) {
+      for (const sim::GateRef<T>& ref : step.gates) {
+        state.applyGate(*ref.gate, ref.offset);
+        if (!model.gateNoise) continue;
+        for (int qubit : ref.gate->qubits()) {
+          applyNoise(*model.gateNoise, qubit + ref.offset);
         }
-        break;
       }
-      case ObjectType::kMeasurement: {
-        const auto& measurement =
-            static_cast<const Measurement<T>&>(*op.object);
-        const int qubit = measurement.qubit() + op.offset;
-        // Basis change, readout noise, dephase, change back (paper §3.3
-        // recipe applied at the density-matrix level).  The readout
-        // channel must act on the rotated qubit: before the V† it would
-        // commute with the measurement it is supposed to corrupt (e.g. a
-        // bit-flip readout error in front of an X-basis measurement is a
-        // no-op on the recorded distribution).
-        if (measurement.basis() != Basis::kZ) {
-          const qgates::MatrixGate1<T> change(
-              measurement.qubit(), measurement.basisChangeMatrix());
-          state.applyGate(change, op.offset);
-        }
-        if (model.measurementNoise) {
-          state.applyChannel(*model.measurementNoise, {qubit});
-          obs::metrics().add(obs::Counter::kNoiseChannels);
-        }
-        state.dephase(qubit);
-        if (measurement.basis() != Basis::kZ) {
-          const qgates::MatrixGate1<T> revert(measurement.qubit(),
-                                              measurement.basisVectors());
-          state.applyGate(revert, op.offset);
-        }
-        break;
+    } else if (step.reset) {
+      state.reset(step.qubit);
+    } else {
+      // Basis change, readout noise, dephase, change back (paper §3.3
+      // recipe applied at the density-matrix level).  The readout
+      // channel must act on the rotated qubit: before the V† it would
+      // commute with the measurement it is supposed to corrupt (e.g. a
+      // bit-flip readout error in front of an X-basis measurement is a
+      // no-op on the recorded distribution).
+      if (step.rotates()) {
+        state.applyGate(qgates::MatrixGate1<T>(step.qubit, step.vDagger));
       }
-      case ObjectType::kReset:
-        state.reset(static_cast<const Reset<T>&>(*op.object).qubit() +
-                    op.offset);
-        break;
-      default:
-        break;
+      if (model.measurementNoise) {
+        applyNoise(*model.measurementNoise, step.qubit);
+      }
+      state.dephase(step.qubit);
+      if (step.rotates()) {
+        state.applyGate(qgates::MatrixGate1<T>(step.qubit, step.v));
+      }
     }
   }
 }

@@ -3,15 +3,15 @@
 /// \file trajectory.hpp
 /// \brief Monte Carlo quantum-trajectory simulation of noisy circuits.
 ///
-/// The density-matrix simulator (simulator.hpp) is exact but walks 4^n
-/// amplitudes, which caps it at ~13 qubits.  TrajectorySimulator trades
-/// exactness for scale the way QCLAB++ and Quantum++ do: it stochastically
-/// unravels the NoiseModel into N independent 2^n state-vector runs, each
-/// sampling one Kraus operator per channel application with probability
-/// p_i = ||K_i psi||^2 and renormalizing.  Averaged over trajectories the
-/// ensemble converges to the density-matrix result at O(1/sqrt(N)), so
-/// noisy simulation becomes possible at qubit counts (20+) the 4^n walk
-/// can never reach.
+/// The density-matrix simulator (simulator.hpp) is exact but stores 4^n
+/// amplitudes, 1 GiB at 13 qubits and 4 GiB at 14.  TrajectorySimulator
+/// trades exactness for scale the way QCLAB++ and Quantum++ do: it
+/// stochastically unravels the NoiseModel into N independent 2^n
+/// state-vector runs, each sampling one Kraus operator per channel
+/// application with probability p_i = ||K_i psi||^2 and renormalizing.
+/// Averaged over trajectories the ensemble converges to the
+/// density-matrix result at O(1/sqrt(N)), so noisy simulation becomes
+/// possible at qubit counts (20+) the 4^n state can never reach.
 ///
 /// Determinism contract: trajectory t always consumes random stream t,
 /// obtained by seeding xoshiro256** once and advancing it t jump()s (each

@@ -445,6 +445,21 @@ void applyDiagonalBlock(State& state, int nbQubits,
               });
 }
 
+/// Conjugates every amplitude in place: conj . U . conj applies conj(U),
+/// as the density engine does on its column qubits.  A memory-bound
+/// sweep, with applyDiagonalBlock's parallel threshold.
+template <typename State>
+void conjugate(State& state, int nbQubits) {
+  const std::int64_t dim = std::int64_t{1} << nbQubits;
+  const std::int64_t tile = std::min(dim, kRunTile);
+  auto* const data = state.data();
+  parallelFor(dim / tile, dim, 4 * kOmpThreshold, [=](std::int64_t t) {
+    for (auto* a = data + t * tile; a != data + (t + 1) * tile; ++a) {
+      *a = std::conj(*a);
+    }
+  });
+}
+
 /// Weights {sum |a_i|^2 over bit(qubit) = 0, over bit(qubit) = 1} in one
 /// sweep: an outcome with no amplitude reads exactly 0 however far the
 /// norm has drifted.  Shares add in share order (bits vary by thread count).

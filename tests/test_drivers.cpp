@@ -2,11 +2,11 @@
 /// \brief Cross-driver agreement on nested circuits with barriers: every
 /// execution driver (simulate with fusion off / on and dispatch
 /// kStatevector / kAuto, the SparseKron reference backend, the batch
-/// engine, and the trajectory engine) runs a program sim::compile built
-/// from the same flat op list, so all of them must agree with the circuit
-/// written out flat by hand, and the fused drivers with each other bit for
-/// bit.  Also pins that every driver rejects an op outside the register
-/// with QubitRangeError on the calling thread.
+/// engine, the trajectory engine, and the density engine) runs a program
+/// sim::compile built from the same flat op list, so all of them must
+/// agree with the circuit written out flat by hand, and the fused drivers
+/// with each other bit for bit.  Also pins that every driver rejects an op
+/// outside the register with QubitRangeError on the calling thread.
 
 #include <gtest/gtest.h>
 
@@ -193,6 +193,25 @@ TEST(DriverAgreement, NoiseFreeTrajectoriesMatchSimulate) {
   }
 }
 
+TEST(DriverAgreement, DensityEngineMatchesTheBranchMixture) {
+  // Measurement dephases and reset resets rho, so the noiseless density
+  // engine ends in the mixture sum_b p_b |psi_b><psi_b| of the branches.
+  for (const bool branching : {false, true}) {
+    SCOPED_TRACE("branching=" + std::to_string(branching));
+    const CircuitPair pair = makeCircuits(branching);
+    const Simulation<double> reference = pair.flat.simulate("0000");
+    dense::Matrix<double> mixture(16, 16);
+    for (std::size_t b = 0; b < reference.nbBranches(); ++b) {
+      const std::vector<std::complex<double>> psi = reference.state(b);
+      mixture += dense::outer(psi, psi) *
+                 std::complex<double>(reference.probability(b));
+    }
+    const noise::DensityMatrix<double> rho =
+        noise::simulateDensity(pair.nested, "0000");
+    test::expectMatrixNear(rho.matrix(), mixture, 1e-12);
+  }
+}
+
 TEST(DriverAgreement, BarriersEndFusedRunsInEveryDriver) {
   // H(0) H(1) CX(0,1) fits one two-qubit block; a barrier before the CX
   // splits the run, and with it the block, in two.  The batch and
@@ -247,6 +266,19 @@ TEST(DriverRangeCheck, TrajectoryEngine) {
   EXPECT_THROW(
       noise::TrajectorySimulator<double>(offsetPastRegister(), {}).run("00"),
       QubitRangeError);
+}
+
+TEST(DriverRangeCheck, DensityEngine) {
+  // In the 2n-qubit register behind rho, qubit 2 of this 2-qubit register
+  // is column qubit 0: the gate must throw before its row half writes.
+  random::Rng rng(5);
+  noise::DensityMatrix<double> rho(test::randomState<double>(2, rng));
+  const dense::Matrix<double> before = rho.matrix();
+  EXPECT_THROW(noise::simulateDensity(offsetPastRegister(), rho),
+               QubitRangeError);
+  EXPECT_EQ(std::memcmp(rho.matrix().data(), before.data(),
+                        before.size() * sizeof(std::complex<double>)),
+            0);
 }
 
 TEST(DriverRangeCheck, BatchEngine) {

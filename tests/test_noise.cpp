@@ -1,9 +1,18 @@
 /// \file test_noise.cpp
 /// \brief Unit tests for the noise extension: Kraus channels, the density
 /// matrix state, and noisy circuit simulation — including the repetition
-/// code suppressing bit-flip noise (paper §5.4 made quantitative).
+/// code suppressing bit-flip noise (paper §5.4 made quantitative).  Every
+/// density operation is also checked against its dense product, built
+/// from the paper's sparse-Kronecker extended unitary and dense::kron.
 
 #include <gtest/gtest.h>
+
+#include <cstring>
+#include <memory>
+
+#ifdef QCLAB_HAS_OPENMP
+#include <omp.h>
+#endif
 
 #include "test_helpers.hpp"
 
@@ -363,6 +372,201 @@ TEST(NoisySimulation, GateNoiseAppliedOncePerQubitOfMultiQubitGate) {
   // A gate can never list the same qubit twice, so "noise applied twice
   // to one qubit" cannot arise from circuit construction.
   EXPECT_THROW(qgates::CX<double>(1, 1), InvalidArgumentError);
+}
+
+// ---- every density operation against its dense product ----------------
+
+/// A random full-rank mixed state A A^H / tr(A A^H) on `n` qubits.
+M randomMixedState(int n, std::uint64_t seed) {
+  random::Rng rng(seed);
+  const std::size_t dim = std::size_t{1} << n;
+  M a(dim, dim);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    a.data()[i] = C(rng.normal(), rng.normal());
+  }
+  M rho = a * a.dagger();
+  rho *= C(1.0 / std::real(rho.trace()));
+  return rho;
+}
+
+/// I (x) op (x) I on an n-qubit register: `op` acts on the contiguous
+/// qubits from `qubit` on.
+M embed(int n, int qubit, const M& op) {
+  const int k = util::log2PowerOfTwo(op.rows());
+  return dense::kron(dense::kron(M::identity(std::size_t{1} << qubit), op),
+                     M::identity(std::size_t{1} << (n - qubit - k)));
+}
+
+/// sum_i K_i rho K_i^H over full-register operators.
+M krausSum(const M& rho, const std::vector<M>& ops) {
+  M result(rho.rows(), rho.cols());
+  for (const M& k : ops) result += k * rho * k.dagger();
+  return result;
+}
+
+/// A dense two-qubit unitary: (u0 (x) u1) CX.
+M denseUnitary2(random::Rng& rng) {
+  return dense::kron(qclab::test::randomUnitary1<double>(rng),
+                     qclab::test::randomUnitary1<double>(rng)) *
+         qgates::CX<double>(0, 1).matrix();
+}
+
+TEST(DensityMatrix, EveryKernelPathMatchesTheDenseProduct) {
+  random::Rng rng(11);
+  const M u2 = denseUnitary2(rng);
+  const M u3 = dense::kron(qclab::test::randomUnitary1<double>(rng), u2);
+  std::vector<std::pair<std::unique_ptr<qgates::QGate<double>>,
+                        sim::KernelPath>> gates;
+  gates.emplace_back(std::make_unique<qgates::U3<double>>(0, 0.3, -1.1, 0.7),
+                     sim::KernelPath::kDense1);
+  gates.emplace_back(std::make_unique<qgates::RotationZ<double>>(0, 0.9),
+                     sim::KernelPath::kDiagonal1);
+  gates.emplace_back(std::make_unique<qgates::CX<double>>(1, 0, 0),
+                     sim::KernelPath::kControlled1);
+  gates.emplace_back(std::make_unique<qgates::CPhase<double>>(0, 1, 0.6),
+                     sim::KernelPath::kControlledDiagonal1);
+  gates.emplace_back(std::make_unique<qgates::SWAP<double>>(0, 1),
+                     sim::KernelPath::kSwap);
+  gates.emplace_back(std::make_unique<qgates::RotationZZ<double>>(0, 1, 0.8),
+                     sim::KernelPath::kDiagonalK);
+  gates.emplace_back(
+      std::make_unique<qgates::MatrixGateN<double>>(std::vector<int>{0, 1}, u2),
+      sim::KernelPath::kDenseK);
+  gates.emplace_back(std::make_unique<qgates::MatrixGateN<double>>(
+                         std::vector<int>{0, 1, 2}, u3),
+                     sim::KernelPath::kDenseK);
+  for (const int n : {3, 4}) {
+    const M rho = randomMixedState(n, 100 + static_cast<std::uint64_t>(n));
+    for (const auto& [gate, path] : gates) {
+      // Pushed to the bottom of the register: a nonzero offset for every
+      // gate but the three-qubit one at n = 3.
+      const int offset = n - 1 - gate->qubits().back();
+      SCOPED_TRACE("n=" + std::to_string(n) + " path=" +
+                   sim::kernelPathName(path) + " k=" +
+                   std::to_string(gate->nbQubits()));
+      EXPECT_EQ(sim::classifyKernelPath(*gate), path);
+      DensityMatrix<double> state(n, rho);
+      state.applyGate(*gate, offset);
+      const M e = sim::extendedUnitary(n, *gate, offset).toDense();
+      qclab::test::expectMatrixNear(state.matrix(), krausSum(rho, {e}),
+                                    1e-13);
+    }
+  }
+}
+
+TEST(DensityMatrix, OneAndTwoQubitChannelsMatchTheKrausSum) {
+  random::Rng rng(12);
+  const double p = 0.3;
+  // A mixed-unitary two-qubit channel {sqrt(1-p) I, sqrt(p) U}: each
+  // operator extends over any qubit pair through extendedUnitary.
+  const M u = denseUnitary2(rng);
+  const KrausChannel<double> mixedUnitary(
+      {M::identity(4) * C(std::sqrt(1 - p)), u * C(std::sqrt(p))});
+  // A non-unitary two-qubit channel: amplitude damping (x) depolarizing.
+  const auto damping = KrausChannel<double>::amplitudeDamping(p);
+  const auto depolarizing = KrausChannel<double>::depolarizing(p);
+  std::vector<M> productOps;
+  for (const M& a : damping.operators()) {
+    for (const M& b : depolarizing.operators()) {
+      productOps.push_back(dense::kron(a, b));
+    }
+  }
+  const KrausChannel<double> product(productOps);
+  for (const int n : {3, 4}) {
+    const M rho = randomMixedState(n, 200 + static_cast<std::uint64_t>(n));
+    for (int q = 0; q < n; ++q) {
+      for (const auto& channel :
+           {damping, depolarizing, KrausChannel<double>::readout(0.1, 0.4)}) {
+        DensityMatrix<double> state(n, rho);
+        state.applyChannel(channel, {q});
+        std::vector<M> ops;
+        for (const M& k : channel.operators()) ops.push_back(embed(n, q, k));
+        qclab::test::expectMatrixNear(state.matrix(), krausSum(rho, ops),
+                                      1e-13);
+      }
+      for (int q1 = q + 1; q1 < n; ++q1) {
+        SCOPED_TRACE("n=" + std::to_string(n) + " qubits " +
+                     std::to_string(q) + "," + std::to_string(q1));
+        DensityMatrix<double> state(n, rho);
+        state.applyChannel(mixedUnitary, {q, q1});
+        const M e = sim::extendedUnitary(
+                        n, qgates::MatrixGateN<double>({q, q1}, u))
+                        .toDense();
+        const M expected = rho * C(1 - p) + krausSum(rho, {e}) * C(p);
+        qclab::test::expectMatrixNear(state.matrix(), expected, 1e-13);
+      }
+      if (q + 1 < n) {
+        DensityMatrix<double> state(n, rho);
+        state.applyChannel(product, {q, q + 1});
+        std::vector<M> ops;
+        for (const M& k : productOps) ops.push_back(embed(n, q, k));
+        qclab::test::expectMatrixNear(state.matrix(), krausSum(rho, ops),
+                                      1e-13);
+      }
+    }
+  }
+}
+
+TEST(DensityMatrix, DephaseCollapseAndResetMatchTheirProjectors) {
+  const M p0{{C(1), C(0)}, {C(0), C(0)}};
+  const M p1{{C(0), C(0)}, {C(0), C(1)}};
+  const M lower{{C(0), C(1)}, {C(0), C(0)}};  // |0><1|
+  for (const int n : {3, 4}) {
+    const M rho = randomMixedState(n, 300 + static_cast<std::uint64_t>(n));
+    for (int q = 0; q < n; ++q) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " qubit " + std::to_string(q));
+      DensityMatrix<double> dephased(n, rho);
+      dephased.dephase(q);
+      qclab::test::expectMatrixNear(
+          dephased.matrix(), krausSum(rho, {embed(n, q, p0), embed(n, q, p1)}),
+          1e-13);
+
+      DensityMatrix<double> reset(n, rho);
+      reset.reset(q);
+      qclab::test::expectMatrixNear(
+          reset.matrix(), krausSum(rho, {embed(n, q, p0), embed(n, q, lower)}),
+          1e-13);
+
+      for (const int outcome : {0, 1}) {
+        DensityMatrix<double> collapsed(n, rho);
+        const double weight = collapsed.collapse(q, outcome);
+        M expected = krausSum(rho, {embed(n, q, outcome == 0 ? p0 : p1)});
+        EXPECT_NEAR(weight, std::real(expected.trace()), 1e-13);
+        expected *= C(1.0 / weight);
+        qclab::test::expectMatrixNear(collapsed.matrix(), expected, 1e-13);
+      }
+    }
+  }
+}
+
+/// The 2n-qubit register of an n = 8 density matrix is large enough for
+/// every kernel to fork: each thread count must give the same bits.
+TEST(NoisySimulation, BitIdenticalAcrossThreadCounts) {
+#ifndef QCLAB_HAS_OPENMP
+  GTEST_SKIP() << "built without OpenMP";
+#else
+  const int n = 8;
+  QCircuit<double> circuit = qclab::test::randomCircuit<double>(n, 12, 31);
+  circuit.push_back(Measurement<double>(2, 'x'));
+  circuit.push_back(Reset<double>(5));
+  NoiseModel<double> model = NoiseModel<double>::depolarizing(0.05);
+  model.measurementNoise = KrausChannel<double>::readout(0.1, 0.2);
+  const int saved = omp_get_max_threads();
+  std::vector<M> results;
+  for (const int threads : {1, 2, 4}) {
+    omp_set_num_threads(threads);
+    results.push_back(
+        simulateDensity(circuit, std::string(n, '0'), model).matrix());
+  }
+  omp_set_num_threads(saved);
+  EXPECT_NEAR(std::real(results[0].trace()), 1.0, 1e-12);
+  for (std::size_t i = 1; i < results.size(); ++i) {
+    EXPECT_EQ(std::memcmp(results[0].data(), results[i].data(),
+                          results[0].size() * sizeof(C)),
+              0)
+        << "thread-count run " << i;
+  }
+#endif
 }
 
 }  // namespace

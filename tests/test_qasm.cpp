@@ -150,6 +150,8 @@ const Diagnostic kDiagnostics[] = {
     {"OPENQASM 2.0;\nqreg q[2];\ncx q[0],\nq[5];", 3,  // next token
      "qubit index out of range"},
     {"OPENQASM 2.0;\nqreg q[1];\nfoo q[0];", 3, "unsupported gate 'foo'"},
+    {"OPENQASM 2.0;\ninclude \"a\nb\";\nqreg q[1];\nfoo q[0];", 5,
+     "unsupported gate 'foo'"},  // a newline inside the include string
     {"OPENQASM 2.0;\n\nqreg q[1];\nh q[0];\n\nfoo q[0];\n", 6,
      "unsupported gate 'foo'"},
     {"OPENQASM 2.0;\nqreg q[2];\ncx q[0];", 3, "gate 'cx' expects 2 qubit(s)"},

@@ -1,8 +1,8 @@
 /// \file test_trajectory_vs_density.cpp
 /// \brief Differential tests: trajectory-averaged outcome distributions
 /// must converge to the density-matrix diagonal for every KrausChannel
-/// factory on 2–5 qubit circuits (seeded, fixed trajectory count, so the
-/// runs are reproducible and the statistical tolerance is safe).
+/// factory on 2–5 and 8 qubit circuits (seeded, fixed trajectory count, so
+/// the runs are reproducible and the statistical tolerance is safe).
 
 #include <gtest/gtest.h>
 
@@ -158,6 +158,9 @@ TEST_P(TrajectoryVsDensity, RandomCircuitUnderDepolarizing) {
 
 INSTANTIATE_TEST_SUITE_P(TwoToFiveQubits, TrajectoryVsDensity,
                          ::testing::Values(2, 3, 4, 5));
+// A 2n = 16 qubit density register: every density kernel forks.
+INSTANTIATE_TEST_SUITE_P(EightQubits, TrajectoryVsDensity,
+                         ::testing::Values(8));
 
 // ---- recorded-outcome agreement ---------------------------------------
 
