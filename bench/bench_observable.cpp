@@ -54,6 +54,41 @@ void BM_IsingVariance(benchmark::State& state) {
 }
 BENCHMARK(BM_IsingVariance)->DenseRange(4, 16, 4);
 
+qclab::algorithms::Graph completeGraph(int n) {
+  qclab::algorithms::Graph graph{n, {}};
+  for (int i = 0; i < n; ++i) {
+    for (int j = i + 1; j < n; ++j) graph.edges.push_back({i, j});
+  }
+  return graph;
+}
+
+/// <C> of the K_n MaxCut cost (n(n-1)/2 + 1 I/Z terms), its diagonal
+/// table formed before the timed loop: the variational inner loop.
+void BM_MaxCutExpectation(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const auto cost = qclab::algorithms::maxCutHamiltonian<T>(completeGraph(n));
+  const auto psi = uniformState(n);
+  benchmark::DoNotOptimize(cost.expectation(psi));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cost.expectation(psi));
+  }
+  state.counters["terms"] = static_cast<double>(cost.nbTerms());
+}
+BENCHMARK(BM_MaxCutExpectation)->Arg(12)->Arg(16)->Arg(20);
+
+/// The same <C> with the cost built on every call, as
+/// algorithms::qaoaExpectedCut does: each call forms the table.
+void BM_MaxCutExpectationOneShot(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const auto graph = completeGraph(n);
+  const auto psi = uniformState(n);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        qclab::algorithms::maxCutHamiltonian<T>(graph).expectation(psi));
+  }
+}
+BENCHMARK(BM_MaxCutExpectationOneShot)->Arg(16);
+
 void BM_EntanglementEntropy(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const auto circuit = qclab::algorithms::ghz<T>(n);

@@ -30,6 +30,7 @@ class Barrier final : public QObject<T> {
     std::iota(qs.begin(), qs.end(), first_);
     return qs;
   }
+  int maxQubit() const override { return last_; }
 
   std::unique_ptr<QObject<T>> clone() const override {
     return std::make_unique<Barrier<T>>(*this);

@@ -67,6 +67,7 @@ class Measurement final : public QObject<T> {
 
   int nbQubits() const noexcept override { return 1; }
   std::vector<int> qubits() const override { return {qubit_}; }
+  int maxQubit() const override { return qubit_; }
 
   /// The measured qubit.
   int qubit() const noexcept { return qubit_; }

@@ -9,7 +9,9 @@
 /// map rho -> sum_i K_i rho K_i^H; the standard single-qubit channels are
 /// provided as factories.
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -21,11 +23,18 @@ namespace qclab::noise {
 template <typename T>
 class KrausChannel {
  public:
+  /// Default tolerance of the sum K^H K = I check: 1e-10, or 64 roundings
+  /// of 1 where that is larger (float: 7.6e-6; double keeps 1e-10).  The
+  /// factories land within one epsilon of I; 64 leaves room for sums of
+  /// many user operators and stays far below a physical loss of trace.
+  static constexpr T kDefaultTolerance =
+      std::max(T(1e-10), T(64) * std::numeric_limits<T>::epsilon());
+
   /// Builds a channel from its Kraus operators (all must be square with
   /// the same power-of-two dimension, and satisfy sum K^H K = I within
   /// `tol`) and forms its superoperator once.
   explicit KrausChannel(std::vector<dense::Matrix<T>> operators,
-                        T tol = T(1e-10))
+                        T tol = kDefaultTolerance)
       : operators_(std::move(operators)) {
     util::require(!operators_.empty(), "channel needs >= 1 Kraus operator");
     const std::size_t dim = operators_.front().rows();

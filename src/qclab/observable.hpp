@@ -7,22 +7,29 @@
 /// research (paper §1); measuring expectation values of Pauli observables
 /// is the core primitive of that workflow (VQE-style energy evaluation,
 /// tomography generalizations).  No operator matrix is ever materialized:
-/// PauliString::apply runs the in-place kernels on a copy, and
-/// expectation values only read the state — one pass per term that flips
-/// qubits (X/Y factors), plus one Walsh–Hadamard transform of |psi|^2
-/// shared by every I/Z-only term.
+/// PauliString::apply runs the in-place kernels on a copy.  An Observable
+/// compiles its terms once, on first use: every I/Z-only term folds into
+/// one real diagonal D(i) = sum_t c_t (-1)^|i & z_t|, formed by a single
+/// Walsh–Hadamard transform, so an expectation reads sum_i |psi_i|^2 D(i)
+/// in one pass plus one read-only pass per term that flips qubits (X/Y
+/// factors).
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <bit>
 #include <cctype>
 #include <complex>
+#include <cstdint>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "qclab/dense/ops.hpp"
 #include "qclab/sim/kernels.hpp"
+#include "qclab/sim/parallel.hpp"
 #include "qclab/util/bits.hpp"
 #include "qclab/util/errors.hpp"
 
@@ -33,25 +40,139 @@ class Observable;
 
 namespace detail {
 
-/// Unnormalized Walsh–Hadamard transform of |psi|^2: entry z is
-/// sum_i |psi_i|^2 (-1)^|i&z|, the expectation of the Z string with index
-/// mask z.  n 2^n in-place butterflies.
+/// A diagonal table is read and formed in chunks of this many entries,
+/// each on one thread: the chunk sums, and so the result bits, do not
+/// depend on the thread count.
+inline constexpr std::size_t kDiagonalChunk = 4096;
+
+/// Table size from which its passes fork a team.
+inline constexpr std::int64_t kDiagonalForkEntries = 4 * sim::kOmpThreshold;
+
+/// Butterfly (a, b) -> (a + b, a - b) of p[k] and p[k + h]: one radix-2
+/// stage of the transform.
 template <typename T>
-std::vector<T> walshHadamardOfProbabilities(
-    std::span<const std::complex<T>> state) {
-  std::vector<T> p(state.size());
-  for (std::size_t i = 0; i < p.size(); ++i) p[i] = std::norm(state[i]);
-  for (std::size_t h = 1; h < p.size(); h <<= 1) {
-    for (std::size_t i = 0; i < p.size(); i += 2 * h) {
-      for (std::size_t j = i; j < i + h; ++j) {
-        const T a = p[j];
-        const T b = p[j + h];
-        p[j] = a + b;
-        p[j + h] = a - b;
+inline void walshHadamardPair(T* p, std::size_t k, std::size_t h) {
+  const T a = p[k], b = p[k + h];
+  p[k] = a + b;
+  p[k + h] = a - b;
+}
+
+/// The stages h, then 2h, on p[k + {0, h, 2h, 3h}] in one sweep, with the
+/// same roundings as two radix-2 sweeps.
+template <typename T>
+inline void walshHadamardQuad(T* p, std::size_t k, std::size_t h) {
+  const T a = p[k], b = p[k + h], c = p[k + 2 * h], d = p[k + 3 * h];
+  const T s0 = a + b, s1 = a - b, s2 = c + d, s3 = c - d;
+  p[k] = s0 + s2;
+  p[k + h] = s1 + s3;
+  p[k + 2 * h] = s0 - s2;
+  p[k + 3 * h] = s1 - s3;
+}
+
+/// Every stage of the transform of p[0, size): one chunk.  The same sums
+/// as walshHadamardAcrossChunks with a chunk of 1, whose one-entry inner
+/// loop would not vectorize.
+template <typename T>
+void walshHadamardChunk(T* p, std::size_t size) {
+  std::size_t h = 1;
+  for (; 4 * h <= size; h *= 4) {
+    for (std::size_t i = 0; i < size; i += 4 * h) {
+      for (std::size_t k = i; k < i + h; ++k) walshHadamardQuad(p, k, h);
+    }
+  }
+  if (h == size) return;
+  for (std::size_t k = 0; k < h; ++k) walshHadamardPair(p, k, h);
+}
+
+/// The stages h = chunk, 2 chunk, ... < size of the transform of
+/// p[0, size), on the entries at offsets [lo, hi) of every chunk.
+template <typename T>
+void walshHadamardAcrossChunks(T* p, std::size_t size, std::size_t chunk,
+                               std::size_t lo, std::size_t hi) {
+  std::size_t h = chunk;
+  for (; 4 * h <= size; h *= 4) {
+    for (std::size_t i = 0; i < size; i += 4 * h) {
+      for (std::size_t r = i; r < i + h; r += chunk) {
+        for (std::size_t k = r + lo; k < r + hi; ++k) {
+          walshHadamardQuad(p, k, h);
+        }
       }
     }
   }
-  return p;
+  if (h == size) return;
+  for (std::size_t r = 0; r < h; r += chunk) {
+    for (std::size_t k = r + lo; k < r + hi; ++k) walshHadamardPair(p, k, h);
+  }
+}
+
+/// In-place unnormalized Walsh–Hadamard transform: entry i becomes
+/// sum_z v_z (-1)^|i&z|.  The stages below the chunk size run chunk by
+/// chunk, the ones above by ranges of offsets within the chunks, so each
+/// share stays in cache and every entry sees the same additions on any
+/// team.
+template <typename T>
+void walshHadamard(std::span<T> v) {
+  const std::size_t size = v.size();
+  const std::size_t chunk = std::min(size, kDiagonalChunk);
+  const int team = sim::teamSize(static_cast<std::int64_t>(size),
+                                 kDiagonalForkEntries);
+  T* p = v.data();
+  sim::parallelRanges(
+      static_cast<std::int64_t>(size / chunk), team,
+      [&](std::int64_t lo, std::int64_t hi, int) {
+        for (auto c = static_cast<std::size_t>(lo);
+             c < static_cast<std::size_t>(hi); ++c) {
+          walshHadamardChunk(p + c * chunk, chunk);
+        }
+      });
+  if (size == chunk) return;
+  sim::parallelRanges(static_cast<std::int64_t>(chunk), team,
+                      [&](std::int64_t lo, std::int64_t hi, int) {
+                        walshHadamardAcrossChunks(
+                            p, size, chunk, static_cast<std::size_t>(lo),
+                            static_cast<std::size_t>(hi));
+                      });
+}
+
+/// sum_i |psi_i|^2 d_i over one chunk.  Eight running sums in a fixed
+/// order break the chain of dependent adds.
+template <typename T>
+T diagonalChunkSum(const std::complex<T>* psi, const T* d,
+                   std::size_t size) {
+  constexpr std::size_t kLanes = 8;
+  std::array<T, kLanes> acc{};
+  std::size_t j = 0;
+  for (; j + kLanes <= size; j += kLanes) {
+    for (std::size_t k = 0; k < kLanes; ++k) {
+      acc[k] += std::norm(psi[j + k]) * d[j + k];
+    }
+  }
+  for (; j < size; ++j) acc[j % kLanes] += std::norm(psi[j]) * d[j];
+  return ((acc[0] + acc[1]) + (acc[2] + acc[3])) +
+         ((acc[4] + acc[5]) + (acc[6] + acc[7]));
+}
+
+/// sum_i |psi_i|^2 d_i in one pass: one partial per fixed chunk, added in
+/// chunk order, so the bits are the same on every team size.
+template <typename T>
+T diagonalExpectation(std::span<const std::complex<T>> state,
+                      std::span<const T> d) {
+  const std::size_t chunk = std::min(state.size(), kDiagonalChunk);
+  std::vector<T> partials(state.size() / chunk);
+  sim::parallelRanges(
+      static_cast<std::int64_t>(partials.size()),
+      sim::teamSize(static_cast<std::int64_t>(state.size()),
+                    kDiagonalForkEntries),
+      [&](std::int64_t lo, std::int64_t hi, int) {
+        for (auto c = static_cast<std::size_t>(lo);
+             c < static_cast<std::size_t>(hi); ++c) {
+          partials[c] = diagonalChunkSum(state.data() + c * chunk,
+                                         d.data() + c * chunk, chunk);
+        }
+      });
+  T sum(0);
+  for (const T partial : partials) sum += partial;
+  return sum;
 }
 
 }  // namespace detail
@@ -210,6 +331,11 @@ class PauliString {
 
 /// A Hermitian observable: a real-weighted sum of Pauli strings on a fixed
 /// register size.
+///
+/// The first expectation or apply call compiles the terms (see compile()),
+/// once and safely under concurrent const calls; add() starts a new
+/// compilation.  A copy shares the compiled form, which is immutable once
+/// formed.
 template <typename T>
 class Observable {
  public:
@@ -225,6 +351,12 @@ class Observable {
   Observable& add(PauliString<T> term) {
     util::require(term.nbQubits() == nbQubits_,
                   "Pauli string length does not match the observable");
+    // A formed table, or one a copy shares, no longer fits these terms.
+    // An unformed one held here alone is still free to form from them:
+    // building an observable term by term allocates one holder.
+    if (compiled_.use_count() != 1 || compiled_->formed) {
+      compiled_ = std::make_shared<Compiled>();
+    }
     for (auto& existing : terms_) {
       if (existing.paulis() == term.paulis()) {
         existing.setCoefficient(existing.coefficient() + term.coefficient());
@@ -243,12 +375,24 @@ class Observable {
   const std::vector<PauliString<T>>& terms() const noexcept { return terms_; }
   std::size_t nbTerms() const noexcept { return terms_.size(); }
 
-  /// H |psi>.
+  /// H |psi>: D psi for the I/Z terms in one pass, plus each other term.
   std::vector<std::complex<T>> apply(
       const std::vector<std::complex<T>>& state) const {
-    std::vector<std::complex<T>> result(state.size(), std::complex<T>(0));
-    for (const auto& term : terms_) {
-      const auto contribution = term.apply(state);
+    checkDimension(state.size());
+    std::vector<std::complex<T>> result(state.size());
+    if (terms_.empty()) return result;
+    const Compiled& compiled = compile();
+    if (!compiled.diagonal.empty()) {
+      const T* d = compiled.diagonal.data();
+      const std::complex<T>* psi = state.data();
+      std::complex<T>* out = result.data();
+      const auto dim = static_cast<std::int64_t>(state.size());
+      sim::parallelFor(
+          dim, dim, detail::kDiagonalForkEntries,
+          [d, psi, out](std::int64_t i) { out[i] = d[i] * psi[i]; });
+    }
+    for (const std::size_t t : compiled.flipping) {
+      const auto contribution = terms_[t].apply(state);
       for (std::size_t i = 0; i < result.size(); ++i) {
         result[i] += contribution[i];
       }
@@ -257,25 +401,19 @@ class Observable {
   }
 
   /// <psi| H |psi> of a std::vector or a sim::StateBuffer of any tier,
-  /// read in place.  Every I/Z-only term is one entry of a single
-  /// Walsh–Hadamard transform of |psi|^2, so all of them together cost
-  /// O(n 2^n); every other term is one read-only pass
-  /// (PauliString::expectation).
+  /// read in place: one pass over the I/Z terms' diagonal, whose bits do
+  /// not depend on the thread count, and one read-only pass per other
+  /// term (PauliString::expectation).
   T expectation(std::span<const std::complex<T>> state) const {
-    util::require(state.size() == (std::size_t{1} << nbQubits_),
-                  "state dimension does not match Pauli string length");
-    std::vector<T> spectrum;  // transform of |psi|^2, built on first use
+    checkDimension(state.size());
+    if (terms_.empty()) return T(0);
+    const Compiled& compiled = compile();
     T sum(0);
-    for (const auto& term : terms_) {
-      const auto termMasks = term.masks();
-      if (termMasks.x != 0) {
-        sum += term.expectation(state);
-        continue;
-      }
-      if (spectrum.empty()) {
-        spectrum = detail::walshHadamardOfProbabilities(state);
-      }
-      sum += term.coefficient() * spectrum[termMasks.z];
+    if (!compiled.diagonal.empty()) {
+      sum = detail::diagonalExpectation<T>(state, compiled.diagonal);
+    }
+    for (const std::size_t t : compiled.flipping) {
+      sum += terms_[t].expectation(state);
     }
     return sum;
   }
@@ -299,8 +437,51 @@ class Observable {
   }
 
  private:
+  /// What apply and expectation read of the terms: the I/Z-only terms as
+  /// one real diagonal D(i) = sum_t c_t (-1)^|i & z_t| (2^n entries, empty
+  /// when there is no such term), and the indices of the other terms.
+  struct Compiled {
+    std::mutex mutex;
+    std::atomic<bool> formed{false};
+    std::vector<T> diagonal;
+    std::vector<std::size_t> flipping;
+  };
+
+  void checkDimension(std::size_t size) const {
+    util::require(size == (std::size_t{1} << nbQubits_),
+                  "state dimension does not match Pauli string length");
+  }
+
+  /// The compiled terms, formed by the first caller.  A mutex rather than
+  /// std::call_once: a formation that throws (bad_alloc) leaves the next
+  /// call free to try again.
+  const Compiled& compile() const {
+    Compiled& compiled = *compiled_;
+    if (compiled.formed.load(std::memory_order_acquire)) return compiled;
+    const std::lock_guard lock(compiled.mutex);
+    if (compiled.formed.load(std::memory_order_relaxed)) return compiled;
+    std::vector<T> diagonal;
+    std::vector<std::size_t> flipping;
+    for (std::size_t t = 0; t < terms_.size(); ++t) {
+      const auto masks = terms_[t].masks();
+      if (masks.x != 0) {
+        flipping.push_back(t);
+        continue;
+      }
+      // D is the transform of the coefficients placed at their Z masks.
+      if (diagonal.empty()) diagonal.resize(std::size_t{1} << nbQubits_);
+      diagonal[masks.z] += terms_[t].coefficient();
+    }
+    if (!diagonal.empty()) detail::walshHadamard<T>(diagonal);
+    compiled.diagonal = std::move(diagonal);
+    compiled.flipping = std::move(flipping);
+    compiled.formed.store(true, std::memory_order_release);
+    return compiled;
+  }
+
   int nbQubits_;
   std::vector<PauliString<T>> terms_;
+  std::shared_ptr<Compiled> compiled_;
 };
 
 /// Transverse-field Ising Hamiltonian on a chain:

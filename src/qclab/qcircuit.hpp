@@ -241,6 +241,7 @@ class QCircuit final : public QObject<T> {
     for (int q = 0; q < nbQubits_; ++q) qs[static_cast<std::size_t>(q)] = q + offset_;
     return qs;
   }
+  int maxQubit() const override { return offset_ + nbQubits_ - 1; }
 
   ObjectType objectType() const noexcept override {
     return ObjectType::kCircuit;
@@ -549,10 +550,10 @@ class QCircuit final : public QObject<T> {
   }
 
   void checkFits(const QObject<T>& object) const {
-    const auto qs = object.qubits();
-    util::require(!qs.empty(), "object acts on no qubits");
-    if (qs.back() >= nbQubits_) [[unlikely]] {
-      throw InvalidArgumentError("object qubit " + std::to_string(qs.back()) +
+    util::require(object.nbQubits() >= 1, "object acts on no qubits");
+    const int top = object.maxQubit();
+    if (top >= nbQubits_) [[unlikely]] {
+      throw InvalidArgumentError("object qubit " + std::to_string(top) +
                                  " does not fit in a " +
                                  std::to_string(nbQubits_) + "-qubit circuit");
     }

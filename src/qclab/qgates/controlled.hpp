@@ -38,6 +38,7 @@ class QControlledGate2 : public QGate<T> {
   std::vector<int> qubits() const final {
     return {std::min(control_, target_), std::max(control_, target_)};
   }
+  int maxQubit() const final { return std::max(control_, target_); }
 
   void shiftQubits(int delta) final {
     util::require(control_ + delta >= 0 && target_ + delta >= 0,

@@ -42,6 +42,7 @@ class Fredkin final : public QGate<T> {
     std::sort(qs.begin(), qs.end());
     return qs;
   }
+  int maxQubit() const override { return std::max(control_, target1_); }
 
   std::vector<int> controls() const override { return {control_}; }
   std::vector<int> controlStates() const override { return {controlState_}; }
@@ -144,6 +145,7 @@ class CU final : public QGate<T> {
   std::vector<int> qubits() const override {
     return {std::min(control_, target_), std::max(control_, target_)};
   }
+  int maxQubit() const override { return std::max(control_, target_); }
 
   std::vector<int> controls() const override { return {control_}; }
   std::vector<int> controlStates() const override { return {controlState_}; }

@@ -85,6 +85,7 @@ class MatrixGateN final : public QGate<T> {
     return static_cast<int>(qubits_.size());
   }
   std::vector<int> qubits() const override { return qubits_; }
+  int maxQubit() const override { return qubits_.back(); }
   dense::Matrix<T> matrix() const override { return matrix_; }
 
   void shiftQubits(int delta) override {

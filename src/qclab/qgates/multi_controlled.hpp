@@ -52,6 +52,10 @@ class MCGate : public QGate<T> {
     std::sort(qs.begin(), qs.end());
     return qs;
   }
+  int maxQubit() const final {
+    return std::max(target_, *std::max_element(controls_.begin(),
+                                               controls_.end()));
+  }
 
   void shiftQubits(int delta) final {
     util::require(target_ + delta >= 0, "qubit shift would go negative");

@@ -32,6 +32,7 @@ class QGate1 : public QGate<T> {
   }
 
   std::vector<int> qubits() const final { return {qubit_}; }
+  int maxQubit() const final { return qubit_; }
 
   void shiftQubits(int delta) final { setQubit(qubit_ + delta); }
 

@@ -24,6 +24,7 @@ class QGate2 : public QGate<T> {
 
   /// The two qubits in ascending order.
   std::vector<int> qubits() const final { return {qubit0_, qubit1_}; }
+  int maxQubit() const final { return qubit1_; }
 
   /// Smaller qubit index.
   int qubit0() const noexcept { return qubit0_; }

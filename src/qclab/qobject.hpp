@@ -44,8 +44,9 @@ class QObject {
     return qs.empty() ? 0 : qs.front();
   }
 
-  /// Largest qubit index used.
-  int maxQubit() const {
+  /// Largest qubit index used, whatever its role.  Objects that store
+  /// their qubits override it to skip building the qubits() vector.
+  virtual int maxQubit() const {
     const auto qs = qubits();
     return qs.empty() ? 0 : qs.back();
   }

@@ -26,6 +26,7 @@ class Reset final : public QObject<T> {
   ObjectType objectType() const noexcept override { return ObjectType::kReset; }
   int nbQubits() const noexcept override { return 1; }
   std::vector<int> qubits() const override { return {qubit_}; }
+  int maxQubit() const override { return qubit_; }
 
   /// The reset qubit.
   int qubit() const noexcept { return qubit_; }

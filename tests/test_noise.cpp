@@ -38,6 +38,61 @@ TEST(KrausChannel, FactoriesAreTracePreserving) {
   EXPECT_NO_THROW(KrausChannel<double>::phaseDamping(0.2));
 }
 
+TEST(KrausChannel, FactoriesBuildInFloat) {
+  // The default tolerance scales with float's epsilon; double's stays.
+  EXPECT_EQ(KrausChannel<double>::kDefaultTolerance, 1e-10);
+  EXPECT_NO_THROW(KrausChannel<float>::identity());
+  for (const float p : {0.0f, 0.1f, 0.3f, 0.5f, 0.9f, 1.0f}) {
+    EXPECT_NO_THROW(KrausChannel<float>::bitFlip(p)) << p;
+    EXPECT_NO_THROW(KrausChannel<float>::phaseFlip(p)) << p;
+    EXPECT_NO_THROW(KrausChannel<float>::bitPhaseFlip(p)) << p;
+    EXPECT_NO_THROW(KrausChannel<float>::depolarizing(p)) << p;
+    EXPECT_NO_THROW(KrausChannel<float>::amplitudeDamping(p)) << p;
+    EXPECT_NO_THROW(KrausChannel<float>::phaseDamping(p)) << p;
+    EXPECT_NO_THROW(KrausChannel<float>::readout(p, 1.0f - p)) << p;
+  }
+}
+
+TEST(KrausChannel, NonTracePreservingSetThrowsInBothScalarTypes) {
+  // A bit flip whose identity branch lost 1e-3 of its weight.
+  EXPECT_THROW(
+      KrausChannel<double>({dense::pauliI<double>() * C(std::sqrt(0.899)),
+                            dense::pauliX<double>() * C(std::sqrt(0.1))}),
+      InvalidArgumentError);
+  using Cf = std::complex<float>;
+  EXPECT_THROW(
+      KrausChannel<float>({dense::pauliI<float>() * Cf(std::sqrt(0.899f)),
+                           dense::pauliX<float>() * Cf(std::sqrt(0.1f))}),
+      InvalidArgumentError);
+  EXPECT_THROW(KrausChannel<float>({dense::pauliX<float>() * Cf(0.5f)}),
+               InvalidArgumentError);
+}
+
+TEST(NoisySimulation, FloatBellMatchesDouble) {
+  const auto bell = [](auto zero) {
+    using T = decltype(zero);
+    QCircuit<T> circuit(2);
+    circuit.push_back(qgates::Hadamard<T>(0));
+    circuit.push_back(qgates::CX<T>(0, 1));
+    circuit.push_back(Measurement<T>(1));
+    NoiseModel<T> model = NoiseModel<T>::depolarizing(T(0.05));
+    model.measurementNoise = KrausChannel<T>::readout(T(0.02), T(0.04));
+    return simulateDensity(circuit, "00", model);
+  };
+  const auto single = bell(0.0f);
+  const auto reference = bell(0.0);
+  const auto& rho = single.matrix();
+  const auto& rhoRef = reference.matrix();
+  ASSERT_EQ(rho.rows(), rhoRef.rows());
+  for (std::size_t i = 0; i < rho.rows(); ++i) {
+    for (std::size_t j = 0; j < rho.cols(); ++j) {
+      EXPECT_NEAR(rho(i, j).real(), rhoRef(i, j).real(), 1e-5) << i << "," << j;
+      EXPECT_NEAR(rho(i, j).imag(), rhoRef(i, j).imag(), 1e-5) << i << "," << j;
+    }
+  }
+  EXPECT_LT(reference.purity(), 1.0 - 1e-3);
+}
+
 TEST(KrausChannel, Validation) {
   EXPECT_THROW(KrausChannel<double>::bitFlip(-0.1), InvalidArgumentError);
   EXPECT_THROW(KrausChannel<double>::bitFlip(1.1), InvalidArgumentError);

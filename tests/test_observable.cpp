@@ -3,6 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
+#ifdef QCLAB_HAS_OPENMP
+#include <omp.h>
+#endif
+
 #include "test_helpers.hpp"
 
 namespace qclab {
@@ -175,16 +182,18 @@ TEST(Observable, AverageOfUnityIsOne) {
 }
 
 /// Random observable on `n` qubits: the all-identity term plus `nbTerms`
-/// strings drawn uniformly from I/X/Y/Z.
+/// strings drawn uniformly from `alphabet`.
 template <typename T>
-Observable<T> randomObservable(int n, int nbTerms, random::Rng& rng) {
+Observable<T> randomObservable(int n, int nbTerms, random::Rng& rng,
+                               const std::string& alphabet = "IXYZ") {
   Observable<T> observable(n);
   observable.add(std::string(static_cast<std::size_t>(n), 'I'),
                  static_cast<T>(rng.uniform(-1.0, 1.0)));
-  const char alphabet[4] = {'I', 'X', 'Y', 'Z'};
   for (int t = 0; t < nbTerms; ++t) {
     std::string paulis;
-    for (int q = 0; q < n; ++q) paulis += alphabet[rng.uniformInt(4)];
+    for (int q = 0; q < n; ++q) {
+      paulis += alphabet[rng.uniformInt(alphabet.size())];
+    }
     observable.add(paulis, static_cast<T>(rng.uniform(-1.0, 1.0)));
   }
   return observable;
@@ -288,6 +297,143 @@ TEST(Observable, MaxCutExpectationMatchesBruteForceCut) {
           reference, 1e-11)
           << "n = " << n << ", " << graph->edges.size() << " edges";
     }
+  }
+}
+
+/// sum_t <psi|P_t|psi>, one PauliString::expectation pass per term.
+template <typename T>
+T termByTermExpectation(const Observable<T>& observable,
+                        const std::vector<std::complex<T>>& state) {
+  T sum(0);
+  for (const auto& term : observable.terms()) sum += term.expectation(state);
+  return sum;
+}
+
+/// K_n MaxCut cost.
+Observable<double> completeGraphCost(int n) {
+  algorithms::Graph graph{n, {}};
+  for (int i = 0; i < n; ++i) {
+    for (int j = i + 1; j < n; ++j) graph.edges.push_back({i, j});
+  }
+  return algorithms::maxCutHamiltonian<double>(graph);
+}
+
+template <typename T>
+void expectTableMatchesTermByTerm(double relativeTolerance) {
+  random::Rng rng(41);
+  for (int n = 1; n <= 12; ++n) {
+    const auto state = qclab::test::randomState<T>(n, rng);
+    for (const std::string alphabet : {"IZ", "IXYZ"}) {
+      const auto observable =
+          randomObservable<T>(n, 3 * n + 2, rng, alphabet);
+      double scale = 0.0;
+      for (const auto& term : observable.terms()) {
+        scale += std::abs(static_cast<double>(term.coefficient()));
+      }
+      EXPECT_NEAR(observable.expectation(state),
+                  termByTermExpectation(observable, state),
+                  relativeTolerance * scale)
+          << "n = " << n << ", alphabet " << alphabet;
+    }
+  }
+}
+
+TEST(Observable, TableMatchesTermByTermDouble) {
+  expectTableMatchesTermByTerm<double>(1e-12);
+}
+
+TEST(Observable, TableMatchesTermByTermFloat) {
+  expectTableMatchesTermByTerm<float>(1e-5);
+}
+
+TEST(Observable, ExpectationBitsIndependentOfThreadCount) {
+#ifndef QCLAB_HAS_OPENMP
+  GTEST_SKIP() << "built without OpenMP";
+#else
+  // n = 14 reaches the read's fork threshold.  Each thread count forms a
+  // fresh table and reads it.
+  random::Rng rng(42);
+  const int n = 14;
+  const auto state = qclab::test::randomState<double>(n, rng);
+  const int original = omp_get_max_threads();
+  std::vector<double> values;
+  for (const int threads : {1, 2, 4}) {
+    omp_set_num_threads(threads);
+    const auto cost = completeGraphCost(n);
+    values.push_back(cost.expectation(state));
+    values.push_back(cost.expectation(state));
+  }
+  omp_set_num_threads(original);
+  for (const double value : values) EXPECT_EQ(value, values[0]);
+#endif
+}
+
+TEST(Observable, AddAfterEvaluationAndCopiesKeepTheirOwnTable) {
+  random::Rng rng(43);
+  const int n = 6;
+  const auto state = qclab::test::randomState<double>(n, rng);
+  auto observable = randomObservable<double>(n, 10, rng);
+  const double before = observable.expectation(state);
+  // No stale table: the new I/Z term and the new X term both count.
+  observable.add("ZIIZII", 0.75).add("IIXIII", -0.5);
+  const double after = observable.expectation(state);
+  EXPECT_NE(after, before);
+  EXPECT_NEAR(after, termByTermExpectation(observable, state), 1e-12);
+  // A copy made after evaluation shares the table and its bits; add() on
+  // the copy leaves the original as it was.
+  auto copy = observable;
+  EXPECT_EQ(copy.expectation(state), after);
+  copy.add("IIIIIZ", 2.0);
+  EXPECT_NEAR(copy.expectation(state), termByTermExpectation(copy, state),
+              1e-12);
+  EXPECT_EQ(observable.expectation(state), after);
+  EXPECT_EQ(observable.nbTerms() + 1, copy.nbTerms());
+  // A copy made before any evaluation: add() on the original leaves the
+  // copy's value alone, whichever of the two evaluates first.
+  auto fresh = randomObservable<double>(n, 10, rng);
+  const auto early = fresh;
+  fresh.add("IIIZII", 1.5);
+  EXPECT_NEAR(early.expectation(state), termByTermExpectation(early, state),
+              1e-12);
+  EXPECT_NEAR(fresh.expectation(state), termByTermExpectation(fresh, state),
+              1e-12);
+  EXPECT_NE(fresh.expectation(state), early.expectation(state));
+}
+
+TEST(Observable, ConcurrentFirstCallsAgree) {
+  // Four threads make the first call on one fresh observable together;
+  // exactly one forms the table, and all read the same bits.
+  random::Rng rng(44);
+  const int n = 12;
+  const auto state = qclab::test::randomState<double>(n, rng);
+  const auto observable = randomObservable<double>(n, 40, rng);
+  constexpr int kThreads = 4;
+  std::atomic<int> waiting{kThreads};
+  std::vector<double> values(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      waiting.fetch_sub(1);
+      while (waiting.load() > 0) std::this_thread::yield();
+      values[static_cast<std::size_t>(t)] = observable.expectation(state);
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (const double value : values) {
+    EXPECT_EQ(value, values[0]);
+  }
+  EXPECT_EQ(observable.expectation(state), values[0]);
+}
+
+TEST(Observable, ApplyFoldsTheDiagonalTerms) {
+  // H psi with I/Z terms read from the table and X/Y terms applied one by
+  // one matches the dense matrix.
+  random::Rng rng(45);
+  for (int n = 1; n <= 6; ++n) {
+    const auto observable = randomObservable<double>(n, 8, rng);
+    const auto state = qclab::test::randomState<double>(n, rng);
+    qclab::test::expectStateNear(observable.apply(state),
+                                 observable.matrix().apply(state), 1e-12);
   }
 }
 

@@ -37,7 +37,32 @@ TEST(QCircuit, PushBackValidatesFit) {
   QCircuit<double> circuit(2);
   EXPECT_THROW(circuit.push_back(Hadamard<double>(2)), InvalidArgumentError);
   EXPECT_THROW(circuit.push_back(CX<double>(0, 5)), InvalidArgumentError);
+  EXPECT_THROW(circuit.push_back(CX<double>(5, 0)), InvalidArgumentError);
   EXPECT_NO_THROW(circuit.push_back(CX<double>(0, 1)));
+}
+
+TEST(QCircuit, MaxQubitIsTheHighestIndexWhateverItsRole) {
+  // Every object that stores its qubits answers without building
+  // qubits(); the answer must be that vector's last entry.
+  std::vector<std::unique_ptr<QObject<double>>> objects;
+  objects.push_back(std::make_unique<Hadamard<double>>(3));
+  objects.push_back(std::make_unique<CX<double>>(5, 0));
+  objects.push_back(std::make_unique<CX<double>>(0, 5));
+  objects.push_back(std::make_unique<RotationZZ<double>>(6, 2, 0.3));
+  objects.push_back(std::make_unique<MCX<double>>(std::vector<int>{7, 1}, 3));
+  objects.push_back(std::make_unique<MCX<double>>(std::vector<int>{1, 2}, 4));
+  objects.push_back(std::make_unique<Fredkin<double>>(6, 1, 2));
+  objects.push_back(std::make_unique<Fredkin<double>>(0, 5, 2));
+  objects.push_back(std::make_unique<CU<double>>(4, 0, 0.1, 0.2, 0.3));
+  objects.push_back(std::make_unique<MatrixGateN<double>>(
+      std::vector<int>{1, 3}, M::identity(4)));
+  objects.push_back(std::make_unique<Measurement<double>>(4));
+  objects.push_back(std::make_unique<Reset<double>>(2));
+  objects.push_back(std::make_unique<Barrier<double>>(1, 5));
+  objects.push_back(std::make_unique<QCircuit<double>>(3, 2));
+  for (const auto& object : objects) {
+    EXPECT_EQ(object->maxQubit(), object->qubits().back());
+  }
 }
 
 TEST(QCircuit, InsertEraseClear) {

@@ -336,6 +336,34 @@ TEST(TrajectoryDeterminism, ThreadCountInvariance) {
   }
 }
 
+TEST(TrajectoryDeterminism, ObservableThreadCountInvariance) {
+  // Each run evaluates a fresh observable, so its first expectation call
+  // inside the workers forms the diagonal table.  No final measurement:
+  // the X term reads a superposition.
+  random::Rng rng(41);
+  QCircuit<double> circuit(4);
+  test::addRandomGates(circuit, 12, rng);
+  circuit.push_back(Measurement<double>(1));
+  test::addRandomGates(circuit, 6, rng);
+  std::vector<TrajectoryResult<double>> runs;
+  for (int threads : {1, 2, 8}) {
+    Observable<double> observable(4);
+    observable.add("ZZII", 0.7).add("IZIZ", -0.4).add("XIIX", 0.3);
+    observable.add("IIII", 0.1);
+    TrajectoryOptions options;
+    options.seed = 13;
+    options.nbTrajectories = 96;
+    options.nbThreads = threads;
+    options.marginalQubits = allQubits(4);
+    const TrajectorySimulator<double> simulator(
+        circuit, NoiseModel<double>::depolarizing(0.05), options);
+    runs.push_back(simulator.run("0000", observable));
+  }
+  EXPECT_EQ(runs[0].expectations().size(), 96u);
+  expectBitIdentical(runs[0], runs[1]);
+  expectBitIdentical(runs[0], runs[2]);
+}
+
 TEST(TrajectoryDeterminism, BlockedPlanThreadCountInvariance) {
   // n = 17 exceeds one cache-blocking chunk, and every gate run acts on
   // qubits 3..16 inside the chunk window: each of the four runs replays
