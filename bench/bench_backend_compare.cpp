@@ -61,7 +61,7 @@ void sweepGate(qclab::obs::Report& report, const char* gateName, int maxN,
 int main(int argc, char** argv) {
   const std::string obsJsonPath =
       qclab::benchutil::extractObsJsonPath(argc, argv);
-  qclab::benchutil::initObsRun(obsJsonPath);
+  qclab::benchutil::initObsRun();
   qclab::obs::Report report("bench_backend_compare");
 
   sweepGate(report, "hadamard", 16, 2, [](int n) {

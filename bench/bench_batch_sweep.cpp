@@ -50,7 +50,7 @@ qclab::algorithms::Graph completeGraph(int n) {
 int main(int argc, char** argv) {
   const std::string obsJsonPath =
       qclab::benchutil::extractObsJsonPath(argc, argv);
-  qclab::benchutil::initObsRun(obsJsonPath);
+  qclab::benchutil::initObsRun();
   qclab::obs::Report report("bench_batch_sweep");
 
   const int n = 16;

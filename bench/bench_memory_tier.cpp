@@ -88,7 +88,7 @@ void benchWorkload(qclab::obs::Report& report, const std::string& name,
 int main(int argc, char** argv) {
   const std::string obsJsonPath =
       qclab::benchutil::extractObsJsonPath(argc, argv);
-  qclab::benchutil::initObsRun(obsJsonPath);
+  qclab::benchutil::initObsRun();
   qclab::obs::Report report("bench_memory_tier");
 
   const int n = benchQubits();

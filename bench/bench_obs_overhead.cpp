@@ -2,12 +2,12 @@
 /// \brief Self-enforcing overhead budget of the observability layer.
 ///
 /// Simulates the GHZ workload (H + chained CX, default n=20) through the
-/// plain default backend and through the fully metered v4 path — an
-/// InstrumentedBackend with perf-counter sampling, the always-on flight
-/// recorder, AND the numerical-health sentinels (kLog policy) enabled —
-/// in interleaved plain/instrumented PAIRS.  The obs machinery is toggled
-/// around each timed call so the plain side pays none of the v4 cost and
-/// the instrumented side pays all of it.
+/// plain default backend and through the fully metered path — an
+/// InstrumentedBackend with the always-on flight recorder AND the
+/// numerical-health sentinels (kLog policy) enabled — in interleaved
+/// plain/instrumented PAIRS.  The obs machinery is toggled around each
+/// timed call so the plain side pays none of the metering cost and the
+/// instrumented side pays all of it.
 ///
 /// Each pair yields one overhead ratio; the verdict is the MEDIAN OF THE
 /// PER-PAIR RATIOS over at least 5 pairs, not a ratio of two medians.  A
@@ -76,7 +76,7 @@ double median(std::vector<double> values) {
 }
 
 /// Puts the obs layer in the state whose cost the next timed run should
-/// measure: everything v4 pays on the instrumented side (flight recorder
+/// measure: all the metering on the instrumented side (flight recorder
 /// on, sentinels logging at the default cadence), nothing on the plain
 /// side.
 void setObsActive(bool active) {
@@ -139,11 +139,7 @@ OverheadSample measure(const qclab::QCircuit<T>& circuit,
 int main(int argc, char** argv) {
   const std::string obsJsonPath =
       qclab::benchutil::extractObsJsonPath(argc, argv);
-  qclab::benchutil::initObsRun(obsJsonPath);
-  // The instrumented side must pay the full metered cost — perf sampling
-  // on — whether or not an export was requested.  The flight recorder and
-  // sentinels are toggled per pair half by setObsActive().
-  qclab::obs::perfRegistry().enable();
+  qclab::benchutil::initObsRun();
 
   int n = 20;
   int pairs = 15;

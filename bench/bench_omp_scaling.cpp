@@ -39,7 +39,7 @@ void setThreads(int threads) {
 int main(int argc, char** argv) {
   const std::string obsJsonPath =
       qclab::benchutil::extractObsJsonPath(argc, argv);
-  qclab::benchutil::initObsRun(obsJsonPath);
+  qclab::benchutil::initObsRun();
   qclab::obs::Report report("bench_omp_scaling");
 
   const auto u = qclab::qgates::Hadamard<T>(0).matrix();

@@ -68,7 +68,7 @@ double timeTrajectories(const qclab::QCircuit<T>& circuit,
 int main(int argc, char** argv) {
   const std::string obsJsonPath =
       qclab::benchutil::extractObsJsonPath(argc, argv);
-  qclab::benchutil::initObsRun(obsJsonPath);
+  qclab::benchutil::initObsRun();
   qclab::obs::Report report("bench_trajectory");
 
   // 20+ qubit GHZ under depolarizing gate noise: the regime where the

@@ -3,10 +3,9 @@
 /// \file obs_cli.hpp
 /// \brief Tiny shared helpers for the bench binaries: the common
 /// `--obs-json <path>` flag (export the run's obs::Report as one JSON
-/// object), the `--obs-prof <path>` flag (run the SIGPROF sampling
-/// profiler and write its collapsed-stack output on exit), crash-handler
-/// installation, and a self-calibrating wall-clock timer.  Kept free of
-/// google-benchmark so the hand-rolled JSON benches can use it too.
+/// object), crash-handler installation, and a self-calibrating wall-clock
+/// timer.  Kept free of google-benchmark so the hand-rolled JSON benches
+/// can use it too.
 
 #include <chrono>
 #include <cstdio>
@@ -38,37 +37,13 @@ inline std::string extractObsJsonPath(int& argc, char** argv) {
   return path;
 }
 
-/// Extracts and strips `--obs-prof <path>` (or `--obs-prof=<path>`) from
-/// argv, returning the collapsed-stack output path ("" if absent).
-inline std::string extractObsProfPath(int& argc, char** argv) {
-  std::string path;
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--obs-prof") == 0 && i + 1 < argc) {
-      path = argv[++i];
-    } else if (std::strncmp(argv[i], "--obs-prof=", 11) == 0) {
-      path = argv[i] + 11;
-    } else {
-      argv[out++] = argv[i];
-    }
-  }
-  argc = out;
-  return path;
-}
-
 /// Shared head of the bench/repro binaries: installs the signal-safe
-/// crash handlers (a dying bench leaves a qclab-crash-<pid>.json behind),
-/// zeroes every obs registry so the exported report covers exactly this
-/// run, enables hardware perf-counter sampling when an export was
-/// requested via `--obs-json` (so the "perf" and "roofline" sections
-/// carry per-path data), and starts the SIGPROF sampling profiler when
-/// `--obs-prof` asked for a collapsed-stack dump.
-inline void initObsRun(const std::string& obsJsonPath,
-                       const std::string& obsProfPath = std::string()) {
+/// crash handlers (a dying bench leaves a qclab-crash-<pid>.json behind)
+/// and zeroes every obs registry so the exported report covers exactly
+/// this run.
+inline void initObsRun() {
   obs::installCrashHandlers();
   obs::resetAll();
-  if (!obsJsonPath.empty()) obs::perfRegistry().enable();
-  if (!obsProfPath.empty()) obs::profiler().start();
 }
 
 /// Wall-clock nanoseconds since construction — the whole-run timing the
@@ -87,24 +62,12 @@ class WallTimer {
       std::chrono::steady_clock::now();
 };
 
-/// Shared tail of the repro binaries: stops the sampling profiler and
-/// writes its collapsed stacks when `--obs-prof <path>` was given, and
-/// exports the run's obs::Report (whole-run wall clock attached as
-/// "total/run") when `--obs-json <path>` was.  Returns the process exit
-/// code.
+/// Shared tail of the repro binaries: exports the run's obs::Report
+/// (whole-run wall clock attached as "total/run") when `--obs-json <path>`
+/// was given.  Returns the process exit code.
 inline int writeReproReport(const std::string& obsJsonPath,
-                            const char* reproName, const WallTimer& timer,
-                            const std::string& obsProfPath = std::string()) {
-  int exitCode = 0;
-  if (!obsProfPath.empty()) {
-    obs::profiler().stop();
-    if (!obs::profiler().writeCollapsed(obsProfPath.c_str())) {
-      std::fprintf(stderr, "error: cannot write collapsed stacks to %s\n",
-                   obsProfPath.c_str());
-      exitCode = 1;
-    }
-  }
-  if (obsJsonPath.empty()) return exitCode;
+                            const char* reproName, const WallTimer& timer) {
+  if (obsJsonPath.empty()) return 0;
   obs::Report report(reproName);
   report.add("total/run", timer.elapsedNs(), "ns");
   if (!report.writeJson(obsJsonPath)) {
@@ -112,7 +75,7 @@ inline int writeReproReport(const std::string& obsJsonPath,
                  obsJsonPath.c_str());
     return 1;
   }
-  return exitCode;
+  return 0;
 }
 
 /// Average wall-clock nanoseconds per call of `f`, self-calibrating the

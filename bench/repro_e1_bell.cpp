@@ -11,9 +11,7 @@
 int main(int argc, char** argv) {
   const std::string obsJsonPath =
       qclab::benchutil::extractObsJsonPath(argc, argv);
-  const std::string obsProfPath =
-      qclab::benchutil::extractObsProfPath(argc, argv);
-  qclab::benchutil::initObsRun(obsJsonPath, obsProfPath);
+  qclab::benchutil::initObsRun();
   const qclab::benchutil::WallTimer wallTimer;
 
   using T = double;
@@ -49,5 +47,5 @@ int main(int argc, char** argv) {
                 "0.5 0.5", probabilities.c_str(), backend->name());
   }
   return qclab::benchutil::writeReproReport(obsJsonPath, "repro_e1_bell",
-                                            wallTimer, obsProfPath);
+                                            wallTimer);
 }

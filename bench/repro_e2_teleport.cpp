@@ -12,9 +12,7 @@
 int main(int argc, char** argv) {
   const std::string obsJsonPath =
       qclab::benchutil::extractObsJsonPath(argc, argv);
-  const std::string obsProfPath =
-      qclab::benchutil::extractObsProfPath(argc, argv);
-  qclab::benchutil::initObsRun(obsJsonPath, obsProfPath);
+  qclab::benchutil::initObsRun();
   const qclab::benchutil::WallTimer wallTimer;
 
   using T = double;
@@ -38,5 +36,5 @@ int main(int argc, char** argv) {
                 reduced[0].imag(), reduced[1].real(), reduced[1].imag());
   }
   return qclab::benchutil::writeReproReport(obsJsonPath, "repro_e2_teleport",
-                                            wallTimer, obsProfPath);
+                                            wallTimer);
 }

@@ -17,9 +17,7 @@
 int main(int argc, char** argv) {
   const std::string obsJsonPath =
       qclab::benchutil::extractObsJsonPath(argc, argv);
-  const std::string obsProfPath =
-      qclab::benchutil::extractObsProfPath(argc, argv);
-  qclab::benchutil::initObsRun(obsJsonPath, obsProfPath);
+  qclab::benchutil::initObsRun();
   const qclab::benchutil::WallTimer wallTimer;
 
   using T = double;
@@ -58,5 +56,5 @@ int main(int argc, char** argv) {
                 density::traceDistance(trueRho, sweep.estimate));
   }
   return qclab::benchutil::writeReproReport(obsJsonPath, "repro_e3_tomography",
-                                            wallTimer, obsProfPath);
+                                            wallTimer);
 }

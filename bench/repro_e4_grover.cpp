@@ -12,16 +12,14 @@
 int main(int argc, char** argv) {
   const std::string obsJsonPath =
       qclab::benchutil::extractObsJsonPath(argc, argv);
-  const std::string obsProfPath =
-      qclab::benchutil::extractObsProfPath(argc, argv);
-  qclab::benchutil::initObsRun(obsJsonPath, obsProfPath);
+  qclab::benchutil::initObsRun();
   const qclab::benchutil::WallTimer wallTimer;
 
   using T = double;
   using namespace qclab;
 
-  // Metered backend: fills the per-path histogram/perf/roofline sections
-  // of the exported v3 report (plain kernels underneath, see
+  // Metered backend: fills the per-path histogram/roofline sections
+  // of the exported report (plain kernels underneath, see
   // obs/instrumented.hpp).
   const obs::InstrumentedBackend<T> backend;
 
@@ -71,5 +69,5 @@ int main(int argc, char** argv) {
                 algorithms::groverSuccessProbability(n, iterations));
   }
   return qclab::benchutil::writeReproReport(obsJsonPath, "repro_e4_grover",
-                                            wallTimer, obsProfPath);
+                                            wallTimer);
 }

@@ -12,9 +12,7 @@
 int main(int argc, char** argv) {
   const std::string obsJsonPath =
       qclab::benchutil::extractObsJsonPath(argc, argv);
-  const std::string obsProfPath =
-      qclab::benchutil::extractObsProfPath(argc, argv);
-  qclab::benchutil::initObsRun(obsJsonPath, obsProfPath);
+  qclab::benchutil::initObsRun();
   const qclab::benchutil::WallTimer wallTimer;
 
   using T = double;
@@ -55,5 +53,5 @@ int main(int argc, char** argv) {
                 std::norm(overlap));
   }
   return qclab::benchutil::writeReproReport(obsJsonPath, "repro_e5_qec",
-                                            wallTimer, obsProfPath);
+                                            wallTimer);
 }

@@ -12,9 +12,7 @@
 int main(int argc, char** argv) {
   const std::string obsJsonPath =
       qclab::benchutil::extractObsJsonPath(argc, argv);
-  const std::string obsProfPath =
-      qclab::benchutil::extractObsProfPath(argc, argv);
-  qclab::benchutil::initObsRun(obsJsonPath, obsProfPath);
+  qclab::benchutil::initObsRun();
   const qclab::benchutil::WallTimer wallTimer;
 
   using T = double;
@@ -45,5 +43,5 @@ int main(int argc, char** argv) {
                 analytic, logicalError < p - 1e-12 ? "yes" : "no");
   }
   return qclab::benchutil::writeReproReport(obsJsonPath, "repro_e5b_qec_noise",
-                                            wallTimer, obsProfPath);
+                                            wallTimer);
 }

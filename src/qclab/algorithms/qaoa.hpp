@@ -37,11 +37,14 @@ Observable<T> maxCutHamiltonian(const Graph& graph) {
   util::require(graph.nbVertices >= 2, "MaxCut needs at least two vertices");
   Observable<T> cost(graph.nbVertices);
   const std::string identity(static_cast<std::size_t>(graph.nbVertices), 'I');
+  // The constant sum_E 1/2, added once as the first term (exact in binary).
+  if (!graph.edges.empty()) {
+    cost.add(identity, T(0.5) * static_cast<T>(graph.edges.size()));
+  }
   for (const auto& [i, j] : graph.edges) {
     util::checkQubit(i, graph.nbVertices);
     util::checkQubit(j, graph.nbVertices);
     util::require(i != j, "self-loop in MaxCut graph");
-    cost.add(identity, T(0.5));
     std::string zz = identity;
     zz[static_cast<std::size_t>(i)] = 'Z';
     zz[static_cast<std::size_t>(j)] = 'Z';

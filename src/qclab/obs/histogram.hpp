@@ -24,7 +24,6 @@
 
 #include "qclab/obs/enabled.hpp"
 #include "qclab/obs/flightrecorder.hpp"
-#include "qclab/obs/perfcounters.hpp"
 #include "qclab/sim/kernel_path.hpp"
 
 namespace qclab::obs {
@@ -170,39 +169,18 @@ inline PathHistograms& latencyHistograms() {
   return instance;
 }
 
-namespace detail {
-
-/// Kernel path currently being timed on this thread (-1 = none).
-/// Maintained by PathTimer (save/restore, so nested timers unwind
-/// correctly) and read by the SIGPROF sampling profiler to attribute
-/// samples to kernel paths.  Constant-initialized thread_local: safe to
-/// read from a signal handler interrupting this thread.
-inline std::atomic<int>& currentTimedPath() noexcept {
-  thread_local std::atomic<int> path{-1};
-  return path;
-}
-
-}  // namespace detail
-
 /// RAII timer: records [construction, destruction) in nanoseconds into the
-/// process-wide histogram of a kernel path, and — when the perf registry
-/// is enabled — samples hardware counters over the same scope so each
-/// path's latency comes with its IPC and LLC miss rate (perfcounters.hpp).
-/// Given an event `kind`, it also writes the timed work as one event with
-/// `payload` — its qubit mask or aux value (FlightRecorder::record) — into
-/// the calling thread's flight ring.
+/// process-wide histogram of a kernel path.  Given an event `kind`, it also
+/// writes the timed work as one event with `payload` — its qubit mask or
+/// aux value (FlightRecorder::record) — into the calling thread's flight
+/// ring.
 class PathTimer {
  public:
   explicit PathTimer(sim::KernelPath path,
                      std::optional<FlightEventKind> kind = std::nullopt,
                      std::uint64_t payload = 0) noexcept
-      : perf_(path), path_(path), kind_(kind), payload_(payload) {
-    if constexpr (kEnabled) {
-      auto& current = detail::currentTimedPath();
-      previousPath_ = current.load(std::memory_order_relaxed);
-      current.store(static_cast<int>(path), std::memory_order_relaxed);
-      startNs_ = nowNs();
-    }
+      : path_(path), kind_(kind), payload_(payload) {
+    if constexpr (kEnabled) startNs_ = nowNs();
   }
 
   PathTimer(const PathTimer&) = delete;
@@ -210,8 +188,6 @@ class PathTimer {
 
   ~PathTimer() {
     if constexpr (kEnabled) {
-      detail::currentTimedPath().store(previousPath_,
-                                       std::memory_order_relaxed);
       const std::uint64_t endNs = nowNs();
       latencyHistograms().record(path_, endNs - startNs_);
       if (kind_) {
@@ -222,12 +198,9 @@ class PathTimer {
   }
 
  private:
-  PerfScope perf_;  // destroyed after the histogram record; scope covers
-                    // at least the timed region
   sim::KernelPath path_;
   std::optional<FlightEventKind> kind_;
   std::uint64_t payload_;
-  int previousPath_ = -1;
   std::uint64_t startNs_ = 0;
 };
 

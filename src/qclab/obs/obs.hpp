@@ -4,14 +4,13 @@
 /// \brief Umbrella header of the observability layer (qclab::obs):
 /// counters (metrics.hpp), per-path latency histograms (histogram.hpp),
 /// pipeline-stage spans, their aggregation, and the Chrome trace_event
-/// view of the flight rings (trace.hpp), hardware perf-counter sampling
-/// (perfcounters.hpp), roofline attribution (roofline.hpp), aggregate
-/// text/JSON reporting (report.hpp), the OpenMetrics exposition renderer
-/// (openmetrics.hpp), shared JSON escaping (json.hpp), the metering
-/// backend decorator (instrumented.hpp), the flight recorder's
-/// per-thread event rings (flightrecorder.hpp), numerical-health
-/// sentinels (sentinel.hpp), signal-safe crash diagnostics
-/// (crashdump.hpp), and the SIGPROF sampling profiler (profiler.hpp).
+/// view of the flight rings (trace.hpp), roofline attribution
+/// (roofline.hpp), aggregate text/JSON reporting (report.hpp), the
+/// OpenMetrics exposition renderer (openmetrics.hpp), shared JSON
+/// escaping (json.hpp), the metering backend decorator
+/// (instrumented.hpp), the flight recorder's per-thread event rings
+/// (flightrecorder.hpp), numerical-health sentinels (sentinel.hpp), and
+/// signal-safe crash diagnostics (crashdump.hpp).
 ///
 /// Compile with QCLAB_OBS_DISABLED (CMake: -DQCLAB_OBS_DISABLED=ON) to
 /// discard every recording body (enabled.hpp): the API stays the same,
@@ -25,8 +24,6 @@
 #include "qclab/obs/json.hpp"
 #include "qclab/obs/metrics.hpp"
 #include "qclab/obs/openmetrics.hpp"
-#include "qclab/obs/perfcounters.hpp"
-#include "qclab/obs/profiler.hpp"
 #include "qclab/obs/report.hpp"
 #include "qclab/obs/roofline.hpp"
 #include "qclab/obs/sentinel.hpp"
@@ -35,17 +32,14 @@
 namespace qclab::obs {
 
 /// Zeroes every obs registry — counters, latency histograms, stage
-/// aggregates, perf-counter totals, flight rings (trace events included),
-/// sentinel gauges, and profiler samples.  The start-of-measured-region
-/// reset used by benches and tests.
+/// aggregates, flight rings (trace events included), and sentinel gauges.
+/// The start-of-measured-region reset used by benches and tests.
 inline void resetAll() {
   metrics().reset();
   latencyHistograms().reset();
   stageStats().reset();
-  perfRegistry().reset();
   flightRecorder().reset();
   sentinel().reset();
-  profiler().reset();
 }
 
 }  // namespace qclab::obs

@@ -4,10 +4,10 @@
 /// \brief OpenMetrics (Prometheus exposition) rendering of the obs state.
 ///
 /// ObsSnapshot copies every live registry — counters, memory gauges,
-/// per-path latency histograms, pipeline-stage aggregates, perf-counter
-/// totals — at one point in time; snapshotDelta() subtracts a previous
-/// snapshot so a long-running process (the ROADMAP's circuit-as-a-service
-/// daemon) can expose per-scrape increments instead of lifetime totals.
+/// per-path latency histograms, pipeline-stage aggregates — at one point
+/// in time; snapshotDelta() subtracts a previous snapshot so a
+/// long-running process (the ROADMAP's circuit-as-a-service daemon) can
+/// expose per-scrape increments instead of lifetime totals.
 /// renderOpenMetrics() serializes a snapshot in OpenMetrics text format:
 /// `# TYPE` metadata per family, `_total`-suffixed counters, cumulative
 /// `le` histogram buckets ending at `+Inf`, and the mandatory terminating
@@ -28,7 +28,6 @@
 #include "qclab/obs/flightrecorder.hpp"
 #include "qclab/obs/histogram.hpp"
 #include "qclab/obs/metrics.hpp"
-#include "qclab/obs/perfcounters.hpp"
 #include "qclab/obs/trace.hpp"
 #include "qclab/sim/kernel_path.hpp"
 #include "qclab/sim/simd.hpp"
@@ -52,7 +51,6 @@ struct ObsSnapshot {
   std::vector<std::uint64_t> tierMappedBytes;  ///< gauge, kStateTierCount
   std::vector<HistogramSnapshot> histograms;  ///< per kernel path
   std::map<std::string, StageAgg> stages;
-  std::vector<PerfCounts> perf;               ///< per kernel path
 
   /// The field of the plain counter `counter`.
   std::uint64_t& operator[](Counter counter) noexcept {
@@ -90,7 +88,6 @@ inline ObsSnapshot captureSnapshot() {
   for (int p = 0; p < sim::kKernelPathCount; ++p) {
     const auto path = static_cast<sim::KernelPath>(p);
     snap.histograms.push_back(latencyHistograms().histogram(path).snapshot());
-    snap.perf.push_back(perfRegistry().counts(path));
   }
   snap.stages = stageStats().snapshot();
   return snap;
@@ -114,9 +111,9 @@ inline void subtractEach(std::vector<std::uint64_t>& now,
 }  // namespace detail
 
 /// Captures the current state and subtracts `previous`: counters,
-/// histogram buckets, stage aggregates, and perf totals become per-period
-/// increments, while the memory gauges keep their current values.  The
-/// scraping pattern is
+/// histogram buckets and stage aggregates become per-period increments,
+/// while the memory gauges keep their current values.  The scraping
+/// pattern is
 ///
 ///   ObsSnapshot last = captureSnapshot();
 ///   ... later, per scrape: ObsSnapshot delta = snapshotDelta(last);
@@ -147,13 +144,6 @@ inline ObsSnapshot snapshotDelta(const ObsSnapshot& previous) {
     h.count = saturatingSub(h.count, prior.count);
     h.sumNs = saturatingSub(h.sumNs, prior.sumNs);
     detail::subtractEach(h.buckets, prior.buckets);
-  }
-  for (std::size_t i = 0;
-       i < delta.perf.size() && i < previous.perf.size(); ++i) {
-    for (const auto field : kPerfFields) {
-      delta.perf[i].*field =
-          saturatingSub(delta.perf[i].*field, previous.perf[i].*field);
-    }
   }
   for (auto& [stage, agg] : delta.stages) {
     const auto prior = previous.stages.find(stage);
@@ -319,43 +309,6 @@ inline std::string renderOpenMetrics(const ObsSnapshot& snap) {
         << openMetricsNumber(static_cast<double>(h.sumNs) / 1e9) << "\n";
     out << "qclab_path_latency_seconds_count{path=\"" << label << "\"} "
         << h.count << "\n";
-  }
-
-  // Hardware counter totals, only for paths with recorded scopes.
-  struct PerfField {
-    const char* family;
-    std::uint64_t PerfCounts::* member;
-    double scale;  // multiplies the raw value (1e-9 for ns -> seconds)
-  };
-  static const PerfField perfFields[] = {
-      {"qclab_path_perf_samples", &PerfCounts::samples, 1.0},
-      {"qclab_path_cpu_cycles", &PerfCounts::cycles, 1.0},
-      {"qclab_path_instructions", &PerfCounts::instructions, 1.0},
-      {"qclab_path_llc_references", &PerfCounts::llcReferences, 1.0},
-      {"qclab_path_llc_misses", &PerfCounts::llcMisses, 1.0},
-      {"qclab_path_stalled_cycles", &PerfCounts::stalledCycles, 1.0},
-      {"qclab_path_task_clock_seconds", &PerfCounts::taskClockNs, 1e-9},
-      {"qclab_path_page_faults", &PerfCounts::pageFaults, 1.0},
-  };
-  for (const PerfField& field : perfFields) {
-    bool headed = false;
-    for (std::size_t i = 0; i < snap.perf.size(); ++i) {
-      if (snap.perf[i].empty()) continue;
-      const std::uint64_t raw = snap.perf[i].*field.member;
-      if (raw == 0) continue;
-      if (!headed) {
-        out << "# TYPE " << field.family << " counter\n";
-        headed = true;
-      }
-      out << field.family << "_total{path=\""
-          << openMetricsLabel(pathName(static_cast<int>(i))) << "\"} ";
-      if (field.scale == 1.0) {
-        out << raw;
-      } else {
-        out << openMetricsNumber(static_cast<double>(raw) * field.scale);
-      }
-      out << "\n";
-    }
   }
 
   out << "# EOF\n";

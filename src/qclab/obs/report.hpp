@@ -10,16 +10,13 @@
 /// It renders as
 ///  - a pretty text block for terminals, and
 ///  - one JSON object in the repo's canonical BENCH_*.json shape
-///    (schema "qclab-obs-v4"), so every bench and every instrumented run
+///    (schema "qclab-obs-v5"), so every bench and every instrumented run
 ///    exports machine-readable numbers the trajectory tooling can diff.
 ///
-/// Each schema is a strict superset of the previous one.  v2 added
+/// Schemas v2 to v4 each extended the previous one.  v2 added
 /// "histograms" (per-path log2 buckets with p50/p90/p99), "memory" (live
 /// and high-water state bytes), and "bandwidth" (effective GB/s per path =
 /// bytes touched / timed ns) to v1's counters/trace/results.  v3 added
-///  - "perf": hardware-counter totals per kernel path (IPC, LLC miss
-///    rate, stall fraction) or an explicit unavailable marker when the
-///    host PMU delivers nothing (perfcounters.hpp),
 ///  - "roofline": the calibrated peak bandwidth and each path's achieved
 ///    GB/s, fraction of peak, and memory-/compute-bound classification
 ///    (roofline.hpp),
@@ -32,10 +29,9 @@
 ///    checks themselves (sentinel.hpp),
 ///  - "flight": the always-on flight recorder's thread count and total
 ///    events recorded (flightrecorder.hpp; the events themselves go to
-///    the crash dump and the Chrome trace, not to reports),
-///  - "profiler": SIGPROF sample totals and distinct stacks when the
-///    sampling profiler ran (profiler.hpp).
-/// Every quoted string goes through jsonEscape().
+///    the crash dump and the Chrome trace, not to reports).
+/// v5 is v4 without its hardware-counter ("perf") and sampling-profiler
+/// ("profiler") sections.  Every quoted string goes through jsonEscape().
 ///
 /// The counters section iterates the QCLAB_OBS_COUNTERS table, so a new
 /// table row appears with no edit here.  The same implementation serves
@@ -56,8 +52,6 @@
 #include "qclab/obs/json.hpp"
 #include "qclab/obs/metrics.hpp"
 #include "qclab/obs/openmetrics.hpp"
-#include "qclab/obs/perfcounters.hpp"
-#include "qclab/obs/profiler.hpp"
 #include "qclab/obs/roofline.hpp"
 #include "qclab/obs/sentinel.hpp"
 #include "qclab/obs/trace.hpp"
@@ -144,29 +138,6 @@ class Report {
           << " " << snap.dispatchRoutes[r];
     }
     out << "\n";
-    const PerfCapability& perfCap = perfCapability();
-    if (!perfCap.any()) {
-      out << "perf counters: unavailable (" << perfCap.reason << ")\n";
-    } else {
-      out << "perf counters: " << (perfCap.hardware ? "hardware" : "")
-          << (perfCap.hardware && perfCap.software ? "+" : "")
-          << (perfCap.software ? "software" : "") << "\n";
-      for (int p = 0; p < sim::kKernelPathCount; ++p) {
-        const PerfCounts& counts = snap.perf[p];
-        if (counts.empty()) continue;
-        out << "  perf " << std::left << std::setw(20) << pathName(p) << " "
-            << counts.samples << " samples";
-        if (counts.cycles != 0) {
-          out << ", ipc " << std::fixed << std::setprecision(2)
-              << counts.ipc();
-        }
-        if (counts.llcReferences != 0) {
-          out << ", llc-miss " << std::setprecision(1)
-              << counts.llcMissRate() * 100.0 << "%";
-        }
-        out << "\n";
-      }
-    }
     const RooflineCalibration& cal = rooflineCalibration();
     if (cal.measured) {
       out << "roofline peak: " << std::fixed << std::setprecision(2)
@@ -206,11 +177,6 @@ class Report {
         << snap.flightEventsRecorded << " events over "
         << flightRecorder().threadCount() << " threads, "
         << flightRecorder().dropped() << " dropped\n";
-    if (profiler().samples() != 0) {
-      out << "profiler: " << profiler().samples() << " samples, "
-          << profiler().distinctStacks() << " stacks, "
-          << profiler().dropped() << " dropped\n";
-    }
     if (!results_.empty()) {
       out << "results:\n";
       for (const auto& result : results_) {
@@ -223,7 +189,7 @@ class Report {
     return out.str();
   }
 
-  /// The canonical BENCH_*.json object (schema "qclab-obs-v4").
+  /// The canonical BENCH_*.json object (schema "qclab-obs-v5").
   std::string json() const {
     const ObsSnapshot snap = captureSnapshot();
     std::ostringstream out;
@@ -242,7 +208,7 @@ class Report {
       out << "}";
     };
     out << "{\n";
-    out << "  \"schema\": \"qclab-obs-v4\",\n";
+    out << "  \"schema\": \"qclab-obs-v5\",\n";
     out << "  \"name\": \"" << jsonEscape(name_) << "\",\n";
     out << "  \"build\": {\n";
     out << "    \"version\": \"" << jsonEscape(versionString()) << "\",\n";
@@ -329,41 +295,6 @@ class Report {
           << std::setprecision(17) << bandwidthGBps(snap, p);
     }
     out << "},\n";
-    // v3: hardware counters per path, or the explicit unavailable marker.
-    const PerfCapability& perfCap = perfCapability();
-    out << "  \"perf\": {\n";
-    out << "    \"available\": " << (perfCap.any() ? "true" : "false")
-        << ",\n";
-    out << "    \"hardware\": " << (perfCap.hardware ? "true" : "false")
-        << ",\n";
-    out << "    \"llc\": " << (perfCap.llc ? "true" : "false") << ",\n";
-    out << "    \"software\": " << (perfCap.software ? "true" : "false")
-        << ",\n";
-    out << "    \"unavailable\": \"" << jsonEscape(perfCap.reason)
-        << "\",\n";
-    out << "    \"by_path\": {";
-    first = true;
-    for (int p = 0; p < sim::kKernelPathCount; ++p) {
-      const PerfCounts& counts = snap.perf[p];
-      if (counts.empty()) continue;
-      if (!first) out << ",";
-      first = false;
-      out << "\n      \"" << jsonEscape(pathName(p))
-          << "\": {\"samples\": " << counts.samples
-          << ", \"cycles\": " << counts.cycles
-          << ", \"instructions\": " << counts.instructions
-          << ", \"ipc\": " << std::setprecision(17) << counts.ipc()
-          << ", \"llc_references\": " << counts.llcReferences
-          << ", \"llc_misses\": " << counts.llcMisses
-          << ", \"llc_miss_rate\": " << counts.llcMissRate()
-          << ", \"stalled_cycles\": " << counts.stalledCycles
-          << ", \"stall_fraction\": " << counts.stallFraction()
-          << ", \"task_clock_ns\": " << counts.taskClockNs
-          << ", \"page_faults\": " << counts.pageFaults << "}";
-    }
-    if (!first) out << "\n    ";
-    out << "}\n";
-    out << "  },\n";
     // v3: achieved vs. calibrated-peak bandwidth and boundedness verdicts.
     const RooflineCalibration& cal = rooflineCalibration();
     out << "  \"roofline\": {\n";
@@ -444,13 +375,6 @@ class Report {
     out << "    \"recorded_total\": " << snap.flightEventsRecorded << ",\n";
     out << "    \"ring_capacity\": " << kFlightRingCapacity << "\n";
     out << "  },\n";
-    // v4: SIGPROF sampling-profiler totals (zeros unless start() ran).
-    out << "  \"profiler\": {\n";
-    out << "    \"samples\": " << profiler().samples() << ",\n";
-    out << "    \"distinct_stacks\": " << profiler().distinctStacks()
-        << ",\n";
-    out << "    \"dropped\": " << profiler().dropped() << "\n";
-    out << "  },\n";
     out << "  \"trace\": {\"events\": "
         << flightRecorder().totalRecorded() - flightRecorder().dropped()
         << ", \"dropped\": " << flightRecorder().dropped() << "},\n";
@@ -497,7 +421,7 @@ class Report {
 
   static RooflinePoint roofline(const ObsSnapshot& snap, int p) {
     return rooflinePoint(static_cast<sim::KernelPath>(p), snap.bytesByPath[p],
-                         snap.histograms[p].sumNs, snap.perf[p]);
+                         snap.histograms[p].sumNs);
   }
 
   std::string name_;

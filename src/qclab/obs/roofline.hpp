@@ -6,17 +6,15 @@
 /// The roofline model places every kernel path on a bandwidth/compute
 /// plane: a path streaming near the machine's peak memory bandwidth is
 /// memory-bound (faster math cannot help; blocking and fusion can), one
-/// far below peak with a high IPC is compute-bound.  The peak is measured
-/// once per process by a STREAM-style triad sweep (a[i] = b[i] + s*c[i])
-/// over a working set far larger than the last-level cache; achieved GB/s
-/// per path comes from the obs v2 bytes-touched estimates divided by the
-/// summed histogram time, and the classification folds in the perf-counter
-/// LLC miss rate / IPC when the host PMU delivers them.
+/// far below peak is compute-bound.  The peak is measured once per process
+/// by a STREAM-style triad sweep (a[i] = b[i] + s*c[i]) over a working set
+/// far larger than the last-level cache; achieved GB/s per path comes from
+/// the obs v2 bytes-touched estimates divided by the summed histogram
+/// time, and the fraction of peak decides the classification.
 ///
-/// Calibration is lazy (first rooflineCalibration() call, ~20-50 ms) and
-/// overridable: QCLAB_OBS_PEAK_GBPS pins the peak without measuring,
-/// QCLAB_OBS_NO_ROOFLINE skips calibration entirely.  QCLAB_OBS_DISABLED
-/// builds never measure and render an explicit unavailable marker.
+/// Calibration is lazy (first rooflineCalibration() call, ~20-50 ms);
+/// QCLAB_OBS_NO_ROOFLINE skips it.  QCLAB_OBS_DISABLED builds never
+/// measure and render an explicit unavailable marker.
 
 #include <chrono>
 #include <cstdint>
@@ -25,7 +23,6 @@
 #include <vector>
 
 #include "qclab/obs/enabled.hpp"
-#include "qclab/obs/perfcounters.hpp"
 #include "qclab/sim/kernel_path.hpp"
 #include "qclab/sim/parallel.hpp"
 
@@ -37,7 +34,7 @@ struct RooflineCalibration {
   double peakGBps = 0.0;      ///< best triad bandwidth (decimal GB/s)
   double calibrationMs = 0.0; ///< wall time spent calibrating
   std::uint64_t bufferBytes = 0;  ///< triad working-set size
-  std::string source;         ///< "stream-triad", "env:...", or skip reason
+  std::string source;         ///< "stream-triad" or the skip reason
 };
 
 /// Representative floating-point operations per amplitude touched by a
@@ -87,7 +84,7 @@ inline double bytesPerAmp(sim::KernelPath path) noexcept {
 }
 
 /// Measures (once per process) the peak streaming bandwidth with a
-/// STREAM-style triad, or adopts the QCLAB_OBS_PEAK_GBPS override.
+/// STREAM-style triad.
 inline const RooflineCalibration& rooflineCalibration() {
   static const RooflineCalibration calibration = [] {
     RooflineCalibration cal;
@@ -95,15 +92,6 @@ inline const RooflineCalibration& rooflineCalibration() {
       cal.source = "observability disabled (QCLAB_OBS_DISABLED)";
       return cal;
     } else {
-      if (const char* pinned = std::getenv("QCLAB_OBS_PEAK_GBPS")) {
-        const double value = std::atof(pinned);
-        if (value > 0.0) {
-          cal.measured = true;
-          cal.peakGBps = value;
-          cal.source = "env:QCLAB_OBS_PEAK_GBPS";
-          return cal;
-        }
-      }
       if (std::getenv("QCLAB_OBS_NO_ROOFLINE") != nullptr) {
         cal.source = "skipped (QCLAB_OBS_NO_ROOFLINE)";
         return cal;
@@ -160,19 +148,10 @@ struct RooflinePoint {
   std::string classification;          ///< memory-/compute-bound verdict
 };
 
-/// Boundedness verdict for a path: streaming at >= 50% of peak is
-/// memory-bound outright; below that the PMU decides (LLC miss rate, then
-/// IPC); with no PMU the bandwidth fraction alone decides, and a path with
-/// no data is indeterminate.
-inline std::string classifyBoundedness(double fractionOfPeak,
-                                       const PerfCounts& perf) {
-  if (fractionOfPeak >= 0.5) return "memory-bound";
-  if (!perf.empty() && perf.llcReferences > 0) {
-    return perf.llcMissRate() > 0.20 ? "memory-bound" : "compute-bound";
-  }
-  if (!perf.empty() && perf.cycles > 0) {
-    return perf.ipc() < 1.0 ? "memory-bound" : "compute-bound";
-  }
+/// Boundedness verdict for a path from its fraction of peak bandwidth:
+/// streaming at >= 25% of peak is memory-bound, less is compute-bound, and
+/// a path with no data is indeterminate.
+inline std::string classifyBoundedness(double fractionOfPeak) {
   if (fractionOfPeak > 0.0) {
     return fractionOfPeak >= 0.25 ? "memory-bound" : "compute-bound";
   }
@@ -180,10 +159,9 @@ inline std::string classifyBoundedness(double fractionOfPeak,
 }
 
 /// Places a path on the roofline from its accumulated bytes-touched
-/// estimate, summed timed nanoseconds, and perf-counter totals.
+/// estimate and summed timed nanoseconds.
 inline RooflinePoint rooflinePoint(sim::KernelPath path, std::uint64_t bytes,
-                                   std::uint64_t ns,
-                                   const PerfCounts& perf) {
+                                   std::uint64_t ns) {
   RooflinePoint point;
   if (bytes == 0 || ns == 0) {
     point.classification = "idle";
@@ -197,7 +175,7 @@ inline RooflinePoint rooflinePoint(sim::KernelPath path, std::uint64_t bytes,
   if (cal.measured && cal.peakGBps > 0.0) {
     point.fractionOfPeak = point.achievedGBps / cal.peakGBps;
   }
-  point.classification = classifyBoundedness(point.fractionOfPeak, perf);
+  point.classification = classifyBoundedness(point.fractionOfPeak);
   return point;
 }
 

@@ -7,12 +7,11 @@
 /// ScopedSpan marks one pipeline stage (QASM parse, optimize, fusion
 /// planning, state allocation, execute, measurement) by a static name.
 /// It pushes that name onto the calling thread's signal-safe
-/// SpanFrameStack — read by the crash dump and the sampling profiler,
-/// and the source of the depth the Chrome view shows — always adds its
-/// duration to the StageStats registry, so reports carry a "stages"
-/// breakdown with tracing off, and, while tracing is on
-/// (flightRecorder().enableTracing()), writes one span event into the
-/// thread's flight ring when it closes.
+/// SpanFrameStack — read by the crash dump, and the source of the depth
+/// the Chrome view shows — always adds its duration to the StageStats
+/// registry, so reports carry a "stages" breakdown with tracing off, and,
+/// while tracing is on (flightRecorder().enableTracing()), writes one span
+/// event into the thread's flight ring when it closes.
 ///
 /// chromeTraceJson() renders every ring — spans and kernel events alike —
 /// as Chrome trace_event JSON ("X" complete events, one track per
@@ -92,11 +91,10 @@ inline StageStats& stageStats() {
 
 /// Async-signal-safe stack of each thread's open ScopedSpans: a fixed
 /// array of static stage-name pointers plus an atomic depth.  The crash
-/// handler (crashdump.hpp) reads the crashing thread's own stack, and the
-/// SIGPROF sampling profiler (profiler.hpp) reads it from interrupted
-/// threads — both with plain loads of static strings, no allocation, no
-/// locks.  Depths beyond kMaxDepth keep counting but stop storing frames
-/// (the overflow is visible as depth > kMaxDepth).
+/// handler (crashdump.hpp) reads the crashing thread's own stack with
+/// plain loads of static strings, no allocation, no locks.  Depths beyond
+/// kMaxDepth keep counting but stop storing frames (the overflow is
+/// visible as depth > kMaxDepth).
 struct SpanFrameStack {
   static constexpr int kMaxDepth = 32;
   const char* frames[kMaxDepth] = {};

@@ -25,6 +25,7 @@
 #include <mutex>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "qclab/dense/ops.hpp"
@@ -347,7 +348,8 @@ class Observable {
   int nbQubits() const noexcept { return nbQubits_; }
 
   /// Adds a term; its string length must match the register size.  Terms
-  /// with identical Pauli strings are merged.
+  /// with identical Pauli strings are merged, found through an index keyed
+  /// by the string, so building n terms takes O(n) lookups.
   Observable& add(PauliString<T> term) {
     util::require(term.nbQubits() == nbQubits_,
                   "Pauli string length does not match the observable");
@@ -357,13 +359,19 @@ class Observable {
     if (compiled_.use_count() != 1 || compiled_->formed) {
       compiled_ = std::make_shared<Compiled>();
     }
-    for (auto& existing : terms_) {
-      if (existing.paulis() == term.paulis()) {
-        existing.setCoefficient(existing.coefficient() + term.coefficient());
-        return *this;
-      }
+    const auto [slot, added] =
+        index_.try_emplace(term.paulis(), terms_.size());
+    if (!added) {
+      PauliString<T>& existing = terms_[slot->second];
+      existing.setCoefficient(existing.coefficient() + term.coefficient());
+      return *this;
     }
-    terms_.push_back(std::move(term));
+    try {
+      terms_.push_back(std::move(term));
+    } catch (...) {
+      index_.erase(slot);
+      throw;
+    }
     return *this;
   }
 
@@ -481,6 +489,7 @@ class Observable {
 
   int nbQubits_;
   std::vector<PauliString<T>> terms_;
+  std::unordered_map<std::string, std::size_t> index_;  ///< string -> term
   std::shared_ptr<Compiled> compiled_;
 };
 

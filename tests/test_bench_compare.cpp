@@ -63,7 +63,7 @@ TEST(BenchJson, ParsesObsReportJsonAndSchemaIsV4) {
   report.add("kernel/dense1", 123.5, "ns/op");
   const bj::JsonValue value = bj::parseJson(report.json());
   ASSERT_TRUE(value.isObject());
-  EXPECT_EQ(value.stringOr("schema", ""), "qclab-obs-v4");
+  EXPECT_EQ(value.stringOr("schema", ""), "qclab-obs-v5");
   EXPECT_EQ(value.stringOr("name", ""), "bench_demo");
   const bj::JsonValue* results = value.find("results");
   ASSERT_NE(results, nullptr);

@@ -257,7 +257,7 @@ TEST(ObsReport, JsonIsWellFormedAndStamped) {
   const std::string json = report.json();
   JsonChecker checker(json);
   EXPECT_TRUE(checker.valid()) << json;
-  EXPECT_NE(json.find("\"schema\": \"qclab-obs-v4\""), std::string::npos);
+  EXPECT_NE(json.find("\"schema\": \"qclab-obs-v5\""), std::string::npos);
   EXPECT_NE(json.find("\"name\": \"unit_test\""), std::string::npos);
   EXPECT_NE(json.find(qclab::obs::kEnabled ? "\"obs\": true"
                                            : "\"obs\": false"),
@@ -267,16 +267,17 @@ TEST(ObsReport, JsonIsWellFormedAndStamped) {
   EXPECT_NE(json.find("\"memory\""), std::string::npos);
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
   EXPECT_NE(json.find("\"bytes_touched_by_path\""), std::string::npos);
-  // v3 sections likewise: perf counters, roofline, and pipeline stages
-  // appear in every build (carrying availability markers when empty).
-  EXPECT_NE(json.find("\"perf\""), std::string::npos);
+  // v3 sections likewise: roofline and pipeline stages appear in every
+  // build (carrying availability markers when empty).
   EXPECT_NE(json.find("\"roofline\""), std::string::npos);
   EXPECT_NE(json.find("\"stages\""), std::string::npos);
-  // v4 sections: sentinel, flight recorder, and profiler totals appear in
-  // every build (all zeros / disabled markers when inert).
+  // v4 sections: sentinel and flight recorder appear in every build (all
+  // zeros / disabled markers when inert).
   EXPECT_NE(json.find("\"sentinel\""), std::string::npos);
   EXPECT_NE(json.find("\"flight\""), std::string::npos);
-  EXPECT_NE(json.find("\"profiler\""), std::string::npos);
+  // v5 dropped the perf-counter and profiler sections.
+  EXPECT_EQ(json.find("\"perf\""), std::string::npos);
+  EXPECT_EQ(json.find("\"profiler\""), std::string::npos);
 
   const std::string text = report.text();
   EXPECT_NE(text.find("unit_test"), std::string::npos);
@@ -734,78 +735,6 @@ TEST(ObsStages, ScopedSpanTracksParentAndDepth) {
   qclab::obs::resetAll();
 }
 
-// ---- perf counters (enabled builds only) ------------------------------
-
-TEST(ObsPerf, CapabilityIsSelfDescribing) {
-  const auto& capability = qclab::obs::perfCapability();
-  // Either some counter tier opened, or the reason says why not (e.g. no
-  // vPMU in a VM, perf_event_paranoid); both are valid environments.
-  if (!capability.any()) {
-    EXPECT_FALSE(capability.reason.empty());
-  }
-  // LLC and stalled-cycle counters require the hardware tier.
-  if (capability.llc) EXPECT_TRUE(capability.hardware);
-  if (capability.stalled) EXPECT_TRUE(capability.hardware);
-}
-
-TEST(ObsPerf, RegistryOffByDefaultAndRecordsWhenEnabled) {
-  auto& registry = qclab::obs::perfRegistry();
-  registry.reset();
-  registry.disable();
-
-  {
-    const qclab::obs::PerfScope scope(KernelPath::kDense1);
-    volatile double sink = 0.0;
-    for (int i = 0; i < 1000; ++i) sink = sink + 1.0;
-  }
-  EXPECT_TRUE(registry.counts(KernelPath::kDense1).empty())
-      << "disabled registry must not record";
-
-  registry.enable();
-  EXPECT_TRUE(registry.enabled());
-  {
-    const qclab::obs::PerfScope scope(KernelPath::kDense1);
-    volatile double sink = 0.0;
-    for (int i = 0; i < 100000; ++i) sink = sink + 1.0;
-  }
-  registry.disable();
-
-  const auto counts = registry.counts(KernelPath::kDense1);
-  if (qclab::obs::perfCapability().any()) {
-    EXPECT_EQ(counts.samples, 1u);
-    // The software tier at minimum delivers task-clock time; the hardware
-    // tier additionally delivers cycles/instructions.
-    EXPECT_GT(counts.taskClockNs + counts.cycles, 0u);
-    EXPECT_EQ(registry.total().samples, counts.samples);
-  } else {
-    EXPECT_TRUE(counts.empty());
-  }
-  registry.reset();
-  EXPECT_TRUE(registry.counts(KernelPath::kDense1).empty());
-}
-
-TEST(ObsPerf, PathTimerFeedsPerfRegistry) {
-  qclab::obs::resetAll();
-  auto& registry = qclab::obs::perfRegistry();
-  registry.enable();
-
-  qclab::QCircuit<T> circuit(4);
-  for (int q = 0; q < 4; ++q) {
-    circuit.push_back(qclab::qgates::Hadamard<T>(q));
-  }
-  const qclab::obs::InstrumentedBackend<T> backend;
-  circuit.simulate("0000", backend);
-  registry.disable();
-
-  if (qclab::obs::perfCapability().any()) {
-    // Every timed gate application sampled the counters on its path.
-    EXPECT_EQ(registry.total().samples, 4u);
-  } else {
-    EXPECT_EQ(registry.total().samples, 0u);
-  }
-  qclab::obs::resetAll();
-}
-
 // ---- roofline (enabled builds only) -----------------------------------
 
 TEST(ObsRoofline, CalibrationMeasuresOrExplains) {
@@ -821,42 +750,20 @@ TEST(ObsRoofline, CalibrationMeasuresOrExplains) {
 }
 
 TEST(ObsRoofline, ClassificationHeuristics) {
-  const qclab::obs::PerfCounts none;
-  EXPECT_EQ(qclab::obs::classifyBoundedness(0.9, none), "memory-bound");
-  EXPECT_EQ(qclab::obs::classifyBoundedness(0.3, none), "memory-bound");
-  EXPECT_EQ(qclab::obs::classifyBoundedness(0.05, none), "compute-bound");
-  EXPECT_EQ(qclab::obs::classifyBoundedness(0.0, none), "indeterminate");
-
-  // With LLC data the miss rate decides below the 50% bandwidth line.
-  qclab::obs::PerfCounts missy;
-  missy.samples = 1;
-  missy.llcReferences = 100;
-  missy.llcMisses = 60;
-  EXPECT_EQ(qclab::obs::classifyBoundedness(0.1, missy), "memory-bound");
-  missy.llcMisses = 2;
-  EXPECT_EQ(qclab::obs::classifyBoundedness(0.1, missy), "compute-bound");
-
-  // Without LLC but with cycles, IPC decides.
-  qclab::obs::PerfCounts stalled;
-  stalled.samples = 1;
-  stalled.cycles = 1000;
-  stalled.instructions = 400;
-  EXPECT_EQ(qclab::obs::classifyBoundedness(0.1, stalled), "memory-bound");
-  stalled.instructions = 2500;
-  EXPECT_EQ(qclab::obs::classifyBoundedness(0.1, stalled), "compute-bound");
+  EXPECT_EQ(qclab::obs::classifyBoundedness(0.9), "memory-bound");
+  EXPECT_EQ(qclab::obs::classifyBoundedness(0.3), "memory-bound");
+  EXPECT_EQ(qclab::obs::classifyBoundedness(0.05), "compute-bound");
+  EXPECT_EQ(qclab::obs::classifyBoundedness(0.0), "indeterminate");
 }
 
 TEST(ObsRoofline, PointPlacement) {
-  const qclab::obs::PerfCounts none;
   // No data -> idle, no rates.
-  const auto idle =
-      qclab::obs::rooflinePoint(KernelPath::kDense1, 0, 100, none);
+  const auto idle = qclab::obs::rooflinePoint(KernelPath::kDense1, 0, 100);
   EXPECT_EQ(idle.classification, "idle");
   EXPECT_EQ(idle.achievedGBps, 0.0);
 
   // 64 bytes in 32 ns = 2 GB/s; dense1 intensity = 14/32 flops/byte.
-  const auto point =
-      qclab::obs::rooflinePoint(KernelPath::kDense1, 64, 32, none);
+  const auto point = qclab::obs::rooflinePoint(KernelPath::kDense1, 64, 32);
   EXPECT_DOUBLE_EQ(point.achievedGBps, 2.0);
   EXPECT_DOUBLE_EQ(point.intensityFlopsPerByte, 14.0 / 32.0);
   EXPECT_DOUBLE_EQ(point.estGflops, 2.0 * 14.0 / 32.0);
@@ -908,20 +815,6 @@ TEST(ObsDisabled, V3SurfacesAreInertNoOps) {
   }
   EXPECT_TRUE(qclab::obs::stageStats().snapshot().empty());
 
-  // Perf: capability reports the disabled build, the registry stays off
-  // even after enable(), scopes record nothing.
-  const auto& capability = qclab::obs::perfCapability();
-  EXPECT_FALSE(capability.any());
-  EXPECT_NE(capability.reason.find("QCLAB_OBS_DISABLED"),
-            std::string::npos);
-  auto& registry = qclab::obs::perfRegistry();
-  registry.enable();
-  EXPECT_FALSE(registry.enabled());
-  {
-    const qclab::obs::PerfScope scope(KernelPath::kDense1);
-  }
-  EXPECT_TRUE(registry.total().empty());
-
   // Roofline: never calibrates, explains why.
   const auto& calibration = qclab::obs::rooflineCalibration();
   EXPECT_FALSE(calibration.measured);
@@ -933,7 +826,6 @@ TEST(ObsDisabled, V3SurfacesAreInertNoOps) {
 
   // The report still renders the v3 sections with explicit markers.
   const std::string json = qclab::obs::Report("disabled_v3").json();
-  EXPECT_NE(json.find("\"perf\""), std::string::npos);
   EXPECT_NE(json.find("\"roofline\""), std::string::npos);
   EXPECT_NE(json.find("\"stages\""), std::string::npos);
   EXPECT_NE(json.find("QCLAB_OBS_DISABLED"), std::string::npos);

@@ -81,6 +81,18 @@ TEST(Observable, AddMergesDuplicateStrings) {
   EXPECT_NEAR(obs.terms()[0].coefficient(), 3.0, 1e-15);
 }
 
+TEST(Observable, CopyMergesThroughItsOwnIndex) {
+  Observable<double> original(2);
+  original.add("ZZ", 1.0).add("XI", 0.5);
+  Observable<double> copy = original;
+  copy.add("XI", 2.0).add("IY", 1.0);
+  ASSERT_EQ(copy.nbTerms(), 3u);
+  EXPECT_EQ(copy.terms()[1].coefficient(), 2.5);
+  EXPECT_EQ(copy.terms()[2].paulis(), "IY");
+  ASSERT_EQ(original.nbTerms(), 2u);
+  EXPECT_EQ(original.terms()[1].coefficient(), 0.5);
+}
+
 TEST(Observable, Validation) {
   Observable<double> obs(2);
   EXPECT_THROW(obs.add("ZZZ", 1.0), InvalidArgumentError);

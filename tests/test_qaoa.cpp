@@ -35,6 +35,23 @@ TEST(MaxCutHamiltonian, Validation) {
                QubitRangeError);
 }
 
+TEST(MaxCutHamiltonian, ConstantIsOneLeadingIdentityTerm) {
+  Graph complete{32, {}};
+  for (int i = 0; i < 32; ++i) {
+    for (int j = i + 1; j < 32; ++j) complete.edges.push_back({i, j});
+  }
+  const auto cost = maxCutHamiltonian<double>(complete);
+  const std::size_t nbEdges = complete.edges.size();
+  ASSERT_EQ(cost.nbTerms(), nbEdges + 1);
+  EXPECT_EQ(cost.terms().front().paulis(), std::string(32, 'I'));
+  EXPECT_EQ(cost.terms().front().coefficient(),
+            0.5 * static_cast<double>(nbEdges));
+}
+
+TEST(MaxCutHamiltonian, EdgelessGraphGivesAnEmptyObservable) {
+  EXPECT_EQ(maxCutHamiltonian<double>(Graph{3, {}}).nbTerms(), 0u);
+}
+
 TEST(MaxCutBruteForce, KnownGraphs) {
   EXPECT_EQ(maxCutBruteForce(triangle()), 2);
   EXPECT_EQ(maxCutBruteForce(square()), 4);

@@ -284,6 +284,35 @@ TEST(QasmParse, AdversarialSizes) {
             1u);
 }
 
+TEST(QasmParse, WideRegisterSamplesOnTheTableau) {
+  // A register no statevector can hold is valid input: a Clifford program
+  // on it parses and samples on the stabilizer tableau; only the
+  // statevector drivers reject it.
+  const int n = 100;
+  std::string program = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\n"
+                        "qreg q[100];\ncreg c[100];\nh q[0];\n";
+  for (int q = 1; q < n; ++q) {
+    program += "cx q[" + std::to_string(q - 1) + "], q[" +
+               std::to_string(q) + "];\n";
+  }
+  for (int q = 0; q < n; ++q) {
+    const std::string bit = std::to_string(q);
+    program += "measure q[" + bit + "] -> c[" + bit + "];\n";
+  }
+  const auto circuit = parseQasm<double>(program);
+  ASSERT_EQ(circuit.nbQubits(), n);
+  const auto histogram = sim::dispatchSampleCounts(circuit, 64, 11);
+  std::uint64_t total = 0;
+  for (const auto& [outcome, count] : histogram) {
+    EXPECT_TRUE(outcome == std::string(n, '0') ||
+                outcome == std::string(n, '1'))
+        << outcome;
+    total += count;
+  }
+  EXPECT_EQ(total, 64u);
+  EXPECT_THROW(circuit.simulate(std::string(n, '0')), InvalidArgumentError);
+}
+
 TEST(QasmParse, ErrorCarriesLineNumber) {
   try {
     parseQasm<double>("OPENQASM 2.0;\nqreg q[1];\nfoo q[0];");

@@ -37,8 +37,7 @@ int usage() {
 
 /// Built-in demo: a fused GHZ simulate, a sampled Grover run, and a small
 /// batched parameter sweep — enough to populate counters, histograms,
-/// stages, the qclab_batch_* families, and (where the host PMU allows)
-/// perf families across several kernel paths.
+/// stages and the qclab_batch_* families across several kernel paths.
 void demoWorkload(std::uint64_t shots) {
   const qclab::obs::InstrumentedBackend<T> backend;
   {
@@ -101,7 +100,6 @@ int main(int argc, char** argv) {
   // A crashing workload (bad QASM input, kernel bug) should still leave a
   // qclab-crash-<pid>.json behind for diagnosis.
   qclab::obs::installCrashHandlers();
-  qclab::obs::perfRegistry().enable();
   const qclab::obs::ObsSnapshot before = qclab::obs::captureSnapshot();
 
   if (qasmPath.empty()) {
