@@ -81,6 +81,7 @@ double timeSampled(const qclab::QCircuit<T>& circuit,
 int main(int argc, char** argv) {
   const std::string obsJsonPath =
       qclab::benchutil::extractObsJsonPath(argc, argv);
+  qclab::benchutil::rejectUnknownArguments(argc, argv);
   qclab::benchutil::initObsRun();
   qclab::obs::Report report("bench_dispatch");
 

@@ -70,6 +70,7 @@ void benchWorkload(qclab::obs::Report& report, const std::string& name,
 int main(int argc, char** argv) {
   const std::string obsJsonPath =
       qclab::benchutil::extractObsJsonPath(argc, argv);
+  qclab::benchutil::rejectUnknownArguments(argc, argv);
   qclab::benchutil::initObsRun();
   qclab::obs::Report report("bench_fusion");
 

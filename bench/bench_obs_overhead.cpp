@@ -148,6 +148,7 @@ int main(int argc, char** argv) {
     const double value = std::atof(tol);
     if (value > 0.0) maxOverhead = value;
   }
+  int unknown = 1;  // argv[1, unknown) collects what no flag reads
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--n") == 0 && i + 1 < argc) {
       n = std::atoi(argv[++i]);
@@ -159,8 +160,14 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--quick") == 0) {
       n = 16;
       pairs = 7;
+    } else {
+      argv[unknown++] = argv[i];
     }
   }
+  qclab::benchutil::rejectUnknownArguments(
+      unknown, argv,
+      "[--obs-json <path>] [--n N] [--samples N] [--max-overhead F] "
+      "[--quick]");
   if (n < 2) n = 2;
   if (pairs < 5) pairs = 5;  // a median of ratios needs a real sample
 

@@ -68,6 +68,7 @@ double timeTrajectories(const qclab::QCircuit<T>& circuit,
 int main(int argc, char** argv) {
   const std::string obsJsonPath =
       qclab::benchutil::extractObsJsonPath(argc, argv);
+  qclab::benchutil::rejectUnknownArguments(argc, argv);
   qclab::benchutil::initObsRun();
   qclab::obs::Report report("bench_trajectory");
 

@@ -3,12 +3,13 @@
 /// \file obs_cli.hpp
 /// \brief Tiny shared helpers for the bench binaries: the common
 /// `--obs-json <path>` flag (export the run's obs::Report as one JSON
-/// object), crash-handler installation, and a self-calibrating wall-clock
-/// timer.  Kept free of google-benchmark so the hand-rolled JSON benches
-/// can use it too.
+/// object), the rejection of unknown arguments, crash-handler
+/// installation, and a self-calibrating wall-clock timer.  Kept free of
+/// google-benchmark so the hand-rolled JSON benches can use it too.
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -35,6 +36,18 @@ inline std::string extractObsJsonPath(int& argc, char** argv) {
   }
   argc = out;
   return path;
+}
+
+/// Ends the process with exit code 2 and a usage line on stderr when
+/// argv still holds an argument after a binary has read its known flags
+/// (argv[1..argc) is what is left), so a misspelled or unsupported flag
+/// never runs the bench and silently writes nothing.
+inline void rejectUnknownArguments(int argc, char** argv,
+                                   const char* usage = "[--obs-json <path>]") {
+  if (argc <= 1) return;
+  std::fprintf(stderr, "%s: unknown argument '%s'\nusage: %s %s\n", argv[0],
+               argv[1], argv[0], usage);
+  std::exit(2);
 }
 
 /// Shared head of the bench/repro binaries: installs the signal-safe

@@ -12,6 +12,7 @@
 int main(int argc, char** argv) {
   const std::string obsJsonPath =
       qclab::benchutil::extractObsJsonPath(argc, argv);
+  qclab::benchutil::rejectUnknownArguments(argc, argv);
   qclab::benchutil::initObsRun();
   const qclab::benchutil::WallTimer wallTimer;
 

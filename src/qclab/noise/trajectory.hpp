@@ -31,8 +31,8 @@
 /// every driver shares; each trajectory replays the shared plans.  A
 /// NoiseModel with gateNoise samples a channel after every gate, which
 /// leaves no run longer than one gate to merge: the engine then compiles
-/// without fusion and applies the gates through the kernel backend, one
-/// channel sample after each.
+/// without fusion and runs each gate's kernel record, one channel sample
+/// after each.
 
 #include <algorithm>
 #include <cmath>

@@ -268,8 +268,8 @@ class QCircuit final : public QObject<T> {
   // ---- linear algebra ----------------------------------------------------
 
   /// The 2^n x 2^n unitary of the circuit (throws if the circuit contains
-  /// measurements or resets).  Computed column-by-column with the kernel
-  /// backend.
+  /// measurements or resets).  Computed column-by-column from the gates'
+  /// kernel records, lowered once.
   dense::Matrix<T> matrix() const {
     const std::vector<sim::FlatOp<T>> ops = flatten();
     for (const auto& op : ops) {
@@ -281,15 +281,14 @@ class QCircuit final : public QObject<T> {
     }
     const std::size_t dim = std::size_t{1} << nbQubits_;
     dense::Matrix<T> u(dim, dim);
-    const sim::KernelBackend<T> backend;
+    const sim::Program<T> program = sim::compile(ops, 0, nbQubits_, nullptr);
     for (std::size_t j = 0; j < dim; ++j) {
       std::vector<std::complex<T>> state(dim);
       state[j] = std::complex<T>(1);
-      for (const auto& op : ops) {
-        if (op.object->objectType() != ObjectType::kGate) continue;
-        backend.applyGate(state, nbQubits_,
-                          static_cast<const qgates::QGate<T>&>(*op.object),
-                          op.offset);
+      for (const auto& step : program.steps) {
+        for (const auto& op : step.ops) {
+          sim::applyKernelOp(state, nbQubits_, op);
+        }
       }
       for (std::size_t i = 0; i < dim; ++i) u(i, j) = state[i];
     }

@@ -9,6 +9,7 @@
 ///    multiply it with the state vector;
 ///  - KernelBackend: the QCLAB++ engine — in-place bit-sliced kernels with
 ///    fast paths for single-qubit, diagonal, controlled, and swap gates.
+///    It lowers the gate to its kernel record and runs it (kernel_op.hpp).
 /// Both produce identical states (up to rounding); bench_backend_compare
 /// measures the performance gap the paper alludes to.
 
@@ -17,37 +18,12 @@
 #include <vector>
 
 #include "qclab/qgates/qgates.hpp"
+#include "qclab/sim/kernel_op.hpp"
 #include "qclab/sim/kernel_path.hpp"
-#include "qclab/sim/kernels.hpp"
 #include "qclab/sim/state_buffer.hpp"
 #include "qclab/sparse/csr.hpp"
 
 namespace qclab::sim {
-
-/// The kernel fast path the in-place engine selects for `gate` — the
-/// single source of truth for KernelBackend's dispatch, exposed so that
-/// decorators (obs::InstrumentedBackend) can tag applications with the
-/// path actually taken without re-implementing the dispatch rules.
-template <typename T>
-KernelPath classifyKernelPath(const qgates::QGate<T>& gate) {
-  if (dynamic_cast<const qgates::SWAP<T>*>(&gate) != nullptr) {
-    return KernelPath::kSwap;
-  }
-  if (!gate.controls().empty() && gate.targets().size() == 1) {
-    // Controlled gates with a diagonal target (CZ, CPhase, CRZ, MCZ, ...)
-    // need only one multiply per active-subspace amplitude; the dense
-    // 2x2 pair update of kControlled1 would double the work.
-    return gate.isDiagonal() ? KernelPath::kControlledDiagonal1
-                             : KernelPath::kControlled1;
-  }
-  if (gate.nbQubits() == 1) {
-    return gate.isDiagonal() ? KernelPath::kDiagonal1 : KernelPath::kDense1;
-  }
-  if (gate.controls().empty() && gate.isDiagonal()) {
-    return KernelPath::kDiagonalK;
-  }
-  return KernelPath::kDenseK;
-}
 
 /// Abstract gate-application strategy.
 template <typename T>
@@ -77,69 +53,11 @@ class Backend {
 template <typename T>
 class KernelBackend final : public Backend<T> {
  public:
+  /// Lowers `gate` to its kernel record and runs it; sim::compile lowers
+  /// once instead.
   void applyGate(StateSpan<T> state, int nbQubits,
                  const qgates::QGate<T>& gate, int offset = 0) const override {
-    switch (classifyKernelPath(gate)) {
-      case KernelPath::kSwap: {
-        // SWAP: pure permutation.
-        const auto& swap = static_cast<const qgates::SWAP<T>&>(gate);
-        applySwap(state, nbQubits, swap.qubit0() + offset,
-                  swap.qubit1() + offset);
-        return;
-      }
-      case KernelPath::kControlled1: {
-        // Controlled gate, single target: touch only the active subspace.
-        std::vector<int> shiftedControls(gate.controls());
-        for (int& c : shiftedControls) c += offset;
-        applyControlled1(state, nbQubits, shiftedControls,
-                         gate.controlStates(), gate.targets()[0] + offset,
-                         gate.targetMatrix());
-        return;
-      }
-      case KernelPath::kControlledDiagonal1: {
-        // Controlled diagonal gate: one multiply on the active subspace.
-        std::vector<int> shiftedControls(gate.controls());
-        for (int& c : shiftedControls) c += offset;
-        const auto u = gate.targetMatrix();
-        applyControlledDiagonal1(state, nbQubits, shiftedControls,
-                                 gate.controlStates(),
-                                 gate.targets()[0] + offset, u(0, 0), u(1, 1));
-        return;
-      }
-      case KernelPath::kDiagonal1: {
-        const auto u = gate.matrix();
-        applyDiagonal1(state, nbQubits, gate.qubits()[0] + offset, u(0, 0),
-                       u(1, 1));
-        return;
-      }
-      case KernelPath::kDense1: {
-        apply1(state, nbQubits, gate.qubits()[0] + offset, gate.matrix());
-        return;
-      }
-      case KernelPath::kDiagonalK: {
-        // Multi-qubit diagonal gate (RZZ, ...): one multiply per amplitude.
-        std::vector<int> qubits = gate.qubits();
-        for (int& q : qubits) q += offset;
-        const auto u = gate.matrix();
-        std::vector<std::complex<T>> diagonal(u.rows());
-        for (std::size_t i = 0; i < u.rows(); ++i) diagonal[i] = u(i, i);
-        applyDiagonalK(state, nbQubits, qubits, diagonal);
-        return;
-      }
-      case KernelPath::kDenseK:
-      default: {
-        // General k-qubit gate; the k = 2 hot path has a specialized
-        // quad-run kernel that avoids applyK's gather/scatter.
-        std::vector<int> qubits = gate.qubits();
-        for (int& q : qubits) q += offset;
-        if (qubits.size() == 2) {
-          apply2(state, nbQubits, qubits[0], qubits[1], gate.matrix());
-        } else {
-          applyK(state, nbQubits, qubits, gate.matrix());
-        }
-        return;
-      }
-    }
+    applyKernelOp(state, nbQubits, lowerGate(gate, offset));
   }
 
   const char* name() const noexcept override { return "kernel"; }

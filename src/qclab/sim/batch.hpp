@@ -19,9 +19,9 @@
 ///     The shape is fingerprinted by QCircuit::shapeHash(), which covers
 ///     everything the plan depends on and no angle values.
 ///   - INSTANCE (per member): write the member's parameter vector through
-///     ParameterBinding (gate setTheta), refresh the fused matrices with
-///     rebindFusionPlan (recipe replay — bit-identical to re-fusing), and
-///     run the plan over a pooled state buffer.
+///     ParameterBinding (gate setTheta), refresh the fused blocks' kernel
+///     records with rebindFusionPlan (recipe replay — bit-identical to
+///     re-fusing), and run the plan over a pooled state buffer.
 ///
 /// The engine additionally caches the PARAMETER-FREE PREFIX of the plan:
 /// the maximal leading run of fused blocks none of whose gates is a
@@ -230,10 +230,10 @@ class BatchedSimulation {
     Program<T> program;
 
     /// The master (`master` null) compiles and fuses; a clone compiles
-    /// without fusion and copies the master's plans (matrices are values,
-    /// recipes are gate indices), so it never re-fuses.  Every member
-    /// rebinds before applying, so the copied matrices never execute
-    /// stale.
+    /// without fusion and copies the master's plans (block records are
+    /// values, recipes are gate indices), so it never re-fuses, and drops
+    /// the per-gate records the plans replace.  Every member rebinds
+    /// before applying, so the copied records never execute stale.
     Worker(const QCircuit<T>& prototype, const Worker* master)
         : circuit(prototype), binding(circuit) {
       const std::vector<FlatOp<T>> ops = circuit.flatten();
@@ -242,6 +242,7 @@ class BatchedSimulation {
         program = compile(ops, 0, nbQubits, nullptr);
         for (std::size_t r = 0; r < program.steps.size(); ++r) {
           program.steps[r].plan = master->program.steps[r].plan;
+          program.steps[r].ops = {};
         }
         return;
       }

@@ -18,12 +18,12 @@
 /// so the low-position window is the HIGH-index qubits [nbQubits - b,
 /// nbQubits) — exactly the targets with long unit-stride runs that the
 /// SIMD tier (simd.hpp) vectorizes best.  Blocking and SIMD compose: the
-/// per-chunk kernels below are the same dispatched span kernels.
+/// per-chunk kernels are the same dispatched span kernels.
 ///
-/// The scheduler here is generic over any block type exposing `.qubits`
-/// (ascending), `.diagonal`, and the matching payload (`.matrix` for
-/// dense blocks, the `.diag` table for diagonal ones), so fusion.hpp can
-/// build a BlockSchedule into its FusionPlan without a dependency cycle.
+/// The scheduler here is generic over any block type exposing an
+/// ascending `.qubits`, so fusion.hpp can build a BlockSchedule into its
+/// FusionPlan without a dependency cycle; the executor runs each block's
+/// kernel record (kernel_op.hpp).
 
 #include <algorithm>
 #include <chrono>
@@ -31,12 +31,11 @@
 #include <cstdint>
 #include <vector>
 
-#include "qclab/dense/matrix.hpp"
 #include "qclab/obs/sentinel.hpp"
 #include "qclab/obs/trace.hpp"
+#include "qclab/sim/kernel_op.hpp"
 #include "qclab/sim/parallel.hpp"
 #include "qclab/sim/simd.hpp"
-#include "qclab/util/bits.hpp"
 #include "qclab/util/errors.hpp"
 
 namespace qclab::sim {
@@ -130,117 +129,6 @@ BlockSchedule buildBlockSchedule(const std::vector<Block>& blocks,
   return schedule;
 }
 
-namespace detail {
-
-/// Which per-chunk routine a compiled block dispatches to.
-enum class ChunkKernel { kDense1, kDense2, kDiagonalK, kDenseK };
-
-/// A fused block lowered to chunk-local form: bit positions instead of
-/// qubit indices (identical inside a chunk, since all positions < b) and
-/// the kernel-specific coefficient layout, computed once per blocked run.
-template <typename T>
-struct CompiledBlock {
-  ChunkKernel kernel = ChunkKernel::kDenseK;
-  std::vector<int> positions;   ///< kernel-specific order (see compile)
-  std::complex<T> u2[4] = {};   ///< kDense1: row-major 2x2
-  std::complex<T> u4[16] = {};  ///< kDense2: row-major 4x4, MSB-first
-  std::vector<std::complex<T>> diagonal;  ///< kDiagonalK
-  dense::Matrix<T> matrix;                ///< kDenseK
-  std::vector<util::index_t> offsets;     ///< kDenseK subspace offsets
-};
-
-/// Lowers one fused block to its chunk-local compiled form.
-template <typename T, typename Block>
-CompiledBlock<T> compileBlock(const Block& block, int nbQubits) {
-  CompiledBlock<T> compiled;
-  const int k = static_cast<int>(block.qubits.size());
-  // MSB-first positions: qubits ascending => positions descending; this
-  // order matches the MSB-first row indexing of the block matrix.
-  std::vector<int> msbFirst(static_cast<std::size_t>(k));
-  for (int i = 0; i < k; ++i) {
-    msbFirst[static_cast<std::size_t>(i)] =
-        util::bitPosition(block.qubits[static_cast<std::size_t>(i)], nbQubits);
-  }
-
-  if (block.diagonal) {
-    // Every width, one qubit included, takes the run-structured sweep
-    // that applyDiagonalBlock runs in a plain sweep.
-    compiled.diagonal = block.diag;
-    compiled.kernel = ChunkKernel::kDiagonalK;
-    compiled.positions = std::move(msbFirst);
-    return compiled;
-  }
-
-  if (k == 1) {
-    compiled.kernel = ChunkKernel::kDense1;
-    compiled.positions = std::move(msbFirst);
-    for (int i = 0; i < 4; ++i) {
-      compiled.u2[i] = block.matrix(static_cast<std::size_t>(i / 2),
-                                    static_cast<std::size_t>(i % 2));
-    }
-    return compiled;
-  }
-
-  if (k == 2) {
-    compiled.kernel = ChunkKernel::kDense2;
-    compiled.positions = std::move(msbFirst);  // {posHi, posLo}
-    for (int i = 0; i < 16; ++i) {
-      compiled.u4[i] = block.matrix(static_cast<std::size_t>(i / 4),
-                                    static_cast<std::size_t>(i % 4));
-    }
-    return compiled;
-  }
-
-  compiled.kernel = ChunkKernel::kDenseK;
-  compiled.matrix = block.matrix;
-  // Ascending positions for bit insertion, MSB-first offsets for rows —
-  // the same layout applyK uses, restricted to a chunk index.
-  compiled.positions.assign(msbFirst.rbegin(), msbFirst.rend());
-  compiled.offsets.assign(std::size_t{1} << k, 0);
-  for (util::index_t r = 0; r < compiled.offsets.size(); ++r) {
-    util::index_t offset = 0;
-    for (int i = 0; i < k; ++i) {
-      if (util::getBit(r, util::bitPosition(i, k))) {
-        offset =
-            util::setBit(offset, msbFirst[static_cast<std::size_t>(i)]);
-      }
-    }
-    compiled.offsets[r] = offset;
-  }
-  return compiled;
-}
-
-/// Applies a compiled gate run to one chunk via the dispatched span
-/// kernels of simd.hpp.  Serial: the caller parallelizes over chunks.
-template <typename T>
-void applyCompiledChunk(std::complex<T>* chunk, std::int64_t chunkDim,
-                        const std::vector<CompiledBlock<T>>& run,
-                        SimdLevel level,
-                        std::vector<std::complex<T>>& scratch) {
-  for (const auto& block : run) {
-    switch (block.kernel) {
-      case ChunkKernel::kDense1:
-        simd::apply1Span(chunk, chunkDim, block.positions[0], block.u2,
-                         level);
-        break;
-      case ChunkKernel::kDense2:
-        simd::apply2Span(chunk, chunkDim, block.positions[0],
-                         block.positions[1], block.u4, level);
-        break;
-      case ChunkKernel::kDiagonalK:
-        simd::applyDiagonalRunsSpan(chunk, chunkDim, block.positions,
-                                    block.diagonal, level);
-        break;
-      case ChunkKernel::kDenseK:
-        simd::applyKSpan(chunk, chunkDim, block.positions, block.offsets,
-                         block.matrix, scratch);
-        break;
-    }
-  }
-}
-
-}  // namespace detail
-
 /// Applies the run of fused blocks [first, first + count) with ONE
 /// streaming sweep of the state in 2^blockQubits-amplitude chunks.  Every
 /// block in the run must have all its qubits >= nbQubits - blockQubits
@@ -248,7 +136,8 @@ void applyCompiledChunk(std::complex<T>* chunk, std::int64_t chunkDim,
 /// blocks sequentially with full sweeps.
 ///
 /// Generic over the state container (anything with data() and
-/// value_type).  Each thread walks its OWN contiguous chunk range
+/// value_type) and over the block type (a KernelOp or a type derived from
+/// it, like FusedBlock).  Each thread walks its OWN contiguous chunk range
 /// (parallelRanges).
 template <typename State, typename Block>
 void applyBlockedRun(State& state, int nbQubits,
@@ -257,14 +146,10 @@ void applyBlockedRun(State& state, int nbQubits,
   using T = typename State::value_type::value_type;
   util::require(blockQubits >= 1 && blockQubits < nbQubits,
                 "applyBlockedRun: chunk size out of range");
-  std::vector<detail::CompiledBlock<T>> run;
-  run.reserve(count);
   for (std::size_t i = first; i < first + count; ++i) {
-    const Block& block = blocks[i];
-    util::require(!block.qubits.empty() &&
-                      block.qubits.front() >= nbQubits - blockQubits,
+    util::require(!blocks[i].qubits.empty() &&
+                      blocks[i].qubits.front() >= nbQubits - blockQubits,
                   "applyBlockedRun: block escapes the chunk window");
-    run.push_back(detail::compileBlock<T>(block, nbQubits));
   }
 
   const SimdLevel level = activeSimdLevel();
@@ -292,11 +177,13 @@ void applyBlockedRun(State& state, int nbQubits,
   // Each thread walks its own contiguous chunk share.
   const auto sweep = [&](std::int64_t chunkLo, std::int64_t chunkHi,
                          int part) {
-    std::vector<std::complex<T>> scratch;
+    ChunkScratch<T> scratch;
     SentinelShare share;
     for (std::int64_t c = chunkLo; c < chunkHi; ++c) {
-      detail::applyCompiledChunk(state.data() + c * chunkDim, chunkDim, run,
-                                 level, scratch);
+      for (std::size_t i = first; i < first + count; ++i) {
+        applyKernelOpChunk<T>(state.data() + c * chunkDim, chunkDim,
+                              nbQubits, blocks[i], level, scratch);
+      }
       if (sentinelDue) {
         obs::sentinelAccumulateChunk(state.data() + c * chunkDim,
                                      static_cast<std::size_t>(chunkDim),

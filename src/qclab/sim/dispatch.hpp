@@ -34,7 +34,8 @@
 /// obs integration: `dispatch/analyze` and `dispatch/convert` stage spans,
 /// KernelPath::kStabilizer per tableau gate, KernelPath::kDispatch latency
 /// per routed execution, and route / fallback / conversion counters
-/// surfaced in the v4 report and the OpenMetrics export.
+/// surfaced in the obs JSON report (schema "qclab-obs-v5") and the
+/// OpenMetrics export.
 
 #include <bit>
 #include <cmath>

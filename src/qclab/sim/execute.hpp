@@ -10,8 +10,9 @@
 /// turns that list into a Program in one pass: it is the one place that
 /// decides where a gate run ends (at a measurement, a reset, or a barrier
 /// — semantically neutral, but an explicit fusion boundary), the one
-/// place that fuses the runs, and the one place that resolves each
-/// measurement or reset to its absolute qubit and basis change.
+/// place that fuses the runs or lowers their gates to kernel records
+/// (kernel_op.hpp), and the one place that resolves each measurement or
+/// reset to its absolute qubit and basis change.
 /// QCircuit::simulate and the dispatch suffix run their program through
 /// execute; the batch and trajectory engines compile once and replay
 /// their program for every member or trajectory.  Every driver applies a
@@ -22,6 +23,7 @@
 #include <limits>
 #include <optional>
 #include <string>
+#include <typeinfo>
 #include <utility>
 #include <vector>
 
@@ -57,6 +59,8 @@ struct ProgramStep {
   /// The run's fused blocks when the program was compiled with fusion;
   /// empty otherwise, and then applyRun applies the gates one by one.
   FusionPlan<T> plan;
+  /// Unfused runs: the kernel record of each gate, in gate order.
+  std::vector<KernelOp<T>> ops;
   int qubit = 0;
   bool reset = false;
   /// After the collapse, `v` rotates a qubit measured in another basis
@@ -82,8 +86,9 @@ struct Program {
 /// Compiles ops[first, end) of an `nbQubits`-qubit register into a
 /// Program.  A gate run is a maximal stretch of consecutive gates, so
 /// measurements, resets, and barriers end it; barriers emit no step of
-/// their own.  Every run is fused with `fusion` when it is non-null.  The
-/// program points into the ops' circuit, which must outlive it.
+/// their own.  Every run is fused with `fusion` when it is non-null, and
+/// otherwise lowered gate by gate to kernel records.  The program points
+/// into the ops' circuit, which must outlive it.
 template <typename T>
 Program<T> compile(const std::vector<FlatOp<T>>& ops, std::size_t first,
                    int nbQubits, const FusionOptions* fusion) {
@@ -110,6 +115,11 @@ Program<T> compile(const std::vector<FlatOp<T>>& ops, std::size_t first,
       }
       if (fusion != nullptr) {
         step.plan = fuseGates(step.gates, nbQubits, *fusion);
+        continue;
+      }
+      step.ops.reserve(step.gates.size());
+      for (const GateRef<T>& ref : step.gates) {
+        step.ops.push_back(lowerGate(*ref.gate, ref.offset));
       }
       continue;
     }
@@ -134,9 +144,9 @@ Program<T> compile(const std::vector<FlatOp<T>>& ops, std::size_t first,
 }
 
 /// Applies the gate-run step `step` to one state: through its fused plan
-/// when it has one, otherwise gate by gate through `backend`, calling
-/// `afterGate(ref)` after each gate (the trajectory engine samples its
-/// gate noise there).
+/// when it has one, otherwise gate by gate (the kernel backend from the
+/// gates' records, any other through `backend`), calling `afterGate(ref)`
+/// after each gate (the trajectory engine samples its gate noise there).
 template <typename State, typename T, typename AfterGate>
 void applyRun(State& state, int nbQubits, const ProgramStep<T>& step,
               const Backend<T>& backend, AfterGate&& afterGate) {
@@ -144,9 +154,16 @@ void applyRun(State& state, int nbQubits, const ProgramStep<T>& step,
     applyFusionPlan(state, nbQubits, step.plan);
     return;
   }
-  for (const GateRef<T>& ref : step.gates) {
-    backend.applyGate(state, nbQubits, *ref.gate, ref.offset);
-    afterGate(ref);
+  // KernelBackend is final: a type compare, not a dynamic_cast.
+  const bool records = typeid(backend) == typeid(KernelBackend<T>);
+  for (std::size_t i = 0; i < step.ops.size(); ++i) {
+    if (records) {
+      applyKernelOp(state, nbQubits, step.ops[i]);
+    } else {
+      backend.applyGate(state, nbQubits, *step.gates[i].gate,
+                        step.gates[i].offset);
+    }
+    afterGate(step.gates[i]);
   }
 }
 

@@ -30,9 +30,10 @@
 /// without re-running the scheduler.  A rebound plan is bit-identical to
 /// a freshly fused one, which is what the batched engine relies on.
 ///
-/// Plan application (applyFusionPlan) is const and re-entrant: all
-/// mutable state lives in locals, so one plan can be shared by many
-/// threads (trajectory workers, batch members) concurrently.
+/// Each block is its own kernel record (kernel_op.hpp), so applying a
+/// plan lowers nothing.  Plan application (applyFusionPlan) is const and
+/// re-entrant: all mutable state lives in locals, so one plan can be
+/// shared by many threads (trajectory workers, batch members) concurrently.
 ///
 /// On top of the fused blocks the plan carries a cache-blocking schedule
 /// (blocking.hpp): maximal runs of consecutive blocks whose qubits all
@@ -54,8 +55,8 @@
 #include "qclab/obs/trace.hpp"
 #include "qclab/qgates/qgate.hpp"
 #include "qclab/sim/blocking.hpp"
+#include "qclab/sim/kernel_op.hpp"
 #include "qclab/sim/kernel_path.hpp"
-#include "qclab/sim/kernels.hpp"
 #include "qclab/util/bits.hpp"
 #include "qclab/util/errors.hpp"
 
@@ -106,14 +107,12 @@ struct FusedStep {
 };
 
 /// One scheduled block: the product of a run of gates over a common
-/// ascending qubit window (MSB-first, like every gate matrix).  Dense
-/// blocks hold the 2^k x 2^k product in `matrix`; diagonal blocks hold
-/// only the 2^k diagonal entries in `diag` (matrix stays empty).
+/// ascending `qubits` window (MSB-first, like every gate matrix), as its
+/// kernel record: dense blocks (kFusedDenseK) hold the 2^k x 2^k product
+/// in `matrix` (and `coeffs` up to two qubits); diagonal blocks
+/// (kFusedDiagonalK) hold only the 2^k diagonal entries in `diag`.
 template <typename T>
-struct FusedBlock {
-  std::vector<int> qubits;   ///< ascending absolute qubit indices
-  dense::Matrix<T> matrix;   ///< dense blocks: 2^k x 2^k product
-  std::vector<std::complex<T>> diag;  ///< diagonal blocks: 2^k entries
+struct FusedBlock : KernelOp<T> {
   bool diagonal = false;     ///< every merged gate was diagonal
   std::size_t gatesIn = 0;   ///< number of gates merged into this block
   std::vector<FusedStep> steps;  ///< rebind recipe (one per merged gate)
@@ -135,10 +134,13 @@ struct FusionPlan {
   std::vector<FusedBlock<T>> blocks;
   BlockSchedule schedule;
 
-  FusionStats stats() const noexcept {
+  /// Totals over blocks [first, last) (the whole plan by default).
+  FusionStats stats(std::size_t first = 0,
+                    std::size_t last = SIZE_MAX) const noexcept {
     FusionStats s;
-    for (const auto& block : blocks) {
-      s.gatesIn += block.gatesIn;
+    last = std::min(last, blocks.size());
+    for (std::size_t i = first; i < last; ++i) {
+      s.gatesIn += blocks[i].gatesIn;
       ++s.blocksOut;
     }
     s.sweepsSaved = s.gatesIn - s.blocksOut;
@@ -147,6 +149,21 @@ struct FusionPlan {
 };
 
 namespace detail {
+
+/// Bit position of each `from` qubit within an index over window `to`
+/// (MSB-first), shared by the matrix and diagonal embed helpers.
+inline std::vector<int> windowPositions(const std::vector<int>& from,
+                                        const std::vector<int>& to) {
+  const int m = static_cast<int>(to.size());
+  std::vector<int> positions(from.size());
+  for (std::size_t i = 0; i < from.size(); ++i) {
+    const auto it = std::lower_bound(to.begin(), to.end(), from[i]);
+    util::require(it != to.end() && *it == from[i],
+                  "fusion window does not cover the gate qubits");
+    positions[i] = util::bitPosition(static_cast<int>(it - to.begin()), m);
+  }
+  return positions;
+}
 
 /// Embeds a matrix over the ascending qubit list `from` into the superset
 /// window `to` (identity on window qubits the gate does not touch), keeping
@@ -158,17 +175,7 @@ dense::Matrix<T> embedInWindow(const dense::Matrix<T>& u,
   if (from == to) return u;
   const int k = static_cast<int>(from.size());
   const int m = static_cast<int>(to.size());
-
-  // Bit position of each `from` qubit within a window index.
-  std::vector<int> positions(static_cast<std::size_t>(k));
-  for (int i = 0; i < k; ++i) {
-    const auto it = std::lower_bound(to.begin(), to.end(),
-                                     from[static_cast<std::size_t>(i)]);
-    util::require(it != to.end() && *it == from[static_cast<std::size_t>(i)],
-                  "fusion window does not cover the gate qubits");
-    positions[static_cast<std::size_t>(i)] =
-        util::bitPosition(static_cast<int>(it - to.begin()), m);
-  }
+  const std::vector<int> positions = windowPositions(from, to);
 
   const std::size_t dim = std::size_t{1} << m;
   dense::Matrix<T> full(dim, dim);
@@ -193,29 +200,6 @@ dense::Matrix<T> embedInWindow(const dense::Matrix<T>& u,
     }
   }
   return full;
-}
-
-/// Bit position of each `from` qubit within an index over window `to`
-/// (MSB-first), shared by the diagonal embed/grow/multiply helpers.
-inline std::vector<int> windowPositions(const std::vector<int>& from,
-                                        const std::vector<int>& to) {
-  const int m = static_cast<int>(to.size());
-  std::vector<int> positions(from.size());
-  for (std::size_t i = 0; i < from.size(); ++i) {
-    const auto it = std::lower_bound(to.begin(), to.end(), from[i]);
-    util::require(it != to.end() && *it == from[i],
-                  "fusion window does not cover the gate qubits");
-    positions[i] = util::bitPosition(static_cast<int>(it - to.begin()), m);
-  }
-  return positions;
-}
-
-/// The 2^k diagonal entries of a (diagonal) gate matrix.
-template <typename T>
-std::vector<std::complex<T>> diagonalOf(const dense::Matrix<T>& u) {
-  std::vector<std::complex<T>> d(u.rows());
-  for (std::size_t i = 0; i < d.size(); ++i) d[i] = u(i, i);
-  return d;
 }
 
 /// Embeds the diagonal `d` over qubits `from` into window `to`:
@@ -349,30 +333,28 @@ struct BlockBuilder {
 
   bool open() const noexcept { return gatesIn > 0; }
 
-  /// Starts the block with its first gate over window `window`.
-  void start(const qgates::QGate<T>& gate, const std::vector<int>& qubits,
-             std::vector<int> window) {
-    support = std::move(window);
-    matrix = embedInWindow(gate.matrix(), qubits, support);
-    gatesIn = 1;
-  }
-
-  /// Merges the next gate; `window` is the (possibly grown) support.
+  /// Merges the next gate; `window` is the (possibly grown) support.  The
+  /// first gate of a block starts the product.
   void add(const qgates::QGate<T>& gate, const std::vector<int>& qubits,
            const std::vector<int>& window) {
-    if (window != support) {
+    if (open() && window != support) {
       matrix = embedInWindow(matrix, support, window);
-      support = window;
     }
-    matrix = embedInWindow(gate.matrix(), qubits, support) * matrix;
+    support = window;
+    dense::Matrix<T> u = embedInWindow(gate.matrix(), qubits, support);
+    matrix = open() ? u * matrix : std::move(u);
     ++gatesIn;
   }
 
-  /// Moves the accumulated product into a block and resets.
+  /// Moves the accumulated product into a block record and resets.
   FusedBlock<T> finish(std::vector<FusedStep> steps) {
     FusedBlock<T> block;
+    block.path = KernelPath::kFusedDenseK;
     block.qubits = std::move(support);
     block.matrix = std::move(matrix);
+    if (block.matrix.size() <= 16) {
+      std::copy_n(block.matrix.data(), block.matrix.size(), block.coeffs);
+    }
     block.gatesIn = gatesIn;
     block.steps = std::move(steps);
     support.clear();
@@ -459,6 +441,7 @@ FusionPlan<T> fuseGates(const std::vector<GateRef<T>>& gates, int nbQubits,
         used[j] = true;
       }
       FusedBlock<T> block;
+      block.path = KernelPath::kFusedDiagonalK;
       block.diag = detail::diagonalBlockTable(gates, blockSteps, window);
       block.qubits = std::move(window);
       block.diagonal = true;
@@ -501,11 +484,7 @@ FusionPlan<T> fuseGates(const std::vector<GateRef<T>>& gates, int nbQubits,
       merged = qubits;
     }
 
-    if (!builder.open()) {
-      builder.start(*ref.gate, qubits, merged);
-    } else {
-      builder.add(*ref.gate, qubits, merged);
-    }
+    builder.add(*ref.gate, qubits, merged);
     steps.push_back({index, std::move(qubits), std::move(merged)});
     // Wider than the window: the gate passes through as its own block.
     if (width > denseWindow) flush();
@@ -556,11 +535,7 @@ void rebindFusionPlan(FusionPlan<T>& plan,
       const auto& ref = gates[step.gateIndex];
       util::require(ref.gate != nullptr,
                     "rebindFusionPlan: null gate reference");
-      if (!builder.open()) {
-        builder.start(*ref.gate, step.qubits, step.window);
-      } else {
-        builder.add(*ref.gate, step.qubits, step.window);
-      }
+      builder.add(*ref.gate, step.qubits, step.window);
     }
     std::vector<FusedStep> steps = std::move(block.steps);
     const std::vector<int> qubits = std::move(block.qubits);
@@ -570,40 +545,12 @@ void rebindFusionPlan(FusionPlan<T>& plan,
   }
 }
 
-namespace detail {
-
-/// Applies one fused block with its own full-state sweep: diagonal blocks
-/// go through the run-structured diagonal sweep, dense blocks through
-/// apply1/apply2/applyK.
-template <typename State, typename T>
-void applyFusedBlock(State& state, int nbQubits,
-                     const FusedBlock<T>& block, std::uint64_t bytes) {
-  const KernelPath path =
-      block.diagonal ? KernelPath::kFusedDiagonalK : KernelPath::kFusedDenseK;
-  {
-    const obs::PathTimer timer(path, obs::FlightEventKind::kFusedBlock,
-                               obs::qubitMask64(block.qubits));
-    if (block.diagonal) {
-      applyDiagonalBlock(state, nbQubits, block.qubits, block.diag);
-    } else if (block.qubits.size() == 1) {
-      apply1(state, nbQubits, block.qubits.front(), block.matrix);
-    } else if (block.qubits.size() == 2) {
-      apply2(state, nbQubits, block.qubits[0], block.qubits[1], block.matrix);
-    } else {
-      applyK(state, nbQubits, block.qubits, block.matrix);
-    }
-  }
-  obs::metrics().countGate(path, nullptr, bytes);
-}
-
-}  // namespace detail
-
 /// Applies a fusion plan to the state.  Blocked runs in the plan's
 /// schedule execute as ONE streamed chunked sweep each (counted as
 /// kBlocked with one sweep's worth of bytes — so their effective GB/s in
 /// the obs report measures the blocking win and can exceed DRAM
-/// bandwidth); all other blocks get one full sweep each through the
-/// fused-path kernels.  Block applications and the plan's fusion stats
+/// bandwidth); all other blocks get one full sweep each through
+/// applyKernelOp.  Block applications and the plan's fusion stats
 /// are recorded in obs::metrics(), and each sweep is timed into the
 /// per-path latency histograms (by kernel path only; the per-kind
 /// counters stay an InstrumentedBackend concern).
@@ -626,9 +573,18 @@ void applyFusionPlan(
   lastBlock = std::min(lastBlock, plan.blocks.size());
   const std::uint64_t bytes =
       2 * static_cast<std::uint64_t>(state.size()) * sizeof(std::complex<T>);
+  // One block with its own full-state sweep, timed under its fused path.
+  const auto sweepBlock = [&](const FusedBlock<T>& block) {
+    {
+      const obs::PathTimer timer(block.path, obs::FlightEventKind::kFusedBlock,
+                                 obs::qubitMask64(block.qubits));
+      applyKernelOp(state, nbQubits, block);
+    }
+    obs::metrics().countGate(block.path, nullptr, bytes);
+  };
   if (plan.schedule.items.empty()) {
     for (std::size_t i = firstBlock; i < lastBlock; ++i) {
-      detail::applyFusedBlock(state, nbQubits, plan.blocks[i], bytes);
+      sweepBlock(plan.blocks[i]);
     }
   } else {
     for (const auto& item : plan.schedule.items) {
@@ -646,18 +602,11 @@ void applyFusionPlan(
         }
         obs::metrics().countGate(KernelPath::kBlocked, nullptr, bytes);
       } else {
-        for (std::size_t i = begin; i < end; ++i) {
-          detail::applyFusedBlock(state, nbQubits, plan.blocks[i], bytes);
-        }
+        for (std::size_t i = begin; i < end; ++i) sweepBlock(plan.blocks[i]);
       }
     }
   }
-  FusionStats stats;
-  for (std::size_t i = firstBlock; i < lastBlock; ++i) {
-    stats.gatesIn += plan.blocks[i].gatesIn;
-    ++stats.blocksOut;
-  }
-  stats.sweepsSaved = stats.gatesIn - stats.blocksOut;
+  const FusionStats stats = plan.stats(firstBlock, lastBlock);
   obs::metrics().add(obs::Counter::kFusionGatesIn, stats.gatesIn);
   obs::metrics().add(obs::Counter::kFusionBlocks, stats.blocksOut);
   obs::metrics().add(obs::Counter::kFusionSweepsSaved, stats.sweepsSaved);

@@ -17,9 +17,11 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <complex>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -35,6 +37,30 @@ namespace qclab::sim {
 /// across OpenMP tasks; 2^12 doubles = 64 KiB per run slice, L1-friendly.
 inline constexpr std::int64_t kRunTile = 1 << 12;
 
+/// The controls of a controlled kernel as bits: bit q of `mask` is set for
+/// each control qubit q (a statevector has fewer than 64), bit q of `ones`
+/// for each control that selects |1>.
+struct ControlBits {
+  std::uint64_t mask = 0;
+  std::uint64_t ones = 0;
+
+  /// The bits of `controls` (shifted by `offset`) and `controlStates`.
+  static ControlBits from(const std::vector<int>& controls,
+                          const std::vector<int>& controlStates,
+                          int offset = 0) {
+    util::require(controls.size() == controlStates.size(),
+                  "controls/controlStates length mismatch");
+    ControlBits bits;
+    for (std::size_t i = 0; i < controls.size(); ++i) {
+      const int control = controls[i] + offset;
+      util::checkQubit(control, 64);
+      bits.mask |= std::uint64_t{1} << control;
+      if (controlStates[i] != 0) bits.ones |= std::uint64_t{1} << control;
+    }
+    return bits;
+  }
+};
+
 namespace detail {
 
 /// Fixed bit positions (controls + target) with their pinned values, in an
@@ -43,21 +69,8 @@ namespace detail {
 /// feeds for small states (~35% of the per-call time for a 2-qubit CNOT
 /// micro-bench; see DESIGN.md).  64 slots covers any index_t state.
 struct FixedBits {
-  std::array<std::pair<int, util::index_t>, 64> slots;
+  std::array<std::pair<int, util::index_t>, 64> slots;  ///< ascending pos
   int count = 0;
-
-  /// Inserts (pos, value) keeping `slots[0..count)` ascending by position
-  /// (insertion sort: the handful of controls is far below std::sort's
-  /// break-even).
-  void insert(int pos, util::index_t value) noexcept {
-    int i = count++;
-    while (i > 0 && slots[static_cast<std::size_t>(i - 1)].first > pos) {
-      slots[static_cast<std::size_t>(i)] =
-          slots[static_cast<std::size_t>(i - 1)];
-      --i;
-    }
-    slots[static_cast<std::size_t>(i)] = {pos, value};
-  }
 
   const std::pair<int, util::index_t>* begin() const noexcept {
     return slots.data();
@@ -67,24 +80,67 @@ struct FixedBits {
   }
 };
 
-/// Validates controls and collects the fixed (position, value) set for the
-/// controlled kernels.
-inline FixedBits collectFixedBits(int nbQubits,
-                                  const std::vector<int>& controls,
-                                  const std::vector<int>& controlStates,
+/// Validates the controls and target of a controlled kernel and collects
+/// the fixed (position, value) set, ascending (the qubits walked from the
+/// highest down): each control pinned to the state it selects, target 0.
+inline FixedBits collectFixedBits(int nbQubits, ControlBits controls,
                                   int target) {
   util::checkQubit(target, nbQubits);
-  util::require(controls.size() == controlStates.size(),
-                "controls/controlStates length mismatch");
+  util::require(((controls.mask >> target) & 1) == 0,
+                "control equals target");
   FixedBits fixed;
-  for (std::size_t i = 0; i < controls.size(); ++i) {
-    util::checkQubit(controls[i], nbQubits);
-    util::require(controls[i] != target, "control equals target");
-    fixed.insert(util::bitPosition(controls[i], nbQubits),
-                 static_cast<util::index_t>(controlStates[i]));
+  std::uint64_t fixedQubits = controls.mask | (std::uint64_t{1} << target);
+  while (fixedQubits != 0) {
+    const int qubit = 63 - std::countl_zero(fixedQubits);
+    util::checkQubit(qubit, nbQubits);
+    fixed.slots[static_cast<std::size_t>(fixed.count++)] = {
+        util::bitPosition(qubit, nbQubits), (controls.ones >> qubit) & 1};
+    fixedQubits &= ~(std::uint64_t{1} << qubit);
   }
-  fixed.insert(util::bitPosition(target, nbQubits), 0);
   return fixed;
+}
+
+/// The gather layout applyK and a blocked chunk hand simd::applyKSpan: the
+/// ascending bit positions of `qubits` and each subspace index's offset.
+inline void subspaceLayout(const std::vector<int>& qubits, int nbQubits,
+                           std::vector<int>& positions,
+                           std::vector<util::index_t>& offsets) {
+  const int k = static_cast<int>(qubits.size());
+  positions.resize(static_cast<std::size_t>(k));
+  for (int i = 0; i < k; ++i) {
+    positions[static_cast<std::size_t>(k - 1 - i)] =
+        util::bitPosition(qubits[static_cast<std::size_t>(i)], nbQubits);
+  }
+  offsets.assign(std::size_t{1} << k, 0);
+  for (util::index_t r = 0; r < offsets.size(); ++r) {
+    for (int i = 0; i < k; ++i) {
+      if (util::getBit(r, i)) {
+        offsets[r] = util::setBit(
+            offsets[r], positions[static_cast<std::size_t>(i)]);
+      }
+    }
+  }
+}
+
+/// Validates a diagonal gate (ascending `qubits`, 2^k entries) and writes
+/// the qubits' MSB-first bit positions; returns k.
+template <typename T>
+int diagonalPositions(int nbQubits, const std::vector<int>& qubits,
+                      const std::vector<std::complex<T>>& diagonal,
+                      int (&positions)[64]) {
+  const int k = static_cast<int>(qubits.size());
+  util::require(k >= 1 && k <= nbQubits && k < 64,
+                "gate qubit count out of range");
+  util::require(diagonal.size() == (std::size_t{1} << k),
+                "diagonal length mismatch");
+  for (int i = 0; i < k; ++i) {
+    const int qubit = qubits[static_cast<std::size_t>(i)];
+    util::checkQubit(qubit, nbQubits);
+    util::require(i == 0 || qubit > qubits[static_cast<std::size_t>(i - 1)],
+                  "diagonal gate qubits must be strictly ascending");
+    positions[i] = util::bitPosition(qubit, nbQubits);
+  }
+  return k;
 }
 
 }  // namespace detail
@@ -93,14 +149,12 @@ inline FixedBits collectFixedBits(int nbQubits,
 // sim::StateBuffer, sim::StateSpan — anything contiguous with
 // data()/operator[]); the scalar T is deduced from the gate payload.
 
-/// Applies a 2x2 gate to `qubit` of an n-qubit state, in place.
+/// Applies a 2x2 gate, given as its 4 row-major coefficients, to `qubit`
+/// of an n-qubit state, in place.
 template <typename State, typename T>
-void apply1(State& state, int nbQubits, int qubit,
-            const dense::Matrix<T>& u) {
+void apply1(State& state, int nbQubits, int qubit, const std::complex<T>* u) {
   util::checkQubit(qubit, nbQubits);
-  util::require(u.rows() == 2 && u.cols() == 2, "apply1 needs a 2x2 matrix");
   const int pos = util::bitPosition(qubit, nbQubits);
-  const std::complex<T> coeffs[4] = {u(0, 0), u(0, 1), u(1, 0), u(1, 1)};
   const SimdLevel level = activeSimdLevel();
 
   const std::int64_t dim = std::int64_t{1} << nbQubits;
@@ -112,8 +166,8 @@ void apply1(State& state, int nbQubits, int qubit,
     const std::int64_t chunk =
         std::min(dim, std::max(2 * stride, kRunTile));
     const std::int64_t chunks = dim / chunk;
-    parallelFor(chunks, dim, 2 * kOmpThreshold, [=, &coeffs](std::int64_t c) {
-      simd::apply1Span(data + c * chunk, chunk, pos, coeffs, level);
+    parallelFor(chunks, dim, 2 * kOmpThreshold, [=](std::int64_t c) {
+      simd::apply1Span(data + c * chunk, chunk, pos, u, level);
     });
     return;
   }
@@ -121,12 +175,19 @@ void apply1(State& state, int nbQubits, int qubit,
   const std::int64_t tile = std::min(stride, kRunTile);
   const std::int64_t tilesPerRun = stride / tile;
   const std::int64_t tasks = (dim / (2 * stride)) * tilesPerRun;
-  parallelFor(tasks, dim, 2 * kOmpThreshold, [=, &coeffs](std::int64_t t) {
+  parallelFor(tasks, dim, 2 * kOmpThreshold, [=](std::int64_t t) {
     const std::int64_t offset =
         (t / tilesPerRun) * 2 * stride + (t % tilesPerRun) * tile;
-    simd::apply1Runs(data + offset, data + offset + stride, tile, coeffs,
-                     level);
+    simd::apply1Runs(data + offset, data + offset + stride, tile, u, level);
   });
+}
+
+/// Applies a 2x2 gate to `qubit` of an n-qubit state, in place.
+template <typename State, typename T>
+void apply1(State& state, int nbQubits, int qubit,
+            const dense::Matrix<T>& u) {
+  util::require(u.rows() == 2 && u.cols() == 2, "apply1 needs a 2x2 matrix");
+  apply1(state, nbQubits, qubit, u.data());
 }
 
 /// Applies a diagonal 2x2 gate diag(d0, d1) to `qubit`, in place.  The
@@ -153,24 +214,19 @@ void applyDiagonal1(State& state, int nbQubits,
   });
 }
 
-/// Applies a 4x4 gate to the ascending pair (qubit0, qubit1), in place.
-/// `u` is MSB-first over (qubit0, qubit1), like every gate matrix.  The
-/// four partner runs of each subspace are unit-stride (length 2^posLo),
-/// so this avoids the gather/scatter of applyK for the k = 2 hot path.
+/// Applies a 4x4 gate, given as its 16 row-major coefficients, to the
+/// ascending pair (qubit0, qubit1), in place.  `u` is MSB-first over
+/// (qubit0, qubit1), like every gate matrix.  The four partner runs of
+/// each subspace are unit-stride (length 2^posLo), so this avoids the
+/// gather/scatter of applyK for the k = 2 hot path.
 template <typename State, typename T>
-void apply2(State& state, int nbQubits, int qubit0,
-            int qubit1, const dense::Matrix<T>& u) {
+void apply2(State& state, int nbQubits, int qubit0, int qubit1,
+            const std::complex<T>* u) {
   util::checkQubit(qubit0, nbQubits);
   util::checkQubit(qubit1, nbQubits);
   util::require(qubit0 < qubit1, "apply2 qubits must be strictly ascending");
-  util::require(u.rows() == 4 && u.cols() == 4, "apply2 needs a 4x4 matrix");
   const int posHi = util::bitPosition(qubit0, nbQubits);
   const int posLo = util::bitPosition(qubit1, nbQubits);
-  std::complex<T> coeffs[16];
-  for (int i = 0; i < 16; ++i) {
-    coeffs[i] = u(static_cast<std::size_t>(i / 4),
-                  static_cast<std::size_t>(i % 4));
-  }
   const SimdLevel level = activeSimdLevel();
 
   const std::int64_t dim = std::int64_t{1} << nbQubits;
@@ -183,8 +239,8 @@ void apply2(State& state, int nbQubits, int qubit0,
     // (whole groups) to the span kernel the blocked executor calls too.
     const std::int64_t chunk = std::min(dim, std::max(2 * sHi, kRunTile));
     const std::int64_t chunks = dim / chunk;
-    parallelFor(chunks, dim, 4 * kOmpThreshold, [=, &coeffs](std::int64_t c) {
-      simd::apply2Span(data + c * chunk, chunk, posHi, posLo, coeffs, level);
+    parallelFor(chunks, dim, 4 * kOmpThreshold, [=](std::int64_t c) {
+      simd::apply2Span(data + c * chunk, chunk, posHi, posLo, u, level);
     });
     return;
   }
@@ -194,7 +250,7 @@ void apply2(State& state, int nbQubits, int qubit0,
   const std::int64_t tilesPerRun = sLo / tile;
   const std::int64_t innerGroups = sHi / (2 * sLo);
   const std::int64_t tasks = (dim / (2 * sHi)) * innerGroups * tilesPerRun;
-  parallelFor(tasks, dim, 4 * kOmpThreshold, [=, &coeffs](std::int64_t t) {
+  parallelFor(tasks, dim, 4 * kOmpThreshold, [=](std::int64_t t) {
     const std::int64_t q = t / tilesPerRun;
     const std::int64_t offset = (q / innerGroups) * 2 * sHi +
                                 (q % innerGroups) * 2 * sLo +
@@ -202,27 +258,31 @@ void apply2(State& state, int nbQubits, int qubit0,
     std::complex<T>* const quad[4] = {data + offset, data + offset + sLo,
                                       data + offset + sHi,
                                       data + offset + sHi + sLo};
-    simd::apply2Runs(quad, tile, coeffs, level);
+    simd::apply2Runs(quad, tile, u, level);
   });
 }
 
-/// Applies a 2x2 gate to `target`, controlled on `controls` being in the
-/// per-control `controlStates`, in place.  Only the active subspace
-/// (2^{n - nc - 1} pairs) is touched.
+/// Applies a 4x4 gate to the ascending pair (qubit0, qubit1), in place.
 template <typename State, typename T>
-void applyControlled1(State& state, int nbQubits,
-                      const std::vector<int>& controls,
-                      const std::vector<int>& controlStates, int target,
-                      const dense::Matrix<T>& u) {
-  util::require(u.rows() == 2 && u.cols() == 2,
-                "applyControlled1 needs a 2x2 matrix");
+void apply2(State& state, int nbQubits, int qubit0, int qubit1,
+            const dense::Matrix<T>& u) {
+  util::require(u.rows() == 4 && u.cols() == 4, "apply2 needs a 4x4 matrix");
+  apply2(state, nbQubits, qubit0, qubit1, u.data());
+}
+
+/// Applies a 2x2 gate, given as its 4 row-major coefficients, to
+/// `target`, controlled on the control bits `controls`, in place.  Only
+/// the active subspace (2^{n - nc - 1} pairs) is touched.
+template <typename State, typename T>
+void applyControlled1(State& state, int nbQubits, ControlBits controls,
+                      int target, const std::complex<T>* u) {
   const detail::FixedBits fixed =
-      detail::collectFixedBits(nbQubits, controls, controlStates, target);
+      detail::collectFixedBits(nbQubits, controls, target);
   const int targetPos = util::bitPosition(target, nbQubits);
 
   const std::int64_t count = std::int64_t{1} << (nbQubits - fixed.count);
-  const std::complex<T> u00 = u(0, 0), u01 = u(0, 1);
-  const std::complex<T> u10 = u(1, 0), u11 = u(1, 1);
+  const std::complex<T> u00 = u[0], u01 = u[1];
+  const std::complex<T> u10 = u[2], u11 = u[3];
   std::complex<T>* const data = state.data();
   parallelFor(count, count, kOmpThreshold, [=, &fixed](std::int64_t base) {
     util::index_t i0 = static_cast<util::index_t>(base);
@@ -237,19 +297,30 @@ void applyControlled1(State& state, int nbQubits,
   });
 }
 
-/// Applies a diagonal 2x2 gate diag(d0, d1) to `target`, controlled on
-/// `controls` being in the per-control `controlStates`, in place.  Only the
-/// active subspace (2^{n - nc} amplitudes) is touched, with one multiply
-/// per amplitude — the fast path for CZ / CPhase / CRZ-like gates that the
-/// dense pair-update of applyControlled1 would overwork.
+/// applyControlled1 with the controls listed, each in its controlState.
 template <typename State, typename T>
-void applyControlledDiagonal1(State& state,
-                              int nbQubits, const std::vector<int>& controls,
-                              const std::vector<int>& controlStates,
-                              int target, std::complex<T> d0,
-                              std::complex<T> d1) {
+void applyControlled1(State& state, int nbQubits,
+                      const std::vector<int>& controls,
+                      const std::vector<int>& controlStates, int target,
+                      const dense::Matrix<T>& u) {
+  util::require(u.rows() == 2 && u.cols() == 2,
+                "applyControlled1 needs a 2x2 matrix");
+  applyControlled1(state, nbQubits,
+                   ControlBits::from(controls, controlStates), target,
+                   u.data());
+}
+
+/// Applies a diagonal 2x2 gate diag(d0, d1) to `target`, controlled on
+/// the control bits `controls`, in place.  Only the active subspace
+/// (2^{n - nc} amplitudes) is touched, with one multiply per amplitude —
+/// the fast path for CZ / CPhase / CRZ-like gates that the dense
+/// pair-update of applyControlled1 would overwork.
+template <typename State, typename T>
+void applyControlledDiagonal1(State& state, int nbQubits,
+                              ControlBits controls, int target,
+                              std::complex<T> d0, std::complex<T> d1) {
   const detail::FixedBits fixed =
-      detail::collectFixedBits(nbQubits, controls, controlStates, target);
+      detail::collectFixedBits(nbQubits, controls, target);
   const int targetPos = util::bitPosition(target, nbQubits);
 
   const std::int64_t count = std::int64_t{1} << (nbQubits - fixed.count);
@@ -263,6 +334,18 @@ void applyControlledDiagonal1(State& state,
     data[i0] *= d0;
     data[i1] *= d1;
   });
+}
+
+/// applyControlledDiagonal1 with the controls listed, each in its state.
+template <typename State, typename T>
+void applyControlledDiagonal1(State& state,
+                              int nbQubits, const std::vector<int>& controls,
+                              const std::vector<int>& controlStates,
+                              int target, std::complex<T> d0,
+                              std::complex<T> d1) {
+  applyControlledDiagonal1(state, nbQubits,
+                           ControlBits::from(controls, controlStates),
+                           target, d0, d1);
 }
 
 /// Swaps qubits q0 and q1, in place (permutation only, no arithmetic).
@@ -298,60 +381,21 @@ void applyK(State& state, int nbQubits,
   const std::size_t dim = std::size_t{1} << k;
   util::require(u.rows() == dim && u.cols() == dim,
                 "applyK matrix dimension mismatch");
-
-  // Gate-bit positions, ascending (for insertion), and the offset of each
-  // gate-subspace index r (MSB-first over `qubits`).
-  std::vector<int> positions(k);
   for (int i = 0; i < k; ++i) {
     util::checkQubit(qubits[i], nbQubits);
     if (i > 0) {
       util::require(qubits[i] > qubits[i - 1],
                     "applyK qubits must be strictly ascending");
     }
-    positions[i] = util::bitPosition(qubits[i], nbQubits);
   }
-  std::sort(positions.begin(), positions.end());
-
-  std::vector<util::index_t> offsets(dim, 0);
-  for (util::index_t r = 0; r < dim; ++r) {
-    util::index_t offset = 0;
-    for (int i = 0; i < k; ++i) {
-      if (util::getBit(r, util::bitPosition(i, k))) {
-        offset = util::setBit(offset, util::bitPosition(qubits[i], nbQubits));
-      }
-    }
-    offsets[r] = offset;
-  }
-
+  std::vector<int> positions;
+  std::vector<util::index_t> offsets;
+  detail::subspaceLayout(qubits, nbQubits, positions, offsets);
   const std::int64_t count = std::int64_t{1} << (nbQubits - k);
   std::complex<T>* const data = state.data();
   const auto sweep = [&](std::int64_t lo, std::int64_t hi, int) {
-    // Restrict views keep the matrix and gather-buffer loads from being
-    // treated as aliasing the state scatter (all complex<T>); without them
-    // the compiler reloads u per element (see DESIGN.md, SIMD tier).
-    std::complex<T>* __restrict__ psi = data;
-    const std::complex<T>* __restrict__ mat = u.data();
-    const util::index_t* __restrict__ off = offsets.data();
-    std::vector<std::complex<T>> scratch(dim);
-    std::complex<T>* __restrict__ gathered = scratch.data();
-    for (std::int64_t outer = lo; outer < hi; ++outer) {
-      util::index_t base = static_cast<util::index_t>(outer);
-      for (int pos : positions) base = util::insertZeroBit(base, pos);
-      for (util::index_t r = 0; r < dim; ++r) {
-        gathered[r] = psi[base | off[r]];
-      }
-      for (util::index_t r = 0; r < dim; ++r) {
-        T sumr(0), sumi(0);
-        for (util::index_t c = 0; c < dim; ++c) {
-          const std::complex<T> m = mat[r * dim + c];
-          sumr += m.real() * gathered[c].real() -
-                  m.imag() * gathered[c].imag();
-          sumi += m.real() * gathered[c].imag() +
-                  m.imag() * gathered[c].real();
-        }
-        psi[base | off[r]] = std::complex<T>(sumr, sumi);
-      }
-    }
+    std::vector<std::complex<T>> scratch;
+    simd::applyKSpan(data, lo, hi, positions, offsets, u, scratch);
   };
   parallelRanges(count, teamSize(count, kOmpThreshold), sweep);
 }
@@ -363,21 +407,9 @@ template <typename State, typename T>
 void applyDiagonalK(State& state, int nbQubits,
                     const std::vector<int>& qubits,
                     const std::vector<std::complex<T>>& diagonal) {
-  const int k = static_cast<int>(qubits.size());
-  util::require(k >= 1 && k <= nbQubits, "gate qubit count out of range");
-  util::require(diagonal.size() == (std::size_t{1} << k),
-                "diagonal length mismatch");
-  std::vector<int> positions(static_cast<std::size_t>(k));
-  for (int i = 0; i < k; ++i) {
-    util::checkQubit(qubits[static_cast<std::size_t>(i)], nbQubits);
-    if (i > 0) {
-      util::require(qubits[static_cast<std::size_t>(i)] >
-                        qubits[static_cast<std::size_t>(i - 1)],
-                    "applyDiagonalK qubits must be strictly ascending");
-    }
-    positions[static_cast<std::size_t>(i)] =
-        util::bitPosition(qubits[static_cast<std::size_t>(i)], nbQubits);
-  }
+  int positions[64];
+  const int k =
+      detail::diagonalPositions(nbQubits, qubits, diagonal, positions);
   const std::int64_t dim = std::int64_t{1} << nbQubits;
   std::complex<T>* const data = state.data();
   const auto sweep = [&](std::int64_t lo, std::int64_t hi, int) {
@@ -385,7 +417,7 @@ void applyDiagonalK(State& state, int nbQubits,
     // complex<T>), or the table is reloaded per amplitude.
     std::complex<T>* __restrict__ psi = data;
     const std::complex<T>* __restrict__ diag = diagonal.data();
-    const int* __restrict__ pos = positions.data();
+    const int* __restrict__ pos = positions;
     for (std::int64_t i = lo; i < hi; ++i) {
       util::index_t row = 0;
       for (int b = 0; b < k; ++b) {
@@ -417,28 +449,17 @@ template <typename State, typename T>
 void applyDiagonalBlock(State& state, int nbQubits,
                         const std::vector<int>& qubits,
                         const std::vector<std::complex<T>>& diagonal) {
-  const int k = static_cast<int>(qubits.size());
-  util::require(k >= 1 && k <= nbQubits, "gate qubit count out of range");
-  util::require(diagonal.size() == (std::size_t{1} << k),
-                "diagonal length mismatch");
-  std::vector<int> positions(static_cast<std::size_t>(k));
-  for (int i = 0; i < k; ++i) {
-    util::checkQubit(qubits[static_cast<std::size_t>(i)], nbQubits);
-    if (i > 0) {
-      util::require(qubits[static_cast<std::size_t>(i)] >
-                        qubits[static_cast<std::size_t>(i - 1)],
-                    "applyDiagonalBlock qubits must be strictly ascending");
-    }
-    positions[static_cast<std::size_t>(i)] =
-        util::bitPosition(qubits[static_cast<std::size_t>(i)], nbQubits);
-  }
+  int positionStore[64];
+  const std::span<const int> positions(
+      positionStore, static_cast<std::size_t>(detail::diagonalPositions(
+                         nbQubits, qubits, diagonal, positionStore)));
   const SimdLevel level = activeSimdLevel();
   const std::int64_t dim = std::int64_t{1} << nbQubits;
   const std::int64_t runLen = std::int64_t{1} << positions.back();
   const std::int64_t pieceDim = std::min(dim, std::max(runLen, kRunTile));
   std::complex<T>* const data = state.data();
   parallelFor(dim / pieceDim, dim, 4 * kOmpThreshold,
-              [=, &positions, &diagonal](std::int64_t p) {
+              [=, &diagonal](std::int64_t p) {
                 simd::applyDiagonalRunsSpan(data + p * pieceDim, pieceDim,
                                             positions, diagonal, level,
                                             p * pieceDim);

@@ -45,6 +45,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -411,26 +412,26 @@ void apply2Span(std::complex<T>* state, std::int64_t dim, int posHi,
   }
 }
 
-/// General k-qubit dense gate over `dim` amplitudes via gather / dense
-/// multiply / scatter.  `positions` are the ascending gate bit positions
-/// within a span index, `offsets` the 2^k subspace offsets (MSB-first
-/// row order), `scratch` a caller-provided gather buffer.
+/// General k-qubit dense gate via gather / dense multiply / scatter over
+/// the gate subspaces [lo, hi) of `state` (a whole register or one
+/// aligned chunk of it).  `positions` are the ascending gate bit
+/// positions within a state index, `offsets` the 2^k subspace offsets
+/// (MSB-first row order), `scratch` a caller-provided gather buffer.
 template <typename T>
-void applyKSpan(std::complex<T>* __restrict__ state, std::int64_t dim,
-                const std::vector<int>& positions,
+void applyKSpan(std::complex<T>* __restrict__ state, std::int64_t lo,
+                std::int64_t hi, std::span<const int> positions,
                 const std::vector<util::index_t>& offsets,
                 const dense::Matrix<T>& u,
                 std::vector<std::complex<T>>& scratch) {
   const std::size_t gateDim = offsets.size();
   scratch.resize(gateDim);
   // Raw restrict views: matrix/scratch loads must not be treated as
-  // aliasing the state scatter (all three are complex<T>).
+  // aliasing the state scatter (all three are complex<T>); without them
+  // the compiler reloads u per element (see DESIGN.md, SIMD tier).
   const std::complex<T>* __restrict__ mat = u.data();
   std::complex<T>* __restrict__ gathered = scratch.data();
   const util::index_t* __restrict__ off = offsets.data();
-  const std::int64_t count =
-      dim >> static_cast<std::int64_t>(positions.size());
-  for (std::int64_t outer = 0; outer < count; ++outer) {
+  for (std::int64_t outer = lo; outer < hi; ++outer) {
     util::index_t base = static_cast<util::index_t>(outer);
     for (int pos : positions) base = util::insertZeroBit(base, pos);
     for (util::index_t r = 0; r < gateDim; ++r) {
@@ -473,7 +474,7 @@ void applyKSpan(std::complex<T>* __restrict__ state, std::int64_t dim,
 /// of 2^minPos amplitudes and be even.
 template <typename T>
 void applyDiagonalRunsSpan(std::complex<T>* state, std::int64_t dim,
-                           const std::vector<int>& positions,
+                           std::span<const int> positions,
                            const std::vector<std::complex<T>>& diagonal,
                            SimdLevel level, std::int64_t first = 0) {
   const int k = static_cast<int>(positions.size());

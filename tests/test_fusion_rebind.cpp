@@ -184,9 +184,8 @@ TEST(FusionRebind, ApplyFromFirstBlockMatchesManualSplit) {
     // to the uncut application (kernel path choice never depends on
     // where a sweep starts).
     auto split = zeroState<double>(n);
-    const std::uint64_t bytes = 2 * split.size() * sizeof(std::complex<double>);
     for (std::size_t i = 0; i < cut; ++i) {
-      detail::applyFusedBlock(split, n, plan.blocks[i], bytes);
+      applyFusionPlan(split, n, plan, i, i + 1);
     }
     applyFusionPlan(split, n, plan, cut);
     EXPECT_TRUE(bitIdentical(split, full)) << "cut=" << cut;
